@@ -53,9 +53,6 @@ class ChainFamily:
     def k(self) -> int:
         return len(self.names)
 
-    def chain_index(self, name: str) -> int:
-        return self.names.index(name)
-
 
 @dataclass(frozen=True)
 class ChainHalfspace:
@@ -403,9 +400,6 @@ class MoveSchedule:
         if not self.cycle:
             raise IndexError("schedule exhausted")
         return self.cycle[(n - len(self.prefix)) % len(self.cycle)]
-
-    def finite_length(self) -> Optional[int]:
-        return len(self.prefix) if not self.cycle else None
 
 
 def _check_geodesic(start: ChainUltrafilter, schedule: MoveSchedule) -> None:

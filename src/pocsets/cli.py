@@ -80,11 +80,11 @@ def _load_model(args):
     return model
 
 
-def _parse_cuts(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
     except ValueError as exc:
-        raise MalformedInput(f"bad cut tuple {text!r}", text) from exc
+        raise MalformedInput(f"bad {what} {text!r}", text) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def cmd_restrict(args) -> int:
 
 def cmd_shadows(args) -> int:
     model = _load_model(args)
-    u = ChainUltrafilter(_parse_cuts(args.cuts))
+    u = ChainUltrafilter(_parse_ints(args.cuts, "cut tuple"))
     report = shadow_report(model, u, args.window)
     if args.format == "svg":
         sys.stdout.write(shadow_svg(model, report))
@@ -308,7 +308,7 @@ def cmd_report(args) -> int:
             args.window,
         )
     else:
-        windows = tuple(int(w) for w in args.windows.split(","))
+        windows = _parse_ints(args.windows, "window list")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = surjectivity_report(model, windows=windows, ray_length=args.length)

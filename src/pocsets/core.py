@@ -258,10 +258,6 @@ class FinitePocSet:
     def leq(self, a: int, b: int) -> bool:
         return bool(self._up[a] & (1 << b))
 
-    def upset(self, e: int) -> int:
-        """Bitmask of ``{b : e <= b}``."""
-        return self._up[e]
-
     def name(self, e: int) -> str:
         return _raw_name(e, self.n_pairs)
 
@@ -513,26 +509,6 @@ class FinitePocSet:
         signs = list(u.signs)
         signs[pair_of(a)] ^= 1
         return self.ultrafilter_from_signs(tuple(signs))
-
-    def multi_flip(self, u: Ultrafilter, elements: Iterable[int]) -> Ultrafilter:
-        """Flip a transverse subset of the minimal set in one step."""
-        els = list(elements)
-        mins = set(self.min_set(u))
-        for e in els:
-            if e not in mins:
-                raise NotMinimal(f"{self.name(e)} is not minimal", e)
-        for x, y in combinations(els, 2):
-            if not self.transverse(x, y):
-                raise NotAFilterBase(
-                    f"{self.name(x)}, {self.name(y)} are not transverse", (x, y)
-                )
-        signs = list(u.signs)
-        for e in els:
-            signs[pair_of(e)] ^= 1
-        return self.ultrafilter_from_signs(tuple(signs))
-
-    # ------------------------------------------------------------------
-    # principal construction and convexity
 
     def is_maximal_transverse(self, elements: Iterable[int]) -> Optional[int]:
         """None when the set is maximal transverse; else an extension or a

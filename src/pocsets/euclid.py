@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Iterable, Optional, Sequence
 
 from .chains import (
@@ -24,7 +24,6 @@ from .chains import (
     MINUS,
     PLUS,
     ChainFamily,
-    ChainHalfspace,
     Signature,
     class_leq,
     comparable,
@@ -34,10 +33,6 @@ from .errors import LineInsideWall, MalformedInput, NonUniformModelWarning, Zero
 from .exactnum import ExactNumber
 
 Vec = tuple[ExactNumber, ExactNumber]
-
-
-def _vec(x, y) -> Vec:
-    return (ExactNumber.of(x), ExactNumber.of(y))
 
 
 def dot(u: Vec, v: Vec) -> ExactNumber:
@@ -117,10 +112,13 @@ class WallModel:
     def k(self) -> int:
         return self.chains.k
 
-    def halfplane_contains(self, h: ChainHalfspace, point: Vec) -> bool:
-        fam = self.families[h.chain]
-        level = dot(fam.normal, point) - fam.wall_level(h.index)
-        return level.sign() < 0 if h.starred else level.sign() > 0
+    @cached_property
+    def oracle(self):
+        """The model's compiled `pocsets.shadows.ConsistencyOracle`, built
+        on first use; not a field, so equality and hashing ignore it."""
+        from .shadows import ConsistencyOracle
+
+        return ConsistencyOracle(self)
 
     def chamber_cuts(self, point: Vec) -> tuple[int, ...]:
         """Cut coordinates of the chamber of a generic point: chain i takes

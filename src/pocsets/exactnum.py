@@ -17,6 +17,21 @@ from .errors import MalformedInput
 Rationalish = Union[int, Fraction, "ExactNumber"]
 
 
+def sqrt3_sign(a: Union[int, Fraction], b: Union[int, Fraction]) -> int:
+    """Sign of a + b*sqrt(3) for rational a, b, decided via a^2 vs 3b^2."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: compare |a| with |b|*sqrt3 through squares
+    lead = 1 if a > 0 else -1  # sign if the rational part dominates
+    return lead if a * a > 3 * b * b else -lead
+
+
 @dataclass(frozen=True)
 class ExactNumber:
     a: Fraction
@@ -66,19 +81,8 @@ class ExactNumber:
 
     # ------------------------------------------------------------------
     def sign(self) -> int:
-        """Sign of a + b*sqrt(3), decided rationally via a^2 vs 3b^2."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare |a| with |b|*sqrt3 through squares
-        lead = 1 if a > 0 else -1  # sign if the rational part dominates
-        return lead if a * a > 3 * b * b else -lead
+        """Sign of a + b*sqrt(3)."""
+        return sqrt3_sign(self.a, self.b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

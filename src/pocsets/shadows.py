@@ -2,8 +2,10 @@
 shadows, escaping rays and the co-compactness report.
 
 A principal chain ultrafilter with cuts (c_1..c_k) is consistent when the k
-closed slabs it selects share a point; feasibility is decided exactly by
-Fourier-Motzkin elimination over the √3 field.  All minimization is
+closed slabs it selects share a point.  Each wall model's slab system is
+compiled once, by Fourier-Motzkin elimination over the √3 field on symbolic
+right-hand sides, into a few integer sign conditions on the cuts, instead of
+being eliminated again for every tuple.  All minimization is
 exhaustive inside a window [-W, W]^k with interiority checks on minimizers,
 and every result records the window it was computed in.
 """
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .chains import (
@@ -25,9 +29,9 @@ from .chains import (
     format_signature,
     min_set,
 )
-from .errors import MalformedInput, NotPrincipal, PocError, WindowTooSmall
+from .errors import ChainCountMismatch, MalformedInput, NotPrincipal, PocError, WindowTooSmall
 from .euclid import WallModel, rho_image
-from .exactnum import ExactNumber
+from .exactnum import ExactNumber, sqrt3_sign
 
 Cuts = tuple[int, ...]
 Constraint = tuple[ExactNumber, ExactNumber, ExactNumber]  # ax*x + ay*y <= c
@@ -35,39 +39,6 @@ Constraint = tuple[ExactNumber, ExactNumber, ExactNumber]  # ax*x + ay*y <= c
 
 # ---------------------------------------------------------------------------
 # exact feasibility of halfplane systems
-
-
-def _feasible(constraints: Sequence[Constraint]) -> bool:
-    """Exact non-emptiness of an intersection of closed halfplanes via
-    Fourier-Motzkin elimination of x, then a 1-d interval check."""
-    uppers, lowers, pure = [], [], []
-    for ax, ay, c in constraints:
-        s = ax.sign()
-        if s > 0:
-            uppers.append((ax, ay, c))
-        elif s < 0:
-            lowers.append((ax, ay, c))
-        else:
-            pure.append((ay, c))
-    derived = list(pure)
-    for axu, ayu, cu in uppers:
-        for axl, ayl, cl in lowers:
-            # positive combination eliminating x
-            derived.append((axu * ayl - axl * ayu, axu * cl - axl * cu))
-    lo: Optional[ExactNumber] = None
-    hi: Optional[ExactNumber] = None
-    for a, c in derived:
-        s = a.sign()
-        if s == 0:
-            if c.sign() < 0:
-                return False
-        elif s > 0:
-            bound = c / a
-            hi = bound if hi is None or bound < hi else hi
-        else:
-            bound = c / a
-            lo = bound if lo is None or bound > lo else lo
-    return lo is None or hi is None or lo <= hi
 
 
 def _feasible_point(constraints: Sequence[Constraint]) -> Optional[tuple[ExactNumber, ExactNumber]]:
@@ -143,81 +114,87 @@ def is_consistent_set(model: WallModel, halfspaces: Iterable[ChainHalfspace]) ->
     """Whether the closures of the given halfspaces share a point; the empty
     set counts as inconsistent by convention."""
     cons = [_closure_constraint(model, h) for h in halfspaces]
-    if not cons:
-        return False
-    return _feasible(cons)
+    return bool(cons) and _feasible_point(cons) is not None
 
 
 def is_consistent(model: WallModel, u: ChainUltrafilter) -> bool:
     """Whether a principal ultrafilter is supported by an actual point."""
-    return _cuts_consistent(model, u.int_cuts())
+    return model.oracle.consistent(u.int_cuts())
+
+
+def _wrong_length(k: int, cuts: Cuts) -> ChainCountMismatch:
+    return ChainCountMismatch(f"{cuts} has {len(cuts)} cuts, the model has {k} chains", cuts)
+
+
+Form = tuple[ExactNumber, ...]  # affine in the cuts: form[0] + sum form[1+i]*c_i
+
+
+def _combine(p: ExactNumber, f: Form, q: ExactNumber, g: Form) -> Form:
+    return tuple(p * x + q * y for x, y in zip(f, g))
+
+
+def _eliminate_first(rows: list[tuple[Form, Form]]) -> list[tuple[Form, Form]]:
+    """One Fourier-Motzkin step on rows (coefs, rhs), each meaning
+    coefs . v <= rhs(c): the rows that no longer mention v[0]."""
+    ups = [r for r in rows if r[0][0].sign() > 0]
+    downs = [r for r in rows if r[0][0].sign() < 0]
+    out = [(coefs[1:], rhs) for coefs, rhs in rows if coefs[0].sign() == 0]
+    for cu, ru in ups:
+        for cd, rd in downs:
+            # positive multipliers that cancel v[0]
+            out.append((_combine(-cd[0], cu, cu[0], cd)[1:], _combine(-cd[0], ru, cu[0], rd)))
+    return out
+
+
+def _integer_form(rhs: Form) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """rhs as coprime integer vectors (alpha, beta) with rhs(c) a positive
+    multiple of alpha . (1, c) + (beta . (1, c))*sqrt3."""
+    rationals = [x.a for x in rhs] + [x.b for x in rhs]
+    scale = lcm(*(q.denominator for q in rationals))
+    ints = [int(q * scale) for q in rationals]
+    g = gcd(*ints) or 1
+    ints = [v // g for v in ints]
+    return tuple(ints[: len(rhs)]), tuple(ints[len(rhs) :])
 
 
 class ConsistencyOracle:
-    """Prepared feasibility test for the cut-slab systems of one model.
+    """The consistency test of one model's cut tuples, compiled once.
 
-    The Fourier-Motzkin elimination structure of a slab system does not
-    depend on the cuts, only the right-hand sides do; partial evaluation
-    leaves a handful of exact multiply-adds per query."""
+    The slab system of cuts c has 2k closed halfplanes whose normals are
+    fixed by the model and whose right-hand sides are affine in c.
+    Fourier-Motzkin elimination of x and then y (Schrijver 1986, 12.2) only
+    takes positive combinations of rows, so it runs once on symbolic
+    right-hand sides and leaves a few forms F_j(c) = alpha_j(c) +
+    beta_j(c)*sqrt3 with integer coefficients: the slabs share a point iff
+    every F_j(c) >= 0."""
 
     def __init__(self, model: WallModel):
-        self.model = model
-        uppers, lowers, pure = [], [], []
+        k = self.k = model.k
+        rows = []
         for i, fam in enumerate(model.families):
             nx, ny = fam.normal
-            # slot (i, +1): n.p <= o + s*c_i ; slot (i, -1): -n.p <= -(o + s*(c_i-1))
-            for ax, ay, slot in ((nx, ny, (i, 1)), (-nx, -ny, (i, -1))):
-                s = ax.sign()
-                if s > 0:
-                    uppers.append((ax, ay, slot))
-                elif s < 0:
-                    lowers.append((ax, ay, slot))
-                else:
-                    pure.append((ay, slot))
-        one_d = []  # (inv_A or None, sign_of_A, [(coef, slot), ...])
-        for ay, slot in pure:
-            one_d.append((ay, [(ExactNumber.of(1), slot)]))
-        for axu, ayu, slot_u in uppers:
-            for axl, ayl, slot_l in lowers:
-                a = axu * ayl - axl * ayu
-                one_d.append((a, [(axu, slot_l), (-axl, slot_u)]))
-        self._one_d = [
-            (a.sign(), None if a.sign() == 0 else 1 / a, combo)
-            for a, combo in one_d
-        ]
-
-    def _rhs(self, i: int, side: int, cuts: Cuts) -> Fraction:
-        fam = self.model.families[i]
-        if side > 0:
-            return fam.offset + fam.spacing * cuts[i]
-        return -(fam.offset + fam.spacing * (cuts[i] - 1))
+            top = [ExactNumber.of(0)] * (k + 1)  # n.p <= o + s*c_i
+            top[0], top[1 + i] = ExactNumber.of(fam.offset), ExactNumber.of(fam.spacing)
+            bottom = [-x for x in top]  # -n.p <= -(o + s*(c_i - 1))
+            bottom[0] += fam.spacing
+            rows += [((nx, ny), tuple(top)), ((-nx, -ny), tuple(bottom))]
+        forms = set()
+        for _, rhs in _eliminate_first(_eliminate_first(rows)):
+            alpha, beta = _integer_form(rhs)
+            constant = not any(alpha[1:]) and not any(beta[1:])
+            if not (constant and sqrt3_sign(alpha[0], beta[0]) >= 0):
+                forms.add((alpha, beta))
+        self.forms = sorted(forms)
 
     def consistent(self, cuts: Cuts) -> bool:
-        lo = hi = None
-        for sign_a, inv_a, combo in self._one_d:
-            c = ExactNumber.of(0)
-            for coef, (i, side) in combo:
-                c = c + coef * self._rhs(i, side, cuts)
-            if sign_a == 0:
-                if c.sign() < 0:
-                    return False
-            elif sign_a > 0:
-                bound = c * inv_a
-                hi = bound if hi is None or bound < hi else hi
-            else:
-                bound = c * inv_a
-                lo = bound if lo is None or bound > lo else lo
-        return lo is None or hi is None or lo <= hi
-
-
-@lru_cache(maxsize=16)
-def _oracle(model: WallModel) -> ConsistencyOracle:
-    return ConsistencyOracle(model)
-
-
-@lru_cache(maxsize=400_000)
-def _cuts_consistent(model: WallModel, cuts: Cuts) -> bool:
-    return _oracle(model).consistent(cuts)
+        """Whether the closed slabs selected by the k cuts share a point."""
+        if len(cuts) != self.k:
+            raise _wrong_length(self.k, cuts)
+        point = (1, *cuts)
+        for alpha, beta in self.forms:
+            if sqrt3_sign(sum(map(mul, alpha, point)), sum(map(mul, beta, point))) < 0:
+                return False
+        return True
 
 
 def interval_consistent(model: WallModel, cuts: Cuts) -> bool:
@@ -276,6 +253,8 @@ class WindowField:
         try:
             return self.distance_table[cuts]
         except KeyError:
+            if len(cuts) != self.model.k:
+                raise _wrong_length(self.model.k, cuts) from None
             raise WindowTooSmall(
                 f"{cuts} is outside window {self.window.bound}", cuts
             ) from None
@@ -292,10 +271,11 @@ class WindowField:
 def enumerate_pi0(model: WallModel, window: Window | int) -> list[ChainUltrafilter]:
     """All consistent cut tuples inside the window, in canonical order."""
     w = _as_window(window)
+    oracle = model.oracle
     return [
-        ChainUltrafilter(tuple(c))
+        ChainUltrafilter(c)
         for c in w.tuples(model.k)
-        if _cuts_consistent(model, tuple(c))
+        if oracle.consistent(c)
     ]
 
 
@@ -543,6 +523,11 @@ def escaping_ray(
     shadows are verified to strictly shrink along those moves."""
     if target.is_principal():
         raise NotPrincipal("escape target must be a non-principal class", target)
+    if target.k != model.k:
+        raise ChainCountMismatch(
+            f"target {format_signature(target)} has {target.k} chains, the model has {model.k}",
+            format_signature(target),
+        )
     w = _as_window(window)
     f = window_field(model, w.bound)
     start = canonical_start(model, w)

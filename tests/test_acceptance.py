@@ -60,7 +60,6 @@ from pocsets.shadows import (
     shadow_report,
     surjectivity_report,
     window_field,
-    _cuts_consistent,
 )
 
 from conftest import brute_force_ultrafilters, random_pocset
@@ -79,7 +78,6 @@ def _timed(budget: float):
 
 def _fresh_caches():
     window_field.cache_clear()
-    _cuts_consistent.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,22 @@ def test_window_too_small_is_domain_error():
     assert json.loads(proc.stderr)["code"] == "window-too-small"
 
 
+def test_chain_count_mismatch_is_domain_error():
+    for argv in (
+        ("shadows", "FIX-HEX", "--cuts", "1,2", "--window", "3"),
+        ("shadows", "FIX-HEX", "--cuts", "1,1,1,1", "--window", "3"),
+        ("escape", "FIX-HEX", "--target", "(+,+)"),
+    ):
+        proc = run_cli(*argv, expect=1)
+        assert json.loads(proc.stderr)["code"] == "chain-count-mismatch"
+
+
+def test_bad_window_list_is_malformed_input():
+    proc = run_cli("report", "FIX-HEX", "--windows", "4,x", expect=1)
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line)["code"] == "malformed-input"
+
+
 def test_report_single_window_flag():
     proc = run_cli("report", "FIX-HEX", "--window", "10")
     assert "escaping ray: yes" in proc.stdout

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,17 +10,22 @@ from pocsets.chains import (
     FIN,
     MINUS,
     PLUS,
+    ChainFamily,
     ChainHalfspace,
     ChainUltrafilter,
     principal,
     sig,
     uf,
 )
-from pocsets.errors import NotPrincipal, WindowTooSmall
-from pocsets.euclid import zd_image_signatures
+from pocsets.errors import ChainCountMismatch, NotPrincipal, WindowTooSmall
+from pocsets.euclid import WallFamily, WallModel, zd_image_signatures
+from pocsets.exactnum import SQRT3, ExactNumber
 from pocsets.formats import fixture_model
 from pocsets.shadows import (
+    ConsistencyOracle,
     Window,
+    _feasible_point,
+    _slab_constraints,
     canonical_start,
     classify_min,
     dist_to_pi0,
@@ -77,17 +83,58 @@ def test_double_oracle_agreement(hexmodel):
         )
 
 
-def test_prepared_oracle_matches_direct_elimination(hexmodel, z2):
-    from pocsets.shadows import _feasible, _oracle, _slab_constraints
+# cos(30j degrees) for j = 0..11; sin(30j) = cos(30(j - 3))
+_R, _H = SQRT3 / 2, ExactNumber.of(Fraction(1, 2))
+_ZERO, _ONE = ExactNumber.of(0), ExactNumber.of(1)
+_COS30 = [_ONE, _R, _H, _ZERO, -_H, -_R, -_ONE, -_R, -_H, _ZERO, _H, _R]
 
+
+def _wall_model(rng, angles):
+    """Normals at the given multiples of 30 degrees, scaled by random
+    rationals; random rational spacing and offset."""
+    families = []
+    for j in angles:
+        scale = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        normal = (_COS30[j] * scale, _COS30[(j - 3) % 12] * scale)
+        spacing = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        offset = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        families.append(WallFamily(normal, spacing, offset))
+    names = tuple(f"c{i}" for i in range(len(angles)))
+    return WallModel(ChainFamily(names), tuple(families))
+
+
+def test_prepared_oracle_matches_direct_elimination():
+    # the compiled oracle against a separate numeric elimination, on random,
+    # axis-aligned (the "pure" rows of both steps) and all-parallel models
     rng = random.Random(44)
-    for model, k in ((hexmodel, 3), (z2, 2)):
-        oracle = _oracle(model)
-        for _ in range(200):
-            cuts = tuple(rng.randint(-7, 7) for _ in range(k))
-            assert oracle.consistent(cuts) == _feasible(
-                _slab_constraints(model, cuts)
-            )
+    outcomes = set()
+    for k in range(1, 5):
+        families = [
+            [rng.randrange(12) for _ in range(k)] for _ in range(4)
+        ] + [
+            [rng.choice((0, 3, 6, 9)) for _ in range(k)] for _ in range(2)
+        ] + [
+            [j + rng.choice((0, 6)) for _ in range(k)] for j in (rng.randrange(6), 3)
+        ]
+        for angles in families:
+            model = _wall_model(rng, angles)
+            oracle = ConsistencyOracle(model)
+            for _ in range(120):
+                cuts = tuple(rng.randint(-4, 4) for _ in range(k))
+                expect = _feasible_point(_slab_constraints(model, cuts)) is not None
+                assert oracle.consistent(cuts) == expect, (angles, cuts)
+                outcomes.add(expect)
+    assert outcomes == {True, False}
+
+
+def test_wrong_chain_count_is_refused(hexmodel):
+    for cuts in ((1, 1, 1, 1), (1, 2)):
+        with pytest.raises(ChainCountMismatch):
+            is_consistent(hexmodel, ChainUltrafilter(cuts))
+        with pytest.raises(ChainCountMismatch):
+            window_field(hexmodel, 4).distance(cuts)
+    with pytest.raises(ChainCountMismatch):
+        escaping_ray(hexmodel, sig(PLUS, PLUS), 5, 8)
 
 
 def test_is_consistent_requires_principal(hexmodel):
