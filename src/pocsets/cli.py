@@ -22,7 +22,7 @@ from .chains import (
 )
 from .core import FinitePocSet
 from .cubing import build_cubing, duality_roundtrip, extract_halfspaces
-from .errors import MalformedInput, PocError
+from .errors import MalformedInput, NonUniformModelWarning, PocError
 from .euclid import (
     Line,
     closure_check,
@@ -200,9 +200,7 @@ def cmd_rho(args) -> int:
 
 def cmd_image(args) -> int:
     model = _load_model(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = rho_image(model)
+    report = rho_image(model)
     if args.format == "text":
         for e in report.entries:
             kinds = ",".join(f.kind for f in e.fibers)
@@ -214,9 +212,7 @@ def cmd_image(args) -> int:
 
 def cmd_safe(args) -> int:
     model = _load_model(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        comps = safe_components(rho_image(model).signatures())
+    comps = safe_components(rho_image(model).signatures())
     if args.format == "text":
         for i, comp in enumerate(comps):
             print(f"component {i}: " + " ".join(format_signature(s) for s in comp))
@@ -235,9 +231,7 @@ def cmd_safe(args) -> int:
 
 def cmd_closure(args) -> int:
     model = _load_model(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = closure_check(model)
+    report = closure_check(model)
     if args.format == "text":
         print(f"closure formula: {'ok' if report.ok else 'violated'}")
     else:
@@ -251,9 +245,7 @@ def cmd_restrict(args) -> int:
     base = parse_exact_pair(args.base)
     line = Line(direction, base)
     report = restrict_to_line(model, line)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        incomparable = line_end_incomparability(model, line)
+    incomparable = line_end_incomparability(model, line)
     if args.format == "text":
         print(
             f"merged_chains={len(report.merged_chains)} commutes={report.commutes} "
@@ -309,9 +301,7 @@ def cmd_report(args) -> int:
         )
     else:
         windows = _parse_ints(args.windows, "window list")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = surjectivity_report(model, windows=windows, ray_length=args.length)
+    report = surjectivity_report(model, windows=windows, ray_length=args.length)
     if args.format == "text":
         in_image = sum(1 for r in report.classes if r.codim > 0 and r.in_image)
         total = sum(1 for r in report.classes if r.codim > 0)
@@ -386,7 +376,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            # a non-uniform model is answered, not refused: no warning on stderr
+            warnings.simplefilter("ignore", NonUniformModelWarning)
+            return args.handler(args)
     except PocError as exc:
         print(json.dumps(exc.diagnostic(), sort_keys=True), file=sys.stderr)
         return 1

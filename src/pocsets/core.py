@@ -375,15 +375,6 @@ class FinitePocSet:
     def is_ultrafilter(self, members: Iterable[int]) -> UltrafilterCheck:
         return self.check_set(members)
 
-    def _signs_consistent(self, signs: Sequence[int], upto: int) -> bool:
-        for i in range(upto):
-            x = 2 * i + signs[i]
-            for j in range(i + 1, upto):
-                y = 2 * j + signs[j]
-                if self.leq(x, star(y)) or self.leq(y, star(x)):
-                    return False
-        return True
-
     def ultrafilters(self) -> list[Ultrafilter]:
         """All ultrafilters, in canonical (lexicographic signs) order.
 

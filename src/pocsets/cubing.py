@@ -154,14 +154,11 @@ def build_cubing(p: FinitePocSet) -> CubeComplex:
             for sub in combinations(mins, d):
                 if all(p.transverse(x, y) for x, y in combinations(sub, 2)):
                     pairs = tuple(sorted(pair_of(a) for a in sub))
-                    corner_signs = []
-                    for r in range(d + 1):
-                        for flipped in combinations(pairs, r):
-                            signs = list(u.signs)
-                            for k in flipped:
-                                signs[k] ^= 1
-                            corner_signs.append(tuple(signs))
-                    base = index[min(corner_signs)]
+                    # the lexicographically least corner: every flipped pair plain
+                    least = list(u.signs)
+                    for k in pairs:
+                        least[k] = 0
+                    base = index[tuple(least)]
                     cubes.setdefault(d, set()).add(Cube(base, pairs))
     complex_ = CubeComplex(
         p,
@@ -219,13 +216,10 @@ def duality_roundtrip(p: FinitePocSet) -> DualityReport:
             (p.n_pairs, q.n_pairs),
         )
     # natural element map: h -> S_h, i.e. pair k -> wall k oriented so the
-    # plain side is the vertex set of h_k
-    def image(e: int) -> int:
-        return e
-
+    # plain side is the vertex set of h_k, the identity on element indices
     for a in p.elements():
         for b in p.elements():
-            if p.leq(a, b) != q.leq(image(a), image(b)):
+            if p.leq(a, b) != q.leq(a, b):
                 raise NotIsomorphic(
                     f"order mismatch at ({p.name(a)}, {p.name(b)})", (a, b)
                 )
@@ -247,5 +241,5 @@ def duality_roundtrip(p: FinitePocSet) -> DualityReport:
     for d in set(c.cubes) | set(c2.cubes):
         if len(c.cubes.get(d, [])) != len(c2.cubes.get(d, [])):
             raise NotIsomorphic(f"{d}-cube counts differ", d)
-    bijection = {p.name(e): q.name(image(e)) for e in p.proper_elements()}
+    bijection = {p.name(e): q.name(e) for e in p.proper_elements()}
     return DualityReport(True, bijection, vertex_map)

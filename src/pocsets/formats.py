@@ -54,8 +54,6 @@ def load_document(source: Union[str, Path]) -> dict:
         name = str(source)
         if name in FIXTURE_NAMES:
             text = _fixture_text(name)
-        elif name.startswith("fixtures/") and name[len("fixtures/"):] in FIXTURE_NAMES:
-            text = _fixture_text(name[len("fixtures/"):])
     if text is None:
         raise MalformedInput(f"no such file or fixture: {source}", str(source))
     try:

@@ -217,6 +217,10 @@ def interval_consistent(model: WallModel, cuts: Cuts) -> bool:
 # windows: the consistent set and the distance field
 
 
+# the most tuples a (2W+1)^k window enumeration may visit: W=49 at k=3
+MAX_WINDOW_TUPLES = 10**6
+
+
 @dataclass(frozen=True)
 class Window:
     bound: int
@@ -226,13 +230,14 @@ class Window:
             raise MalformedInput("window bound must be >= 0", self.bound)
 
     def tuples(self, k: int):
+        count = (2 * self.bound + 1) ** k  # refused before the first tuple
+        if count > MAX_WINDOW_TUPLES:
+            message = f"window {self.bound} has {count} tuples, more than {MAX_WINDOW_TUPLES}"
+            raise MalformedInput(message, self.bound)
         return product(range(-self.bound, self.bound + 1), repeat=k)
 
     def interior(self, cuts: Cuts) -> bool:
         return all(abs(c) < self.bound for c in cuts)
-
-    def contains(self, cuts: Cuts) -> bool:
-        return all(abs(c) <= self.bound for c in cuts)
 
 
 @dataclass
@@ -316,19 +321,31 @@ def window_field(model: WallModel, bound: int) -> WindowField:
 # distance, signed minimal sets, shadows
 
 
-def dist_to_pi0(model: WallModel, u: ChainUltrafilter, window: Window | int) -> int:
-    """Exhaustive min over the in-window consistent set, with an interiority
-    check: some minimizer must avoid the window boundary."""
+def _nearest(model: WallModel, u: ChainUltrafilter, window: Window | int):
+    """The one windowed step behind every query: the window, the cuts of u,
+    the field and the members nearest u, found by a single argmin."""
     w = _as_window(window)
     cuts = u.int_cuts()
     f = window_field(model, w.bound)
-    d = f.distance(cuts)
-    nearest = f.argmin(cuts)
+    return w, f, cuts, f.argmin(cuts)
+
+
+def _distance(w: Window, f: WindowField, cuts: Cuts, nearest: list[Cuts]) -> int:
     if not any(w.interior(m) for m in nearest):
-        raise WindowTooSmall(
-            f"every minimizer for {cuts} touches the window boundary", cuts
-        )
-    return d
+        raise WindowTooSmall(f"every minimizer for {cuts} touches the window boundary", cuts)
+    return f.distance(cuts)
+
+
+def _whole_shadow(w: Window, cuts: Cuts, nearest: list[Cuts]) -> list[Cuts]:
+    if not all(w.interior(m) for m in nearest):
+        raise WindowTooSmall(f"shadow of {cuts} touches the window boundary", cuts)
+    return nearest
+
+
+def dist_to_pi0(model: WallModel, u: ChainUltrafilter, window: Window | int) -> int:
+    """Exhaustive min over the in-window consistent set, with an interiority
+    check: some minimizer must avoid the window boundary."""
+    return _distance(*_nearest(model, u, window))
 
 
 @dataclass
@@ -338,26 +355,21 @@ class MinClassification:
     neutral: list[ChainHalfspace]
 
 
-def classify_min(
-    model: WallModel, u: ChainUltrafilter, window: Window | int
-) -> MinClassification:
+def classify_min(model: WallModel, u: ChainUltrafilter, window: Window | int) -> MinClassification:
     """Split min(u) by the effect of each flip on the distance to the
     consistent set; "neutral" collects the distance-preserving moves the
     two signed sets do not cover."""
-    base = dist_to_pi0(model, u, window)
+    w, f, cuts, nearest = _nearest(model, u, window)
+    return _classify(f, u, cuts, _distance(w, f, cuts, nearest))
+
+
+def _classify(f: WindowField, u: ChainUltrafilter, cuts: Cuts, base: int) -> MinClassification:
     plus, minus, neutral = [], [], []
-    w = _as_window(window)
-    f = window_field(model, w.bound)
     for h in min_set(u):
-        cuts = list(u.int_cuts())
-        cuts[h.chain] += 1 if h.starred else -1
-        d = f.distance(tuple(cuts))
-        if d > base:
-            plus.append(h)
-        elif d < base:
-            minus.append(h)
-        else:
-            neutral.append(h)
+        moved = list(cuts)
+        moved[h.chain] += 1 if h.starred else -1
+        d = f.distance(tuple(moved))
+        (plus if d > base else minus if d < base else neutral).append(h)
     return MinClassification(plus, minus, neutral)
 
 
@@ -392,23 +404,17 @@ class DualShadow:
 def shadow(model: WallModel, u: ChainUltrafilter, window: Window | int) -> list[ChainUltrafilter]:
     """The nearest consistent ultrafilters; the whole set must sit strictly
     inside the window."""
-    w = _as_window(window)
-    f = window_field(model, w.bound)
-    nearest = f.argmin(u.int_cuts())
-    if not all(w.interior(m) for m in nearest):
-        raise WindowTooSmall(
-            f"shadow of {u.int_cuts()} touches the window boundary", u.int_cuts()
-        )
-    return [ChainUltrafilter(m) for m in nearest]
+    w, _, cuts, nearest = _nearest(model, u, window)
+    return [ChainUltrafilter(m) for m in _whole_shadow(w, cuts, nearest)]
 
 
 def dual_shadow(model: WallModel, u: ChainUltrafilter, window: Window | int) -> DualShadow:
-    members = shadow(model, u, window)
-    k = model.k
-    return DualShadow(
-        tuple(min(int(m.cuts[i]) for m in members) - 1 for i in range(k)),
-        tuple(max(int(m.cuts[i]) for m in members) for i in range(k)),
-    )
+    w, _, cuts, nearest = _nearest(model, u, window)
+    return _dual(_whole_shadow(w, cuts, nearest))
+
+
+def _dual(members: list[Cuts]) -> DualShadow:
+    return DualShadow(tuple(min(c) - 1 for c in zip(*members)), tuple(map(max, zip(*members))))
 
 
 @dataclass
@@ -445,21 +451,14 @@ class ShadowReport:
 
 
 def shadow_report(model: WallModel, u: ChainUltrafilter, window: Window | int) -> ShadowReport:
-    w = _as_window(window)
-    dist = dist_to_pi0(model, u, w)
-    mins = classify_min(model, u, w)
-    members = shadow(model, u, w)
-    dual = dual_shadow(model, u, w)
+    """All four answers from one nearest set, refused by the first guard
+    that dist_to_pi0, classify_min, shadow and dual_shadow would fire."""
+    w, f, cuts, nearest = _nearest(model, u, window)
+    dist = _distance(w, f, cuts, nearest)
+    mins = _classify(f, u, cuts, dist)
+    members = _whole_shadow(w, cuts, nearest)
     return ShadowReport(
-        u.int_cuts(),
-        w.bound,
-        dist == 0,
-        dist,
-        mins.plus,
-        mins.minus,
-        mins.neutral,
-        [m.int_cuts() for m in members],
-        dual,
+        cuts, w.bound, dist == 0, dist, mins.plus, mins.minus, mins.neutral, members, _dual(members)
     )
 
 

@@ -10,12 +10,13 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*argv, expect=0):
+def run_cli(*argv, expect=0, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "pocsets", *argv],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=timeout,
     )
     assert proc.returncode == expect, proc.stderr
     return proc
@@ -165,6 +166,19 @@ def test_bad_window_list_is_malformed_input():
     proc = run_cli("report", "FIX-HEX", "--windows", "4,x", expect=1)
     [line] = proc.stderr.splitlines()
     assert json.loads(line)["code"] == "malformed-input"
+
+
+def test_unaffordable_window_fails_fast():
+    # a (2W+1)^k enumeration past the cap is refused before it starts; the
+    # timeout turns a regression into a failure instead of a hang
+    for argv in (
+        ("report", "FIX-HEX", "--windows", "4,100000"),
+        ("shadows", "FIX-HEX", "--cuts", "1,1,1", "--window", "100000"),
+        ("escape", "FIX-HEX", "--target", "(+,+,+)", "--window", "100000"),
+    ):
+        proc = run_cli(*argv, expect=1, timeout=30)
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["code"] == "malformed-input"
 
 
 def test_report_single_window_flag():

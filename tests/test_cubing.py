@@ -61,6 +61,15 @@ def test_cube_count_equals_transverse_subsets_random():
                 assert got == expected
 
 
+def test_cube_base_is_least_corner():
+    rng = random.Random(7)
+    for _ in range(40):
+        c = build_cubing(random_pocset(rng, max_pairs=6))
+        for cubes in c.cubes.values():
+            for cube in cubes:
+                assert cube.base == min(c.cube_vertices(cube))
+
+
 def test_complex_dimension_bounded_by_pocset_dimension():
     rng = random.Random(4242)
     for _ in range(25):

@@ -34,10 +34,6 @@ def test_fixture_pocsets_match_builders():
                 assert loaded.leq(a, b) == reference.leq(a, b)
 
 
-def test_fixture_names_with_prefix():
-    assert load_pocset("fixtures/FIX-SQ").n_pairs == 2
-
-
 def test_pocset_document_roundtrip(tmp_path):
     p = tripod()
     doc = pocset_to_document(p)
@@ -91,14 +87,3 @@ def test_document_kind_and_errors(tmp_path):
     with pytest.raises(MalformedInput):
         load_document(bad)
 
-
-def test_repo_level_fixture_files_match_packaged():
-    import pathlib
-
-    from pocsets import formats
-
-    repo = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
-    for name in formats.FIXTURE_NAMES:
-        packaged = json.loads(formats._fixture_text(name))
-        on_disk = json.loads((repo / f"{name}.json").read_text())
-        assert packaged == on_disk

@@ -1,7 +1,8 @@
-"""Byte equality of CLI stdout against outputs frozen under tests/golden/.
+"""Byte equality of CLI output against outputs frozen under tests/golden/.
 
-Each golden file holds the expected stdout of one command; regenerate a
-file only for an intended change of output, and record that in the change
+Each golden file holds the expected stdout of one command, or for a
+refused command (exit 1) its one-line JSON diagnostic on stderr; regenerate
+a file only for an intended change of output, and record that in the change
 log.
 """
 
@@ -36,3 +37,26 @@ CASES = {
 def test_cli_output_matches_golden(name):
     proc = run_cli(*CASES[name])
     assert proc.stdout == (GOLDEN / name).read_text()
+
+
+SHADOWS_W4 = ("shadows", "FIX-HEX", "--window", "4")
+
+# each refusal comes from a different guard of the windowed queries
+REFUSALS = {
+    # no minimizer of the distance is interior
+    "shadows-hex-minimizers.err": SHADOWS_W4 + ("--cuts=-4,-4,4",),
+    # a neighbour of the query, looked up for min+/min-, leaves the window
+    "shadows-hex-outside.err": SHADOWS_W4 + ("--cuts=-4,-4,-4",),
+    # some shadow member touches the window boundary
+    "shadows-hex-shadow.err": SHADOWS_W4 + ("--cuts=-3,-3,-3",),
+    # the dual shadow of a ray point inside escaping_ray
+    "escape-hex-dual-shadow.err": (
+        "escape", "FIX-HEX", "--target=(-,0,0)", "--length", "4", "--window", "4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_cli_refusal_matches_golden(name):
+    proc = run_cli(*REFUSALS[name], expect=1)
+    assert proc.stderr == (GOLDEN / name).read_text()

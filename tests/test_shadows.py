@@ -17,11 +17,18 @@ from pocsets.chains import (
     sig,
     uf,
 )
-from pocsets.errors import ChainCountMismatch, NotPrincipal, WindowTooSmall
+from pocsets.errors import (
+    ChainCountMismatch,
+    MalformedInput,
+    NotPrincipal,
+    PocError,
+    WindowTooSmall,
+)
 from pocsets.euclid import WallFamily, WallModel, zd_image_signatures
 from pocsets.exactnum import SQRT3, ExactNumber
 from pocsets.formats import fixture_model
 from pocsets.shadows import (
+    MAX_WINDOW_TUPLES,
     ConsistencyOracle,
     Window,
     _feasible_point,
@@ -144,9 +151,29 @@ def test_is_consistent_requires_principal(hexmodel):
         is_consistent(hexmodel, uf(PLUS_END, 0, 0))
 
 
-def test_interval_oracle_guard(z2):
-    from pocsets.errors import MalformedInput
+def test_non_principal_query_is_refused_before_the_field():
+    # all five windowed queries check u before the field is built: two
+    # parallel families whose slabs meet nowhere near the origin leave
+    # window 1 without a consistent tuple, and u is still refused first
+    from pocsets.chains import PLUS_END
 
+    one, zero = ExactNumber.of(1), ExactNumber.of(0)
+    model = WallModel(
+        ChainFamily(("a", "b")),
+        (
+            WallFamily((one, zero), Fraction(1), Fraction(0)),
+            WallFamily((-one, zero), Fraction(1), Fraction(50)),
+        ),
+    )
+    with pytest.raises(WindowTooSmall):
+        window_field(model, 1)
+    u = uf(PLUS_END, 0)
+    for fn in (dist_to_pi0, classify_min, shadow, dual_shadow, shadow_report):
+        with pytest.raises(NotPrincipal):
+            fn(model, u, 1)
+
+
+def test_interval_oracle_guard(z2):
     with pytest.raises(MalformedInput):
         interval_consistent(z2, (0, 0))
 
@@ -171,6 +198,19 @@ def test_enumerate_pi0_hex_w0(hexmodel):
 
 def test_enumerate_pi0_z2_w1(z2):
     assert len(enumerate_pi0(z2, Window(1))) == 9
+
+
+def test_unaffordable_window_fails_fast(hexmodel, z2):
+    # 99^3 tuples fit under the cap, 101^3 do not; the refusal comes before
+    # any tuple is enumerated
+    assert 99**3 <= MAX_WINDOW_TUPLES < 101**3
+    for model, bound in ((hexmodel, 10**4), (hexmodel, 50), (z2, 10**6)):
+        with pytest.raises(MalformedInput):
+            enumerate_pi0(model, bound)
+    with pytest.raises(MalformedInput):
+        shadow_report(hexmodel, uf(1, 1, 1), 10**5)
+    with pytest.raises(MalformedInput):
+        surjectivity_report(hexmodel, windows=(4, 10**5))
 
 
 def test_enumerate_pi0_hex_matches_sum_rule(hexmodel):
@@ -334,6 +374,90 @@ def test_shadow_grows_dual_shrinks_along_plus_moves(hexmodel):
             assert dual_shadow(hexmodel, v, 12).strictly_inside(
                 report.dual_shadow
             )
+
+
+def _outcome(fn, *args):
+    """(answer, None) or (None, (class, message, witness)) of a refusal."""
+    try:
+        return fn(*args), None
+    except PocError as exc:
+        return None, (type(exc), str(exc), exc.witness)
+
+
+def _check_report_against_parts(model, cuts, bound):
+    u = ChainUltrafilter(cuts)
+    parts = [
+        _outcome(fn, model, u, bound)
+        for fn in (dist_to_pi0, classify_min, shadow, dual_shadow)
+    ]
+    report, refusal = _outcome(shadow_report, model, u, bound)
+    # the report is refused iff one of its parts is, by the first to refuse
+    assert refusal == next((err for _, err in parts if err), None), cuts
+    if refusal is not None:
+        return refusal[1]
+    dist, mins, members, dual = (answer for answer, _ in parts)
+    assert (report.pi, report.window) == (cuts, bound)
+    assert (report.dist, report.consistent) == (dist, dist == 0)
+    assert report.min_plus == mins.plus
+    assert report.min_minus == mins.minus
+    assert report.min_neutral == mins.neutral
+    assert report.shadow == [m.int_cuts() for m in members]
+    assert report.dual_shadow == dual
+    return None
+
+
+def test_shadow_report_equals_its_parts(hexmodel):
+    refusals = [
+        _check_report_against_parts(hexmodel, cuts, 4)
+        for cuts in product(range(-4, 5), repeat=3)
+    ]
+    messages = [m for m in refusals if m is not None]
+    assert len(messages) == 481
+    # every guard is exercised: some minimizer, neighbour lookup, whole shadow
+    assert any(m.startswith("every minimizer") for m in messages)
+    assert any(m.endswith("is outside window 4") for m in messages)
+    assert any(m.startswith("shadow of") for m in messages)
+    rng = random.Random(12)
+    for _ in range(40):
+        cuts = tuple(rng.randint(-12, 12) for _ in range(3))
+        _check_report_against_parts(hexmodel, cuts, 12)
+
+
+def _stable_answers(model, cuts, small, large):
+    """Every answer of dist_to_pi0, classify_min and shadow at the small
+    window equals the answer at the large one; returns how many answered."""
+    u = ChainUltrafilter(cuts)
+    answered = 0
+    for fn in (dist_to_pi0, classify_min, shadow):
+        answer, refusal = _outcome(fn, model, u, small)
+        if refusal is None:
+            assert answer == fn(model, u, large), (fn.__name__, cuts, small)
+            answered += 1
+    return answered
+
+
+def test_window_stability_hex(hexmodel):
+    rng = random.Random(6)
+    answered = sum(
+        _stable_answers(hexmodel, tuple(rng.randint(-6, 6) for _ in range(3)), 6, 14)
+        for _ in range(150)
+    )
+    assert answered > 150
+
+
+def test_window_stability_generated_models():
+    # answers are exact globally, never relative to the window: k=2 and k=3
+    # models with random normals at multiples of 30 degrees, parallel
+    # families included
+    rng = random.Random(31)
+    answered = 0
+    for k, small, large in ((2, 4, 12), (3, 3, 9)):
+        for _ in range(5):
+            model = _wall_model(rng, [rng.randrange(12) for _ in range(k)])
+            for _ in range(60):
+                cuts = tuple(rng.randint(-small, small) for _ in range(k))
+                answered += _stable_answers(model, cuts, small, large)
+    assert answered > 300
 
 
 # ---------------------------------------------------------------------------
