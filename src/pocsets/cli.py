@@ -34,11 +34,10 @@ from .euclid import (
 )
 from .exactnum import parse_exact_pair
 from .formats import (
-    chain_family_from_document,
     chain_family_to_document,
-    document_kind,
-    load_document,
-    pocset_from_document,
+    load_chain_family,
+    load_pocset,
+    load_wall_model,
     pocset_to_document,
 )
 from .render import shadow_svg
@@ -57,29 +56,6 @@ def _emit(args, payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _load_pocset(args) -> FinitePocSet:
-    doc = load_document(args.input)
-    if document_kind(doc) != "pocset":
-        raise MalformedInput(f"{args.input} is not a poc-set document", args.input)
-    return pocset_from_document(doc)
-
-
-def _load_chain_doc(args):
-    doc = load_document(args.input)
-    if document_kind(doc) != "chain-family":
-        raise MalformedInput(
-            f"{args.input} is not a chain-family document", args.input
-        )
-    return chain_family_from_document(doc)
-
-
-def _load_model(args):
-    family, model = _load_chain_doc(args)
-    if model is None:
-        raise MalformedInput(f"{args.input} carries no wall geometry", args.input)
-    return model
-
-
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
@@ -92,7 +68,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def cmd_validate(args) -> int:
-    p = _load_pocset(args)
+    p = load_pocset(args.input)
     if args.format == "text":
         print(f"valid poc-set: {p.n_pairs} proper pairs")
     else:
@@ -101,7 +77,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ultrafilters(args) -> int:
-    p = _load_pocset(args)
+    p = load_pocset(args.input)
     ufs = p.ultrafilters()
     if args.format == "text":
         for u in ufs:
@@ -120,7 +96,7 @@ def cmd_ultrafilters(args) -> int:
 
 
 def cmd_cubing(args) -> int:
-    p = _load_pocset(args)
+    p = load_pocset(args.input)
     complex_ = build_cubing(p)
     if args.format == "dot":
         sys.stdout.write(complex_.to_dot())
@@ -136,7 +112,7 @@ def cmd_cubing(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    p = _load_pocset(args)
+    p = load_pocset(args.input)
     report = duality_roundtrip(p)
     extracted = extract_halfspaces(build_cubing(p))
     rng = random.Random(args.seed)
@@ -171,7 +147,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    family, model = _load_chain_doc(args)
+    family, model = load_chain_family(args.input)
     poset = RollerPoset.build(family.k)
     if args.format == "text":
         for s in poset.signatures:
@@ -188,7 +164,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    model = _load_model(args)
+    model = load_wall_model(args.input)
     xi = parse_exact_pair(args.direction)
     signature = rho(model, xi)
     if args.format == "text":
@@ -199,7 +175,7 @@ def cmd_rho(args) -> int:
 
 
 def cmd_image(args) -> int:
-    model = _load_model(args)
+    model = load_wall_model(args.input)
     report = rho_image(model)
     if args.format == "text":
         for e in report.entries:
@@ -211,7 +187,7 @@ def cmd_image(args) -> int:
 
 
 def cmd_safe(args) -> int:
-    model = _load_model(args)
+    model = load_wall_model(args.input)
     comps = safe_components(rho_image(model).signatures())
     if args.format == "text":
         for i, comp in enumerate(comps):
@@ -230,7 +206,7 @@ def cmd_safe(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    model = _load_model(args)
+    model = load_wall_model(args.input)
     report = closure_check(model)
     if args.format == "text":
         print(f"closure formula: {'ok' if report.ok else 'violated'}")
@@ -240,7 +216,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    model = _load_model(args)
+    model = load_wall_model(args.input)
     direction = parse_exact_pair(args.direction)
     base = parse_exact_pair(args.base)
     line = Line(direction, base)
@@ -263,7 +239,7 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_shadows(args) -> int:
-    model = _load_model(args)
+    model = load_wall_model(args.input)
     u = ChainUltrafilter(_parse_ints(args.cuts, "cut tuple"))
     report = shadow_report(model, u, args.window)
     if args.format == "svg":
@@ -279,7 +255,7 @@ def cmd_shadows(args) -> int:
 
 
 def cmd_escape(args) -> int:
-    model = _load_model(args)
+    model = load_wall_model(args.input)
     target = parse_signature(args.target)
     report = escaping_ray(model, target, args.length, args.window)
     if args.format == "text":
@@ -291,7 +267,7 @@ def cmd_escape(args) -> int:
 
 
 def cmd_report(args) -> int:
-    model = _load_model(args)
+    model = load_wall_model(args.input)
     if args.window is not None:
         step = max(1, args.window // 3)
         windows = (

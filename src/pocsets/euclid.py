@@ -442,7 +442,11 @@ class LineRestrictionReport:
         }
 
 
-def restrict_to_line(model: WallModel, line: Line, sample: int = 3) -> LineRestrictionReport:
+# walls each side of a merged chain's origin kept in `positions_sample`
+_SAMPLE = 3
+
+
+def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
     """Restriction of the halfspace system to a line, one chain per family.
 
     Families whose walls are parallel to the line restrict trivially and
@@ -490,7 +494,7 @@ def restrict_to_line(model: WallModel, line: Line, sample: int = 3) -> LineRestr
                 placed = True
                 break
         if not placed:
-            positions = sorted(origin + step * n for n in range(-sample, sample + 1))
+            positions = sorted(origin + step * n for n in range(-_SAMPLE, _SAMPLE + 1))
             merged.append(RestrictedChain(positions, [i], {i: orient}))
             collapse[i] = len(merged) - 1
 

@@ -95,7 +95,10 @@ def pocset_to_document(p: FinitePocSet) -> dict:
 
 
 def load_pocset(source: Union[str, Path]) -> FinitePocSet:
-    return pocset_from_document(load_document(source))
+    doc = load_document(source)
+    if document_kind(doc) != "pocset":
+        raise MalformedInput(f"{source} is not a poc-set document", str(source))
+    return pocset_from_document(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +148,10 @@ def chain_family_to_document(family: ChainFamily, model: Union[WallModel, None])
 
 
 def load_chain_family(source: Union[str, Path]) -> tuple[ChainFamily, Union[WallModel, None]]:
-    return chain_family_from_document(load_document(source))
+    doc = load_document(source)
+    if document_kind(doc) != "chain-family":
+        raise MalformedInput(f"{source} is not a chain-family document", str(source))
+    return chain_family_from_document(doc)
 
 
 def load_wall_model(source: Union[str, Path]) -> WallModel:

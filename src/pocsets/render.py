@@ -7,11 +7,12 @@ input always produces identical bytes.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .euclid import WallModel
 from .exactnum import ExactNumber
 from .shadows import ShadowReport, _feasible_point, _slab_constraints
+
+
+SIZE = 480  # width and height of every figure, in pixels
 
 
 def _fmt(x: float) -> str:
@@ -65,29 +66,22 @@ def _virtual_position(model: WallModel, cuts):
     return None
 
 
-def shadow_svg(
-    model: WallModel,
-    report: ShadowReport,
-    size: int = 480,
-    wall_range: Optional[int] = None,
-) -> str:
+def shadow_svg(model: WallModel, report: ShadowReport) -> str:
     """Walls of the model with the queried chamber and its shadow marked."""
     coords = [c for member in report.shadow for c in member] + list(report.pi)
     reach = max(abs(c) for c in coords) + 2 if coords else 4
-    if wall_range is not None:
-        reach = max(reach, wall_range)
     spacing = max(float(f.spacing) for f in model.families)
     half = reach * spacing
-    scale = size / (2 * half)
+    scale = SIZE / (2 * half)
 
     def to_px(p):
         x, y = float(p[0]), float(p[1])
         return (x + half) * scale, (half - y) * scale
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
     ]
     for fam in model.families:
         for n in range(-reach, reach + 1):
@@ -123,7 +117,7 @@ def shadow_svg(
             f'stroke="#c03020" stroke-width="2"/>'
         )
     lines.append(
-        f'<text x="8" y="{size - 10}" font-family="monospace" font-size="12">'
+        f'<text x="8" y="{SIZE - 10}" font-family="monospace" font-size="12">'
         f"pi={list(report.pi)} dist={report.dist} shadow={len(report.shadow)}</text>"
     )
     lines.append("</svg>")

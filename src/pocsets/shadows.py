@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import mul
@@ -166,7 +165,10 @@ class ConsistencyOracle:
     takes positive combinations of rows, so it runs once on symbolic
     right-hand sides and leaves a few forms F_j(c) = alpha_j(c) +
     beta_j(c)*sqrt3 with integer coefficients: the slabs share a point iff
-    every F_j(c) >= 0."""
+    every F_j(c) >= 0.
+
+    It also keeps the model's window fields, one per bound, built on first
+    use by `window_field`."""
 
     def __init__(self, model: WallModel):
         k = self.k = model.k
@@ -185,6 +187,7 @@ class ConsistencyOracle:
             if not (constant and sqrt3_sign(alpha[0], beta[0]) >= 0):
                 forms.add((alpha, beta))
         self.forms = sorted(forms)
+        self.fields: dict[int, WindowField] = {}
 
     def consistent(self, cuts: Cuts) -> bool:
         """Whether the closed slabs selected by the k cuts share a point."""
@@ -288,8 +291,12 @@ def _as_window(window: Window | int) -> Window:
     return window if isinstance(window, Window) else Window(window)
 
 
-@lru_cache(maxsize=64)
 def window_field(model: WallModel, bound: int) -> WindowField:
+    """The model's distance field in window `bound`, built once and kept by
+    the model's oracle for the model's lifetime."""
+    fields = model.oracle.fields
+    if bound in fields:
+        return fields[bound]
     w = Window(bound)
     members = [u.int_cuts() for u in enumerate_pi0(model, w)]
     if not members:
@@ -314,7 +321,8 @@ def window_field(model: WallModel, bound: int) -> WindowField:
                         dist[neighbor] = d
                         nxt.append(neighbor)
         frontier = nxt
-    return WindowField(model, w, members, dist)
+    field = fields[bound] = WindowField(model, w, members, dist)
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +330,22 @@ def window_field(model: WallModel, bound: int) -> WindowField:
 
 
 def _nearest(model: WallModel, u: ChainUltrafilter, window: Window | int):
-    """The one windowed step behind every query: the window, the cuts of u,
-    the field and the members nearest u, found by a single argmin."""
-    w = _as_window(window)
+    """The one windowed step behind every query: the field, the cuts of u
+    and the members nearest u, found by a single argmin."""
+    bound = _as_window(window).bound
     cuts = u.int_cuts()
-    f = window_field(model, w.bound)
-    return w, f, cuts, f.argmin(cuts)
+    f = window_field(model, bound)
+    return f, cuts, f.argmin(cuts)
 
 
-def _distance(w: Window, f: WindowField, cuts: Cuts, nearest: list[Cuts]) -> int:
-    if not any(w.interior(m) for m in nearest):
+def _distance(f: WindowField, cuts: Cuts, nearest: list[Cuts]) -> int:
+    if not any(f.window.interior(m) for m in nearest):
         raise WindowTooSmall(f"every minimizer for {cuts} touches the window boundary", cuts)
     return f.distance(cuts)
 
 
-def _whole_shadow(w: Window, cuts: Cuts, nearest: list[Cuts]) -> list[Cuts]:
-    if not all(w.interior(m) for m in nearest):
+def _whole_shadow(f: WindowField, cuts: Cuts, nearest: list[Cuts]) -> list[Cuts]:
+    if not all(f.window.interior(m) for m in nearest):
         raise WindowTooSmall(f"shadow of {cuts} touches the window boundary", cuts)
     return nearest
 
@@ -359,8 +367,8 @@ def classify_min(model: WallModel, u: ChainUltrafilter, window: Window | int) ->
     """Split min(u) by the effect of each flip on the distance to the
     consistent set; "neutral" collects the distance-preserving moves the
     two signed sets do not cover."""
-    w, f, cuts, nearest = _nearest(model, u, window)
-    return _classify(f, u, cuts, _distance(w, f, cuts, nearest))
+    f, cuts, nearest = _nearest(model, u, window)
+    return _classify(f, u, cuts, _distance(f, cuts, nearest))
 
 
 def _classify(f: WindowField, u: ChainUltrafilter, cuts: Cuts, base: int) -> MinClassification:
@@ -404,13 +412,11 @@ class DualShadow:
 def shadow(model: WallModel, u: ChainUltrafilter, window: Window | int) -> list[ChainUltrafilter]:
     """The nearest consistent ultrafilters; the whole set must sit strictly
     inside the window."""
-    w, _, cuts, nearest = _nearest(model, u, window)
-    return [ChainUltrafilter(m) for m in _whole_shadow(w, cuts, nearest)]
+    return [ChainUltrafilter(m) for m in _whole_shadow(*_nearest(model, u, window))]
 
 
 def dual_shadow(model: WallModel, u: ChainUltrafilter, window: Window | int) -> DualShadow:
-    w, _, cuts, nearest = _nearest(model, u, window)
-    return _dual(_whole_shadow(w, cuts, nearest))
+    return _dual(_whole_shadow(*_nearest(model, u, window)))
 
 
 def _dual(members: list[Cuts]) -> DualShadow:
@@ -453,12 +459,13 @@ class ShadowReport:
 def shadow_report(model: WallModel, u: ChainUltrafilter, window: Window | int) -> ShadowReport:
     """All four answers from one nearest set, refused by the first guard
     that dist_to_pi0, classify_min, shadow and dual_shadow would fire."""
-    w, f, cuts, nearest = _nearest(model, u, window)
-    dist = _distance(w, f, cuts, nearest)
+    f, cuts, nearest = _nearest(model, u, window)
+    dist = _distance(f, cuts, nearest)
     mins = _classify(f, u, cuts, dist)
-    members = _whole_shadow(w, cuts, nearest)
+    members = _whole_shadow(f, cuts, nearest)
     return ShadowReport(
-        cuts, w.bound, dist == 0, dist, mins.plus, mins.minus, mins.neutral, members, _dual(members)
+        cuts, f.window.bound, dist == 0, dist,
+        mins.plus, mins.minus, mins.neutral, members, _dual(members),
     )
 
 
@@ -626,7 +633,7 @@ def surjectivity_report(
     window growth of the max distance must co-occur with a non-principal
     class outside the image (witnessed by an escaping ray), while a bounded
     distance field accompanies a fully covered image."""
-    windows = sorted(windows)
+    windows = sorted(set(windows))  # a repeated window adds no step
     max_delta = [max_delta_over_window(model, w) for w in windows]
     diffs = [b - a for a, b in zip(max_delta, max_delta[1:])]
     window_steps = [b - a for a, b in zip(windows, windows[1:])]

@@ -59,7 +59,6 @@ from pocsets.shadows import (
     shadow,
     shadow_report,
     surjectivity_report,
-    window_field,
 )
 
 from conftest import brute_force_ultrafilters, random_pocset
@@ -74,10 +73,6 @@ def _timed(budget: float):
         print(f"\nACCEPTANCE {label}: PASS ({elapsed:.1f}s)")
 
     return done
-
-
-def _fresh_caches():
-    window_field.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +204,6 @@ def test_criterion_07_line_end_incomparability():
 
 def test_criterion_08_hexagonal_shadows():
     done = _timed(60.0)
-    _fresh_caches()
     model = fixture_model("FIX-HEX")
     w = 12
 
@@ -246,7 +240,6 @@ def test_criterion_08_hexagonal_shadows():
 
 def test_criterion_09_cocompactness_dichotomy():
     done = _timed(60.0)
-    _fresh_caches()
     z2 = fixture_model("FIX-Z2")
     report2 = surjectivity_report(z2, windows=(5, 10, 15), ray_length=10)
     non_principal = [r for r in report2.classes if r.codim > 0]

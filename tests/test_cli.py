@@ -186,6 +186,13 @@ def test_report_single_window_flag():
     assert "escaping ray: yes" in proc.stdout
 
 
+def test_repeated_windows_report():
+    # --window 1 sweeps 1,1,1: a repeated window is swept once
+    proc = run_cli("report", "FIX-HEX", "--window", "1", "--format", "structured")
+    assert json.loads(proc.stdout)["report"]["windows"] == [1]
+    run_cli("report", "FIX-HEX", "--windows", "5,5")
+
+
 def test_boundary_document_reloads():
     proc = run_cli("boundary", "FIX-HEX", "--format", "structured")
     doc = json.loads(proc.stdout)["document"]

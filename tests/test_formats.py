@@ -80,6 +80,10 @@ def test_document_kind_and_errors(tmp_path):
     assert document_kind({"chains": []}) == "chain-family"
     with pytest.raises(MalformedInput):
         document_kind({"what": 1})
+    with pytest.raises(MalformedInput, match="FIX-Z2 is not a poc-set document"):
+        load_pocset("FIX-Z2")
+    with pytest.raises(MalformedInput, match="FIX-SQ is not a chain-family document"):
+        load_chain_family("FIX-SQ")
     with pytest.raises(MalformedInput):
         load_document("no-such-file-anywhere")
     bad = tmp_path / "bad.json"

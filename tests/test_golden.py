@@ -30,6 +30,20 @@ CASES = {
     "report-hex.json": ("report", "FIX-HEX") + REPORT + ("--format", "structured"),
     "report-z2.txt": ("report", "FIX-Z2") + REPORT,
     "report-z2.json": ("report", "FIX-Z2") + REPORT + ("--format", "structured"),
+    "validate-tripod.txt": ("validate", "FIX-TRIPOD"),
+    "ultrafilters-tripod.txt": ("ultrafilters", "FIX-TRIPOD"),
+    "cubing-tripod.txt": ("cubing", "FIX-TRIPOD"),
+    "cubing-tripod.dot": ("cubing", "FIX-TRIPOD", "--format", "dot"),
+    "dual-sq.txt": ("dual", "FIX-SQ", "--samples", "3", "--seed", "1"),
+    "boundary-z2.txt": ("boundary", "FIX-Z2"),
+    "rho-hex.txt": ("rho", "FIX-HEX", "--direction", "1,0"),
+    "image-hex.txt": ("image", "FIX-HEX"),
+    "safe-hex.txt": ("safe", "FIX-HEX"),
+    "closure-hex.txt": ("closure", "FIX-HEX"),
+    "restrict-z2.txt": ("restrict", "FIX-Z2", "--direction", "1,1"),
+    "restrict-hex.json": (
+        "restrict", "FIX-HEX", "--direction", "1,0", "--base", "0,1/2", "--format", "structured",
+    ),
 }
 
 
@@ -53,6 +67,14 @@ REFUSALS = {
     "escape-hex-dual-shadow.err": (
         "escape", "FIX-HEX", "--target=(-,0,0)", "--length", "4", "--window", "4",
     ),
+    # a negative window, refused before the cuts or the target are read
+    "shadows-negative-window.err": ("shadows", "FIX-HEX", "--cuts", "2,2,2", "--window=-1"),
+    "escape-negative-window.err": ("escape", "FIX-HEX", "--target=(+,+,+)", "--window=-1"),
+    "report-negative-window.err": ("report", "FIX-HEX", "--windows=-1,2,3"),
+    # a document of the wrong kind for the subcommand
+    "validate-chain-family.err": ("validate", "FIX-Z2"),
+    "boundary-pocset.err": ("boundary", "FIX-SQ"),
+    "rho-no-geometry.err": ("rho", "FIX-Z3", "--direction", "1,0"),
 }
 
 

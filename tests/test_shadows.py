@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 from itertools import product
@@ -538,6 +539,12 @@ def test_surjectivity_hex(hexmodel):
     assert blob["escaping_ray_exists"] is True
 
 
+def test_repeated_windows_sweep_once(hexmodel):
+    once = surjectivity_report(hexmodel, windows=(5,), ray_length=4)
+    assert surjectivity_report(hexmodel, windows=(5, 5), ray_length=4) == once
+    assert once.windows == [5] and not once.delta_linear_growth
+
+
 def test_surjectivity_z1_flags_non_uniform(z1):
     import warnings
 
@@ -555,6 +562,15 @@ def test_max_delta_window_values(hexmodel):
     f = window_field(hexmodel, 5)
     assert f.distance((-5, -5, -5)) == 15
     assert f.distance((5, 5, 5)) == 12
+
+
+def test_window_fields_live_on_their_model():
+    model = fixture_model("FIX-HEX")
+    assert window_field(model, 4) is window_field(model, 4)
+    # an equal model loaded separately builds and keeps its own field
+    assert window_field(fixture_model("FIX-HEX"), 4) is not window_field(model, 4)
+    # a plain function, not a wrapper around a module-global cache
+    assert inspect.isfunction(window_field)
 
 
 def test_canonical_start(z2, hexmodel):
