@@ -21,7 +21,7 @@ from .chains import (
     parse_signature,
 )
 from .core import FinitePocSet
-from .cubing import build_cubing, duality_roundtrip, extract_halfspaces
+from .cubing import build_cubing, duality_roundtrip
 from .errors import MalformedInput, NonUniformModelWarning, PocError
 from .euclid import (
     Line,
@@ -114,7 +114,6 @@ def cmd_cubing(args) -> int:
 def cmd_dual(args) -> int:
     p = load_pocset(args.input)
     report = duality_roundtrip(p)
-    extracted = extract_halfspaces(build_cubing(p))
     rng = random.Random(args.seed)
     sampled = 0
     if args.samples:
@@ -139,7 +138,9 @@ def cmd_dual(args) -> int:
             args,
             {
                 "roundtrip": report.to_json(),
-                "extracted": pocset_to_document(extracted),
+                # the round-trip checked that the extracted poc-set has p's
+                # order on the same handles, so its document is p's
+                "extracted": pocset_to_document(p),
                 "random_samples_passed": sampled,
             },
         )
@@ -269,11 +270,10 @@ def cmd_escape(args) -> int:
 def cmd_report(args) -> int:
     model = load_wall_model(args.input)
     if args.window is not None:
+        # a three-step sweep that never passes the window asked for
         step = max(1, args.window // 3)
-        windows = (
-            max(1, args.window - 2 * step),
-            max(1, args.window - step),
-            args.window,
+        windows = tuple(
+            min(args.window, max(1, args.window - j * step)) for j in (2, 1, 0)
         )
     else:
         windows = _parse_ints(args.windows, "window list")

@@ -410,21 +410,11 @@ class Line:
 
 
 @dataclass
-class RestrictedChain:
-    """One merged chain of the restricted system: every wall is a point of
-    the line; positions from the contributing families interleave into one
-    Z-chain."""
-
-    positions_sample: list[ExactNumber]
-    contributing: list[int]  # family indices, with their orientation signs
-    orientations: dict[int, int]
-
-
-@dataclass
 class LineRestrictionReport:
     nontrivial_families: list[int]
     trivial_cuts: dict[int, int]  # parallel family -> its frozen cut
-    merged_chains: list[RestrictedChain]
+    # one list per merged chain: the families whose walls interleave into it
+    merged_chains: list[list[int]]
     collapse: dict[int, int]  # family -> merged chain id
     plus_end_class: Signature
     minus_end_class: Signature
@@ -440,10 +430,6 @@ class LineRestrictionReport:
             "minus_end_class": format_signature(self.minus_end_class),
             "commutes": self.commutes,
         }
-
-
-# walls each side of a merged chain's origin kept in `positions_sample`
-_SAMPLE = 3
 
 
 def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
@@ -480,23 +466,18 @@ def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
             progression[i] = (origin, step, 1 if speed.sign() > 0 else -1)
 
     # merge families whose crossing sets coincide
-    merged: list[RestrictedChain] = []
+    merged: list[list[int]] = []
     collapse: dict[int, int] = {}
-    for i, (origin, step, orient) in progression.items():
-        placed = False
+    for i, (origin, step, _) in progression.items():
         for cid, chain in enumerate(merged):
-            j = chain.contributing[0]
-            o2, s2, _ = progression[j]
+            o2, s2, _ = progression[chain[0]]
             if abs(step) == abs(s2) and _integer_multiple(origin - o2, abs(step)):
-                chain.contributing.append(i)
-                chain.orientations[i] = orient
-                collapse[i] = cid
-                placed = True
+                chain.append(i)
                 break
-        if not placed:
-            positions = sorted(origin + step * n for n in range(-_SAMPLE, _SAMPLE + 1))
-            merged.append(RestrictedChain(positions, [i], {i: orient}))
-            collapse[i] = len(merged) - 1
+        else:
+            cid = len(merged)
+            merged.append([i])
+        collapse[i] = cid
 
     def end_class(direction: Vec) -> Signature:
         # composite route: pull the all-plus / all-minus end of the merged

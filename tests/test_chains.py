@@ -521,7 +521,7 @@ def test_local_cubes_match_finite_window_complex():
     p = window_pocset(2, w)
     complex_ = build_cubing(p)
     vertex = p.ultrafilter_from_signs(restrict_to_window(u, w))
-    i = complex_.vertex_index(vertex)
+    i = complex_.vertices.index(vertex)
     squares_at_vertex = sum(
         1 for cube in complex_.cubes.get(2, []) if i in complex_.cube_vertices(cube)
     )

@@ -193,6 +193,16 @@ def test_repeated_windows_report():
     run_cli("report", "FIX-HEX", "--windows", "5,5")
 
 
+def test_report_sweep_stays_within_window():
+    # --window 0 sweeps window 0 alone, never window 1, and is refused
+    # exactly as --windows 0 is
+    proc = run_cli("report", "FIX-HEX", "--window", "0", expect=1)
+    assert proc.stderr == run_cli("report", "FIX-HEX", "--windows", "0", expect=1).stderr
+    assert json.loads(proc.stderr)["message"] == "(-1, 0, 0) is outside window 0"
+    proc = run_cli("report", "FIX-HEX", "--window", "4", "--format", "structured")
+    assert json.loads(proc.stdout)["report"]["windows"] == [2, 3, 4]
+
+
 def test_boundary_document_reloads():
     proc = run_cli("boundary", "FIX-HEX", "--format", "structured")
     doc = json.loads(proc.stdout)["document"]

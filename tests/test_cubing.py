@@ -8,7 +8,7 @@ import pytest
 from pocsets.core import FinitePocSet, pair_of
 from pocsets.cubing import build_cubing, duality_roundtrip, extract_halfspaces
 
-from conftest import random_pocset
+from conftest import brute_force_ultrafilters, random_pocset
 
 
 def test_line3_is_a_path(fix_line3):
@@ -59,6 +59,54 @@ def test_cube_count_equals_transverse_subsets_random():
                     if i in c.cube_vertices(cube)
                 )
                 assert got == expected
+
+
+def _brute_force_complex(p: FinitePocSet):
+    """Oracle straight from the definition: the vertices are the sign
+    vectors of all ultrafilters, an edge joins two vertices whose signs
+    differ in exactly one place, and a cube is a pair (b, P) with |P| >= 2,
+    b's sign 0 on every pair of P and all 2^|P| sign flips of b over P
+    vertices."""
+    vertices = sorted(brute_force_ultrafilters(p))
+    index = {s: i for i, s in enumerate(vertices)}
+    edges = []
+    for (i, s), (j, t) in combinations(enumerate(vertices), 2):
+        diff = [k for k in range(p.n_pairs) if s[k] != t[k]]
+        if len(diff) == 1:
+            edges.append((i, j, diff[0]))
+    cubes: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for b, s in enumerate(vertices):
+        plain = [k for k in range(p.n_pairs) if s[k] == 0]
+        for d in range(2, len(plain) + 1):
+            for pairs in combinations(plain, d):
+                corners = (
+                    tuple(1 - x if k in flipped else x for k, x in enumerate(s))
+                    for r in range(d + 1)
+                    for flipped in combinations(pairs, r)
+                )
+                if all(t in index for t in corners):
+                    cubes.setdefault(d, []).append((b, pairs))
+    return vertices, sorted(edges), cubes
+
+
+def _complex_shape(c):
+    return (
+        [u.signs for u in c.vertices],
+        c.edges,
+        {d: [(cube.base, cube.pairs) for cube in cs] for d, cs in c.cubes.items()},
+    )
+
+
+def test_complex_matches_brute_force():
+    rng = random.Random(31)
+    for _ in range(60):
+        p = random_pocset(rng, max_pairs=6)
+        vertices, edges, cubes = _complex_shape(build_cubing(p))
+        expected = _brute_force_complex(p)
+        assert vertices == expected[0]
+        # edges and cubes in (base, pairs) order, as the exports list them
+        assert edges == expected[1]
+        assert cubes == {d: sorted(cs) for d, cs in expected[2].items()}
 
 
 def test_cube_base_is_least_corner():
@@ -169,6 +217,9 @@ def test_duality_random():
     for _ in range(30):
         p = random_pocset(rng, max_pairs=5)
         assert duality_roundtrip(p).isomorphic
+        # the complex rebuilt from the extracted halfspaces is the same complex
+        c = build_cubing(p)
+        assert _complex_shape(build_cubing(extract_halfspaces(c))) == _complex_shape(c)
 
 
 def test_dot_export(fix_square):

@@ -19,6 +19,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SHADOWS = ("shadows", "FIX-HEX", "--cuts", "2,2,2", "--window", "6")
 ESCAPE = ("escape", "FIX-HEX", "--target", "(+,+,+)", "--length", "8", "--window", "8")
 REPORT = ("--windows", "3,5,7", "--length", "6")
+STRUCTURED = ("--format", "structured")
+# four pairs with h4 <= h1: two 3-cubes and a nested pair
+CUBE3 = str(GOLDEN / "cube3-nested.pocset.json")
 
 CASES = {
     "shadows-hex.txt": SHADOWS,
@@ -35,6 +38,10 @@ CASES = {
     "cubing-tripod.txt": ("cubing", "FIX-TRIPOD"),
     "cubing-tripod.dot": ("cubing", "FIX-TRIPOD", "--format", "dot"),
     "dual-sq.txt": ("dual", "FIX-SQ", "--samples", "3", "--seed", "1"),
+    "cubing-sq.json": ("cubing", "FIX-SQ") + STRUCTURED,
+    "dual-sq.json": ("dual", "FIX-SQ") + STRUCTURED,
+    "cubing-cube3.json": ("cubing", CUBE3) + STRUCTURED,
+    "dual-cube3.json": ("dual", CUBE3) + STRUCTURED,
     "boundary-z2.txt": ("boundary", "FIX-Z2"),
     "rho-hex.txt": ("rho", "FIX-HEX", "--direction", "1,0"),
     "image-hex.txt": ("image", "FIX-HEX"),
