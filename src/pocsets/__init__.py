@@ -2,7 +2,7 @@
 wall-system models and the shadow machinery behind the co-compactness
 criterion, all checkable by brute force at desk scale."""
 
-from .core import FinitePocSet, Ultrafilter, validate_pocset
+from .core import FinitePocSet, Ultrafilter
 from .errors import PocError
 
 __version__ = "0.1.0"
@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FinitePocSet",
     "Ultrafilter",
-    "validate_pocset",
     "PocError",
     "delta",
     "__version__",

@@ -304,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="input file or fixture name")
         p.add_argument("--format", choices=fmt, default="text")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampling")
         p.set_defaults(handler=handler)
         return p
 
@@ -318,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dual = add("dual", cmd_dual, "verify the duality round-trip")
     dual.add_argument("--samples", type=int, default=0, help="extra random poc-sets")
+    dual.add_argument("--seed", type=int, default=0, help="seed for sampling")
     add("boundary", cmd_boundary, "the Roller boundary poset of a chain family")
     rho_p = add("rho", cmd_rho, "boundary class of a direction")
     rho_p.add_argument("--direction", required=True, help="exact pair, e.g. 1,0")

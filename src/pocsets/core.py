@@ -340,86 +340,57 @@ class FinitePocSet:
 
     def ultrafilter_from_members(self, members: Iterable[int]) -> Ultrafilter:
         mset = set(members) | {self.zero_star}
-        check = self.check_set(mset)
+        check = self.is_ultrafilter(mset)
         if not check.ok:
             raise NotAFilterBase(f"set violates {check.axiom}", check.witness)
         signs = tuple(1 if (2 * k + 1) in mset else 0 for k in range(self.n_pairs))
         return self.ultrafilter_from_signs(signs)
 
-    def check_set(self, members: Iterable[int]) -> UltrafilterCheck:
-        """UF1 and UF2 for an arbitrary handle set, with a witness.
-
-        The UF2 witness is the canonically least violating ordered pair
-        (x, y) with ``x <= y*``, preferring a plain x.
-        """
+    def is_ultrafilter(self, members: Iterable[int]) -> UltrafilterCheck:
+        """UF1 (one element of every pair, the trivial pair included) and
+        then UF2, with the witness of the first axiom that fails."""
         mset = set(members)
         for k in range(self.n_pairs + 1):
-            plain, starred = 2 * k, 2 * k + 1
-            if (plain in mset) == (starred in mset):
-                return UltrafilterCheck(False, "UF1", plain)
-        violations = []
-        star_mask = 0
-        for e in mset:
-            star_mask |= 1 << star(e)
-        for x in mset:
-            hits = self._up[x] & star_mask
-            while hits:
-                b = (hits & -hits).bit_length() - 1
-                hits &= hits - 1
-                violations.append((x, star(b)))
-        if violations:
-            witness = min(violations, key=lambda p: (is_star(p[0]), p[0], p[1]))
-            return UltrafilterCheck(False, "UF2", witness)
-        return UltrafilterCheck(True)
-
-    def is_ultrafilter(self, members: Iterable[int]) -> UltrafilterCheck:
-        return self.check_set(members)
+            if (2 * k in mset) == (2 * k + 1 in mset):
+                return UltrafilterCheck(False, "UF1", 2 * k)
+        bad = self.check_filterbase(mset)
+        return UltrafilterCheck(True) if bad is None else UltrafilterCheck(False, "UF2", bad)
 
     def ultrafilters(self) -> list[Ultrafilter]:
         """All ultrafilters, in canonical (lexicographic signs) order.
 
-        Backtracking over pairs with incremental UF2 checks; the trivial
+        Backtracking over pairs; ``stars`` holds the stars of the chosen
+        elements, so a candidate e keeps UF2 iff no chosen star lies above
+        it (c <= e* iff e <= c*, so one direction suffices).  The trivial
         poc-set yields the single ultrafilter {0*}.
         """
         results: list[Ultrafilter] = []
         n = self.n_pairs
-        chosen: list[int] = []
+        up = self._up
+        signs: list[int] = []
 
-        def compatible(candidate: int) -> bool:
-            cand_upset = self._up[candidate]
-            cand_star = star(candidate)
-            for e in chosen:
-                if cand_upset & (1 << star(e)) or self._up[e] & (1 << cand_star):
-                    return False
-            return True
-
-        def descend(k: int) -> None:
+        def descend(k: int, stars: int) -> None:
             if k == n:
-                results.append(
-                    self.ultrafilter_from_signs([e & 1 for e in chosen])
-                )
+                results.append(self.ultrafilter_from_signs(signs))
                 return
-            for s in (0, 1):
-                e = 2 * k + s
-                if compatible(e):
-                    chosen.append(e)
-                    descend(k + 1)
-                    chosen.pop()
+            for e in (2 * k, 2 * k + 1):
+                if not up[e] & stars:
+                    signs.append(e & 1)
+                    descend(k + 1, stars | 1 << star(e))
+                    signs.pop()
 
-        descend(0)
+        descend(0, 0)
         return results
 
     def check_filterbase(self, members: Iterable[int]) -> Optional[tuple[int, int]]:
-        """None when UF2 holds, else the canonical violating pair."""
-        mset = sorted(set(members))
-        violations = [
-            (x, y)
-            for x in mset
-            for y in mset
-            if self.leq(x, star(y))
-        ]
-        if violations:
-            return min(violations, key=lambda p: (is_star(p[0]), p[0], p[1]))
+        """None when UF2 holds, else the canonical violating pair: the least
+        (x, y) of members with ``x <= y*``, preferring a plain x."""
+        mset = set(members)
+        stars = _star_mask(mset)
+        for x in sorted(mset, key=lambda e: (is_star(e), e)):
+            hits = self._up[x] & stars
+            if hits:
+                return x, min(y for y in mset if hits >> star(y) & 1)
         return None
 
     def filterbase(self, members: Iterable[int]) -> FilterBase:
@@ -440,31 +411,14 @@ class FinitePocSet:
         never backtracks and agrees with the first entry of `ultrafilters`
         on the empty base.
         """
-        members = set(base.members if isinstance(base, FilterBase) else base)
-        members -= {self.zero_star}
-        bad = self.check_filterbase(members)
-        if bad is not None:
-            raise NotAFilterBase(
-                f"{self.name(bad[0])} <= {self.name(star(bad[1]))}", bad
-            )
-        chosen: dict[int, int] = {}
-        for e in members:
-            if self.is_proper(e):
-                chosen[pair_of(e)] = e
-
-        def conflicts(candidate: int) -> bool:
-            for e in chosen.values():
-                if self.leq(candidate, star(e)) or self.leq(e, star(candidate)):
-                    return True
-            return False
-
+        chosen = {pair_of(e): e for e in self.filterbase(base).members if self.is_proper(e)}
+        stars = _star_mask(chosen.values())
         for k in range(self.n_pairs):
-            if k in chosen:
-                continue
-            plain = 2 * k
-            chosen[k] = plain if not conflicts(plain) else star(plain)
-        signs = tuple(chosen[k] & 1 for k in range(self.n_pairs))
-        return self.ultrafilter_from_signs(signs)
+            if k not in chosen:
+                e = 2 * k if not self._up[2 * k] & stars else 2 * k + 1
+                chosen[k] = e
+                stars |= 1 << star(e)
+        return self.ultrafilter_from_signs(tuple(chosen[k] & 1 for k in range(self.n_pairs)))
 
     # ------------------------------------------------------------------
     # median algebra and metric
@@ -484,14 +438,10 @@ class FinitePocSet:
     def min_set(self, u: Ultrafilter) -> list[int]:
         """Minimal proper members; these parametrize the flip moves."""
         proper = [e for e in u.members if self.is_proper(e)]
-        return [
-            e
-            for e in sorted(proper)
-            if all(
-                not (self._up[x] & (1 << e)) or x == e
-                for x in proper
-            )
-        ]
+        above = 0  # every handle strictly above some proper member
+        for x in proper:
+            above |= self._up[x] & ~(1 << x)
+        return [e for e in sorted(proper) if not above >> e & 1]
 
     def flip(self, u: Ultrafilter, a: int) -> Ultrafilter:
         """The elementary move [u]_a = (u \\ {a}) ∪ {a*}; needs a minimal."""
@@ -575,23 +525,18 @@ def _raw_name(e: int, n_pairs: int) -> str:
     return base + ("*" if is_star(e) else "")
 
 
+def _star_mask(elements: Iterable[int]) -> int:
+    mask = 0
+    for e in elements:
+        mask |= 1 << star(e)
+    return mask
+
+
 def _close_transitively(up: list[int]) -> None:
-    m = len(up)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(m):
-            acc = up[a]
-            rest = acc
-            while rest:
-                b = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                acc |= up[b]
-            if acc != up[a]:
-                up[a] = acc
-                changed = True
-
-
-def validate_pocset(n_pairs: int, edges: Iterable[tuple[int, int]]) -> FinitePocSet:
-    """Functional alias for `FinitePocSet.from_order_generators`."""
-    return FinitePocSet.from_order_generators(n_pairs, edges)
+    """Warshall: once row k is folded into every row that reaches k, the
+    rows hold every path whose intermediate handles are at most k."""
+    for k in range(len(up)):
+        bit, row = 1 << k, up[k]
+        for a, reach in enumerate(up):
+            if reach & bit:
+                up[a] = reach | row

@@ -68,10 +68,6 @@ class NotMaximalTransverse(PocError):
     code = "not-maximal-transverse"
 
 
-class NotUltrafilter(PocError):
-    code = "not-an-ultrafilter"
-
-
 class BackendMismatch(PocError):
     code = "backend-mismatch"
 

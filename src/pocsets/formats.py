@@ -6,7 +6,10 @@ Two document kinds, both JSON:
   ``hK*`` name pair K and the trivial pair is implicit;
 * chain family: ``{"chains": ["r", "s", "t"], "geometry": [...] | null}``
   with per-chain geometry ``{"normal": ["0", "1"], "spacing": "1",
-  "offset": "0"}`` in exact literals.
+  "offset": "0"}``: the normal's two coordinates are exact literals in
+  Q(√3), spacing and offset are rationals.
+
+Anything else is refused with `MalformedInput`.
 
 Every structured output of the CLI that has a loader round-trips through
 these functions.
@@ -75,10 +78,12 @@ def pocset_from_document(doc: dict) -> FinitePocSet:
         order = doc.get("order", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad poc-set document: {exc}", doc) from exc
+    if not isinstance(order, (list, tuple)):
+        raise MalformedInput(f"order must be a list of pairs, got {order!r}", order)
     probe = FinitePocSet.from_order_generators(pairs, [])
     edges = []
     for entry in order:
-        if len(entry) != 2:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise MalformedInput(f"order edges are pairs, got {entry!r}", entry)
         a, b = entry
         edges.append((probe.handle(str(a)), probe.handle(str(b))))
@@ -106,29 +111,40 @@ def load_pocset(source: Union[str, Path]) -> FinitePocSet:
 
 
 def chain_family_from_document(doc: dict) -> tuple[ChainFamily, Union[WallModel, None]]:
-    try:
-        names = tuple(str(n) for n in doc["chains"])
-    except (KeyError, TypeError) as exc:
-        raise MalformedInput(f"bad chain-family document: {exc}", doc) from exc
+    chains = doc.get("chains")
+    if not isinstance(chains, (list, tuple)):
+        raise MalformedInput(f"chains must be a list of names, got {chains!r}", chains)
+    names = tuple(str(n) for n in chains)
     if len(set(names)) != len(names):
         raise MalformedInput("chain names must be distinct", names)
     family = ChainFamily(names)
     geometry = doc.get("geometry")
     if geometry is None:
         return family, None
-    if len(geometry) != len(names):
-        raise MalformedInput("geometry must list one entry per chain", geometry)
-    walls = []
-    for entry in geometry:
-        normal = entry["normal"]
-        walls.append(
-            WallFamily(
-                (parse_exact(str(normal[0])), parse_exact(str(normal[1]))),
-                Fraction(str(entry.get("spacing", "1"))),
-                Fraction(str(entry.get("offset", "0"))),
-            )
-        )
-    return family, WallModel(family, tuple(walls))
+    if not isinstance(geometry, (list, tuple)) or len(geometry) != len(names):
+        raise MalformedInput("geometry must be null or list one entry per chain", geometry)
+    return family, WallModel(family, tuple(_wall_family(entry) for entry in geometry))
+
+
+def _wall_family(entry) -> WallFamily:
+    if not isinstance(entry, dict):
+        raise MalformedInput(f"geometry entries are objects, got {entry!r}", entry)
+    normal = entry.get("normal")
+    if not isinstance(normal, (list, tuple)) or len(normal) != 2:
+        raise MalformedInput(f"normal must be a list of two exact literals, got {normal!r}", normal)
+    return WallFamily(
+        (parse_exact(str(normal[0])), parse_exact(str(normal[1]))),
+        _rational(entry, "spacing", "1"),
+        _rational(entry, "offset", "0"),
+    )
+
+
+def _rational(entry: dict, key: str, default: str) -> Fraction:
+    text = str(entry.get(key, default))
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInput(f"{key} must be a rational literal, got {text!r}", text) from None
 
 
 def chain_family_to_document(family: ChainFamily, model: Union[WallModel, None]) -> dict:

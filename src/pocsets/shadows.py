@@ -224,47 +224,37 @@ def interval_consistent(model: WallModel, cuts: Cuts) -> bool:
 MAX_WINDOW_TUPLES = 10**6
 
 
-@dataclass(frozen=True)
-class Window:
-    bound: int
-
-    def __post_init__(self):
-        if self.bound < 0:
-            raise MalformedInput("window bound must be >= 0", self.bound)
-
-    def tuples(self, k: int):
-        count = (2 * self.bound + 1) ** k  # refused before the first tuple
-        if count > MAX_WINDOW_TUPLES:
-            message = f"window {self.bound} has {count} tuples, more than {MAX_WINDOW_TUPLES}"
-            raise MalformedInput(message, self.bound)
-        return product(range(-self.bound, self.bound + 1), repeat=k)
-
-    def interior(self, cuts: Cuts) -> bool:
-        return all(abs(c) < self.bound for c in cuts)
+def _check_window(bound: int) -> None:
+    if bound < 0:
+        raise MalformedInput("window bound must be >= 0", bound)
 
 
 @dataclass
 class WindowField:
-    """The consistent set inside a window plus the full distance field,
-    computed by multi-source breadth-first search on the window lattice.
+    """The consistent set inside the window [-bound, bound]^k plus the full
+    distance field, computed by multi-source breadth-first search on the
+    window lattice.
 
     Inside the window the lattice-graph distance to the nearest member
     equals the L1 distance (monotone paths stay in the box), so the table
     is the exact in-window restriction of delta(-, Pi0)."""
 
-    model: WallModel
-    window: Window
-    members: list[Cuts]
+    bound: int
+    members: list[Cuts]  # never empty
     distance_table: dict[Cuts, int]
+
+    def interior(self, cuts: Cuts) -> bool:
+        return all(abs(c) < self.bound for c in cuts)
 
     def distance(self, cuts: Cuts) -> int:
         try:
             return self.distance_table[cuts]
         except KeyError:
-            if len(cuts) != self.model.k:
-                raise _wrong_length(self.model.k, cuts) from None
+            k = len(self.members[0])
+            if len(cuts) != k:
+                raise _wrong_length(k, cuts) from None
             raise WindowTooSmall(
-                f"{cuts} is outside window {self.window.bound}", cuts
+                f"{cuts} is outside window {self.bound}", cuts
             ) from None
 
     def argmin(self, cuts: Cuts) -> list[Cuts]:
@@ -276,19 +266,19 @@ class WindowField:
         ]
 
 
-def enumerate_pi0(model: WallModel, window: Window | int) -> list[ChainUltrafilter]:
+def enumerate_pi0(model: WallModel, bound: int) -> list[ChainUltrafilter]:
     """All consistent cut tuples inside the window, in canonical order."""
-    w = _as_window(window)
+    _check_window(bound)
+    count = (2 * bound + 1) ** model.k  # refused before the first tuple
+    if count > MAX_WINDOW_TUPLES:
+        message = f"window {bound} has {count} tuples, more than {MAX_WINDOW_TUPLES}"
+        raise MalformedInput(message, bound)
     oracle = model.oracle
     return [
         ChainUltrafilter(c)
-        for c in w.tuples(model.k)
+        for c in product(range(-bound, bound + 1), repeat=model.k)
         if oracle.consistent(c)
     ]
-
-
-def _as_window(window: Window | int) -> Window:
-    return window if isinstance(window, Window) else Window(window)
 
 
 def window_field(model: WallModel, bound: int) -> WindowField:
@@ -297,8 +287,7 @@ def window_field(model: WallModel, bound: int) -> WindowField:
     fields = model.oracle.fields
     if bound in fields:
         return fields[bound]
-    w = Window(bound)
-    members = [u.int_cuts() for u in enumerate_pi0(model, w)]
+    members = [u.int_cuts() for u in enumerate_pi0(model, bound)]
     if not members:
         raise WindowTooSmall(
             f"no consistent tuple inside window {bound}", bound
@@ -321,7 +310,7 @@ def window_field(model: WallModel, bound: int) -> WindowField:
                         dist[neighbor] = d
                         nxt.append(neighbor)
         frontier = nxt
-    field = fields[bound] = WindowField(model, w, members, dist)
+    field = fields[bound] = WindowField(bound, members, dist)
     return field
 
 
@@ -329,28 +318,29 @@ def window_field(model: WallModel, bound: int) -> WindowField:
 # distance, signed minimal sets, shadows
 
 
-def _nearest(model: WallModel, u: ChainUltrafilter, window: Window | int):
+def _nearest(model: WallModel, u: ChainUltrafilter, window: int):
     """The one windowed step behind every query: the field, the cuts of u
-    and the members nearest u, found by a single argmin."""
-    bound = _as_window(window).bound
+    and the members nearest u, found by a single argmin.  A negative window
+    is refused first, then a non-principal u, then the field is built."""
+    _check_window(window)
     cuts = u.int_cuts()
-    f = window_field(model, bound)
+    f = window_field(model, window)
     return f, cuts, f.argmin(cuts)
 
 
 def _distance(f: WindowField, cuts: Cuts, nearest: list[Cuts]) -> int:
-    if not any(f.window.interior(m) for m in nearest):
+    if not any(f.interior(m) for m in nearest):
         raise WindowTooSmall(f"every minimizer for {cuts} touches the window boundary", cuts)
     return f.distance(cuts)
 
 
 def _whole_shadow(f: WindowField, cuts: Cuts, nearest: list[Cuts]) -> list[Cuts]:
-    if not all(f.window.interior(m) for m in nearest):
+    if not all(f.interior(m) for m in nearest):
         raise WindowTooSmall(f"shadow of {cuts} touches the window boundary", cuts)
     return nearest
 
 
-def dist_to_pi0(model: WallModel, u: ChainUltrafilter, window: Window | int) -> int:
+def dist_to_pi0(model: WallModel, u: ChainUltrafilter, window: int) -> int:
     """Exhaustive min over the in-window consistent set, with an interiority
     check: some minimizer must avoid the window boundary."""
     return _distance(*_nearest(model, u, window))
@@ -363,7 +353,7 @@ class MinClassification:
     neutral: list[ChainHalfspace]
 
 
-def classify_min(model: WallModel, u: ChainUltrafilter, window: Window | int) -> MinClassification:
+def classify_min(model: WallModel, u: ChainUltrafilter, window: int) -> MinClassification:
     """Split min(u) by the effect of each flip on the distance to the
     consistent set; "neutral" collects the distance-preserving moves the
     two signed sets do not cover."""
@@ -409,13 +399,13 @@ class DualShadow:
         )
 
 
-def shadow(model: WallModel, u: ChainUltrafilter, window: Window | int) -> list[ChainUltrafilter]:
+def shadow(model: WallModel, u: ChainUltrafilter, window: int) -> list[ChainUltrafilter]:
     """The nearest consistent ultrafilters; the whole set must sit strictly
     inside the window."""
     return [ChainUltrafilter(m) for m in _whole_shadow(*_nearest(model, u, window))]
 
 
-def dual_shadow(model: WallModel, u: ChainUltrafilter, window: Window | int) -> DualShadow:
+def dual_shadow(model: WallModel, u: ChainUltrafilter, window: int) -> DualShadow:
     return _dual(_whole_shadow(*_nearest(model, u, window)))
 
 
@@ -456,7 +446,7 @@ class ShadowReport:
         }
 
 
-def shadow_report(model: WallModel, u: ChainUltrafilter, window: Window | int) -> ShadowReport:
+def shadow_report(model: WallModel, u: ChainUltrafilter, window: int) -> ShadowReport:
     """All four answers from one nearest set, refused by the first guard
     that dist_to_pi0, classify_min, shadow and dual_shadow would fire."""
     f, cuts, nearest = _nearest(model, u, window)
@@ -464,7 +454,7 @@ def shadow_report(model: WallModel, u: ChainUltrafilter, window: Window | int) -
     mins = _classify(f, u, cuts, dist)
     members = _whole_shadow(f, cuts, nearest)
     return ShadowReport(
-        cuts, f.window.bound, dist == 0, dist,
+        cuts, f.bound, dist == 0, dist,
         mins.plus, mins.minus, mins.neutral, members, _dual(members),
     )
 
@@ -505,11 +495,10 @@ class RayReport:
         }
 
 
-def canonical_start(model: WallModel, window: Window | int) -> ChainUltrafilter:
+def canonical_start(model: WallModel, window: int) -> ChainUltrafilter:
     """The consistent tuple nearest the origin (ties broken
     lexicographically); the deterministic base point of every ray."""
-    w = _as_window(window)
-    f = window_field(model, w.bound)
+    f = window_field(model, window)
     best = min(f.members, key=lambda m: (sum(abs(c) for c in m), m))
     return ChainUltrafilter(best)
 
@@ -518,7 +507,7 @@ def escaping_ray(
     model: WallModel,
     target: Signature,
     length: int,
-    window: Window | int,
+    window: int,
     verify_shadows: bool = True,
 ) -> RayReport:
     """Attempt an escaping geodesic ray toward a non-principal class.
@@ -534,9 +523,8 @@ def escaping_ray(
             f"target {format_signature(target)} has {target.k} chains, the model has {model.k}",
             format_signature(target),
         )
-    w = _as_window(window)
-    f = window_field(model, w.bound)
-    start = canonical_start(model, w)
+    f = window_field(model, window)
+    start = canonical_start(model, window)
     points = flow_flip_sequence(target, start, length)
     steps = [
         RayStep(i, p.int_cuts(), f.distance(p.int_cuts()))
@@ -544,7 +532,7 @@ def escaping_ray(
     ]
     dists = [s.dist for s in steps]
     if all(d == 0 for d in dists):
-        return RayReport(target, w.bound, steps, None, False, 1, None)
+        return RayReport(target, window, steps, None, False, 1, None)
     # the distance must strictly increase at every step once positive; any
     # stall after first leaving the consistent set disqualifies the ray
     stalls = [
@@ -554,19 +542,19 @@ def escaping_ray(
     ]
     escape_start = max((i for i, d in enumerate(dists) if d == 0), default=0)
     if stalls:
-        return RayReport(target, w.bound, steps, escape_start, False, stalls[0], None)
+        return RayReport(target, window, steps, escape_start, False, stalls[0], None)
     shrinks = None
     if verify_shadows:
         shrinks = True
-        previous = dual_shadow(model, points[escape_start], w)
+        previous = dual_shadow(model, points[escape_start], window)
         for i in range(escape_start + 1, len(points)):
-            current = dual_shadow(model, points[i], w)
+            current = dual_shadow(model, points[i], window)
             if not current.strictly_inside(previous):
                 shrinks = False
                 break
             previous = current
     success = shrinks is not False
-    return RayReport(target, w.bound, steps, escape_start, success, None, shrinks)
+    return RayReport(target, window, steps, escape_start, success, None, shrinks)
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +604,8 @@ class SurjectivityReport:
         }
 
 
-def max_delta_over_window(model: WallModel, window: Window | int) -> int:
-    f = window_field(model, _as_window(window).bound)
+def max_delta_over_window(model: WallModel, window: int) -> int:
+    f = window_field(model, window)
     return max(f.distance_table.values())
 
 

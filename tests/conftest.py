@@ -56,6 +56,13 @@ def fix_tripod():
 def random_pocset(rng: random.Random, max_pairs: int = 6) -> FinitePocSet:
     """A random valid poc-set: random generating edges, retried until the
     closure passes the axioms."""
+    return random_generated_pocset(rng, max_pairs)[0]
+
+
+def random_generated_pocset(
+    rng: random.Random, max_pairs: int = 6
+) -> tuple[FinitePocSet, list[tuple[int, int]]]:
+    """`random_pocset` (same draws) together with its generating edges."""
     while True:
         n = rng.randint(0, max_pairs)
         edge_count = rng.randint(0, 2 * n) if n else 0
@@ -65,7 +72,7 @@ def random_pocset(rng: random.Random, max_pairs: int = 6) -> FinitePocSet:
             b = rng.randrange(2 * n)
             edges.append((a, b))
         try:
-            return FinitePocSet.from_order_generators(n, edges)
+            return FinitePocSet.from_order_generators(n, edges), edges
         except AxiomViolation:
             continue
 

@@ -147,6 +147,12 @@ def test_usage_error_exit_2():
     assert proc.returncode == 2
 
 
+def test_seed_only_on_dual():
+    run_cli("dual", "FIX-SQ", "--seed", "1")
+    proc = run_cli("validate", "FIX-SQ", "--seed", "1", expect=2)
+    assert "unrecognized arguments: --seed 1" in proc.stderr
+
+
 def test_window_too_small_is_domain_error():
     proc = run_cli("shadows", "FIX-HEX", "--cuts", "5,5,5", "--window", "4", expect=1)
     assert json.loads(proc.stderr)["code"] == "window-too-small"

@@ -15,7 +15,7 @@ from pocsets.errors import (
     TrivialElement,
 )
 
-from conftest import brute_force_ultrafilters, random_pocset
+from conftest import brute_force_ultrafilters, random_generated_pocset, random_pocset
 
 
 # ---------------------------------------------------------------------------
@@ -496,3 +496,109 @@ def test_filterbase_type(fix_tripod):
     assert p.extend_filterbase(fb).members >= fb.members
     with pytest.raises(NotAFilterBase):
         p.filterbase({p.handle("h1"), p.handle("h2")})
+
+
+# ---------------------------------------------------------------------------
+# the bitmask algorithms against their definitions
+
+
+def _uf2_witness(p, members):
+    """The least ordered pair (x, y) of members with x <= y*, preferring a
+    plain x, found by scanning every pair; None when UF2 holds."""
+    violations = [(x, y) for x in members for y in members if p.leq(x, star(y))]
+    return min(violations, key=lambda v: (v[0] & 1, v[0], v[1]), default=None)
+
+
+def _random_handles(rng, p):
+    density = rng.choice((0.15, 0.3, 0.5))
+    return {e for e in p.elements() if rng.random() < density}
+
+
+def test_min_set_matches_definition():
+    rng = random.Random(606)
+    for _ in range(80):
+        p = random_pocset(rng, max_pairs=6)
+        for u in p.ultrafilters():
+            proper = [e for e in u.members if p.is_proper(e)]
+            below = lambda e: any(x != e and p.leq(x, e) for x in proper)
+            assert p.min_set(u) == sorted(e for e in proper if not below(e))
+
+
+def test_uf_witnesses_match_pairwise_scan():
+    rng = random.Random(607)
+    for _ in range(80):
+        p = random_pocset(rng, max_pairs=6)
+        for _ in range(20):
+            members = _random_handles(rng, p)
+            witness = _uf2_witness(p, members)
+            assert p.check_filterbase(members) == witness
+            pairs = range(p.n_pairs + 1)
+            split = [2 * k for k in pairs if (2 * k in members) == (2 * k + 1 in members)]
+            if split:
+                expect = (False, "UF1", split[0])
+            else:
+                expect = (True, None, None) if witness is None else (False, "UF2", witness)
+            chk = p.is_ultrafilter(members)
+            assert (chk.ok, chk.axiom, chk.witness) == expect
+            # one element of every pair, so UF2 alone decides
+            chosen = [2 * k + rng.randint(0, 1) for k in range(p.n_pairs)] + [p.zero_star]
+            witness = _uf2_witness(p, chosen)
+            chk = p.is_ultrafilter(chosen)
+            assert (chk.ok, chk.witness) == (witness is None, witness)
+
+
+def _two_sided_greedy(p, base):
+    """Complete a filter base pair by pair, taking the plain element unless
+    it is nested against a chosen element either way round."""
+    chosen = {e >> 1: e for e in base if p.is_proper(e)}
+    for k in range(p.n_pairs):
+        if k not in chosen:
+            clash = any(p.leq(2 * k, star(e)) or p.leq(e, star(2 * k)) for e in chosen.values())
+            chosen[k] = 2 * k + clash
+    return tuple(chosen[k] & 1 for k in range(p.n_pairs))
+
+
+def test_extend_filterbase_matches_two_sided_greedy():
+    rng = random.Random(608)
+    extended = refused = 0
+    for _ in range(80):
+        p = random_pocset(rng, max_pairs=6)
+        ufs = p.ultrafilters()
+        for _ in range(20):
+            if rng.random() < 0.5:
+                base = _random_handles(rng, p)
+            else:
+                members = sorted(rng.choice(ufs).members)
+                base = set(rng.sample(members, rng.randint(0, len(members))))
+            witness = _uf2_witness(p, base - {p.zero_star})
+            if witness is not None:
+                refused += 1
+                with pytest.raises(NotAFilterBase) as exc:
+                    p.extend_filterbase(base)
+                assert exc.value.witness == witness
+                continue
+            extended += 1
+            u = p.extend_filterbase(base)
+            assert u.signs == _two_sided_greedy(p, base)
+            assert p.is_ultrafilter(u.members).ok and base - {p.zero_star} <= u.members
+    assert extended > 500 and refused > 300
+
+
+def test_leq_matches_reachability_over_generators():
+    rng = random.Random(609)
+    for _ in range(150):
+        p, edges = random_generated_pocset(rng, max_pairs=7)
+        arrows = {a: set() for a in p.elements()}
+        for a, b in edges:
+            arrows[a].add(b)
+            arrows[star(b)].add(star(a))
+        for e in p.elements():
+            arrows[p.zero].add(e)
+            arrows[e].add(p.zero_star)
+        for a in p.elements():
+            seen, todo = {a}, [a]
+            while todo:
+                for b in arrows[todo.pop()] - seen:
+                    seen.add(b)
+                    todo.append(b)
+            assert {b for b in p.elements() if p.leq(a, b)} == seen

@@ -23,6 +23,14 @@ STRUCTURED = ("--format", "structured")
 # four pairs with h4 <= h1: two 3-cubes and a nested pair
 CUBE3 = str(GOLDEN / "cube3-nested.pocset.json")
 
+
+def malformed(command, case, *extra):
+    """A command on the malformed document tests/golden/malformed/CASE.json."""
+    return (command, str(GOLDEN / "malformed" / f"{case}.json"), *extra)
+
+
+RHO = ("--direction", "1,0")
+
 CASES = {
     "shadows-hex.txt": SHADOWS,
     "shadows-hex.json": SHADOWS + ("--format", "structured"),
@@ -82,6 +90,17 @@ REFUSALS = {
     "validate-chain-family.err": ("validate", "FIX-Z2"),
     "boundary-pocset.err": ("boundary", "FIX-SQ"),
     "rho-no-geometry.err": ("rho", "FIX-Z3", "--direction", "1,0"),
+    # a malformed document: one JSON line, not a traceback or a silent misreading
+    "malformed-normal-missing.err": malformed("rho", "normal-missing", *RHO),
+    "malformed-normal-short.err": malformed("rho", "normal-short", *RHO),
+    "malformed-normal-string.err": malformed("rho", "normal-string", *RHO),
+    "malformed-spacing-sqrt3.err": malformed("rho", "spacing-sqrt3", *RHO),
+    "malformed-offset-sqrt3.err": malformed("rho", "offset-sqrt3", *RHO),
+    "malformed-geometry-number.err": malformed("rho", "geometry-number", *RHO),
+    "malformed-geometry-numbers.err": malformed("rho", "geometry-numbers", *RHO),
+    "malformed-chains-string.err": malformed("boundary", "chains-string"),
+    "malformed-order-number.err": malformed("validate", "order-number"),
+    "malformed-order-entry-number.err": malformed("validate", "order-entry-number"),
 }
 
 

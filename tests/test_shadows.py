@@ -31,7 +31,6 @@ from pocsets.formats import fixture_model
 from pocsets.shadows import (
     MAX_WINDOW_TUPLES,
     ConsistencyOracle,
-    Window,
     _feasible_point,
     _slab_constraints,
     canonical_start,
@@ -193,12 +192,12 @@ def test_consistent_set_of_halfspaces(hexmodel):
 
 
 def test_enumerate_pi0_hex_w0(hexmodel):
-    got = enumerate_pi0(hexmodel, Window(0))
+    got = enumerate_pi0(hexmodel, 0)
     assert [u.cuts for u in got] == [(0, 0, 0)]
 
 
 def test_enumerate_pi0_z2_w1(z2):
-    assert len(enumerate_pi0(z2, Window(1))) == 9
+    assert len(enumerate_pi0(z2, 1)) == 9
 
 
 def test_unaffordable_window_fails_fast(hexmodel, z2):
@@ -216,7 +215,7 @@ def test_unaffordable_window_fails_fast(hexmodel, z2):
 
 def test_enumerate_pi0_hex_matches_sum_rule(hexmodel):
     for w in (1, 2):
-        got = {u.int_cuts() for u in enumerate_pi0(hexmodel, Window(w))}
+        got = {u.int_cuts() for u in enumerate_pi0(hexmodel, w)}
         expect = {
             c for c in product(range(-w, w + 1), repeat=3) if 0 <= sum(c) <= 3
         }
