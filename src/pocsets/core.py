@@ -342,7 +342,9 @@ class FinitePocSet:
         mset = set(members) | {self.zero_star}
         check = self.is_ultrafilter(mset)
         if not check.ok:
-            raise NotAFilterBase(f"set violates {check.axiom}", check.witness)
+            raise AxiomViolation(
+                check.axiom, f"set violates ultrafilter axiom {check.axiom}", check.witness
+            )
         signs = tuple(1 if (2 * k + 1) in mset else 0 for k in range(self.n_pairs))
         return self.ultrafilter_from_signs(signs)
 

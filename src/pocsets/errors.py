@@ -38,7 +38,8 @@ class MalformedInput(PocError):
 
 
 class AxiomViolation(PocError):
-    """A poc-set axiom failed; ``axiom`` names it, ``witness`` exhibits it."""
+    """A poc-set axiom, or an ultrafilter axiom ("UF1" or "UF2"), failed;
+    ``axiom`` names it, ``witness`` exhibits it."""
 
     code = "axiom-violation"
 

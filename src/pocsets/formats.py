@@ -74,10 +74,12 @@ def load_document(source: Union[str, Path]) -> dict:
 
 def pocset_from_document(doc: dict) -> FinitePocSet:
     try:
-        pairs = int(doc["pairs"])
+        pairs = doc["pairs"]
         order = doc.get("order", [])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad poc-set document: {exc}", doc) from exc
+    if isinstance(pairs, bool) or not isinstance(pairs, int):
+        raise MalformedInput(f"pairs must be an integer, got {pairs!r}", pairs)
     if not isinstance(order, (list, tuple)):
         raise MalformedInput(f"order must be a list of pairs, got {order!r}", order)
     probe = FinitePocSet.from_order_generators(pairs, [])

@@ -7,11 +7,15 @@ compiled once, by Fourier-Motzkin elimination over the √3 field on symbolic
 right-hand sides, into a few integer sign conditions on the cuts, instead of
 being eliminated again for every tuple.  All minimization is
 exhaustive inside a window [-W, W]^k with interiority checks on minimizers,
-and every result records the window it was computed in.
+and every result records the window it was computed in.  Inside a window the
+consistent set is kept by rows, one interval of last cuts per prefix solved
+from the compiled forms, and the distance to it by a flat table filled with
+separable L1 sweeps; nearest members are read off the rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -34,6 +38,7 @@ from .exactnum import ExactNumber, sqrt3_sign
 
 Cuts = tuple[int, ...]
 Constraint = tuple[ExactNumber, ExactNumber, ExactNumber]  # ax*x + ay*y <= c
+Row = Optional[tuple[int, int]]  # one prefix's consistent last cuts: [lo, hi]
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +204,32 @@ class ConsistencyOracle:
                 return False
         return True
 
+    def row(self, head: Cuts, bound: int) -> Row:
+        """The last cuts c in [-bound, bound] that make head + (c,)
+        consistent: one closed interval (lo, hi), or None.
+
+        Each form is linear in c with slope alpha_k + beta_k*sqrt3, so it
+        holds for every c, for none, or on a ray of c whose end a binary
+        search finds with exact sign tests.  The first form that empties
+        the row ends the search."""
+        lo, hi = -bound, bound
+        point = (1, *head)  # the forms' last coefficients multiply c
+        for alpha, beta in self.forms:
+            a, b = sum(map(mul, alpha, point)), sum(map(mul, beta, point))
+            da, db = alpha[-1], beta[-1]
+            slope = sqrt3_sign(da, db)
+            # rises with c; the form holds where it is >= 0 (or <= 0 if slope < 0)
+            rising = lambda c: slope * sqrt3_sign(a + da * c, b + db * c)
+            if slope > 0:
+                lo += bisect_left(range(lo, hi + 1), 0, key=rising)
+            elif slope < 0:
+                hi = lo - 1 + bisect_right(range(lo, hi + 1), 0, key=rising)
+            elif sqrt3_sign(a, b) < 0:
+                return None
+            if lo > hi:
+                return None
+        return lo, hi
+
 
 def interval_consistent(model: WallModel, cuts: Cuts) -> bool:
     """Closed-form oracle for zero-sum normal triples: the cut slabs meet
@@ -220,7 +251,7 @@ def interval_consistent(model: WallModel, cuts: Cuts) -> bool:
 # windows: the consistent set and the distance field
 
 
-# the most tuples a (2W+1)^k window enumeration may visit: W=49 at k=3
+# the most tuples a (2W+1)^k window may hold: W=49 at k=3
 MAX_WINDOW_TUPLES = 10**6
 
 
@@ -229,56 +260,98 @@ def _check_window(bound: int) -> None:
         raise MalformedInput("window bound must be >= 0", bound)
 
 
+def _pi0_rows(model: WallModel, bound: int) -> tuple[list[Row], list[Cuts]]:
+    """Pi0 inside the window: the `ConsistencyOracle.row` of every
+    (k-1)-prefix of the window, in lexicographic order, and its members."""
+    _check_window(bound)
+    count = (2 * bound + 1) ** model.k  # refused before the first row
+    if count > MAX_WINDOW_TUPLES:
+        message = f"window {bound} has {count} tuples, more than {MAX_WINDOW_TUPLES}"
+        raise MalformedInput(message, bound)
+    if model.k == 0:
+        raise MalformedInput("a wall model needs at least one family", model)
+    rows, members = [], []
+    for head in product(range(-bound, bound + 1), repeat=model.k - 1):
+        row = model.oracle.row(head, bound)
+        rows.append(row)
+        if row:
+            members += [(*head, c) for c in range(row[0], row[1] + 1)]
+    return rows, members
+
+
+def _sweep(table: list[int], n: int, stride: int) -> None:
+    """g(x) = min(f(x), g(x-1) + 1) and then g(x) = min(g(x), g(x+1) + 1)
+    along the axis whose unit step is `stride`, a whole slice at a time."""
+    block = n * stride
+    for base in range(0, len(table), block):
+        ends = range(base, base + block, stride)
+        for x, y in [*zip(ends[1:], ends), *zip(ends[-2::-1], ends[:0:-1])]:
+            table[x : x + stride] = [
+                a if a <= b else b + 1
+                for a, b in zip(table[x : x + stride], table[y : y + stride])
+            ]
+
+
 @dataclass
 class WindowField:
-    """The consistent set inside the window [-bound, bound]^k plus the full
-    distance field, computed by multi-source breadth-first search on the
-    window lattice.
+    """The consistent set inside the window [-bound, bound]^k, by rows, and
+    the distance to it from every tuple of the window.
 
-    Inside the window the lattice-graph distance to the nearest member
-    equals the L1 distance (monotone paths stay in the box), so the table
-    is the exact in-window restriction of delta(-, Pi0)."""
+    ``rows[r]`` holds the last cuts that complete the r-th (k-1)-prefix
+    (lexicographic order) to a member.  The table is a flat list indexed by
+    the mixed-radix number of (c_1 + bound, .., c_k + bound): each tuple's
+    distance to its own row, then swept twice along every other axis by
+    g(x) = min(f(x), g(x -+ 1) + 1) (Rosenfeld & Pfaltz 1966).  L1 distance
+    separates by axis (Felzenszwalb & Huttenlocher 2012, section 2), and
+    inside the box it is the lattice distance, so the table is the exact
+    in-window restriction of delta(-, Pi0)."""
 
     bound: int
-    members: list[Cuts]  # never empty
-    distance_table: dict[Cuts, int]
+    members: list[Cuts]  # never empty, lexicographic
+    distance_table: list[int]
+    rows: list[Row]
+    start: Cuts  # least L1 norm, then least lexicographically
 
     def interior(self, cuts: Cuts) -> bool:
         return all(abs(c) < self.bound for c in cuts)
 
     def distance(self, cuts: Cuts) -> int:
-        try:
-            return self.distance_table[cuts]
-        except KeyError:
-            k = len(self.members[0])
-            if len(cuts) != k:
-                raise _wrong_length(k, cuts) from None
-            raise WindowTooSmall(
-                f"{cuts} is outside window {self.bound}", cuts
-            ) from None
+        k = len(self.members[0])
+        if len(cuts) != k:
+            raise _wrong_length(k, cuts)
+        if any(abs(c) > self.bound for c in cuts):
+            raise WindowTooSmall(f"{cuts} is outside window {self.bound}", cuts)
+        n, index = 2 * self.bound + 1, 0
+        for c in cuts:
+            index = index * n + c + self.bound
+        return self.distance_table[index]
 
     def argmin(self, cuts: Cuts) -> list[Cuts]:
-        d = self.distance(cuts)
-        return [
-            m
-            for m in self.members
-            if sum(abs(a - b) for a, b in zip(cuts, m)) == d
-        ]
+        """The members nearest cuts, in lexicographic order: each row whose
+        prefix is within distance(cuts) of the head of cuts, in prefix order,
+        gives the last cuts in its interval at the remaining distance r."""
+        bound, n = self.bound, 2 * self.bound + 1
+        *head, last = cuts
+        found: list[Cuts] = []
+
+        def walk(prefix: Cuts, index: int, r: int) -> None:
+            if len(prefix) == len(head):
+                row = self.rows[index]
+                if row:
+                    ends = (last,) if r == 0 else (last - r, last + r)
+                    found.extend((*prefix, c) for c in ends if row[0] <= c <= row[1])
+                return
+            q = head[len(prefix)]
+            for c in range(max(-bound, q - r), min(bound, q + r) + 1):
+                walk((*prefix, c), index * n + c + bound, r - abs(c - q))
+
+        walk((), 0, self.distance(cuts))
+        return found
 
 
 def enumerate_pi0(model: WallModel, bound: int) -> list[ChainUltrafilter]:
     """All consistent cut tuples inside the window, in canonical order."""
-    _check_window(bound)
-    count = (2 * bound + 1) ** model.k  # refused before the first tuple
-    if count > MAX_WINDOW_TUPLES:
-        message = f"window {bound} has {count} tuples, more than {MAX_WINDOW_TUPLES}"
-        raise MalformedInput(message, bound)
-    oracle = model.oracle
-    return [
-        ChainUltrafilter(c)
-        for c in product(range(-bound, bound + 1), repeat=model.k)
-        if oracle.consistent(c)
-    ]
+    return [ChainUltrafilter(m) for m in _pi0_rows(model, bound)[1]]
 
 
 def window_field(model: WallModel, bound: int) -> WindowField:
@@ -287,30 +360,22 @@ def window_field(model: WallModel, bound: int) -> WindowField:
     fields = model.oracle.fields
     if bound in fields:
         return fields[bound]
-    members = [u.int_cuts() for u in enumerate_pi0(model, bound)]
+    rows, members = _pi0_rows(model, bound)
     if not members:
-        raise WindowTooSmall(
-            f"no consistent tuple inside window {bound}", bound
-        )
-    dist: dict[Cuts, int] = {m: 0 for m in members}
-    frontier = members
-    k = model.k
-    lo, hi = -bound, bound
-    while frontier:
-        nxt = []
-        for cuts in frontier:
-            d = dist[cuts] + 1
-            for i in range(k):
-                for step in (-1, 1):
-                    c = cuts[i] + step
-                    if c < lo or c > hi:
-                        continue
-                    neighbor = cuts[:i] + (c,) + cuts[i + 1 :]
-                    if neighbor not in dist:
-                        dist[neighbor] = d
-                        nxt.append(neighbor)
-        frontier = nxt
-    field = fields[bound] = WindowField(bound, members, dist)
+        raise WindowTooSmall(f"no consistent tuple inside window {bound}", bound)
+    n = 2 * bound + 1
+    far = n * model.k  # beyond every in-window distance
+    table: list[int] = []
+    for row in rows:
+        if row is None:
+            table += [far] * n
+        else:
+            lo, hi = row
+            table += [*range(lo + bound, 0, -1), *[0] * (hi - lo + 1), *range(1, bound - hi + 1)]
+    for axis in range(1, model.k):
+        _sweep(table, n, n**axis)
+    start = min(members, key=lambda m: (sum(map(abs, m)), m))
+    field = fields[bound] = WindowField(bound, members, table, rows, start)
     return field
 
 
@@ -498,9 +563,7 @@ class RayReport:
 def canonical_start(model: WallModel, window: int) -> ChainUltrafilter:
     """The consistent tuple nearest the origin (ties broken
     lexicographically); the deterministic base point of every ray."""
-    f = window_field(model, window)
-    best = min(f.members, key=lambda m: (sum(abs(c) for c in m), m))
-    return ChainUltrafilter(best)
+    return ChainUltrafilter(window_field(model, window).start)
 
 
 def escaping_ray(
@@ -606,7 +669,7 @@ class SurjectivityReport:
 
 def max_delta_over_window(model: WallModel, window: int) -> int:
     f = window_field(model, window)
-    return max(f.distance_table.values())
+    return max(f.distance_table)
 
 
 def surjectivity_report(
@@ -639,24 +702,13 @@ def surjectivity_report(
     start_reach = max(abs(c) for c in canonical_start(model, probe_window).int_cuts())
     probe_length = max(1, min(ray_length, probe_window - start_reach))
     rows = []
-    escaping = []
     for s in all_signatures(model.k):
-        if s.is_principal():
-            rows.append(ClassRow(s, 0, None if in_image is None else tuple(s.ends) in in_image, None))
-            continue
-        report = escaping_ray(
-            model, s, probe_length, probe_window, verify_shadows=False
-        )
-        if report.success:
-            escaping.append(s)
-        rows.append(
-            ClassRow(
-                s,
-                s.codim(),
-                None if in_image is None else tuple(s.ends) in in_image,
-                report.success,
-            )
-        )
+        escapes = None
+        if not s.is_principal():
+            escapes = escaping_ray(model, s, probe_length, probe_window, verify_shadows=False).success
+        seen = None if in_image is None else tuple(s.ends) in in_image
+        rows.append(ClassRow(s, s.codim(), seen, escapes))
+    escaping = [r.signature for r in rows if r.escapes]
     return SurjectivityReport(
         model.k,
         uniform,

@@ -217,3 +217,12 @@ def test_boundary_document_reloads():
     family, model = chain_family_from_document(doc)
     assert family.names == ("r", "s", "t")
     assert model is not None
+
+
+def test_report_refuses_a_model_without_chains(tmp_path):
+    # the windowed field needs a last axis; this used to end in a traceback
+    doc = tmp_path / "no-chains.json"
+    doc.write_text('{"chains": [], "geometry": []}')
+    proc = run_cli("report", str(doc), "--window", "2", expect=1)
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line)["message"] == "a wall model needs at least one family"

@@ -207,6 +207,26 @@ def test_extend_rejects_non_filterbase(fix_tripod):
     assert exc.value.witness == (p.handle("h1"), p.handle("h2"))
 
 
+def test_ultrafilter_from_members_names_uf1(fix_square):
+    # the empty set (the trivial star is added) holds neither h1 nor h1*
+    p = fix_square
+    with pytest.raises(AxiomViolation) as exc:
+        p.ultrafilter_from_members([])
+    assert exc.value.axiom == "UF1"
+    assert exc.value.witness == p.handle("h1")
+    assert str(exc.value) == "set violates ultrafilter axiom UF1"
+    assert exc.value.diagnostic()["axiom"] == "UF1"
+
+
+def test_ultrafilter_from_members_names_uf2(fix_line3):
+    q = fix_line3
+    with pytest.raises(AxiomViolation) as exc:
+        q.ultrafilter_from_members({q.handle("h1*"), q.handle("h2"), q.handle("h3")})
+    assert exc.value.axiom == "UF2"
+    assert exc.value.witness == (q.handle("h2"), q.handle("h1*"))
+    assert str(exc.value) == "set violates ultrafilter axiom UF2"
+
+
 def test_extension_contains_base_random():
     rng = random.Random(5)
     for _ in range(60):

@@ -101,6 +101,10 @@ REFUSALS = {
     "malformed-chains-string.err": malformed("boundary", "chains-string"),
     "malformed-order-number.err": malformed("validate", "order-number"),
     "malformed-order-entry-number.err": malformed("validate", "order-entry-number"),
+    # a pair count that is not a JSON integer, formerly read with int()
+    "malformed-pairs-float.err": malformed("validate", "pairs-float"),
+    "malformed-pairs-bool.err": malformed("validate", "pairs-bool"),
+    "malformed-pairs-string.err": malformed("validate", "pairs-string"),
 }
 
 

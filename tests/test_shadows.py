@@ -213,6 +213,93 @@ def test_unaffordable_window_fails_fast(hexmodel, z2):
         surjectivity_report(hexmodel, windows=(4, 10**5))
 
 
+def _bfs_field(model, bound):
+    """The window field by its definition, as a test oracle: members by the
+    compiled oracle tuple by tuple, then a multi-source breadth-first search
+    on the window lattice into a dict."""
+    cells = range(-bound, bound + 1)
+    members = [c for c in product(cells, repeat=model.k) if model.oracle.consistent(c)]
+    dist = {m: 0 for m in members}
+    frontier = members
+    while frontier:
+        nxt = []
+        for cuts in frontier:
+            for i, step in product(range(model.k), (-1, 1)):
+                neighbor = cuts[:i] + (cuts[i] + step,) + cuts[i + 1 :]
+                if abs(neighbor[i]) <= bound and neighbor not in dist:
+                    dist[neighbor] = dist[cuts] + 1
+                    nxt.append(neighbor)
+        frontier = nxt
+    return members, dist
+
+
+def _check_field(model, bound, rng, queries=25):
+    members, dist = _bfs_field(model, bound)
+    if not members:
+        with pytest.raises(WindowTooSmall):
+            window_field(model, bound)
+        return 0
+    f = window_field(model, bound)
+    cells = list(product(range(-bound, bound + 1), repeat=model.k))
+    assert f.members == members
+    assert len(f.distance_table) == len(cells)
+    assert [f.distance(c) for c in cells] == [dist[c] for c in cells]
+    # each row is the run of last cuts the per-tuple oracle accepts
+    by_head = {}
+    for m in members:
+        by_head.setdefault(m[:-1], []).append(m[-1])
+    heads = list(product(range(-bound, bound + 1), repeat=model.k - 1))
+    assert len(f.rows) == len(heads)
+    for head, row in zip(heads, f.rows):
+        accepted = by_head.get(head, [])
+        assert row == ((accepted[0], accepted[-1]) if accepted else None)
+        assert accepted == list(range(row[0], row[1] + 1) if row else [])
+    for q in rng.sample(cells, min(queries, len(cells))):
+        scan = [m for m in members if sum(abs(a - b) for a, b in zip(q, m)) == dist[q]]
+        assert f.argmin(q) == scan, q
+    assert f.start == min(members, key=lambda m: (sum(map(abs, m)), m))
+    return len(members)
+
+
+def test_field_matches_bfs_on_fixtures():
+    rng = random.Random(70)
+    hexmodel = fixture_model("FIX-HEX")
+    for w in range(16):
+        _check_field(hexmodel, w, rng)
+    for name in ("FIX-Z1", "FIX-Z2"):
+        model = fixture_model(name)
+        for w in (0, 1, 4, 9):
+            _check_field(model, w, rng)
+
+
+def test_field_matches_bfs_on_generated_models():
+    # k = 1..4, random normals at multiples of 30 degrees and all-parallel
+    # families (empty rows, rows decided by a form without a c_k term)
+    rng = random.Random(71)
+    windows = {1: (0, 3, 12), 2: (0, 2, 7), 3: (1, 4), 4: (1, 3)}
+    sizes = []
+    for k in range(1, 5):
+        angle_sets = [[rng.randrange(12) for _ in range(k)] for _ in range(4)]
+        angle_sets += [[(j + rng.choice((0, 6))) % 12 for _ in range(k)] for j in (0, 3, 5)]
+        for angles in angle_sets:
+            model = _wall_model(rng, angles)
+            sizes += [_check_field(model, w, rng) for w in windows[k]]
+    assert 0 in sizes and min(s for s in sizes if s) < 10 < max(sizes)
+
+
+def test_shadows_module_uses_no_float():
+    # floating point must never enter a predicate, not even to speed up the
+    # row solver; the name float and float literals are both refused
+    import ast
+
+    import pocsets.shadows
+
+    tree = ast.parse(inspect.getsource(pocsets.shadows))
+    names = [n.id for n in ast.walk(tree) if isinstance(n, ast.Name)]
+    literals = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is float]
+    assert "float" not in names and not literals
+
+
 def test_enumerate_pi0_hex_matches_sum_rule(hexmodel):
     for w in (1, 2):
         got = {u.int_cuts() for u in enumerate_pi0(hexmodel, w)}
