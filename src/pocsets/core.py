@@ -35,6 +35,12 @@ from .errors import (
 # Exhaustive transverse-set search is exponential; this is an oracle layer,
 # not a performance layer.
 MAX_PAIRS_FOR_DIMENSION = 32
+# the most proper pairs a poc-set may have: building one takes about 0.3 s
+# at 512 pairs on a 2-vCPU VM, and about four times as long per doubling
+MAX_PAIRS = 512
+# the most ultrafilters `FinitePocSet.ultrafilters` lists, up to 2^n for n
+# pairs; the enumeration is refused as it grows past this
+MAX_ULTRAFILTERS = 2**14
 
 _NAME_RE = re.compile(r"^(?:h([1-9][0-9]*)|0)(\*)?$")
 
@@ -141,8 +147,7 @@ class FinitePocSet:
         Raises `MalformedInput` for a dangling handle and `AxiomViolation`
         naming the first broken axiom with a witness pair.
         """
-        if n_pairs < 0:
-            raise MalformedInput("pair count must be non-negative", n_pairs)
+        check_pair_count(n_pairs)
         m = 2 * n_pairs + 2
         zero = 2 * n_pairs
         up = [1 << e for e in range(m)]
@@ -262,17 +267,7 @@ class FinitePocSet:
         return _raw_name(e, self.n_pairs)
 
     def handle(self, name: str) -> int:
-        match = _NAME_RE.match(name.strip())
-        if not match:
-            raise MalformedInput(f"bad handle name {name!r}", name)
-        if match.group(1) is None:
-            e = self.zero
-        else:
-            k = int(match.group(1))
-            if k > self.n_pairs:
-                raise MalformedInput(f"handle {name!r} exceeds pair count", name)
-            e = 2 * (k - 1)
-        return star(e) if match.group(2) else e
+        return parse_handle(name, self.n_pairs)
 
     # ------------------------------------------------------------------
     # relations between elements
@@ -373,6 +368,9 @@ class FinitePocSet:
 
         def descend(k: int, stars: int) -> None:
             if k == n:
+                if len(results) == MAX_ULTRAFILTERS:
+                    message = f"more than {MAX_ULTRAFILTERS} ultrafilters to enumerate"
+                    raise MalformedInput(message, n)
                 results.append(self.ultrafilter_from_signs(signs))
                 return
             for e in (2 * k, 2 * k + 1):
@@ -520,6 +518,30 @@ class FinitePocSet:
 
     def __repr__(self) -> str:
         return f"FinitePocSet(pairs={self.n_pairs})"
+
+
+def check_pair_count(n_pairs: int) -> None:
+    """Refuse a negative pair count or one above `MAX_PAIRS`."""
+    if n_pairs < 0:
+        raise MalformedInput("pair count must be non-negative", n_pairs)
+    if n_pairs > MAX_PAIRS:
+        raise MalformedInput(f"pair count {n_pairs} is above the cap of {MAX_PAIRS}", n_pairs)
+
+
+def parse_handle(name: str, n_pairs: int) -> int:
+    """The handle named "hK", "hK*", "0" or "0*" in a poc-set of n_pairs
+    pairs; needs only the pair count, not the poc-set."""
+    match = _NAME_RE.match(name.strip())
+    if not match:
+        raise MalformedInput(f"bad handle name {name!r}", name)
+    if match.group(1) is None:
+        e = 2 * n_pairs
+    else:
+        k = int(match.group(1))
+        if k > n_pairs:
+            raise MalformedInput(f"handle {name!r} exceeds pair count", name)
+        e = 2 * (k - 1)
+    return star(e) if match.group(2) else e
 
 
 def _raw_name(e: int, n_pairs: int) -> str:

@@ -122,17 +122,12 @@ class WallModel:
 
     def chamber_cuts(self, point: Vec) -> tuple[int, ...]:
         """Cut coordinates of the chamber of a generic point: chain i takes
-        the c with n_i . p in the slab (level(c-1), level(c))."""
-        cuts = []
-        for fam in self.families:
-            value = (dot(fam.normal, point) - ExactNumber.of(fam.offset)) / ExactNumber.of(
-                fam.spacing
-            )
-            c = _ceil_exact(value)
-            if value == ExactNumber.of(c):  # on a wall: nudge into the upper slab
-                c += 1
-            cuts.append(c)
-        return tuple(cuts)
+        the c with n_i . p in the slab [level(c-1), level(c)), so a point on
+        a wall is nudged into the upper slab."""
+        return tuple(
+            ((dot(fam.normal, point) - fam.offset) / fam.spacing).floor() + 1
+            for fam in self.families
+        )
 
     def distinct_wall_directions(self) -> int:
         dirs: list[Vec] = []
@@ -151,19 +146,6 @@ class WallModel:
         if self.distinct_wall_directions() < 2:
             return False, "all wall normals are parallel"
         return True, None
-
-
-def _ceil_exact(x: ExactNumber) -> int:
-    if x.is_rational():
-        q = x.a
-        return -((-q.numerator) // q.denominator)
-    lo = int(float(x)) - 2
-    while not (ExactNumber.of(lo) < x):
-        lo -= 1
-    hi = lo
-    while ExactNumber.of(hi) < x:
-        hi += 1
-    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +435,11 @@ def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
         base_level = dot(fam.normal, line.basepoint)
         if speed.is_zero():
             # walls parallel to the line; the line must not lie on one
-            value = (base_level - ExactNumber.of(fam.offset)) / ExactNumber.of(fam.spacing)
-            if value.is_rational() and value.a.denominator == 1:
-                raise LineInsideWall(
-                    f"line lies on wall {int(value.a)} of family {i}", i
-                )
-            trivial_cuts[i] = _ceil_exact(value)
+            value = (base_level - fam.offset) / fam.spacing
+            cut = value.floor()
+            if (value - cut).is_zero():
+                raise LineInsideWall(f"line lies on wall {cut} of family {i}", i)
+            trivial_cuts[i] = cut + 1
         else:
             # wall n crosses at t with base + t*speed = offset + spacing*n
             step = ExactNumber.of(fam.spacing) / speed

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 from .errors import MalformedInput
@@ -30,6 +31,15 @@ def sqrt3_sign(a: Union[int, Fraction], b: Union[int, Fraction]) -> int:
     # opposite signs: compare |a| with |b|*sqrt3 through squares
     lead = 1 if a > 0 else -1  # sign if the rational part dominates
     return lead if a * a > 3 * b * b else -lead
+
+
+def sqrt3_floor(p: int, q: int, d: int) -> int:
+    """floor((p + q*sqrt(3))/d) for integers with d != 0: q*sqrt(3) is
+    irrational unless q = 0, and a fraction f < 1 leaves (N + f) // d = N // d."""
+    if d < 0:
+        p, q, d = -p, -q, -d
+    root = isqrt(3 * q * q)
+    return (p + (root if q >= 0 else -root - 1)) // d
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,11 @@ class ExactNumber:
     def sign(self) -> int:
         """Sign of a + b*sqrt(3)."""
         return sqrt3_sign(self.a, self.b)
+
+    def floor(self) -> int:
+        """The greatest integer <= a + b*sqrt(3)."""
+        (p, d), (q, e) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
+        return sqrt3_floor(p * e, q * d, d * e)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Union
 
 from .chains import ChainFamily
-from .core import FinitePocSet
+from .core import FinitePocSet, check_pair_count, parse_handle
 from .errors import MalformedInput
 from .euclid import WallFamily, WallModel
 from .exactnum import parse_exact
@@ -82,13 +82,13 @@ def pocset_from_document(doc: dict) -> FinitePocSet:
         raise MalformedInput(f"pairs must be an integer, got {pairs!r}", pairs)
     if not isinstance(order, (list, tuple)):
         raise MalformedInput(f"order must be a list of pairs, got {order!r}", order)
-    probe = FinitePocSet.from_order_generators(pairs, [])
+    check_pair_count(pairs)  # before any name is resolved against it
     edges = []
     for entry in order:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise MalformedInput(f"order edges are pairs, got {entry!r}", entry)
         a, b = entry
-        edges.append((probe.handle(str(a)), probe.handle(str(b))))
+        edges.append((parse_handle(str(a), pairs), parse_handle(str(b), pairs)))
     return FinitePocSet.from_order_generators(pairs, edges)
 
 

@@ -15,7 +15,6 @@ separable L1 sweeps; nearest members are read off the rows.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -34,7 +33,7 @@ from .chains import (
 )
 from .errors import ChainCountMismatch, MalformedInput, NotPrincipal, PocError, WindowTooSmall
 from .euclid import WallModel, rho_image
-from .exactnum import ExactNumber, sqrt3_sign
+from .exactnum import ExactNumber, sqrt3_floor, sqrt3_sign
 
 Cuts = tuple[int, ...]
 Constraint = tuple[ExactNumber, ExactNumber, ExactNumber]  # ax*x + ay*y <= c
@@ -208,22 +207,21 @@ class ConsistencyOracle:
         """The last cuts c in [-bound, bound] that make head + (c,)
         consistent: one closed interval (lo, hi), or None.
 
-        Each form is linear in c with slope alpha_k + beta_k*sqrt3, so it
-        holds for every c, for none, or on a ray of c whose end a binary
-        search finds with exact sign tests.  The first form that empties
-        the row ends the search."""
+        Each form (a + da*c) + (b + db*c)*sqrt3 holds for every c, for none,
+        or on the ray of c beyond its root (p + q*sqrt3)/n, whose ceiling or
+        floor (`sqrt3_floor`) then bounds lo or hi.  The first form that
+        empties the row ends the solve."""
         lo, hi = -bound, bound
         point = (1, *head)  # the forms' last coefficients multiply c
         for alpha, beta in self.forms:
             a, b = sum(map(mul, alpha, point)), sum(map(mul, beta, point))
             da, db = alpha[-1], beta[-1]
+            p, q, n = 3 * b * db - a * da, a * db - b * da, da * da - 3 * db * db
             slope = sqrt3_sign(da, db)
-            # rises with c; the form holds where it is >= 0 (or <= 0 if slope < 0)
-            rising = lambda c: slope * sqrt3_sign(a + da * c, b + db * c)
             if slope > 0:
-                lo += bisect_left(range(lo, hi + 1), 0, key=rising)
+                lo = max(lo, -sqrt3_floor(-p, -q, n))
             elif slope < 0:
-                hi = lo - 1 + bisect_right(range(lo, hi + 1), 0, key=rising)
+                hi = min(hi, sqrt3_floor(p, q, n))
             elif sqrt3_sign(a, b) < 0:
                 return None
             if lo > hi:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,28 @@ def test_restrict():
     assert blob["restriction"]["merged_chain_count"] == 1
     assert blob["restriction"]["commutes"] is True
     assert blob["ends_incomparable"] is True
+
+
+@pytest.mark.parametrize("digits", [30, 400])
+def test_restrict_with_a_far_base(capsys, digits):
+    # the family with normal (√3/2, -1/2) is parallel to the line and reads
+    # b*√3/2 at the base (b, 0): its frozen cut is floor(b*√3/2) + 1
+    from pocsets.cli import main
+
+    b = 10**digits
+    argv = ["restrict", "FIX-HEX", "--direction=1,√3", f"--base={b},0", "--format", "structured"]
+    assert main(argv) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["restriction"]["trivial_cuts"] == {"2": isqrt(3 * b * b // 4) + 1}
+
+
+@pytest.mark.parametrize("command", ["cubing", "dual"])
+def test_enumeration_past_the_cap_is_refused(command):
+    # 2^15 ultrafilters: refused as the enumeration grows, not built
+    doc = Path(__file__).resolve().parent / "golden" / "free15.pocset.json"
+    proc = run_cli(command, str(doc), expect=1, timeout=60)
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["code"] == "malformed-input"
 
 
 def test_shadows_text_and_svg():

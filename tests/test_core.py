@@ -56,6 +56,47 @@ def test_dangling_handle_rejected():
         FinitePocSet.from_order_generators(1, [(0, 9)])
 
 
+def test_pair_count_above_the_cap_is_refused():
+    from pocsets import core
+    from pocsets.errors import MalformedInput
+
+    with pytest.raises(MalformedInput, match="above the cap"):
+        FinitePocSet.from_order_generators(core.MAX_PAIRS + 1, [])
+    with pytest.raises(MalformedInput, match="non-negative"):
+        FinitePocSet.from_order_generators(-1, [])
+
+
+def test_window_pocset_is_below_the_pair_cap():
+    from pocsets.chains import window_pocset
+
+    assert window_pocset(3, 6).n_pairs == 39
+
+
+def test_parse_handle_needs_only_the_pair_count():
+    from pocsets.core import parse_handle
+    from pocsets.errors import MalformedInput
+
+    p = FinitePocSet.from_order_generators(3, [])
+    for name in ("h1", "h3*", "0", "0*", " h2 "):
+        assert parse_handle(name, 3) == p.handle(name)
+    for bad in ("h4", "h0", "x", "h1**"):
+        with pytest.raises(MalformedInput):
+            parse_handle(bad, 3)
+
+
+def test_ultrafilter_enumeration_is_capped(monkeypatch):
+    from pocsets import core
+    from pocsets.errors import MalformedInput
+
+    monkeypatch.setattr(core, "MAX_ULTRAFILTERS", 4)
+    assert len(FinitePocSet.from_order_generators(2, []).ultrafilters()) == 4
+    # three nested pairs have four ultrafilters, three transverse ones eight
+    chain = FinitePocSet.from_order_generators(3, [(2, 0), (4, 2)])
+    assert len(chain.ultrafilters()) == 4
+    with pytest.raises(MalformedInput, match="more than 4 ultrafilters"):
+        FinitePocSet.from_order_generators(3, []).ultrafilters()
+
+
 def test_leq_matrix_checks_involution():
     # a relation with h1 <= h2 but without h2* <= h1* is not a poc-set
     m = 6

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -315,6 +316,22 @@ def test_chamber_cuts(z2, hexmodel):
     assert z2.chamber_cuts(vec(Fraction(1, 2), Fraction(7, 2))) == (1, 4)
     # chamber cut of the origin nudges onto the upper slab of every family
     assert hexmodel.chamber_cuts(vec(0, 0)) == (1, 1, 1)
+
+
+def test_chamber_cuts_on_a_wall(z2, hexmodel):
+    # on wall 1 of the first family and wall 2 of the second
+    assert z2.chamber_cuts(vec(1, 2)) == (2, 3)
+    assert z2.chamber_cuts(vec(1, Fraction(5, 2))) == (2, 3)
+    # (0, 3) lies on wall 3 of the family with normal (0, 1); the others read -3/2
+    assert hexmodel.chamber_cuts(vec(0, 3)) == (4, -1, -1)
+
+
+def test_chamber_cuts_far_away(hexmodel):
+    # at (10^30, 0) the two slanted families read -+10^30*sqrt3/2
+    far = 10**30
+    half = math.isqrt(3 * far**2 // 4)  # floor(10^30*sqrt3/2)
+    assert hexmodel.chamber_cuts(vec(far, 0)) == (1, -half, half + 1)
+    assert hexmodel.chamber_cuts(vec(-far, 0)) == (1, half + 1, -half)
 
 
 def test_rho_injective_on_critical_directions(z2, hexmodel):

@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pocsets.errors import MalformedInput
-from pocsets.exactnum import ExactNumber, SQRT3, format_exact, parse_exact, parse_exact_pair
+from pocsets.exactnum import (
+    ExactNumber,
+    SQRT3,
+    format_exact,
+    parse_exact,
+    parse_exact_pair,
+    sqrt3_floor,
+    sqrt3_sign,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -89,3 +99,50 @@ def test_parse_pair():
     x, y = parse_exact_pair("-1/2, √3/2")
     assert x == exact(Fraction(-1, 2))
     assert y == exact(0, Fraction(1, 2))
+
+
+def _assert_brackets(p, q, d):
+    # f <= (p + q*sqrt3)/d < f + 1, told by the signs of p - f*d + q*sqrt3
+    # and p - (f+1)*d + q*sqrt3 against the sign of d
+    f = sqrt3_floor(p, q, d)
+    s = 1 if d > 0 else -1
+    assert s * sqrt3_sign(p - f * d, q) >= 0
+    assert s * sqrt3_sign(p - (f + 1) * d, q) < 0
+
+
+def test_sqrt3_floor_brackets_small_values():
+    for p in range(-12, 13):
+        for q in range(-5, 6):
+            for d in (-7, -3, -2, -1, 1, 2, 3, 7):
+                _assert_brackets(p, q, d)
+
+
+@pytest.mark.parametrize("digits", [3, 30, 400])
+def test_sqrt3_floor_brackets_random_values(digits):
+    rng = random.Random(digits)
+    top = 10**digits
+    for _ in range(300):
+        p, q = rng.randrange(-top, top), rng.randrange(-top, top)
+        d = rng.choice((-1, 1)) * rng.randrange(1, top)
+        _assert_brackets(p, q, d)
+        _assert_brackets(p, 0, d)  # the rational case
+        _assert_brackets(d * p, 0, d)  # an exact multiple
+
+
+def test_floor_of_rationals():
+    assert exact(7).floor() == 7
+    assert exact(-7).floor() == -7
+    assert exact(Fraction(7, 2)).floor() == 3
+    assert exact(Fraction(-7, 2)).floor() == -4
+    assert exact(Fraction(-1, 3)).floor() == -1
+    assert exact(0).floor() == 0
+
+
+def test_floor_of_irrationals():
+    assert SQRT3.floor() == 1
+    assert (-SQRT3).floor() == -2
+    assert exact(Fraction(1, 2), Fraction(-1, 3)).floor() == -1  # 1/2 - 0.577..
+    assert exact(2, -1).floor() == 0  # 2 - sqrt3 = 0.267..
+    assert exact(0, 10**30).floor() == math.isqrt(3 * 10**60)
+    assert exact(0, -(10**30)).floor() == -math.isqrt(3 * 10**60) - 1
+

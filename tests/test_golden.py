@@ -22,6 +22,8 @@ REPORT = ("--windows", "3,5,7", "--length", "6")
 STRUCTURED = ("--format", "structured")
 # four pairs with h4 <= h1: two 3-cubes and a nested pair
 CUBE3 = str(GOLDEN / "cube3-nested.pocset.json")
+# fifteen pairs and no order, so every pair is transverse to every other
+FREE15 = str(GOLDEN / "free15.pocset.json")
 
 
 def malformed(command, case, *extra):
@@ -105,6 +107,10 @@ REFUSALS = {
     "malformed-pairs-float.err": malformed("validate", "pairs-float"),
     "malformed-pairs-bool.err": malformed("validate", "pairs-bool"),
     "malformed-pairs-string.err": malformed("validate", "pairs-string"),
+    # a pair count above core.MAX_PAIRS, refused before the order is closed
+    "malformed-pairs-over-cap.err": malformed("validate", "pairs-over-cap"),
+    # fifteen transverse pairs: 2^15 ultrafilters, past core.MAX_ULTRAFILTERS
+    "ultrafilters-over-cap.err": ("ultrafilters", FREE15),
 }
 
 

@@ -287,14 +287,15 @@ def test_field_matches_bfs_on_generated_models():
     assert 0 in sizes and min(s for s in sizes if s) < 10 < max(sizes)
 
 
-def test_shadows_module_uses_no_float():
+@pytest.mark.parametrize("module", ["shadows", "euclid"])
+def test_module_uses_no_float(module):
     # floating point must never enter a predicate, not even to speed up the
-    # row solver; the name float and float literals are both refused
+    # row solver or to seed a rounding; the name float and float literals
+    # are both refused
     import ast
+    import importlib
 
-    import pocsets.shadows
-
-    tree = ast.parse(inspect.getsource(pocsets.shadows))
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"pocsets.{module}")))
     names = [n.id for n in ast.walk(tree) if isinstance(n, ast.Name)]
     literals = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is float]
     assert "float" not in names and not literals
