@@ -14,7 +14,12 @@ from itertools import combinations
 from typing import Optional
 
 from .core import FinitePocSet, Ultrafilter, is_star, pair_of
-from .errors import DegenerateWall, NotIsomorphic
+from .errors import DegenerateWall, MalformedInput, NotIsomorphic
+
+# the most cubes of dimension >= 2 `build_cubing` lists; n pairwise
+# transverse pairs have 3^n - 2^n - n*2^(n-1) of them (52,905 at n = 10,
+# 163,835 at n = 11), so the build is refused as it grows past this
+MAX_CUBES = 10**5
 
 
 @dataclass(frozen=True)
@@ -142,22 +147,39 @@ def build_cubing(p: FinitePocSet) -> CubeComplex:
     the cube on each transverse subset of them.  Vertices come in
     lexicographic sign order, so raising an earlier pair reaches a later
     vertex, and taking the pairs last to first lists the edges sorted.
+    Refused once more than `MAX_CUBES` cubes of dimension >= 2 are found.
     """
     vertices = p.ultrafilters()
     index = {u.signs: i for i, u in enumerate(vertices)}
     edges = []
     cubes: dict[int, list[Cube]] = {}
+    found = 0
     for i, u in enumerate(vertices):
         plain = [a for a in p.min_set(u) if not is_star(a)]
         for a in reversed(plain):
             signs = list(u.signs)
             signs[pair_of(a)] = 1
             edges.append((i, index[tuple(signs)], pair_of(a)))
-        for d in range(2, len(plain) + 1):
-            for sub in combinations(plain, d):
-                if all(p.transverse(x, y) for x, y in combinations(sub, 2)):
-                    cubes.setdefault(d, []).append(Cube(i, tuple(map(pair_of, sub))))
+        for sub in _transverse_subsets(p, (), plain):
+            cubes.setdefault(len(sub), []).append(Cube(i, tuple(map(pair_of, sub))))
+            found += 1
+        if found > MAX_CUBES:
+            raise MalformedInput(f"more than {MAX_CUBES} cubes to build", p.n_pairs)
     return CubeComplex(p, vertices, edges, cubes)
+
+
+def _transverse_subsets(p: FinitePocSet, sub: tuple, later: list):
+    """The tuples of two or more pairwise transverse elements that extend
+    `sub` by elements of `later` (each transverse to all of `sub`), in
+    lexicographic order.  Only elements transverse to the whole tuple are
+    tried, so the work follows the tuples listed, not every subset."""
+    for j, x in enumerate(later):
+        grown = sub + (x,)
+        if len(grown) >= 2:
+            yield grown
+        rest = [y for y in later[j + 1 :] if p.transverse(x, y)]
+        if rest:
+            yield from _transverse_subsets(p, grown, rest)
 
 
 def extract_halfspaces(c: CubeComplex) -> FinitePocSet:

@@ -358,6 +358,10 @@ def closure_check(model: WallModel) -> ClosureReport:
     """
     image = rho_image(model)
     in_image = {e.signature for e in image.entries}
+    # arc endpoints are critical directions, whose classes the image holds
+    point_class = {
+        f.direction: e.signature for e in image.entries for f in e.fibers if f.kind == "point"
+    }
     entries = []
     first_violation = None
     codim1_closed = True
@@ -369,8 +373,8 @@ def closure_check(model: WallModel) -> ClosureReport:
         closure_classes = {e.signature}
         for fiber in e.fibers:
             if fiber.kind == "arc":
-                closure_classes.add(rho(model, fiber.start))
-                closure_classes.add(rho(model, fiber.end))
+                closure_classes.add(point_class[fiber.start])
+                closure_classes.add(point_class[fiber.end])
         closure_sorted = sorted(closure_classes, key=lambda s: s.ends)
         ok = closure_sorted == below
         if not ok and first_violation is None:
@@ -492,7 +496,7 @@ def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
 
 def _integer_multiple(diff: ExactNumber, step: ExactNumber) -> bool:
     ratio = diff / step
-    return ratio.is_rational() and ratio.a.denominator == 1
+    return ratio.q == 0 and ratio.d == 1
 
 
 def line_end_incomparability(model: WallModel, line: Line) -> bool:

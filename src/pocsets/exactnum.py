@@ -1,16 +1,16 @@
 """Exact arithmetic in the field of numbers a + b*sqrt(3) with rational a, b.
 
-Covers every shipped wall normal (multiples of 30 degrees); comparisons are
-decided by rational sign computations, so no floating point ever enters a
-geometric predicate.
+Covers every shipped wall normal (multiples of 30 degrees).  A number is
+held as integers (p + q*sqrt(3))/d in lowest terms, so each operation is a
+few integer products and one gcd, and comparisons are decided by integer
+sign computations: no floating point ever enters a geometric predicate.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 from .errors import MalformedInput
@@ -42,89 +42,111 @@ def sqrt3_floor(p: int, q: int, d: int) -> int:
     return (p + (root if q >= 0 else -root - 1)) // d
 
 
-@dataclass(frozen=True)
 class ExactNumber:
-    a: Fraction
-    b: Fraction = Fraction(0)
+    """(p + q*sqrt(3))/d as ints in lowest terms (d > 0, gcd(p, q, d) = 1),
+    so zero is (0, 0, 1) and equal numbers have equal triples.  Built from
+    rationals a and b as a + b*sqrt(3).  The triple is the hash, so only
+    `_reduced` sets it and nothing changes it afterwards."""
+
+    __slots__ = ("p", "q", "d")
+
+    def __new__(cls, a: Union[int, Fraction], b: Union[int, Fraction] = 0):
+        if not isinstance(a, (int, Fraction)) or not isinstance(b, (int, Fraction)):
+            raise TypeError(f"ExactNumber needs int or Fraction parts, got {a!r}, {b!r}")
+        (m, n), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
+        return _reduced(m * s, r * n, n * s)
 
     # ------------------------------------------------------------------
     @staticmethod
     def of(value: Rationalish) -> "ExactNumber":
-        if isinstance(value, ExactNumber):
+        if type(value) is ExactNumber:
             return value
-        return ExactNumber(Fraction(value))
+        if type(value) is int:
+            return _reduced(value, 0, 1)
+        return ExactNumber(value)
 
     def __add__(self, other: Rationalish) -> "ExactNumber":
-        o = ExactNumber.of(other)
-        return ExactNumber(self.a + o.a, self.b + o.b)
+        return _reduced(*_sum(self, ExactNumber.of(other), 1))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactNumber":
-        return ExactNumber(-self.a, -self.b)
+        return _reduced(-self.p, -self.q, self.d)
 
     def __sub__(self, other: Rationalish) -> "ExactNumber":
-        return self + (-ExactNumber.of(other))
+        return _reduced(*_sum(self, ExactNumber.of(other), -1))
 
     def __rsub__(self, other: Rationalish) -> "ExactNumber":
-        return ExactNumber.of(other) + (-self)
+        return ExactNumber.of(other) - self
 
     def __mul__(self, other: Rationalish) -> "ExactNumber":
         o = ExactNumber.of(other)
-        return ExactNumber(
-            self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a
-        )
+        p, q, r, s = self.p, self.q, o.p, o.q
+        return _reduced(p * r + 3 * q * s, p * s + q * r, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Rationalish) -> "ExactNumber":
         o = ExactNumber.of(other)
-        # 1/(a+b*sqrt3) = (a-b*sqrt3)/(a^2-3b^2); sqrt3 is irrational, so the
-        # denominator vanishes only at zero
-        norm = o.a * o.a - 3 * o.b * o.b
+        # 1/((r+s*sqrt3)/e) = e*(r-s*sqrt3)/(r^2-3s^2); sqrt3 is irrational,
+        # so the norm vanishes only at zero
+        r, s, e = o.p, o.q, o.d
+        norm = r * r - 3 * s * s
         if norm == 0:
             raise ZeroDivisionError("division by zero ExactNumber")
-        return self * ExactNumber(o.a / norm, -o.b / norm)
+        if norm < 0:
+            r, s, norm = -r, -s, -norm
+        p, q = self.p, self.q
+        return _reduced((p * r - 3 * q * s) * e, (q * r - p * s) * e, self.d * norm)
 
     def __rtruediv__(self, other: Rationalish) -> "ExactNumber":
         return ExactNumber.of(other) / self
 
     # ------------------------------------------------------------------
     def sign(self) -> int:
-        """Sign of a + b*sqrt(3)."""
-        return sqrt3_sign(self.a, self.b)
+        """Sign of (p + q*sqrt(3))/d, which is that of p + q*sqrt(3)."""
+        return sqrt3_sign(self.p, self.q)
 
     def floor(self) -> int:
-        """The greatest integer <= a + b*sqrt(3)."""
-        (p, d), (q, e) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
-        return sqrt3_floor(p * e, q * d, d * e)
+        """The greatest integer <= (p + q*sqrt(3))/d."""
+        return sqrt3_floor(self.p, self.q, self.d)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
+        return self.p == 0 and self.q == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ExactNumber:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.d))
+
+    def _cmp(self, other: Rationalish) -> int:
+        p, q, _ = _sum(self, ExactNumber.of(other), -1)
+        return sqrt3_sign(p, q)  # the denominator is positive
+
     def __lt__(self, other: Rationalish) -> bool:
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other: Rationalish) -> bool:
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other: Rationalish) -> bool:
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other: Rationalish) -> bool:
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __abs__(self) -> "ExactNumber":
         return -self if self.sign() < 0 else self
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 3**0.5
+        # both quotients correctly rounded, as float(Fraction) gives them
+        return self.p / self.d + (self.q / self.d) * 3**0.5
 
     # ------------------------------------------------------------------
     def __str__(self) -> str:
@@ -134,34 +156,44 @@ class ExactNumber:
         return f"ExactNumber({format_exact(self)!r})"
 
 
-ZERO = ExactNumber(Fraction(0))
-ONE = ExactNumber(Fraction(1))
-SQRT3 = ExactNumber(Fraction(0), Fraction(1))
+def _reduced(p: int, q: int, d: int) -> ExactNumber:
+    """(p + q*sqrt(3))/d for d > 0, divided through by gcd(p, q, d)."""
+    x, g = object.__new__(ExactNumber), gcd(p, q, d)
+    x.p, x.q, x.d = p // g, q // g, d // g
+    return x
 
 
-def _format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _sum(x: ExactNumber, y: ExactNumber, sign: int) -> tuple[int, int, int]:
+    """x + sign*y as (p, q, d), over d = x.d * y.d and not yet reduced."""
+    d, e = x.d, y.d
+    return x.p * e + sign * y.p * d, x.q * e + sign * y.q * d, d * e
+
+
+ZERO = ExactNumber(0)
+ONE = ExactNumber(1)
+SQRT3 = ExactNumber(0, 1)
+
+
+def _format_ratio(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def format_exact(x: ExactNumber) -> str:
     """Canonical literal: "a", "b√3" or "a+b√3" (minus signs folded in)."""
-    if x.b == 0:
-        return _format_fraction(x.a)
-    if x.b == 1:
-        root = "√3"
-    elif x.b == -1:
-        root = "-√3"
-    elif x.b.denominator == 1:
-        root = f"{x.b.numerator}√3"
+    if x.q == 0:
+        return _format_ratio(x.p, x.d)
+    g = gcd(x.q, x.d)
+    num, den = x.q // g, x.d // g  # b = num/den in lowest terms, den > 0
+    if den == 1:
+        root = "√3" if num == 1 else "-√3" if num == -1 else f"{num}√3"
     else:
-        sign = "-" if x.b < 0 else ""
-        mag = abs(x.b)
-        head = "" if mag.numerator == 1 else str(mag.numerator)
-        root = f"{sign}{head}√3/{mag.denominator}"
-    if x.a == 0:
+        head = "" if abs(num) == 1 else str(abs(num))
+        root = f"{'-' if num < 0 else ''}{head}√3/{den}"
+    if x.p == 0:
         return root
     joiner = "" if root.startswith("-") else "+"
-    return _format_fraction(x.a) + joiner + root
+    return _format_ratio(x.p, x.d) + joiner + root
 
 
 _TERM_RE = re.compile(
@@ -201,7 +233,7 @@ def parse_exact(text: str) -> ExactNumber:
             coef = Fraction(coef_text)
         if m.group("den"):
             coef /= Fraction(m.group("den"))
-        total = total + (ExactNumber(Fraction(0), coef) if m.group("root") else ExactNumber(coef))
+        total = total + (ExactNumber(0, coef) if m.group("root") else ExactNumber(coef))
     return total
 
 

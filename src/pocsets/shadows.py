@@ -152,9 +152,8 @@ def _eliminate_first(rows: list[tuple[Form, Form]]) -> list[tuple[Form, Form]]:
 def _integer_form(rhs: Form) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """rhs as coprime integer vectors (alpha, beta) with rhs(c) a positive
     multiple of alpha . (1, c) + (beta . (1, c))*sqrt3."""
-    rationals = [x.a for x in rhs] + [x.b for x in rhs]
-    scale = lcm(*(q.denominator for q in rationals))
-    ints = [int(q * scale) for q in rationals]
+    scale = lcm(*(x.d for x in rhs))
+    ints = [x.p * (scale // x.d) for x in rhs] + [x.q * (scale // x.d) for x in rhs]
     g = gcd(*ints) or 1
     ints = [v // g for v in ints]
     return tuple(ints[: len(rhs)]), tuple(ints[len(rhs) :])

@@ -6,9 +6,25 @@ from itertools import combinations
 import pytest
 
 from pocsets.core import FinitePocSet, pair_of
-from pocsets.cubing import build_cubing, duality_roundtrip, extract_halfspaces
+from pocsets import cubing
+from pocsets.cubing import MAX_CUBES, build_cubing, duality_roundtrip, extract_halfspaces
+from pocsets.errors import MalformedInput
 
 from conftest import brute_force_ultrafilters, random_pocset
+
+
+def test_ten_free_pairs_fit_the_cube_budget():
+    # n transverse pairs have 3^n - 2^n - n*2^(n-1) cubes of dimension >= 2;
+    # eleven are refused (tests/golden/cubing-over-cap.err)
+    c = build_cubing(FinitePocSet.from_order_generators(10, []))
+    assert sum(len(cs) for cs in c.cubes.values()) == 52905 <= MAX_CUBES
+
+
+def test_cube_budget_is_checked_as_cubes_are_found(monkeypatch):
+    monkeypatch.setattr(cubing, "MAX_CUBES", 3)
+    assert build_cubing(FinitePocSet.from_order_generators(2, [])).square_count == 1
+    with pytest.raises(MalformedInput, match="more than 3 cubes"):
+        build_cubing(FinitePocSet.from_order_generators(3, []))  # six squares, one 3-cube
 
 
 def test_line3_is_a_path(fix_line3):
@@ -38,6 +54,25 @@ def test_tripod_is_a_star(fix_tripod):
         degrees[i] += 1
         degrees[j] += 1
     assert sorted(degrees) == [1, 1, 1, 3]
+
+
+def test_a_star_of_many_leaves_tries_no_subsets(monkeypatch):
+    # h_i* < h_j for all i != j: n + 1 vertices, and the centre's n plain
+    # minimal elements are pairwise nested, so no subset of them is a cube
+    # and none should be tried (there are 2^40)
+    n = 40
+    star_order = [(2 * i + 1, 2 * j) for i in range(n) for j in range(n) if i != j]
+    p = FinitePocSet.from_order_generators(n, star_order)
+    transverse, calls = FinitePocSet.transverse, []
+
+    def counted(self, h, k):
+        calls.append((h, k))
+        assert len(calls) <= n * n, "transversality tested past n^2 times"
+        return transverse(self, h, k)
+
+    monkeypatch.setattr(FinitePocSet, "transverse", counted)
+    c = build_cubing(p)
+    assert (len(c.vertices), len(c.edges), c.cubes) == (n + 1, n, {})
 
 
 def test_cube_count_equals_transverse_subsets_random():

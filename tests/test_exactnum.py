@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pocsets.errors import MalformedInput
+from pocsets.euclid import WallFamily
 from pocsets.exactnum import (
     ExactNumber,
     SQRT3,
@@ -146,3 +149,209 @@ def test_floor_of_irrationals():
     assert exact(0, 10**30).floor() == math.isqrt(3 * 10**60)
     assert exact(0, -(10**30)).floor() == -math.isqrt(3 * 10**60) - 1
 
+
+
+# ---------------------------------------------------------------------------
+# differential test against the Fraction-pair formulas
+
+
+@dataclass(frozen=True)
+class FractionPair:
+    """a + b*sqrt(3) as two Fractions: the formulas ExactNumber used before
+    it held integer triples, kept as a reference."""
+
+    a: Fraction
+    b: Fraction = Fraction(0)
+
+    @staticmethod
+    def of(value):
+        return value if isinstance(value, FractionPair) else FractionPair(Fraction(value))
+
+    def __add__(self, other):
+        o = FractionPair.of(other)
+        return FractionPair(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPair(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + (-FractionPair.of(other))
+
+    def __rsub__(self, other):
+        return FractionPair.of(other) + (-self)
+
+    def __mul__(self, other):
+        o = FractionPair.of(other)
+        return FractionPair(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = FractionPair.of(other)
+        norm = o.a * o.a - 3 * o.b * o.b
+        if norm == 0:
+            raise ZeroDivisionError("division by zero FractionPair")
+        return self * FractionPair(o.a / norm, -o.b / norm)
+
+    def __rtruediv__(self, other):
+        return FractionPair.of(other) / self
+
+    def sign(self):
+        return sqrt3_sign(self.a, self.b)
+
+    def floor(self):
+        (p, d), (q, e) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
+        return sqrt3_floor(p * e, q * d, d * e)
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * 3**0.5
+
+    def __str__(self):
+        def fraction(q):
+            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+        if self.b == 0:
+            return fraction(self.a)
+        if self.b == 1:
+            root = "√3"
+        elif self.b == -1:
+            root = "-√3"
+        elif self.b.denominator == 1:
+            root = f"{self.b.numerator}√3"
+        else:
+            mag = abs(self.b)
+            head = "" if mag.numerator == 1 else str(mag.numerator)
+            root = f"{'-' if self.b < 0 else ''}{head}√3/{mag.denominator}"
+        if self.a == 0:
+            return root
+        return fraction(self.a) + ("" if root.startswith("-") else "+") + root
+
+
+wide = st.integers(min_value=-(10**30), max_value=10**30)
+coefficients = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    rationals,
+    st.builds(Fraction, wide, st.integers(min_value=1, max_value=10**30)),
+)
+# (ExactNumber, FractionPair) of one value
+numbers = st.builds(
+    lambda a, b: (ExactNumber(a, b), FractionPair(a, b)), coefficients, coefficients
+)
+# a right operand: the same pair, or a plain int or Fraction for both sides
+plain = st.one_of(st.integers(-6, 6), wide, rationals, coefficients)
+operands = numbers | plain.map(lambda v: (v, v))
+
+
+def assert_canonical(x: ExactNumber) -> None:
+    assert all(type(v) is int for v in (x.p, x.q, x.d))
+    assert x.d > 0 and math.gcd(x.p, x.q, x.d) == 1
+    if x.p == x.q == 0:
+        assert (x.p, x.q, x.d) == (0, 0, 1)
+
+
+def assert_agrees(x: ExactNumber, ref: FractionPair) -> None:
+    assert_canonical(x)
+    assert (Fraction(x.p, x.d), Fraction(x.q, x.d)) == (ref.a, ref.b)
+    assert x.sign() == ref.sign() and x.floor() == ref.floor()
+    assert float(x) == float(ref)
+    assert format_exact(x) == str(ref)
+
+
+ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@given(numbers, operands, st.sampled_from(ARITHMETIC), st.booleans())
+def test_arithmetic_agrees_with_fraction_pairs(x, y, op, swap):
+    (x, rx), (y, ry) = x, y
+    if swap:  # a plain left operand goes through the reflected method
+        x, y, rx, ry = y, x, ry, rx
+    try:
+        expect = op(rx, ry)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(x, y)
+        return
+    assert_agrees(op(x, y), expect)
+
+
+@given(numbers, operands)
+def test_unary_and_comparisons_agree_with_fraction_pairs(x, y):
+    (x, rx), (y, ry) = x, y
+    assert_agrees(x, rx)
+    assert_agrees(-x, -rx)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
+        assert op(x, y) == op(rx, ry)
+        assert op(y, x) == op(ry, rx)
+
+
+@given(numbers, numbers)
+def test_equal_values_hash_equal(x, y):
+    (x, _), (y, _) = x, y
+    routes = [
+        (x + y) - y,
+        ExactNumber(Fraction(x.p, x.d), Fraction(x.q, x.d)),
+        -(-x),
+        1 * x + 0,
+        parse_exact(format_exact(x)),
+    ]
+    if y:
+        routes += [x * y / y, (x / y) * y]
+    for other in routes:
+        assert other == x and hash(other) == hash(x)
+    # wall families and models are frozen dataclasses hashed through their normals
+    if x or y:
+        first = WallFamily((x, y))
+        second = WallFamily(((x + y) - y, y * 2 / 2), Fraction(2, 2))
+        assert first == second and hash(first) == hash(second)
+
+
+@pytest.mark.parametrize("bad", [None, "1", 0.5])
+def test_an_operand_that_is_not_rational_is_a_type_error(bad):
+    x = exact(1, 1)
+    for use in (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt):
+        with pytest.raises(TypeError):
+            use(x, bad)
+    with pytest.raises(TypeError):
+        ExactNumber.of(bad)
+    assert x != bad
+
+
+def test_only_reduced_sets_the_triple():
+    # ExactNumber is hashed by (p, q, d) and held in sets and as dict keys,
+    # so its slots are set once, by exactnum._reduced, and never reassigned
+    # or deleted (a refusing __setattr__ would slow every operation)
+    import ast
+    import pathlib
+
+    import pocsets
+
+    writes = []
+    for path in sorted(pathlib.Path(pocsets.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "exactnum.py":
+            (reduced,) = [n for n in tree.body if getattr(n, "name", "") == "_reduced"]
+            tree.body.remove(reduced)
+        writes += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            and n.attr in ExactNumber.__slots__
+            and not isinstance(n.ctx, ast.Load)
+        ]
+    assert writes == []
+    x = exact(1, 1)
+    assert (x.p, x.q, x.d) == (1, 1, 1) and not hasattr(x, "__dict__")

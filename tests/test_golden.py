@@ -24,6 +24,8 @@ STRUCTURED = ("--format", "structured")
 CUBE3 = str(GOLDEN / "cube3-nested.pocset.json")
 # fifteen pairs and no order, so every pair is transverse to every other
 FREE15 = str(GOLDEN / "free15.pocset.json")
+# eleven transverse pairs: 2^11 ultrafilters, but 163,835 cubes of dimension >= 2
+FREE11 = str(GOLDEN / "free11.pocset.json")
 
 
 def malformed(command, case, *extra):
@@ -111,6 +113,9 @@ REFUSALS = {
     "malformed-pairs-over-cap.err": malformed("validate", "pairs-over-cap"),
     # fifteen transverse pairs: 2^15 ultrafilters, past core.MAX_ULTRAFILTERS
     "ultrafilters-over-cap.err": ("ultrafilters", FREE15),
+    # past cubing.MAX_CUBES, refused as the cubes are listed
+    "cubing-over-cap.err": ("cubing", FREE11),
+    "dual-over-cap.err": ("dual", FREE11),
 }
 
 
