@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import FinitePocSet
 from .errors import (
@@ -352,22 +352,27 @@ def flow_step(s: Signature, u: ChainUltrafilter) -> ChainUltrafilter:
     return ChainUltrafilter(tuple(cuts))
 
 
+def flow_cuts(s: Signature, cuts: tuple[int, ...], flips: int) -> Iterator[tuple[int, ...]]:
+    """The canonical flow expanded into single elementary moves, cycling the
+    non-Fin chains in index order, on plain cut tuples: yields ``cuts`` and
+    then one tuple per move, flips+1 in all (only ``cuts`` for the principal
+    class).  The walk is geodesic (each wall crossed once)."""
+    yield cuts
+    active = [i for i, e in enumerate(s.ends) if e != FIN]
+    if not active:
+        return
+    point = list(cuts)
+    for step in range(flips):
+        i = active[step % len(active)]
+        point[i] += s.ends[i]
+        yield tuple(point)
+
+
 def flow_flip_sequence(
     s: Signature, start: ChainUltrafilter, flips: int
 ) -> list[ChainUltrafilter]:
-    """The canonical flow expanded into single elementary moves, cycling the
-    non-Fin chains in index order.  Returns flips+1 points starting at
-    ``start``; the walk is geodesic (each wall crossed once)."""
-    active = [i for i, e in enumerate(s.ends) if e != FIN]
-    points = [start]
-    cuts = list(start.int_cuts())
-    if not active:
-        return points
-    for step in range(flips):
-        i = active[step % len(active)]
-        cuts[i] += 1 if s.ends[i] == PLUS else -1
-        points.append(ChainUltrafilter(tuple(cuts)))
-    return points
+    """The points of `flow_cuts` from ``start`` as ultrafilters."""
+    return [ChainUltrafilter(c) for c in flow_cuts(s, start.int_cuts(), flips)]
 
 
 def average_sequence(

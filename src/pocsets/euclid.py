@@ -120,6 +120,12 @@ class WallModel:
 
         return ConsistencyOracle(self)
 
+    @cached_property
+    def image(self) -> "ImageReport":
+        """The image of rho (see `rho_image`), built on first use; not a
+        field, so equality and hashing ignore it."""
+        return _build_image(self)
+
     def chamber_cuts(self, point: Vec) -> tuple[int, ...]:
         """Cut coordinates of the chamber of a generic point: chain i takes
         the c with n_i . p in the slab [level(c-1), level(c)), so a point on
@@ -211,16 +217,16 @@ class ArcFiber:
         return normalize(mid)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImageEntry:
     signature: Signature
-    fibers: list
+    fibers: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImageReport:
-    entries: list[ImageEntry]
-    critical_directions: list[Vec]
+    entries: tuple[ImageEntry, ...]
+    critical_directions: tuple[Vec, ...]
     uniform: bool
     warning: Optional[str] = None
 
@@ -261,13 +267,21 @@ def _vec_json(v: Vec) -> list[str]:
 def rho_image(model: WallModel) -> ImageReport:
     """Partition of the circle into critical directions (perpendicular to
     some family) and the open arcs between consecutive ones, with the class
-    realized on each piece; at most 4d classes for d wall directions."""
-    uniform, reason = model.is_uniform()
-    if not uniform:
+    realized on each piece; at most 4d classes for d wall directions.
+
+    Built once per model and kept as `WallModel.image`; a non-uniform model
+    warns on every call."""
+    image = model.image
+    if not image.uniform:
         warnings.warn(
-            f"model is not uniform ({reason}); rho may take the principal class",
+            f"model is not uniform ({image.warning}); rho may take the principal class",
             NonUniformModelWarning,
         )
+    return image
+
+
+def _build_image(model: WallModel) -> ImageReport:
+    uniform, reason = model.is_uniform()
     criticals: list[Vec] = []
     for fam in model.families:
         for cand in (perp(fam.normal), perp(negate(fam.normal))):
@@ -275,23 +289,17 @@ def rho_image(model: WallModel) -> ImageReport:
             if not any(same_direction(c, d) for d in criticals):
                 criticals.append(c)
     criticals.sort(key=cmp_to_key(angular_cmp))
-    entries: dict[Signature, ImageEntry] = {}
-
-    def record(signature: Signature, fiber) -> None:
-        entries.setdefault(signature, ImageEntry(signature, [])).fibers.append(fiber)
-
+    fibers: dict[Signature, list] = {}
     if not criticals:
         raise MalformedInput("a wall model needs at least one family", model)
     # perpendiculars come in antipodal pairs, so there are at least two
     # critical directions and every gap is at most a half circle
     for i, c in enumerate(criticals):
-        record(rho(model, c), PointFiber(c))
+        fibers.setdefault(rho(model, c), []).append(PointFiber(c))
         arc = ArcFiber(c, criticals[(i + 1) % len(criticals)])
-        record(rho(model, arc.representative()), arc)
-    report = ImageReport(
-        list(entries.values()), criticals, uniform, None if uniform else reason
-    )
-    return report
+        fibers.setdefault(rho(model, arc.representative()), []).append(arc)
+    entries = tuple(ImageEntry(s, tuple(fs)) for s, fs in fibers.items())
+    return ImageReport(entries, tuple(criticals), uniform, reason)
 
 
 def safe_components(signatures: Sequence[Signature]) -> list[list[Signature]]:

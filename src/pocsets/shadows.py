@@ -16,6 +16,7 @@ separable L1 sweeps; nearest members are read off the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -27,11 +28,11 @@ from .chains import (
     ChainUltrafilter,
     Signature,
     all_signatures,
-    flow_flip_sequence,
+    flow_cuts,
     format_signature,
     min_set,
 )
-from .errors import ChainCountMismatch, MalformedInput, NotPrincipal, PocError, WindowTooSmall
+from .errors import ChainCountMismatch, MalformedInput, NotPrincipal, WindowTooSmall
 from .euclid import WallModel, rho_image
 from .exactnum import ExactNumber, sqrt3_floor, sqrt3_sign
 
@@ -129,34 +130,38 @@ def _wrong_length(k: int, cuts: Cuts) -> ChainCountMismatch:
     return ChainCountMismatch(f"{cuts} has {len(cuts)} cuts, the model has {k} chains", cuts)
 
 
-Form = tuple[ExactNumber, ...]  # affine in the cuts: form[0] + sum form[1+i]*c_i
+Surd = tuple[int, int]  # a + b*sqrt3 as (a, b)
+Form = tuple[Surd, ...]  # affine in the cuts: form[0] + sum form[1+i]*c_i
 
 
-def _combine(p: ExactNumber, f: Form, q: ExactNumber, g: Form) -> Form:
-    return tuple(p * x + q * y for x, y in zip(f, g))
+def _combine(p: Surd, f: Form, q: Surd, g: Form) -> Form:
+    (a, b), (c, d) = p, q
+    return tuple(
+        (a * x + 3 * b * y + c * z + 3 * d * w, a * y + b * x + c * w + d * z)
+        for (x, y), (z, w) in zip(f, g)
+    )
 
 
 def _eliminate_first(rows: list[tuple[Form, Form]]) -> list[tuple[Form, Form]]:
     """One Fourier-Motzkin step on rows (coefs, rhs), each meaning
     coefs . v <= rhs(c): the rows that no longer mention v[0]."""
-    ups = [r for r in rows if r[0][0].sign() > 0]
-    downs = [r for r in rows if r[0][0].sign() < 0]
-    out = [(coefs[1:], rhs) for coefs, rhs in rows if coefs[0].sign() == 0]
+    signs = [sqrt3_sign(*coefs[0]) for coefs, _ in rows]
+    ups = [r for r, s in zip(rows, signs) if s > 0]
+    downs = [r for r, s in zip(rows, signs) if s < 0]
+    out = [(coefs[1:], rhs) for (coefs, rhs), s in zip(rows, signs) if s == 0]
     for cu, ru in ups:
         for cd, rd in downs:
             # positive multipliers that cancel v[0]
-            out.append((_combine(-cd[0], cu, cu[0], cd)[1:], _combine(-cd[0], ru, cu[0], rd)))
+            minus = (-cd[0][0], -cd[0][1])
+            out.append((_combine(minus, cu, cu[0], cd)[1:], _combine(minus, ru, cu[0], rd)))
     return out
 
 
 def _integer_form(rhs: Form) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """rhs as coprime integer vectors (alpha, beta) with rhs(c) a positive
     multiple of alpha . (1, c) + (beta . (1, c))*sqrt3."""
-    scale = lcm(*(x.d for x in rhs))
-    ints = [x.p * (scale // x.d) for x in rhs] + [x.q * (scale // x.d) for x in rhs]
-    g = gcd(*ints) or 1
-    ints = [v // g for v in ints]
-    return tuple(ints[: len(rhs)]), tuple(ints[len(rhs) :])
+    g = gcd(*(x for pair in rhs for x in pair)) or 1
+    return tuple(a // g for a, _ in rhs), tuple(b // g for _, b in rhs)
 
 
 class ConsistencyOracle:
@@ -177,12 +182,17 @@ class ConsistencyOracle:
         k = self.k = model.k
         rows = []
         for i, fam in enumerate(model.families):
+            # both rows times a positive integer that clears every denominator
             nx, ny = fam.normal
-            top = [ExactNumber.of(0)] * (k + 1)  # n.p <= o + s*c_i
-            top[0], top[1 + i] = ExactNumber.of(fam.offset), ExactNumber.of(fam.spacing)
-            bottom = [-x for x in top]  # -n.p <= -(o + s*(c_i - 1))
-            bottom[0] += fam.spacing
-            rows += [((nx, ny), tuple(top)), ((-nx, -ny), tuple(bottom))]
+            o, s = fam.offset, fam.spacing
+            scale = lcm(nx.d, ny.d, o.denominator, s.denominator)
+            normal = tuple((x.p * (scale // x.d), x.q * (scale // x.d)) for x in (nx, ny))
+            o, s = (r.numerator * (scale // r.denominator) for r in (o, s))
+            top = [(0, 0)] * (k + 1)  # n.p <= o + s*c_i
+            top[0], top[1 + i] = (o, 0), (s, 0)
+            bottom = [(-a, -b) for a, b in top]  # -n.p <= -(o + s*(c_i - 1))
+            bottom[0] = (s - o, 0)
+            rows += [(normal, tuple(top)), (tuple((-a, -b) for a, b in normal), tuple(bottom))]
         forms = set()
         for _, rhs in _eliminate_first(_eliminate_first(rows)):
             alpha, beta = _integer_form(rhs)
@@ -307,7 +317,12 @@ class WindowField:
     members: list[Cuts]  # never empty, lexicographic
     distance_table: list[int]
     rows: list[Row]
-    start: Cuts  # least L1 norm, then least lexicographically
+
+    @cached_property
+    def start(self) -> Cuts:
+        """The member of least L1 norm, then least lexicographically: the
+        first member nearest the origin."""
+        return self.argmin((0,) * len(self.members[0]))[0]
 
     def interior(self, cuts: Cuts) -> bool:
         return all(abs(c) < self.bound for c in cuts)
@@ -371,8 +386,7 @@ def window_field(model: WallModel, bound: int) -> WindowField:
             table += [*range(lo + bound, 0, -1), *[0] * (hi - lo + 1), *range(1, bound - hi + 1)]
     for axis in range(1, model.k):
         _sweep(table, n, n**axis)
-    start = min(members, key=lambda m: (sum(map(abs, m)), m))
-    field = fields[bound] = WindowField(bound, members, table, rows, start)
+    field = fields[bound] = WindowField(bound, members, table, rows)
     return field
 
 
@@ -583,12 +597,13 @@ def escaping_ray(
             f"target {format_signature(target)} has {target.k} chains, the model has {model.k}",
             format_signature(target),
         )
+    if length < 0:
+        raise MalformedInput("ray length must be >= 0", length)
     f = window_field(model, window)
-    start = canonical_start(model, window)
-    points = flow_flip_sequence(target, start, length)
+    # lazily, so a long ray is refused at its first point outside the window
     steps = [
-        RayStep(i, p.int_cuts(), f.distance(p.int_cuts()))
-        for i, p in enumerate(points)
+        RayStep(i, cuts, f.distance(cuts))
+        for i, cuts in enumerate(flow_cuts(target, f.start, length))
     ]
     dists = [s.dist for s in steps]
     if all(d == 0 for d in dists):
@@ -606,9 +621,9 @@ def escaping_ray(
     shrinks = None
     if verify_shadows:
         shrinks = True
-        previous = dual_shadow(model, points[escape_start], window)
-        for i in range(escape_start + 1, len(points)):
-            current = dual_shadow(model, points[i], window)
+        previous = dual_shadow(model, ChainUltrafilter(steps[escape_start].cuts), window)
+        for step in steps[escape_start + 1 :]:
+            current = dual_shadow(model, ChainUltrafilter(step.cuts), window)
             if not current.strictly_inside(previous):
                 shrinks = False
                 break
@@ -625,7 +640,7 @@ def escaping_ray(
 class ClassRow:
     signature: Signature
     codim: int
-    in_image: Optional[bool]
+    in_image: bool
     escapes: Optional[bool]
 
 
@@ -638,7 +653,7 @@ class SurjectivityReport:
     delta_linear_growth: bool
     delta_bounded: bool
     classes: list[ClassRow]
-    image_size: Optional[int]
+    image_size: int
     escaping_classes: list[Signature]
 
     def to_json(self) -> dict:
@@ -688,32 +703,26 @@ def surjectivity_report(
     slopes = {Fraction(d, s) for d, s in zip(diffs, window_steps)}
     linear = len(slopes) == 1 and diffs[0] > 0
     bounded = max_delta[-1] == 0
-    uniform, _ = model.is_uniform()
-    in_image: Optional[set[tuple[int, ...]]]
-    try:
-        image = rho_image(model)
-        in_image = {tuple(s.ends) for s in image.signatures()}
-    except PocError:
-        in_image = None
+    image = rho_image(model)
+    in_image = set(image.signatures())
     probe_window = max(windows)
-    start_reach = max(abs(c) for c in canonical_start(model, probe_window).int_cuts())
+    start_reach = max(map(abs, window_field(model, probe_window).start))
     probe_length = max(1, min(ray_length, probe_window - start_reach))
     rows = []
     for s in all_signatures(model.k):
         escapes = None
         if not s.is_principal():
             escapes = escaping_ray(model, s, probe_length, probe_window, verify_shadows=False).success
-        seen = None if in_image is None else tuple(s.ends) in in_image
-        rows.append(ClassRow(s, s.codim(), seen, escapes))
+        rows.append(ClassRow(s, s.codim(), s in in_image, escapes))
     escaping = [r.signature for r in rows if r.escapes]
     return SurjectivityReport(
         model.k,
-        uniform,
+        image.uniform,
         list(windows),
         max_delta,
         linear,
         bounded,
         rows,
-        None if in_image is None else len(in_image),
+        len(in_image),
         escaping,
     )

@@ -86,10 +86,17 @@ REFUSALS = {
     "escape-hex-dual-shadow.err": (
         "escape", "FIX-HEX", "--target=(-,0,0)", "--length", "4", "--window", "4",
     ),
+    # a ray of 10^9 steps, refused at its first point outside the window
+    # without listing the points beyond it
+    "escape-hex-long-ray.err": (
+        "escape", "FIX-HEX", "--target=(+,+,+)", "--length", "1000000000", "--window", "4",
+    ),
     # a negative window, refused before the cuts or the target are read
     "shadows-negative-window.err": ("shadows", "FIX-HEX", "--cuts", "2,2,2", "--window=-1"),
     "escape-negative-window.err": ("escape", "FIX-HEX", "--target=(+,+,+)", "--window=-1"),
     "report-negative-window.err": ("report", "FIX-HEX", "--windows=-1,2,3"),
+    # a negative ray length
+    "escape-negative-length.err": ("escape", "FIX-HEX", "--target=(+,+,+)", "--length=-2"),
     # a document of the wrong kind for the subcommand
     "validate-chain-family.err": ("validate", "FIX-Z2"),
     "boundary-pocset.err": ("boundary", "FIX-SQ"),
@@ -121,5 +128,5 @@ REFUSALS = {
 
 @pytest.mark.parametrize("name", sorted(REFUSALS))
 def test_cli_refusal_matches_golden(name):
-    proc = run_cli(*REFUSALS[name], expect=1)
+    proc = run_cli(*REFUSALS[name], expect=1, timeout=60)
     assert proc.stderr == (GOLDEN / name).read_text()

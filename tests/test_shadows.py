@@ -31,6 +31,8 @@ from pocsets.formats import fixture_model
 from pocsets.shadows import (
     MAX_WINDOW_TUPLES,
     ConsistencyOracle,
+    RayReport,
+    RayStep,
     _feasible_point,
     _slab_constraints,
     canonical_start,
@@ -588,6 +590,62 @@ def test_escaping_ray_rejects_principal(hexmodel):
         escaping_ray(hexmodel, principal(3), 5, 8)
 
 
+def _ray_by_points(model, target, length, window, verify_shadows):
+    """`escaping_ray` built from whole points, as a test oracle: the flow as
+    ultrafilters, each point's cuts and distance, then `dual_shadow` on the
+    points."""
+    from pocsets.chains import flow_flip_sequence
+
+    if target.is_principal():
+        raise NotPrincipal("escape target must be a non-principal class", target)
+    f = window_field(model, window)
+    points = flow_flip_sequence(target, canonical_start(model, window), length)
+    steps = [RayStep(i, p.int_cuts(), f.distance(p.int_cuts())) for i, p in enumerate(points)]
+    dists = [s.dist for s in steps]
+    if all(d == 0 for d in dists):
+        return RayReport(target, window, steps, None, False, 1, None)
+    stalls = [i for i in range(1, len(dists)) if dists[i] <= dists[i - 1] and dists[i - 1] > 0]
+    escape_start = max((i for i, d in enumerate(dists) if d == 0), default=0)
+    if stalls:
+        return RayReport(target, window, steps, escape_start, False, stalls[0], None)
+    shrinks = None
+    if verify_shadows:
+        shrinks = True
+        previous = dual_shadow(model, points[escape_start], window)
+        for p in points[escape_start + 1 :]:
+            current = dual_shadow(model, p, window)
+            if not current.strictly_inside(previous):
+                shrinks = False
+                break
+            previous = current
+    return RayReport(target, window, steps, escape_start, shrinks is not False, None, shrinks)
+
+
+def test_escaping_ray_matches_point_construction():
+    # every target of generated k = 1..4 models (the principal one is
+    # refused), with and without the dual-shadow check, at lengths inside
+    # and past the window
+    from pocsets.chains import all_signatures
+
+    rng = random.Random(72)
+    windows = {1: 6, 2: 4, 3: 3, 4: 2}
+    outcomes = set()
+    for k in range(1, 5):
+        w = windows[k]
+        for _ in range(2):
+            model = _wall_model(rng, [rng.randrange(12) for _ in range(k)])
+            for target in all_signatures(k):
+                for length in (0, rng.randint(1, 2 * w), k * (2 * w + 1) + 1):
+                    for verify in (True, False):
+                        args = (model, target, length, w, verify)
+                        got = _outcome(escaping_ray, *args)
+                        assert got == _outcome(_ray_by_points, *args), args
+                        outcomes.add(got[1][0] if got[1] else got[0].success)
+        with pytest.raises(MalformedInput):
+            escaping_ray(model, target, -1, w)
+    assert {True, False, NotPrincipal, WindowTooSmall} <= outcomes
+
+
 def test_escape_limit_classes_outside_image(hexmodel):
     # exact dichotomy on this fixture: the flow ray escapes iff the target
     # class misses the image of rho
@@ -630,6 +688,23 @@ def test_surjectivity_hex(hexmodel):
             assert row.escapes == (not row.in_image)
     blob = report.to_json()
     assert blob["escaping_ray_exists"] is True
+
+
+def test_image_built_once_per_model(monkeypatch):
+    import pocsets.euclid as euclid
+    from pocsets.euclid import closure_check, rho_image, safe_components
+
+    builds = []
+    build = euclid._build_image
+    monkeypatch.setattr(euclid, "_build_image", lambda model: builds.append(model) or build(model))
+    model = fixture_model("FIX-HEX")
+    image = rho_image(model)
+    safe_components(image.signatures())
+    closure_check(model)
+    surjectivity_report(model, windows=(2, 4), ray_length=3)
+    assert rho_image(model) is image and len(builds) == 1
+    # an equal model loaded separately builds and keeps its own
+    assert rho_image(fixture_model("FIX-HEX")) == image and len(builds) == 2
 
 
 def test_repeated_windows_sweep_once(hexmodel):
