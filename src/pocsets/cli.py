@@ -277,7 +277,7 @@ def cmd_report(args) -> int:
         )
     else:
         windows = _parse_ints(args.windows, "window list")
-    report = surjectivity_report(model, windows=windows, ray_length=args.length)
+    report = surjectivity_report(model, windows=windows)
     if args.format == "text":
         in_image = sum(1 for r in report.classes if r.codim > 0 and r.in_image)
         total = sum(1 for r in report.classes if r.codim > 0)
@@ -339,12 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     escape.add_argument("--target", required=True, help="signature, e.g. (+,+,+)")
     escape.add_argument("--length", type=int, default=20)
     escape.add_argument("--window", type=int, default=13)
-    report = add("report", cmd_report, "co-compactness report")
+    report = add("report", cmd_report, "co-compactness report; escapes are exact, window-free")
     report.add_argument("--windows", default="5,10,15", help="window sweep")
     report.add_argument(
         "--window", type=int, default=None, help="largest window of a 3-step sweep"
     )
-    report.add_argument("--length", type=int, default=12)
     return parser
 
 

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .chains import (
@@ -25,12 +26,13 @@ from .chains import (
     PLUS,
     ChainFamily,
     Signature,
+    all_signatures,
     class_leq,
     comparable,
     format_signature,
 )
 from .errors import LineInsideWall, MalformedInput, NonUniformModelWarning, ZeroDirection
-from .exactnum import ExactNumber
+from .exactnum import ExactNumber, sqrt3_sign
 
 Vec = tuple[ExactNumber, ExactNumber]
 
@@ -300,6 +302,41 @@ def _build_image(model: WallModel) -> ImageReport:
         fibers.setdefault(rho(model, arc.representative()), []).append(arc)
     entries = tuple(ImageEntry(s, tuple(fs)) for s, fs in fibers.items())
     return ImageReport(entries, tuple(criticals), uniform, reason)
+
+
+def eventual_escapers(model: WallModel) -> set[Signature]:
+    """The non-principal classes whose flow ray is eventually strictly
+    increasing in its distance to the consistent set; none is in the image.
+
+    With m_i = n_i/s_i, the ray toward s gains D0(s) = min_p |s - Mp|_1 <=
+    |supp s| per round of |supp s| flips, so it escapes iff D0(s) = |supp s|.
+    By LP duality (Schrijver 1986, ch. 7) that holds iff -sum of s_i*m_i over
+    supp s lies in the zonotope of [-1, 1]*m_j over the free chains j, and a
+    planar zonotope holds x iff |u.x| <= sum |u.m_j| for u = e1, e2 and
+    perp(m_j) of each free j.  Each row of dot products u.m_i is scaled to
+    integer pairs (a, b), meaning a + b*sqrt3, by one positive factor."""
+    ms = [(f.normal[0] / f.spacing, f.normal[1] / f.spacing) for f in model.families]
+    one, zero = ExactNumber.of(1), ExactNumber.of(0)
+    rows = []
+    for u in ((one, zero), (zero, one), *map(perp, ms)):
+        dots = [dot(u, m) for m in ms]
+        scale = lcm(*(x.d for x in dots))
+        row = [(x.p * (scale // x.d), x.q * (scale // x.d)) for x in dots]
+        rows.append((row, [(a, b) if sqrt3_sign(a, b) >= 0 else (-a, -b) for a, b in row]))
+    escapers = set()
+    for s in all_signatures(model.k):
+        free = [i for i, e in enumerate(s.ends) if e == FIN]
+        if len(free) == model.k:
+            continue
+
+        def inside(row, size) -> bool:  # |u.x| <= sum |u.m_j|, in pairs
+            x = [sum(e * r[t] for e, r in zip(s.ends, row)) for t in (0, 1)]
+            h = [sum(size[j][t] for j in free) for t in (0, 1)]
+            return all(sqrt3_sign(h[0] - c * x[0], h[1] - c * x[1]) >= 0 for c in (1, -1))
+
+        if all(inside(*rows[i]) for i in (0, 1, *(2 + j for j in free))):
+            escapers.add(s)
+    return escapers
 
 
 def safe_components(signatures: Sequence[Signature]) -> list[list[Signature]]:

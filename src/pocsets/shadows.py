@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import pairwise, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -33,7 +33,7 @@ from .chains import (
     min_set,
 )
 from .errors import ChainCountMismatch, MalformedInput, NotPrincipal, WindowTooSmall
-from .euclid import WallModel, rho_image
+from .euclid import WallModel, eventual_escapers, rho_image
 from .exactnum import ExactNumber, sqrt3_floor, sqrt3_sign
 
 Cuts = tuple[int, ...]
@@ -577,19 +577,15 @@ def canonical_start(model: WallModel, window: int) -> ChainUltrafilter:
     return ChainUltrafilter(window_field(model, window).start)
 
 
-def escaping_ray(
-    model: WallModel,
-    target: Signature,
-    length: int,
-    window: int,
-    verify_shadows: bool = True,
-) -> RayReport:
-    """Attempt an escaping geodesic ray toward a non-principal class.
+def escaping_ray(model: WallModel, target: Signature, length: int, window: int) -> RayReport:
+    """Attempt an escaping geodesic ray toward a non-principal class: the
+    constructive, windowed witness of `eventual_escapers`.
 
     Moves follow the canonical flow expanded into single flips.  The ray
     escapes when, after its last consistent point, the distance to the
-    consistent set strictly increases at every step; on success the dual
-    shadows are verified to strictly shrink along those moves."""
+    consistent set strictly increases at every step and the dual shadows
+    strictly shrink along those moves.  A ray that never leaves the
+    consistent set fails at step 1, or at step 0 if it is only its start."""
     if target.is_principal():
         raise NotPrincipal("escape target must be a non-principal class", target)
     if target.k != model.k:
@@ -607,7 +603,7 @@ def escaping_ray(
     ]
     dists = [s.dist for s in steps]
     if all(d == 0 for d in dists):
-        return RayReport(target, window, steps, None, False, 1, None)
+        return RayReport(target, window, steps, None, False, min(1, len(steps) - 1), None)
     # the distance must strictly increase at every step once positive; any
     # stall after first leaving the consistent set disqualifies the ray
     stalls = [
@@ -618,18 +614,10 @@ def escaping_ray(
     escape_start = max((i for i, d in enumerate(dists) if d == 0), default=0)
     if stalls:
         return RayReport(target, window, steps, escape_start, False, stalls[0], None)
-    shrinks = None
-    if verify_shadows:
-        shrinks = True
-        previous = dual_shadow(model, ChainUltrafilter(steps[escape_start].cuts), window)
-        for step in steps[escape_start + 1 :]:
-            current = dual_shadow(model, ChainUltrafilter(step.cuts), window)
-            if not current.strictly_inside(previous):
-                shrinks = False
-                break
-            previous = current
-    success = shrinks is not False
-    return RayReport(target, window, steps, escape_start, success, None, shrinks)
+    # lazily, so the first point whose shadow touches the window is refused
+    duals = (dual_shadow(model, ChainUltrafilter(s.cuts), window) for s in steps[escape_start:])
+    shrinks = all(b.strictly_inside(a) for a, b in pairwise(duals))
+    return RayReport(target, window, steps, escape_start, shrinks, None, shrinks)
 
 
 # ---------------------------------------------------------------------------
@@ -685,17 +673,16 @@ def max_delta_over_window(model: WallModel, window: int) -> int:
 
 
 def surjectivity_report(
-    model: WallModel,
-    windows: Sequence[int] = (5, 10, 15),
-    ray_length: int = 12,
+    model: WallModel, windows: Sequence[int] = (5, 10, 15)
 ) -> SurjectivityReport:
     """Tabulate all 3^k classes against the image of rho, the window growth
-    of the distance to the consistent set, and distance-escaping rays.
+    of the distance to the consistent set, and the classes that escape.
 
     The co-compactness dichotomy is checkable from the fields: linear
     window growth of the max distance must co-occur with a non-principal
-    class outside the image (witnessed by an escaping ray), while a bounded
-    distance field accompanies a fully covered image."""
+    class outside the image, while a bounded distance field accompanies a
+    fully covered image.  The ``escapes`` column is `eventual_escapers`:
+    exact and window-free, with `escaping_ray` as its windowed witness."""
     windows = sorted(set(windows))  # a repeated window adds no step
     max_delta = [max_delta_over_window(model, w) for w in windows]
     diffs = [b - a for a, b in zip(max_delta, max_delta[1:])]
@@ -705,15 +692,11 @@ def surjectivity_report(
     bounded = max_delta[-1] == 0
     image = rho_image(model)
     in_image = set(image.signatures())
-    probe_window = max(windows)
-    start_reach = max(map(abs, window_field(model, probe_window).start))
-    probe_length = max(1, min(ray_length, probe_window - start_reach))
-    rows = []
-    for s in all_signatures(model.k):
-        escapes = None
-        if not s.is_principal():
-            escapes = escaping_ray(model, s, probe_length, probe_window, verify_shadows=False).success
-        rows.append(ClassRow(s, s.codim(), s in in_image, escapes))
+    escapers = eventual_escapers(model)
+    rows = [
+        ClassRow(s, s.codim(), s in in_image, None if s.is_principal() else s in escapers)
+        for s in all_signatures(model.k)
+    ]
     escaping = [r.signature for r in rows if r.escapes]
     return SurjectivityReport(
         model.k,

@@ -241,7 +241,7 @@ def test_criterion_08_hexagonal_shadows():
 def test_criterion_09_cocompactness_dichotomy():
     done = _timed(60.0)
     z2 = fixture_model("FIX-Z2")
-    report2 = surjectivity_report(z2, windows=(5, 10, 15), ray_length=10)
+    report2 = surjectivity_report(z2, windows=(5, 10, 15))
     non_principal = [r for r in report2.classes if r.codim > 0]
     assert len(non_principal) == 8
     assert all(r.in_image for r in non_principal)
@@ -249,7 +249,7 @@ def test_criterion_09_cocompactness_dichotomy():
     assert report2.escaping_classes == []
 
     hexmodel = fixture_model("FIX-HEX")
-    report3 = surjectivity_report(hexmodel, windows=(5, 10, 15), ray_length=10)
+    report3 = surjectivity_report(hexmodel, windows=(5, 10, 15))
     assert report3.image_size == 12
 
     # independent brute-force check of the window-5 maximum

@@ -123,20 +123,40 @@ def test_escape_and_report():
         "escape", "FIX-HEX", "--target", "(+,+,+)", "--length", "10", "--window", "10"
     )
     assert "escapes" in proc.stdout
-    proc = run_cli("report", "FIX-HEX", "--windows", "4,8", "--length", "8")
+    proc = run_cli("report", "FIX-HEX", "--windows", "4,8")
     assert "escaping ray: yes" in proc.stdout
     assert "12 of 26" in proc.stdout
 
 
 def test_report_z2():
-    proc = run_cli("report", "FIX-Z2", "--windows", "3,5", "--length", "5")
+    proc = run_cli("report", "FIX-Z2", "--windows", "3,5")
     assert "8 of 8" in proc.stdout
     assert "escaping ray: no" in proc.stdout
 
 
+def test_readme_report_escapes_exactly_outside_the_image():
+    # the README's example: the 14 classes outside the image escape, and
+    # (+,-,+), whose 10-step probe ray once left the consistent set late,
+    # is in the image and does not
+    proc = run_cli("report", "FIX-HEX", "--window", "10", "--format", "structured")
+    report = json.loads(proc.stdout)["report"]
+    outside = [r["signature"] for r in report["classes"] if r["codim"] > 0 and not r["in_image"]]
+    assert len(outside) == 14 and report["escaping_classes"] == outside
+    assert not any(r["in_image"] and r["escapes"] for r in report["classes"])
+    assert "(+,-,+)" not in outside
+
+
+def test_report_refuses_length():
+    # the report's escapes column needs no ray, so it takes no ray length
+    proc = run_cli("report", "FIX-HEX", "--length", "6", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: pocsets")
+    assert "error: unrecognized arguments: --length 6" in proc.stderr
+
+
 def test_determinism_same_bytes():
-    a = run_cli("report", "FIX-HEX", "--windows", "4,6", "--length", "6", "--format", "structured")
-    b = run_cli("report", "FIX-HEX", "--windows", "4,6", "--length", "6", "--format", "structured")
+    a = run_cli("report", "FIX-HEX", "--windows", "4,6", "--format", "structured")
+    b = run_cli("report", "FIX-HEX", "--windows", "4,6", "--format", "structured")
     assert a.stdout == b.stdout
     c = run_cli("dual", "FIX-SQ", "--samples", "4", "--seed", "9", "--format", "structured")
     d = run_cli("dual", "FIX-SQ", "--samples", "4", "--seed", "9", "--format", "structured")
@@ -223,11 +243,12 @@ def test_repeated_windows_report():
 
 
 def test_report_sweep_stays_within_window():
-    # --window 0 sweeps window 0 alone, never window 1, and is refused
+    # --window 0 sweeps window 0 alone, never window 1, and is answered
     # exactly as --windows 0 is
-    proc = run_cli("report", "FIX-HEX", "--window", "0", expect=1)
-    assert proc.stderr == run_cli("report", "FIX-HEX", "--windows", "0", expect=1).stderr
-    assert json.loads(proc.stderr)["message"] == "(-1, 0, 0) is outside window 0"
+    proc = run_cli("report", "FIX-HEX", "--window", "0", "--format", "structured")
+    same = run_cli("report", "FIX-HEX", "--windows", "0", "--format", "structured")
+    assert proc.stdout == same.stdout
+    assert json.loads(proc.stdout)["report"]["windows"] == [0]
     proc = run_cli("report", "FIX-HEX", "--window", "4", "--format", "structured")
     assert json.loads(proc.stdout)["report"]["windows"] == [2, 3, 4]
 

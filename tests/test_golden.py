@@ -18,7 +18,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SHADOWS = ("shadows", "FIX-HEX", "--cuts", "2,2,2", "--window", "6")
 ESCAPE = ("escape", "FIX-HEX", "--target", "(+,+,+)", "--length", "8", "--window", "8")
-REPORT = ("--windows", "3,5,7", "--length", "6")
+REPORT = ("--windows", "3,5,7")
 STRUCTURED = ("--format", "structured")
 # four pairs with h4 <= h1: two 3-cubes and a nested pair
 CUBE3 = str(GOLDEN / "cube3-nested.pocset.json")
@@ -41,6 +41,10 @@ CASES = {
     "shadows-hex.svg": SHADOWS + ("--format", "svg"),
     "escape-hex.txt": ESCAPE,
     "escape-hex.json": ESCAPE + ("--format", "structured"),
+    # a ray of one point: it fails at step 0, the one step it has
+    "escape-hex-one-point.json": (
+        "escape", "FIX-HEX", "--target=(+,+,+)", "--length", "0", "--format", "structured",
+    ),
     "report-hex.txt": ("report", "FIX-HEX") + REPORT,
     "report-hex.json": ("report", "FIX-HEX") + REPORT + ("--format", "structured"),
     "report-z2.txt": ("report", "FIX-Z2") + REPORT,

@@ -3,7 +3,7 @@ from __future__ import annotations
 import inspect
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -25,7 +25,7 @@ from pocsets.errors import (
     PocError,
     WindowTooSmall,
 )
-from pocsets.euclid import WallFamily, WallModel, zd_image_signatures
+from pocsets.euclid import WallFamily, WallModel, eventual_escapers, zd_image_signatures
 from pocsets.exactnum import SQRT3, ExactNumber
 from pocsets.formats import fixture_model
 from pocsets.shadows import (
@@ -590,7 +590,7 @@ def test_escaping_ray_rejects_principal(hexmodel):
         escaping_ray(hexmodel, principal(3), 5, 8)
 
 
-def _ray_by_points(model, target, length, window, verify_shadows):
+def _ray_by_points(model, target, length, window):
     """`escaping_ray` built from whole points, as a test oracle: the flow as
     ultrafilters, each point's cuts and distance, then `dual_shadow` on the
     points."""
@@ -603,28 +603,26 @@ def _ray_by_points(model, target, length, window, verify_shadows):
     steps = [RayStep(i, p.int_cuts(), f.distance(p.int_cuts())) for i, p in enumerate(points)]
     dists = [s.dist for s in steps]
     if all(d == 0 for d in dists):
-        return RayReport(target, window, steps, None, False, 1, None)
+        # a ray of one point fails at its only step
+        return RayReport(target, window, steps, None, False, 0 if len(steps) == 1 else 1, None)
     stalls = [i for i in range(1, len(dists)) if dists[i] <= dists[i - 1] and dists[i - 1] > 0]
     escape_start = max((i for i, d in enumerate(dists) if d == 0), default=0)
     if stalls:
         return RayReport(target, window, steps, escape_start, False, stalls[0], None)
-    shrinks = None
-    if verify_shadows:
-        shrinks = True
-        previous = dual_shadow(model, points[escape_start], window)
-        for p in points[escape_start + 1 :]:
-            current = dual_shadow(model, p, window)
-            if not current.strictly_inside(previous):
-                shrinks = False
-                break
-            previous = current
-    return RayReport(target, window, steps, escape_start, shrinks is not False, None, shrinks)
+    shrinks = True
+    previous = dual_shadow(model, points[escape_start], window)
+    for p in points[escape_start + 1 :]:
+        current = dual_shadow(model, p, window)
+        if not current.strictly_inside(previous):
+            shrinks = False
+            break
+        previous = current
+    return RayReport(target, window, steps, escape_start, shrinks, None, shrinks)
 
 
 def test_escaping_ray_matches_point_construction():
     # every target of generated k = 1..4 models (the principal one is
-    # refused), with and without the dual-shadow check, at lengths inside
-    # and past the window
+    # refused), at lengths inside and past the window
     from pocsets.chains import all_signatures
 
     rng = random.Random(72)
@@ -636,11 +634,10 @@ def test_escaping_ray_matches_point_construction():
             model = _wall_model(rng, [rng.randrange(12) for _ in range(k)])
             for target in all_signatures(k):
                 for length in (0, rng.randint(1, 2 * w), k * (2 * w + 1) + 1):
-                    for verify in (True, False):
-                        args = (model, target, length, w, verify)
-                        got = _outcome(escaping_ray, *args)
-                        assert got == _outcome(_ray_by_points, *args), args
-                        outcomes.add(got[1][0] if got[1] else got[0].success)
+                    args = (model, target, length, w)
+                    got = _outcome(escaping_ray, *args)
+                    assert got == _outcome(_ray_by_points, *args), args
+                    outcomes.add(got[1][0] if got[1] else got[0].success)
         with pytest.raises(MalformedInput):
             escaping_ray(model, target, -1, w)
     assert {True, False, NotPrincipal, WindowTooSmall} <= outcomes
@@ -656,7 +653,7 @@ def test_escape_limit_classes_outside_image(hexmodel):
     for s in all_signatures(3):
         if s.is_principal():
             continue
-        report = escaping_ray(hexmodel, s, 9, 12, verify_shadows=False)
+        report = escaping_ray(hexmodel, s, 9, 12)
         assert report.success == (tuple(s.ends) not in image)
 
 
@@ -665,7 +662,7 @@ def test_escape_limit_classes_outside_image(hexmodel):
 
 
 def test_surjectivity_z2(z2):
-    report = surjectivity_report(z2, windows=(3, 5, 7), ray_length=6)
+    report = surjectivity_report(z2, windows=(3, 5, 7))
     assert report.uniform
     assert report.max_delta == [0, 0, 0]
     assert report.delta_bounded and not report.delta_linear_growth
@@ -677,7 +674,7 @@ def test_surjectivity_z2(z2):
 
 
 def test_surjectivity_hex(hexmodel):
-    report = surjectivity_report(hexmodel, windows=(5, 10, 15), ray_length=12)
+    report = surjectivity_report(hexmodel, windows=(5, 10, 15))
     assert report.uniform
     assert report.max_delta == [15, 30, 45]
     assert report.delta_linear_growth and not report.delta_bounded
@@ -688,6 +685,85 @@ def test_surjectivity_hex(hexmodel):
             assert row.escapes == (not row.in_image)
     blob = report.to_json()
     assert blob["escaping_ray_exists"] is True
+
+
+def _d0_by_vertices(model):
+    """{s: min over p of |s - Mp|_1} with rows m_i = n_i/s_i, in ExactNumber
+    by vertex enumeration, as a test oracle: the convex piecewise-linear
+    cost is least where two non-parallel rows meet (m_i.p = s_i and
+    m_j.p = s_j), or for all-parallel rows at a breakpoint p = s_i*m_i/|m_i|^2
+    along the common normal.  Each vertex is solved once, as Mp."""
+    from functools import cache
+
+    from pocsets.chains import all_signatures
+
+    ms = [(f.normal[0] / f.spacing, f.normal[1] / f.spacing) for f in model.families]
+    dot = lambda u, v: u[0] * v[0] + u[1] * v[1]
+    det = lambda a, b: a[0] * b[1] - a[1] * b[0]
+    pairs = [p for p in combinations(range(len(ms)), 2) if not det(*(ms[i] for i in p)).is_zero()]
+
+    @cache
+    def image(i, j, e, f):
+        """Mp of the vertex m_i.p = e, m_j.p = f, or of a breakpoint (j None)."""
+        a = ms[i]
+        if j is None:
+            p = (e * a[0] / dot(a, a), e * a[1] / dot(a, a))
+        else:
+            b, d = ms[j], det(ms[i], ms[j])
+            p = ((e * b[1] - f * a[1]) / d, (f * a[0] - e * b[0]) / d)
+        return [dot(m, p) for m in ms]
+
+    table = {}
+    for s in all_signatures(len(ms)):
+        e = s.ends
+        vertices = [(i, j, e[i], e[j]) for i, j in pairs]
+        vertices = vertices or [(i, None, e[i], 0) for i in range(len(e))]
+        table[s] = min(sum(abs(x - y) for x, y in zip(e, image(*v))) for v in vertices)
+    return table
+
+
+def test_eventual_escapers_match_vertex_enumeration():
+    # s escapes iff D0(s) = |supp s|, on 200 generated k = 1..5 models, a
+    # fifth of them all-parallel; no escaper is in the image of rho
+    rng = random.Random(73)
+    seen = set()
+    for k, count in ((1, 45), (2, 45), (3, 45), (4, 45), (5, 20)):
+        for n in range(count):
+            j = rng.randrange(12)
+            angles = (
+                [(j + rng.choice((0, 6))) % 12 for _ in range(k)]
+                if n % 5 == 0
+                else [rng.randrange(12) for _ in range(k)]
+            )
+            model = _wall_model(rng, angles)
+            escapers = eventual_escapers(model)
+            for s, d0 in _d0_by_vertices(model).items():
+                if not s.is_principal():
+                    assert (s in escapers) == (d0 == ExactNumber.of(s.codim())), (angles, s)
+            assert not escapers & set(model.image.signatures()), angles
+            seen.add(len(escapers))
+    assert len(seen) > 3
+
+
+def test_certified_escapers_rays_strictly_increase():
+    # on FIX-HEX and uniform k = 3 models at window 40, the ray toward each
+    # certified escaper gains distance at each of its last 15 steps; the
+    # converse can fail, since a non-escaper's ray may stall only every
+    # dozen steps or so
+    rng = random.Random(74)
+    models = [fixture_model("FIX-HEX")]
+    while len(models) < 9:
+        model = _wall_model(rng, [rng.randrange(12) for _ in range(3)])
+        if model.is_uniform()[0]:
+            models.append(model)
+    checked = 0
+    for model in models:
+        for s in eventual_escapers(model):
+            # 18 rounds from a start next to the origin keep every shadow inside
+            dists = [step.dist for step in escaping_ray(model, s, 18 * s.codim(), 40).steps]
+            assert all(b > a for a, b in zip(dists[-16:], dists[-15:])), s
+            checked += 1
+    assert checked >= 14 + 2 * 8
 
 
 def test_image_built_once_per_model(monkeypatch):
@@ -701,15 +777,15 @@ def test_image_built_once_per_model(monkeypatch):
     image = rho_image(model)
     safe_components(image.signatures())
     closure_check(model)
-    surjectivity_report(model, windows=(2, 4), ray_length=3)
+    surjectivity_report(model, windows=(2, 4))
     assert rho_image(model) is image and len(builds) == 1
     # an equal model loaded separately builds and keeps its own
     assert rho_image(fixture_model("FIX-HEX")) == image and len(builds) == 2
 
 
 def test_repeated_windows_sweep_once(hexmodel):
-    once = surjectivity_report(hexmodel, windows=(5,), ray_length=4)
-    assert surjectivity_report(hexmodel, windows=(5, 5), ray_length=4) == once
+    once = surjectivity_report(hexmodel, windows=(5,))
+    assert surjectivity_report(hexmodel, windows=(5, 5)) == once
     assert once.windows == [5] and not once.delta_linear_growth
 
 
@@ -718,7 +794,7 @@ def test_surjectivity_z1_flags_non_uniform(z1):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = surjectivity_report(z1, windows=(3, 5), ray_length=4)
+        report = surjectivity_report(z1, windows=(3, 5))
     assert not report.uniform
     assert report.delta_bounded
     assert report.escaping_classes == []
