@@ -30,6 +30,8 @@ def _jsonable(value):
         return value
     if isinstance(value, (list, tuple, set, frozenset)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
     return str(value)
 
 

@@ -91,7 +91,8 @@ class WallFamily:
 
     def __post_init__(self):
         if self.normal[0].is_zero() and self.normal[1].is_zero():
-            raise MalformedInput("wall family needs a non-zero normal", self)
+            normal = [str(x) for x in self.normal]
+            raise MalformedInput("wall family needs a non-zero normal", normal)
         if self.spacing <= 0:
             raise MalformedInput("spacing must be positive", self.spacing)
 
@@ -108,7 +109,7 @@ class WallModel:
 
     def __post_init__(self):
         if len(self.families) != self.chains.k:
-            raise MalformedInput("one wall family per chain is required", self)
+            raise MalformedInput("one wall family per chain is required", list(self.chains.names))
 
     @property
     def k(self) -> int:
@@ -293,7 +294,7 @@ def _build_image(model: WallModel) -> ImageReport:
     criticals.sort(key=cmp_to_key(angular_cmp))
     fibers: dict[Signature, list] = {}
     if not criticals:
-        raise MalformedInput("a wall model needs at least one family", model)
+        raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
     # perpendiculars come in antipodal pairs, so there are at least two
     # critical directions and every gap is at most a half circle
     for i, c in enumerate(criticals):

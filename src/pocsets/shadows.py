@@ -10,7 +10,8 @@ exhaustive inside a window [-W, W]^k with interiority checks on minimizers,
 and every result records the window it was computed in.  Inside a window the
 consistent set is kept by rows, one interval of last cuts per prefix solved
 from the compiled forms, and the distance to it by a flat table filled with
-separable L1 sweeps; nearest members are read off the rows.
+separable L1 sweeps; nearest members are read off the rows that the table
+places on a geodesic from the query.
 """
 
 from __future__ import annotations
@@ -246,7 +247,8 @@ def interval_consistent(model: WallModel, cuts: Cuts) -> bool:
     sx = sum((f.normal[0] for f in model.families), ExactNumber.of(0))
     sy = sum((f.normal[1] for f in model.families), ExactNumber.of(0))
     if not (sx.is_zero() and sy.is_zero()):
-        raise MalformedInput("interval oracle needs normals summing to zero", model)
+        names = list(model.chains.names)
+        raise MalformedInput("interval oracle needs normals summing to zero", names)
     lo = sum(
         f.offset + f.spacing * (c - 1) for f, c in zip(model.families, cuts)
     )
@@ -276,7 +278,7 @@ def _pi0_rows(model: WallModel, bound: int) -> tuple[list[Row], list[Cuts]]:
         message = f"window {bound} has {count} tuples, more than {MAX_WINDOW_TUPLES}"
         raise MalformedInput(message, bound)
     if model.k == 0:
-        raise MalformedInput("a wall model needs at least one family", model)
+        raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
     rows, members = [], []
     for head in product(range(-bound, bound + 1), repeat=model.k - 1):
         row = model.oracle.row(head, bound)
@@ -311,7 +313,9 @@ class WindowField:
     g(x) = min(f(x), g(x -+ 1) + 1) (Rosenfeld & Pfaltz 1966).  L1 distance
     separates by axis (Felzenszwalb & Huttenlocher 2012, section 2), and
     inside the box it is the lattice distance, so the table is the exact
-    in-window restriction of delta(-, Pi0)."""
+    in-window restriction of delta(-, Pi0).  `argmin` reads the table to
+    walk only the prefixes on a geodesic to a nearest member, and the rows
+    to list the members."""
 
     bound: int
     members: list[Cuts]  # never empty, lexicographic
@@ -327,7 +331,7 @@ class WindowField:
     def interior(self, cuts: Cuts) -> bool:
         return all(abs(c) < self.bound for c in cuts)
 
-    def distance(self, cuts: Cuts) -> int:
+    def _index(self, cuts: Cuts) -> int:
         k = len(self.members[0])
         if len(cuts) != k:
             raise _wrong_length(k, cuts)
@@ -336,28 +340,41 @@ class WindowField:
         n, index = 2 * self.bound + 1, 0
         for c in cuts:
             index = index * n + c + self.bound
-        return self.distance_table[index]
+        return index
+
+    def distance(self, cuts: Cuts) -> int:
+        return self.distance_table[self._index(cuts)]
 
     def argmin(self, cuts: Cuts) -> list[Cuts]:
-        """The members nearest cuts, in lexicographic order: each row whose
-        prefix is within distance(cuts) of the head of cuts, in prefix order,
-        gives the last cuts in its interval at the remaining distance r."""
-        bound, n = self.bound, 2 * self.bound + 1
+        """The members nearest cuts, in lexicographic order.
+
+        Prefixes grow one coordinate at a time, in order, and a prefix
+        (c_1..c_d) is kept only when it lies on a geodesic to a nearest
+        member: with q = cuts and r = distance(q), the tuple t = (c_1..c_d,
+        q_{d+1}..q_k) must have distance r - sum_{i<=d} |c_i - q_i|.  A
+        nearest member with that prefix is that close to t, and the triangle
+        inequality keeps t at least that far, so the test drops no member
+        and costs one table read.  The row of each full prefix gives the
+        last cuts in its interval at the remaining distance."""
+        index = self._index(cuts)  # refuses a wrong length before unpacking
+        bound, n, table = self.bound, 2 * self.bound + 1, self.distance_table
         *head, last = cuts
+        # each prefix carries the index of its t: c_d moves it by (c_d - q_d) strides
+        level: list[tuple[Cuts, int, int]] = [((), index, table[index])]
+        for d, q in enumerate(head):
+            stride = n ** (len(head) - d)
+            level = [
+                ((*prefix, c), j, s)
+                for prefix, i, r in level
+                for c in range(max(-bound, q - r), min(bound, q + r) + 1)
+                if table[j := i + (c - q) * stride] == (s := r - abs(c - q))
+            ]
         found: list[Cuts] = []
-
-        def walk(prefix: Cuts, index: int, r: int) -> None:
-            if len(prefix) == len(head):
-                row = self.rows[index]
-                if row:
-                    ends = (last,) if r == 0 else (last - r, last + r)
-                    found.extend((*prefix, c) for c in ends if row[0] <= c <= row[1])
-                return
-            q = head[len(prefix)]
-            for c in range(max(-bound, q - r), min(bound, q + r) + 1):
-                walk((*prefix, c), index * n + c + bound, r - abs(c - q))
-
-        walk((), 0, self.distance(cuts))
+        for prefix, i, r in level:
+            row = self.rows[i // n]
+            if row:
+                ends = (last,) if r == 0 else (last - r, last + r)
+                found += [(*prefix, c) for c in ends if row[0] <= c <= row[1]]
         return found
 
 
@@ -587,7 +604,7 @@ def escaping_ray(model: WallModel, target: Signature, length: int, window: int) 
     strictly shrink along those moves.  A ray that never leaves the
     consistent set fails at step 1, or at step 0 if it is only its start."""
     if target.is_principal():
-        raise NotPrincipal("escape target must be a non-principal class", target)
+        raise NotPrincipal("escape target must be a non-principal class", format_signature(target))
     if target.k != model.k:
         raise ChainCountMismatch(
             f"target {format_signature(target)} has {target.k} chains, the model has {model.k}",

@@ -101,6 +101,8 @@ REFUSALS = {
     "report-negative-window.err": ("report", "FIX-HEX", "--windows=-1,2,3"),
     # a negative ray length
     "escape-negative-length.err": ("escape", "FIX-HEX", "--target=(+,+,+)", "--length=-2"),
+    # the principal class, its witness the signature as the command line writes it
+    "escape-hex-principal.err": ("escape", "FIX-HEX", "--target=(0,0,0)"),
     # a document of the wrong kind for the subcommand
     "validate-chain-family.err": ("validate", "FIX-Z2"),
     "boundary-pocset.err": ("boundary", "FIX-SQ"),
@@ -113,6 +115,12 @@ REFUSALS = {
     "malformed-offset-sqrt3.err": malformed("rho", "offset-sqrt3", *RHO),
     "malformed-geometry-number.err": malformed("rho", "geometry-number", *RHO),
     "malformed-geometry-numbers.err": malformed("rho", "geometry-numbers", *RHO),
+    # witnesses are document values: the normal's literals, the chain names, the document
+    "malformed-normal-zero.err": malformed("rho", "normal-zero", *RHO),
+    "malformed-chains-empty-image.err": malformed("image", "chains-empty"),
+    "malformed-chains-empty-report.err": malformed("report", "chains-empty"),
+    "malformed-chains-empty-shadows.err": malformed("shadows", "chains-empty", "--cuts", "1"),
+    "malformed-unrecognized.err": malformed("validate", "unrecognized"),
     "malformed-chains-string.err": malformed("boundary", "chains-string"),
     "malformed-order-number.err": malformed("validate", "order-number"),
     "malformed-order-entry-number.err": malformed("validate", "order-entry-number"),

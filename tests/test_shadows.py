@@ -14,6 +14,7 @@ from pocsets.chains import (
     ChainFamily,
     ChainHalfspace,
     ChainUltrafilter,
+    format_signature,
     principal,
     sig,
     uf,
@@ -137,11 +138,15 @@ def test_prepared_oracle_matches_direct_elimination():
 
 
 def test_wrong_chain_count_is_refused(hexmodel):
-    for cuts in ((1, 1, 1, 1), (1, 2)):
+    # the empty tuple too, which argmin must refuse before unpacking it
+    for cuts in ((1, 1, 1, 1), (1, 2), ()):
         with pytest.raises(ChainCountMismatch):
             is_consistent(hexmodel, ChainUltrafilter(cuts))
         with pytest.raises(ChainCountMismatch):
             window_field(hexmodel, 4).distance(cuts)
+        for fn in (dist_to_pi0, classify_min, shadow, dual_shadow, shadow_report):
+            with pytest.raises(ChainCountMismatch):
+                fn(hexmodel, ChainUltrafilter(cuts), 4)
     with pytest.raises(ChainCountMismatch):
         escaping_ray(hexmodel, sig(PLUS, PLUS), 5, 8)
 
@@ -236,6 +241,9 @@ def _bfs_field(model, bound):
 
 
 def _check_field(model, bound, rng, queries=25):
+    """The field against `_bfs_field`; argmin against a scan of all members
+    on every tuple of a window of at most 1000 tuples, on a sample of
+    `queries` tuples of a larger one."""
     members, dist = _bfs_field(model, bound)
     if not members:
         with pytest.raises(WindowTooSmall):
@@ -256,7 +264,7 @@ def _check_field(model, bound, rng, queries=25):
         accepted = by_head.get(head, [])
         assert row == ((accepted[0], accepted[-1]) if accepted else None)
         assert accepted == list(range(row[0], row[1] + 1) if row else [])
-    for q in rng.sample(cells, min(queries, len(cells))):
+    for q in cells if len(cells) <= 1000 else rng.sample(cells, queries):
         scan = [m for m in members if sum(abs(a - b) for a, b in zip(q, m)) == dist[q]]
         assert f.argmin(q) == scan, q
     assert f.start == min(members, key=lambda m: (sum(map(abs, m)), m))
@@ -287,6 +295,61 @@ def test_field_matches_bfs_on_generated_models():
             model = _wall_model(rng, angles)
             sizes += [_check_field(model, w, rng) for w in windows[k]]
     assert 0 in sizes and min(s for s in sizes if s) < 10 < max(sizes)
+
+
+def _argmin_by_rows(f, cuts):
+    """`WindowField.argmin` without its geodesic pruning, as a test oracle:
+    every prefix within the query's distance of its head, in prefix order,
+    gives the last cuts in its row at the remaining distance."""
+    bound, n = f.bound, 2 * f.bound + 1
+    *head, last = cuts
+    found = []
+
+    def walk(prefix, index, r):
+        if len(prefix) == len(head):
+            row = f.rows[index]
+            if row:
+                ends = (last,) if r == 0 else (last - r, last + r)
+                found.extend((*prefix, c) for c in ends if row[0] <= c <= row[1])
+            return
+        q = head[len(prefix)]
+        for c in range(max(-bound, q - r), min(bound, q + r) + 1):
+            walk((*prefix, c), index * n + c + bound, r - abs(c - q))
+
+    walk((), 0, f.distance(cuts))
+    return found
+
+
+def test_argmin_matches_row_walk():
+    # FIX-HEX at window 12, on queries inside and past the window and of the
+    # wrong length, so that the refusals are compared too
+    rng = random.Random(73)
+    f = window_field(fixture_model("FIX-HEX"), 12)
+    outcomes = set()
+    for _ in range(2000):
+        cuts = tuple(rng.randint(-13, 13) for _ in range(rng.choice((2, 3, 3, 3, 4))))
+        got = _outcome(f.argmin, cuts)
+        assert got == _outcome(_argmin_by_rows, f, cuts), cuts
+        outcomes.add(got[1][0] if got[1] else len(got[0]) > 1)
+    assert outcomes == {True, False, WindowTooSmall, ChainCountMismatch}
+
+
+def test_argmin_reads_rows_only_on_geodesics(monkeypatch):
+    # the pruning changes no answer, so only the work it saves can show its
+    # loss: over every tuple of window 6, argmin reads at most 1.1 rows per
+    # member it finds (the walk of `_argmin_by_rows` reads 82,077 rows for
+    # 43,084 members)
+    class CountingRows(list):
+        reads = 0
+
+        def __getitem__(self, index):
+            CountingRows.reads += 1
+            return super().__getitem__(index)
+
+    f = window_field(fixture_model("FIX-HEX"), 6)
+    monkeypatch.setattr(f, "rows", CountingRows(f.rows))
+    found = sum(len(f.argmin(q)) for q in product(range(-6, 7), repeat=3))
+    assert 0 < CountingRows.reads <= 1.1 * found
 
 
 @pytest.mark.parametrize("module", ["shadows", "euclid", "exactnum"])
@@ -597,7 +660,7 @@ def _ray_by_points(model, target, length, window):
     from pocsets.chains import flow_flip_sequence
 
     if target.is_principal():
-        raise NotPrincipal("escape target must be a non-principal class", target)
+        raise NotPrincipal("escape target must be a non-principal class", format_signature(target))
     f = window_field(model, window)
     points = flow_flip_sequence(target, canonical_start(model, window), length)
     steps = [RayStep(i, p.int_cuts(), f.distance(p.int_cuts())) for i, p in enumerate(points)]
