@@ -9,15 +9,17 @@ int (a cut) or ``math.inf`` / ``-math.inf`` (the two ends):
 * ``PlusEnd`` contains every ``h_i(n)``, ``MinusEnd`` every ``h_i(n)*``.
 
 Almost-equality classes are signatures with one of Fin(0), Plus(+1),
-Minus(-1) per chain; the principal class is all-Fin.  Everything here is
-immutable and pure.
+Minus(-1) per chain; the principal class is all-Fin.  Every function here is
+pure.  Records are plain ``__slots__`` classes with a hand-written
+``__init__``, immutable by convention: nothing assigns to a field after
+construction, and the hashed ones (`ChainUltrafilter`, `Signature`, ..) rely
+on it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
@@ -42,23 +44,51 @@ _END_SYMBOL = {PLUS: "+", FIN: "0", MINUS: "-"}
 _SYMBOL_END = {"+": PLUS, "0": FIN, "-": MINUS}
 
 
-@dataclass(frozen=True)
 class ChainFamily:
     """An omega-dimensional poc-set given as named pairwise-transverse
     Z-chains; geometry, when any, lives in `pocsets.euclid`."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.names == other.names
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.names,))
 
     @property
     def k(self) -> int:
         return len(self.names)
 
 
-@dataclass(frozen=True)
 class ChainHalfspace:
-    chain: int
-    index: int
-    starred: bool = False
+    __slots__ = ("chain", "index", "starred")
+
+    def __init__(self, chain: int, index: int, starred: bool = False):
+        self.chain = chain
+        self.index = index
+        self.starred = starred
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.chain, self.index, self.starred) == (
+                other.chain, other.index, other.starred
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.chain, self.index, self.starred))
+
+    def __repr__(self) -> str:
+        return (
+            f"ChainHalfspace(chain={self.chain!r}, index={self.index!r}, "
+            f"starred={self.starred!r})"
+        )
 
     def star(self) -> "ChainHalfspace":
         return ChainHalfspace(self.chain, self.index, not self.starred)
@@ -68,12 +98,25 @@ class ChainHalfspace:
         return f"{name}({self.index})" + ("*" if self.starred else "")
 
 
-@dataclass(frozen=True)
 class ChainUltrafilter:
     """One cut-or-end state per chain; always a valid ultrafilter because
     cross-chain transversality makes UF2 vacuous across chains."""
 
-    cuts: tuple[CutValue, ...]
+    __slots__ = ("cuts",)
+
+    def __init__(self, cuts: tuple[CutValue, ...]):
+        self.cuts = cuts
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.cuts == other.cuts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cuts,))
+
+    def __repr__(self) -> str:
+        return f"ChainUltrafilter(cuts={self.cuts!r})"
 
     @property
     def k(self) -> int:
@@ -87,20 +130,37 @@ class ChainUltrafilter:
         return all(not math.isinf(c) for c in self.cuts)
 
     def int_cuts(self) -> tuple[int, ...]:
+        """The cuts as ints; refused for an end state, with the states as
+        document values (``"+inf"``, ``"-inf"`` or the cut) as witness."""
         if not self.is_principal():
-            raise NotPrincipal("ultrafilter has an end state", self)
+            states = [
+                "+inf" if c == PLUS_END else "-inf" if c == MINUS_END else int(c)
+                for c in self.cuts
+            ]
+            raise NotPrincipal("ultrafilter has an end state", states)
         return tuple(int(c) for c in self.cuts)
 
 
-@dataclass(frozen=True)
 class Signature:
     """An almost-equality class: Fin(0), Plus(+1) or Minus(-1) per chain."""
 
-    ends: tuple[int, ...]
+    __slots__ = ("ends",)
 
-    def __post_init__(self):
-        if any(e not in (FIN, PLUS, MINUS) for e in self.ends):
-            raise MalformedInput("signature entries must be -1, 0 or 1", self.ends)
+    def __init__(self, ends: tuple[int, ...]):
+        if any(e not in (FIN, PLUS, MINUS) for e in ends):
+            raise MalformedInput("signature entries must be -1, 0 or 1", ends)
+        self.ends = ends
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ends == other.ends
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ends,))
+
+    def __repr__(self) -> str:
+        return f"Signature(ends={self.ends!r})"
 
     @property
     def k(self) -> int:
@@ -282,12 +342,14 @@ def all_signatures(k: int) -> list[Signature]:
     return [Signature(ends) for ends in product((MINUS, FIN, PLUS), repeat=k)]
 
 
-@dataclass
 class RollerPoset:
     """All 3^k classes with the closure order."""
 
-    k: int
-    signatures: list[Signature]
+    __slots__ = ("k", "signatures")
+
+    def __init__(self, k: int, signatures: list[Signature]):
+        self.k = k
+        self.signatures = signatures
 
     @classmethod
     def build(cls, k: int) -> "RollerPoset":
@@ -392,12 +454,16 @@ def average_sequence(
     return out
 
 
-@dataclass(frozen=True)
 class MoveSchedule:
     """An eventually-periodic move schedule: each move is (chain, +-1)."""
 
-    prefix: tuple[tuple[int, int], ...]
-    cycle: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("prefix", "cycle")
+
+    def __init__(
+        self, prefix: tuple[tuple[int, int], ...], cycle: tuple[tuple[int, int], ...] = ()
+    ):
+        self.prefix = prefix
+        self.cycle = cycle
 
     def move(self, n: int) -> tuple[int, int]:
         if n < len(self.prefix):

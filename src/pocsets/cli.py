@@ -4,49 +4,21 @@ One subcommand per operation family; every run with the same arguments and
 seed produces byte-identical output.  Structured output is versioned JSON on
 stdout; domain errors become one-line JSON diagnostics on stderr with exit
 code 1, usage errors exit 2.
+
+Start-up is most of a fixture-sized run, so this module imports only what
+parsing and error reporting need, and each handler imports the layers it
+calls on first use: `pocsets validate` never loads a planar module.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import warnings
 
 from . import __version__
-from .chains import (
-    RollerPoset,
-    format_signature,
-    parse_signature,
-)
-from .core import FinitePocSet
-from .cubing import build_cubing, duality_roundtrip
-from .errors import MalformedInput, NonUniformModelWarning, PocError
-from .euclid import (
-    Line,
-    closure_check,
-    line_end_incomparability,
-    rho,
-    rho_image,
-    restrict_to_line,
-    safe_components,
-)
-from .exactnum import parse_exact_pair
-from .formats import (
-    chain_family_to_document,
-    load_chain_family,
-    load_pocset,
-    load_wall_model,
-    pocset_to_document,
-)
-from .render import shadow_svg
-from .shadows import (
-    ChainUltrafilter,
-    escaping_ray,
-    shadow_report,
-    surjectivity_report,
-)
+from .errors import AxiomViolation, MalformedInput, NonUniformModelWarning, PocError
 
 SCHEMA = "pocsets/1"
 
@@ -68,6 +40,8 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def cmd_validate(args) -> int:
+    from .formats import load_pocset, pocset_to_document
+
     p = load_pocset(args.input)
     if args.format == "text":
         print(f"valid poc-set: {p.n_pairs} proper pairs")
@@ -77,6 +51,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ultrafilters(args) -> int:
+    from .formats import load_pocset
+
     p = load_pocset(args.input)
     ufs = p.ultrafilters()
     if args.format == "text":
@@ -96,6 +72,9 @@ def cmd_ultrafilters(args) -> int:
 
 
 def cmd_cubing(args) -> int:
+    from .cubing import build_cubing
+    from .formats import load_pocset
+
     p = load_pocset(args.input)
     complex_ = build_cubing(p)
     if args.format == "dot":
@@ -112,13 +91,17 @@ def cmd_cubing(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    import random
+
+    from .core import FinitePocSet
+    from .cubing import duality_roundtrip
+    from .formats import load_pocset, pocset_to_document
+
     p = load_pocset(args.input)
     report = duality_roundtrip(p)
     rng = random.Random(args.seed)
     sampled = 0
     if args.samples:
-        from .errors import AxiomViolation
-
         while sampled < args.samples:
             n = rng.randint(0, 5)
             edges = [
@@ -148,6 +131,9 @@ def cmd_dual(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    from .chains import RollerPoset, format_signature
+    from .formats import chain_family_to_document, load_chain_family
+
     family, model = load_chain_family(args.input)
     poset = RollerPoset.build(family.k)
     if args.format == "text":
@@ -165,6 +151,11 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_rho(args) -> int:
+    from .chains import format_signature
+    from .euclid import rho
+    from .exactnum import parse_exact_pair
+    from .formats import load_wall_model
+
     model = load_wall_model(args.input)
     xi = parse_exact_pair(args.direction)
     signature = rho(model, xi)
@@ -176,6 +167,10 @@ def cmd_rho(args) -> int:
 
 
 def cmd_image(args) -> int:
+    from .chains import format_signature
+    from .euclid import rho_image
+    from .formats import load_wall_model
+
     model = load_wall_model(args.input)
     report = rho_image(model)
     if args.format == "text":
@@ -188,6 +183,10 @@ def cmd_image(args) -> int:
 
 
 def cmd_safe(args) -> int:
+    from .chains import format_signature
+    from .euclid import rho_image, safe_components
+    from .formats import load_wall_model
+
     model = load_wall_model(args.input)
     comps = safe_components(rho_image(model).signatures())
     if args.format == "text":
@@ -207,6 +206,9 @@ def cmd_safe(args) -> int:
 
 
 def cmd_closure(args) -> int:
+    from .euclid import closure_check
+    from .formats import load_wall_model
+
     model = load_wall_model(args.input)
     report = closure_check(model)
     if args.format == "text":
@@ -217,6 +219,10 @@ def cmd_closure(args) -> int:
 
 
 def cmd_restrict(args) -> int:
+    from .euclid import Line, line_end_incomparability, restrict_to_line
+    from .exactnum import parse_exact_pair
+    from .formats import load_wall_model
+
     model = load_wall_model(args.input)
     direction = parse_exact_pair(args.direction)
     base = parse_exact_pair(args.base)
@@ -240,10 +246,15 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_shadows(args) -> int:
+    from .formats import load_wall_model
+    from .shadows import ChainUltrafilter, shadow_report
+
     model = load_wall_model(args.input)
     u = ChainUltrafilter(_parse_ints(args.cuts, "cut tuple"))
     report = shadow_report(model, u, args.window)
     if args.format == "svg":
+        from .render import shadow_svg
+
         sys.stdout.write(shadow_svg(model, report))
     elif args.format == "text":
         print(
@@ -256,6 +267,10 @@ def cmd_shadows(args) -> int:
 
 
 def cmd_escape(args) -> int:
+    from .chains import format_signature, parse_signature
+    from .formats import load_wall_model
+    from .shadows import escaping_ray
+
     model = load_wall_model(args.input)
     target = parse_signature(args.target)
     report = escaping_ray(model, target, args.length, args.window)
@@ -268,6 +283,9 @@ def cmd_escape(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .formats import load_wall_model
+    from .shadows import surjectivity_report
+
     model = load_wall_model(args.input)
     if args.window is not None:
         # a three-step sweep that never passes the window asked for

@@ -12,14 +12,15 @@ Element indexing convention (used everywhere in this package):
 * the trivial pair sits last: ``0`` at handle ``2n``, ``0*`` at ``2n+1``;
 * ``star(e) = e ^ 1``; canonical element order is handle order.
 
-All values are immutable after construction and every operation is a pure
+Records are plain classes with ``__slots__`` and a hand-written
+``__init__``; they are immutable by convention (nothing in the package
+assigns to a field after construction), and every operation is a pure
 function, so concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -58,7 +59,6 @@ def pair_of(e: int) -> int:
     return e >> 1
 
 
-@dataclass(frozen=True)
 class Ultrafilter:
     """A UF1+UF2 subset of a finite poc-set.
 
@@ -67,8 +67,22 @@ class Ultrafilter:
     Ordering by ``signs`` is the canonical enumeration order.
     """
 
-    signs: tuple[int, ...]
-    members: frozenset[int]
+    __slots__ = ("signs", "members")
+
+    def __init__(self, signs: tuple[int, ...], members: frozenset[int]):
+        self.signs = signs
+        self.members = members
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.signs == other.signs and self.members == other.members
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.signs, self.members))
+
+    def __repr__(self) -> str:
+        return f"Ultrafilter(signs={self.signs!r}, members={self.members!r})"
 
     def __contains__(self, e: int) -> bool:
         return e in self.members
@@ -83,32 +97,38 @@ class Ultrafilter:
         return sorted(self.members)
 
 
-@dataclass(frozen=True)
 class PairClassification:
     """Nested with a witness relation ``lhs <= rhs``, or transverse."""
 
-    kind: str  # "nested" | "transverse"
-    witness: Optional[tuple[int, int]] = None
+    __slots__ = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: Optional[tuple[int, int]] = None):
+        self.kind = kind  # "nested" | "transverse"
+        self.witness = witness
 
     @property
     def nested(self) -> bool:
         return self.kind == "nested"
 
 
-@dataclass(frozen=True)
 class UltrafilterCheck:
     """Outcome of an ultrafilter validity test, with a violation witness."""
 
-    ok: bool
-    axiom: Optional[str] = None  # "UF1" | "UF2"
-    witness: Optional[tuple] = None
+    __slots__ = ("ok", "axiom", "witness")
+
+    def __init__(self, ok: bool, axiom: Optional[str] = None, witness: Optional[tuple] = None):
+        self.ok = ok
+        self.axiom = axiom  # "UF1" | "UF2"
+        self.witness = witness
 
 
-@dataclass(frozen=True)
 class FilterBase:
     """A validated UF2-only subset; build with `FinitePocSet.filterbase`."""
 
-    members: frozenset[int]
+    __slots__ = ("members",)
+
+    def __init__(self, members: frozenset[int]):
+        self.members = members
 
     def __iter__(self):
         return iter(sorted(self.members))
@@ -160,9 +180,8 @@ class FinitePocSet:
             up[zero] |= 1 << e
             up[e] |= 1 << star(zero)
         _close_transitively(up)
-        pocset = cls(n_pairs, up, _validated=True)
-        pocset._check_axioms()
-        return pocset
+        _check_axioms(n_pairs, up)
+        return cls(n_pairs, up, _validated=True)
 
     @classmethod
     def from_leq_matrix(cls, n_pairs: int, leq) -> "FinitePocSet":
@@ -190,51 +209,26 @@ class FinitePocSet:
                         (a, b),
                     )
         _close_transitively(up)
-        pocset = cls(n_pairs, up, _validated=True)
-        pocset._check_axioms()
-        return pocset
-
-    def _check_axioms(self) -> None:
-        m = self.element_count
-        zero = self.zero
-        for a in range(m):
-            for b in range(a + 1, m):
-                if self.leq(a, b) and self.leq(b, a):
-                    raise AxiomViolation(
-                        "antisymmetry",
-                        f"{self.name(a)} and {self.name(b)} are order-equivalent",
-                        (a, b),
-                    )
-        for e in range(m):
-            if not self.leq(zero, e):
-                raise AxiomViolation("minimum", f"0 is not below {self.name(e)}", e)
-        for e in self.proper_elements():
-            if self.leq(e, star(e)):
-                raise AxiomViolation(
-                    "h <= h*", f"{self.name(e)} lies below its star", e
-                )
+        _check_axioms(n_pairs, up)
+        return cls(n_pairs, up, _validated=True)
 
     def _pair_transversality(self) -> tuple[int, ...]:
         """Bitmask per pair of the pairs transverse to it.
 
         Transversality only depends on the pairs, not on orientations: the
         four defining relations for (h, k) coincide with those for (h*, k).
+        Pair j is nested with pair i iff a handle of j lies above a handle
+        of i, i.e. iff bit 2j or 2j+1 of ``up[2i] | up[2i+1]`` is set.
         """
+        up = self._up
         masks = [0] * self.n_pairs
         for i in range(self.n_pairs):
+            above = up[2 * i] | up[2 * i + 1]
             for j in range(i + 1, self.n_pairs):
-                if not self._nested_pairs(2 * i, 2 * j):
+                if not above >> 2 * j & 3:
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
         return tuple(masks)
-
-    def _nested_pairs(self, h: int, k: int) -> bool:
-        return (
-            self.leq(h, k)
-            or self.leq(star(h), k)
-            or self.leq(h, star(k))
-            or self.leq(star(h), star(k))
-        )
 
     # ------------------------------------------------------------------
     # basic queries
@@ -554,6 +548,33 @@ def _star_mask(elements: Iterable[int]) -> int:
     for e in elements:
         mask |= 1 << star(e)
     return mask
+
+
+def _check_axioms(n_pairs: int, up: list[int]) -> None:
+    """Refuse closed, star-symmetric rows that break a poc-set axiom: the
+    first of antisymmetry, minimum and ``h <= h*`` to fail, at its least
+    witness.  Since b <= a iff a* <= b*, the row of handles below a is
+    ``up[a*]`` with each bit pair swapped."""
+    m = len(up)
+    even = (4 ** (m // 2) - 1) // 3  # bits 0, 2, 4, ..
+    for a, row in enumerate(up):
+        dual = up[a ^ 1]
+        down = (dual & even) << 1 | (dual >> 1) & even
+        equivalent = row & down & -(2 << a)  # the b > a with a <= b <= a
+        if equivalent:
+            b = (equivalent & -equivalent).bit_length() - 1
+            raise AxiomViolation(
+                "antisymmetry",
+                f"{_raw_name(a, n_pairs)} and {_raw_name(b, n_pairs)} are order-equivalent",
+                (a, b),
+            )
+    missing = ~up[2 * n_pairs] & ((1 << m) - 1)
+    if missing:
+        e = (missing & -missing).bit_length() - 1
+        raise AxiomViolation("minimum", f"0 is not below {_raw_name(e, n_pairs)}", e)
+    for e in range(2 * n_pairs):
+        if up[e] >> (e ^ 1) & 1:
+            raise AxiomViolation("h <= h*", f"{_raw_name(e, n_pairs)} lies below its star", e)
 
 
 def _close_transitively(up: list[int]) -> None:

@@ -9,7 +9,6 @@ product is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
@@ -22,37 +21,64 @@ from .errors import DegenerateWall, MalformedInput, NotIsomorphic
 MAX_CUBES = 10**5
 
 
-@dataclass(frozen=True)
 class Cube:
     """A d-cube: canonical base vertex index plus the flipped pair set."""
 
-    base: int
-    pairs: tuple[int, ...]
+    __slots__ = ("base", "pairs")
+
+    def __init__(self, base: int, pairs: tuple[int, ...]):
+        self.base = base
+        self.pairs = pairs
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.base == other.base and self.pairs == other.pairs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.pairs))
+
+    def __repr__(self) -> str:
+        return f"Cube(base={self.base!r}, pairs={self.pairs!r})"
 
     @property
     def dim(self) -> int:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
 class Wall:
     """One wall of the complex: its labelled edges and vertex bipartition."""
 
-    pair: int
-    edges: tuple[tuple[int, int], ...]
-    side_plain: frozenset[int]
-    side_star: frozenset[int]
+    __slots__ = ("pair", "edges", "side_plain", "side_star")
+
+    def __init__(
+        self,
+        pair: int,
+        edges: tuple[tuple[int, int], ...],
+        side_plain: frozenset[int],
+        side_star: frozenset[int],
+    ):
+        self.pair = pair
+        self.edges = edges
+        self.side_plain = side_plain
+        self.side_star = side_star
 
 
-@dataclass
 class CubeComplex:
-    pocset: FinitePocSet
-    vertices: list[Ultrafilter]
-    edges: list[tuple[int, int, int]]  # (i, j, pair) with i < j
-    cubes: dict[int, list[Cube]] = field(default_factory=dict)
+    __slots__ = ("pocset", "vertices", "edges", "cubes", "_index")
 
-    def __post_init__(self):
-        self._index = {u.signs: i for i, u in enumerate(self.vertices)}
+    def __init__(
+        self,
+        pocset: FinitePocSet,
+        vertices: list[Ultrafilter],
+        edges: list[tuple[int, int, int]],  # (i, j, pair) with i < j
+        cubes: Optional[dict[int, list[Cube]]] = None,
+    ):
+        self.pocset = pocset
+        self.vertices = vertices
+        self.edges = edges
+        self.cubes = {} if cubes is None else cubes
+        self._index = {u.signs: i for i, u in enumerate(vertices)}
 
     @property
     def square_count(self) -> int:
@@ -200,12 +226,20 @@ def extract_halfspaces(c: CubeComplex) -> FinitePocSet:
     return FinitePocSet.from_leq_matrix(n, leq)
 
 
-@dataclass
 class DualityReport:
-    isomorphic: bool
-    element_bijection: dict[str, str]
-    vertex_bijection: dict[int, int]
-    mismatch: Optional[str] = None
+    __slots__ = ("isomorphic", "element_bijection", "vertex_bijection", "mismatch")
+
+    def __init__(
+        self,
+        isomorphic: bool,
+        element_bijection: dict[str, str],
+        vertex_bijection: dict[int, int],
+        mismatch: Optional[str] = None,
+    ):
+        self.isomorphic = isomorphic
+        self.element_bijection = element_bijection
+        self.vertex_bijection = vertex_bijection
+        self.mismatch = mismatch
 
     def to_json(self) -> dict:
         return {

@@ -14,7 +14,6 @@ open arcs, never as a metrized object.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import lcm
@@ -83,33 +82,59 @@ def angular_cmp(u: Vec, v: Vec) -> int:
     return -c
 
 
-@dataclass(frozen=True)
 class WallFamily:
-    normal: Vec
-    spacing: Fraction = Fraction(1)
-    offset: Fraction = Fraction(0)
+    __slots__ = ("normal", "spacing", "offset")
 
-    def __post_init__(self):
-        if self.normal[0].is_zero() and self.normal[1].is_zero():
-            normal = [str(x) for x in self.normal]
-            raise MalformedInput("wall family needs a non-zero normal", normal)
-        if self.spacing <= 0:
-            raise MalformedInput("spacing must be positive", self.spacing)
+    def __init__(
+        self, normal: Vec, spacing: Fraction = Fraction(1), offset: Fraction = Fraction(0)
+    ):
+        if normal[0].is_zero() and normal[1].is_zero():
+            raise MalformedInput("wall family needs a non-zero normal", [str(x) for x in normal])
+        if spacing <= 0:
+            raise MalformedInput("spacing must be positive", spacing)
+        self.normal = normal
+        self.spacing = spacing
+        self.offset = offset
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.normal, self.spacing, self.offset) == (
+                other.normal, other.spacing, other.offset
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.normal, self.spacing, self.offset))
+
+    def __repr__(self) -> str:
+        return (
+            f"WallFamily(normal={self.normal!r}, spacing={self.spacing!r}, "
+            f"offset={self.offset!r})"
+        )
 
     def wall_level(self, n: int) -> ExactNumber:
         return ExactNumber.of(self.offset) + ExactNumber.of(self.spacing) * n
 
 
-@dataclass(frozen=True)
 class WallModel:
-    """A chain family with planar geometry, one wall family per chain."""
+    """A chain family with planar geometry, one wall family per chain.
 
-    chains: ChainFamily
-    families: tuple[WallFamily, ...]
+    No ``__slots__``: the compiled oracle and the image are kept in the
+    instance dict by `cached_property`."""
 
-    def __post_init__(self):
-        if len(self.families) != self.chains.k:
-            raise MalformedInput("one wall family per chain is required", list(self.chains.names))
+    def __init__(self, chains: ChainFamily, families: tuple[WallFamily, ...]):
+        if len(families) != chains.k:
+            raise MalformedInput("one wall family per chain is required", list(chains.names))
+        self.chains = chains
+        self.families = families
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.chains == other.chains and self.families == other.families
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.chains, self.families))
 
     @property
     def k(self) -> int:
@@ -161,10 +186,12 @@ class WallModel:
 # the decomposition map
 
 
-@dataclass(frozen=True)
 class RhoResult:
-    signature: Signature
-    roles: tuple[str, ...]  # per chain: "plus" | "minus" | "parallel"
+    __slots__ = ("signature", "roles")
+
+    def __init__(self, signature: Signature, roles: tuple[str, ...]):
+        self.signature = signature
+        self.roles = roles  # per chain: "plus" | "minus" | "parallel"
 
 
 def classify_direction(model: WallModel, xi: Vec) -> RhoResult:
@@ -197,21 +224,39 @@ def rho(model: WallModel, xi: Vec) -> Signature:
 # the image of rho and its fiber structure
 
 
-@dataclass(frozen=True)
 class PointFiber:
-    direction: Vec
-
+    __slots__ = ("direction",)
     kind = "point"
 
+    def __init__(self, direction: Vec):
+        self.direction = direction
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.direction == other.direction
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.direction,))
+
+
 class ArcFiber:
     """Open counterclockwise arc between two critical directions."""
 
-    start: Vec
-    end: Vec
-
+    __slots__ = ("start", "end")
     kind = "arc"
+
+    def __init__(self, start: Vec, end: Vec):
+        self.start = start
+        self.end = end
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.start == other.start and self.end == other.end
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
 
     def representative(self) -> Vec:
         mid = (self.start[0] + self.end[0], self.start[1] + self.end[1])
@@ -220,18 +265,44 @@ class ArcFiber:
         return normalize(mid)
 
 
-@dataclass(frozen=True)
 class ImageEntry:
-    signature: Signature
-    fibers: tuple
+    __slots__ = ("signature", "fibers")
+
+    def __init__(self, signature: Signature, fibers: tuple):
+        self.signature = signature
+        self.fibers = fibers
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.signature == other.signature and self.fibers == other.fibers
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.signature, self.fibers))
 
 
-@dataclass(frozen=True)
 class ImageReport:
-    entries: tuple[ImageEntry, ...]
-    critical_directions: tuple[Vec, ...]
-    uniform: bool
-    warning: Optional[str] = None
+    __slots__ = ("entries", "critical_directions", "uniform", "warning")
+
+    def __init__(
+        self,
+        entries: tuple[ImageEntry, ...],
+        critical_directions: tuple[Vec, ...],
+        uniform: bool,
+        warning: Optional[str] = None,
+    ):
+        self.entries = entries
+        self.critical_directions = critical_directions
+        self.uniform = uniform
+        self.warning = warning
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self.__slots__))
 
     def signatures(self) -> list[Signature]:
         return [e.signature for e in self.entries]
@@ -360,20 +431,36 @@ def safe_components(signatures: Sequence[Signature]) -> list[list[Signature]]:
     return sorted(components, key=lambda comp: comp[0].ends)
 
 
-@dataclass
 class ClosureEntry:
-    signature: Signature
-    below_in_image: list[Signature]
-    closure_classes: list[Signature]
-    ok: bool
+    __slots__ = ("signature", "below_in_image", "closure_classes", "ok")
+
+    def __init__(
+        self,
+        signature: Signature,
+        below_in_image: list[Signature],
+        closure_classes: list[Signature],
+        ok: bool,
+    ):
+        self.signature = signature
+        self.below_in_image = below_in_image
+        self.closure_classes = closure_classes
+        self.ok = ok
 
 
-@dataclass
 class ClosureReport:
-    entries: list[ClosureEntry]
-    ok: bool
-    codim1_closed: bool
-    first_violation: Optional[Signature] = None
+    __slots__ = ("entries", "ok", "codim1_closed", "first_violation")
+
+    def __init__(
+        self,
+        entries: list[ClosureEntry],
+        ok: bool,
+        codim1_closed: bool,
+        first_violation: Optional[Signature] = None,
+    ):
+        self.entries = entries
+        self.ok = ok
+        self.codim1_closed = codim1_closed
+        self.first_violation = first_violation
 
     def to_json(self) -> dict:
         return {
@@ -435,22 +522,38 @@ def closure_check(model: WallModel) -> ClosureReport:
 # lines: restriction and end incomparability
 
 
-@dataclass(frozen=True)
 class Line:
-    direction: Vec
-    basepoint: Vec = (ExactNumber.of(0), ExactNumber.of(0))
+    __slots__ = ("direction", "basepoint")
+
+    def __init__(self, direction: Vec, basepoint: Vec = (ExactNumber.of(0), ExactNumber.of(0))):
+        self.direction = direction
+        self.basepoint = basepoint
 
 
-@dataclass
 class LineRestrictionReport:
-    nontrivial_families: list[int]
-    trivial_cuts: dict[int, int]  # parallel family -> its frozen cut
-    # one list per merged chain: the families whose walls interleave into it
-    merged_chains: list[list[int]]
-    collapse: dict[int, int]  # family -> merged chain id
-    plus_end_class: Signature
-    minus_end_class: Signature
-    commutes: bool
+    __slots__ = (
+        "nontrivial_families", "trivial_cuts", "merged_chains", "collapse",
+        "plus_end_class", "minus_end_class", "commutes",
+    )
+
+    def __init__(
+        self,
+        nontrivial_families: list[int],
+        trivial_cuts: dict[int, int],
+        merged_chains: list[list[int]],
+        collapse: dict[int, int],
+        plus_end_class: Signature,
+        minus_end_class: Signature,
+        commutes: bool,
+    ):
+        self.nontrivial_families = nontrivial_families
+        self.trivial_cuts = trivial_cuts  # parallel family -> its frozen cut
+        # one list per merged chain: the families whose walls interleave into it
+        self.merged_chains = merged_chains
+        self.collapse = collapse  # family -> merged chain id
+        self.plus_end_class = plus_end_class
+        self.minus_end_class = minus_end_class
+        self.commutes = commutes
 
     def to_json(self) -> dict:
         return {

@@ -12,22 +12,26 @@ Two document kinds, both JSON:
 Anything else is refused with `MalformedInput`.
 
 Every structured output of the CLI that has a loader round-trips through
-these functions.
+these functions.  The chain-family loaders import the chain, planar and
+exact-number layers when first called, so loading a poc-set needs none of
+them.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .chains import ChainFamily
 from .core import FinitePocSet, check_pair_count, parse_handle
 from .errors import MalformedInput
-from .euclid import WallFamily, WallModel
-from .exactnum import parse_exact
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .chains import ChainFamily
+    from .euclid import WallFamily, WallModel
 
 FIXTURE_NAMES = (
     "FIX-LINE3",
@@ -113,6 +117,9 @@ def load_pocset(source: Union[str, Path]) -> FinitePocSet:
 
 
 def chain_family_from_document(doc: dict) -> tuple[ChainFamily, Union[WallModel, None]]:
+    from .chains import ChainFamily
+    from .euclid import WallModel
+
     chains = doc.get("chains")
     if not isinstance(chains, (list, tuple)):
         raise MalformedInput(f"chains must be a list of names, got {chains!r}", chains)
@@ -129,6 +136,9 @@ def chain_family_from_document(doc: dict) -> tuple[ChainFamily, Union[WallModel,
 
 
 def _wall_family(entry) -> WallFamily:
+    from .euclid import WallFamily
+    from .exactnum import parse_exact
+
     if not isinstance(entry, dict):
         raise MalformedInput(f"geometry entries are objects, got {entry!r}", entry)
     normal = entry.get("normal")
@@ -142,6 +152,8 @@ def _wall_family(entry) -> WallFamily:
 
 
 def _rational(entry: dict, key: str, default: str) -> Fraction:
+    from fractions import Fraction
+
     text = str(entry.get(key, default))
     try:
         return Fraction(text)

@@ -16,7 +16,6 @@ places on a geodesic from the query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import pairwise, product
@@ -301,7 +300,6 @@ def _sweep(table: list[int], n: int, stride: int) -> None:
             ]
 
 
-@dataclass
 class WindowField:
     """The consistent set inside the window [-bound, bound]^k, by rows, and
     the distance to it from every tuple of the window.
@@ -315,12 +313,13 @@ class WindowField:
     inside the box it is the lattice distance, so the table is the exact
     in-window restriction of delta(-, Pi0).  `argmin` reads the table to
     walk only the prefixes on a geodesic to a nearest member, and the rows
-    to list the members."""
+    to list the members.  No ``__slots__``: `start` is a `cached_property`."""
 
-    bound: int
-    members: list[Cuts]  # never empty, lexicographic
-    distance_table: list[int]
-    rows: list[Row]
+    def __init__(self, bound: int, members: list[Cuts], distance_table: list[int], rows: list[Row]):
+        self.bound = bound
+        self.members = members  # never empty, lexicographic
+        self.distance_table = distance_table
+        self.rows = rows
 
     @cached_property
     def start(self) -> Cuts:
@@ -439,11 +438,20 @@ def dist_to_pi0(model: WallModel, u: ChainUltrafilter, window: int) -> int:
     return _distance(*_nearest(model, u, window))
 
 
-@dataclass
 class MinClassification:
-    plus: list[ChainHalfspace]
-    minus: list[ChainHalfspace]
-    neutral: list[ChainHalfspace]
+    __slots__ = ("plus", "minus", "neutral")
+
+    def __init__(
+        self, plus: list[ChainHalfspace], minus: list[ChainHalfspace], neutral: list[ChainHalfspace]
+    ):
+        self.plus = plus
+        self.minus = minus
+        self.neutral = neutral
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.plus, self.minus, self.neutral) == (other.plus, other.minus, other.neutral)
+        return NotImplemented
 
 
 def classify_min(model: WallModel, u: ChainUltrafilter, window: int) -> MinClassification:
@@ -464,13 +472,23 @@ def _classify(f: WindowField, u: ChainUltrafilter, cuts: Cuts, base: int) -> Min
     return MinClassification(plus, minus, neutral)
 
 
-@dataclass(frozen=True)
 class DualShadow:
     """Per chain, the two rays of halfspaces containing every shadow member:
     plains up to ``plain_upto[i]`` and stars from ``star_from[i]`` on."""
 
-    plain_upto: Cuts
-    star_from: Cuts
+    __slots__ = ("plain_upto", "star_from")
+
+    def __init__(self, plain_upto: Cuts, star_from: Cuts):
+        self.plain_upto = plain_upto
+        self.star_from = star_from
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.plain_upto == other.plain_upto and self.star_from == other.star_from
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.plain_upto, self.star_from))
 
     def contains(self, h: ChainHalfspace) -> bool:
         if h.starred:
@@ -506,17 +524,33 @@ def _dual(members: list[Cuts]) -> DualShadow:
     return DualShadow(tuple(min(c) - 1 for c in zip(*members)), tuple(map(max, zip(*members))))
 
 
-@dataclass
 class ShadowReport:
-    pi: Cuts
-    window: int
-    consistent: bool
-    dist: int
-    min_plus: list[ChainHalfspace]
-    min_minus: list[ChainHalfspace]
-    min_neutral: list[ChainHalfspace]
-    shadow: list[Cuts]
-    dual_shadow: DualShadow
+    __slots__ = (
+        "pi", "window", "consistent", "dist", "min_plus", "min_minus", "min_neutral",
+        "shadow", "dual_shadow",
+    )
+
+    def __init__(
+        self,
+        pi: Cuts,
+        window: int,
+        consistent: bool,
+        dist: int,
+        min_plus: list[ChainHalfspace],
+        min_minus: list[ChainHalfspace],
+        min_neutral: list[ChainHalfspace],
+        shadow: list[Cuts],
+        dual_shadow: DualShadow,
+    ):
+        self.pi = pi
+        self.window = window
+        self.consistent = consistent
+        self.dist = dist
+        self.min_plus = min_plus
+        self.min_minus = min_minus
+        self.min_neutral = min_neutral
+        self.shadow = shadow
+        self.dual_shadow = dual_shadow
 
     def to_json(self) -> dict:
         describe = lambda hs: [
@@ -556,22 +590,48 @@ def shadow_report(model: WallModel, u: ChainUltrafilter, window: int) -> ShadowR
 # escaping rays
 
 
-@dataclass
 class RayStep:
-    index: int
-    cuts: Cuts
-    dist: int
+    __slots__ = ("index", "cuts", "dist")
+
+    def __init__(self, index: int, cuts: Cuts, dist: int):
+        self.index = index
+        self.cuts = cuts
+        self.dist = dist
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.index, self.cuts, self.dist) == (other.index, other.cuts, other.dist)
+        return NotImplemented
 
 
-@dataclass
 class RayReport:
-    target: Signature
-    window: int
-    steps: list[RayStep]
-    escape_start: Optional[int]
-    success: bool
-    failure_step: Optional[int]
-    dual_shadows_shrink: Optional[bool]
+    __slots__ = (
+        "target", "window", "steps", "escape_start", "success", "failure_step",
+        "dual_shadows_shrink",
+    )
+
+    def __init__(
+        self,
+        target: Signature,
+        window: int,
+        steps: list[RayStep],
+        escape_start: Optional[int],
+        success: bool,
+        failure_step: Optional[int],
+        dual_shadows_shrink: Optional[bool],
+    ):
+        self.target = target
+        self.window = window
+        self.steps = steps
+        self.escape_start = escape_start
+        self.success = success
+        self.failure_step = failure_step
+        self.dual_shadows_shrink = dual_shadows_shrink
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        return NotImplemented
 
     def to_json(self) -> dict:
         return {
@@ -641,25 +701,53 @@ def escaping_ray(model: WallModel, target: Signature, length: int, window: int) 
 # the co-compactness report
 
 
-@dataclass
 class ClassRow:
-    signature: Signature
-    codim: int
-    in_image: bool
-    escapes: Optional[bool]
+    __slots__ = ("signature", "codim", "in_image", "escapes")
+
+    def __init__(self, signature: Signature, codim: int, in_image: bool, escapes: Optional[bool]):
+        self.signature = signature
+        self.codim = codim
+        self.in_image = in_image
+        self.escapes = escapes
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        return NotImplemented
 
 
-@dataclass
 class SurjectivityReport:
-    model_chains: int
-    uniform: bool
-    windows: list[int]
-    max_delta: list[int]
-    delta_linear_growth: bool
-    delta_bounded: bool
-    classes: list[ClassRow]
-    image_size: int
-    escaping_classes: list[Signature]
+    __slots__ = (
+        "model_chains", "uniform", "windows", "max_delta", "delta_linear_growth",
+        "delta_bounded", "classes", "image_size", "escaping_classes",
+    )
+
+    def __init__(
+        self,
+        model_chains: int,
+        uniform: bool,
+        windows: list[int],
+        max_delta: list[int],
+        delta_linear_growth: bool,
+        delta_bounded: bool,
+        classes: list[ClassRow],
+        image_size: int,
+        escaping_classes: list[Signature],
+    ):
+        self.model_chains = model_chains
+        self.uniform = uniform
+        self.windows = windows
+        self.max_delta = max_delta
+        self.delta_linear_growth = delta_linear_growth
+        self.delta_bounded = delta_bounded
+        self.classes = classes
+        self.image_size = image_size
+        self.escaping_classes = escaping_classes
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        return NotImplemented
 
     def to_json(self) -> dict:
         return {

@@ -270,3 +270,62 @@ def test_report_refuses_a_model_without_chains(tmp_path):
     proc = run_cli("report", str(doc), "--window", "2", expect=1)
     [line] = proc.stderr.splitlines()
     assert json.loads(line)["message"] == "a wall model needs at least one family"
+
+
+# ---------------------------------------------------------------------------
+# start-up footprint, counted in modules rather than timed
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """The modules a fresh interpreter loads while running `code`, beyond
+    those it had already loaded (site may preload some)."""
+    script = f"import json, sys\nbefore = set(sys.modules)\n{code}\n" + (
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+PLANAR = {"fractions", "pocsets.chains", "pocsets.euclid", "pocsets.exactnum"}
+PLANAR |= {"pocsets.shadows", "pocsets.render"}
+
+
+def test_importing_the_cli_loads_no_layer():
+    loaded = _modules_loaded_by("import pocsets.cli")
+    assert "pocsets.cli" in loaded
+    heavy = {"dataclasses", "random", "pocsets.cubing", *PLANAR}
+    assert loaded & heavy == set()
+
+
+def test_validate_loads_no_planar_module():
+    loaded = _modules_loaded_by("import pocsets.cli\npocsets.cli.main(['validate', 'FIX-SQ'])")
+    assert "pocsets.formats" in loaded
+    assert loaded & PLANAR == set()
+
+
+def test_no_module_imports_dataclasses():
+    # records are plain slotted classes: decorating one cost about 0.8 ms
+    # of every CLI start, and `dataclasses` itself pulls in inspect and ast
+    import ast
+    import pathlib
+
+    import pocsets
+
+    offenders = []
+    for path in sorted(pathlib.Path(pocsets.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -47,6 +48,105 @@ def test_antisymmetry_rejected():
     with pytest.raises(AxiomViolation) as exc:
         FinitePocSet.from_order_generators(2, [(0, 2), (2, 0)])
     assert exc.value.axiom == "antisymmetry"
+
+
+def _name(e: int, n: int) -> str:
+    return ("0" if e // 2 == n else f"h{e // 2 + 1}") + ("*" if e % 2 else "")
+
+
+def _closure(m: int, leq: list[list[bool]]) -> list[set[int]]:
+    """Reachability by depth-first search: the handles above each handle."""
+    above = []
+    for a in range(m):
+        seen, todo = {a}, [a]
+        while todo:
+            x = todo.pop()
+            for y in range(m):
+                if leq[x][y] and y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        above.append(seen)
+    return above
+
+
+def _first_violation(n: int, above: list[set[int]]):
+    """The poc-set axioms by a brute-force scan of the closed relation, in
+    the order and with the witnesses the constructors report."""
+    m, zero = 2 * n + 2, 2 * n
+    for a in range(m):
+        for b in range(a + 1, m):
+            if b in above[a] and a in above[b]:
+                message = f"{_name(a, n)} and {_name(b, n)} are order-equivalent"
+                return ("antisymmetry", message, (a, b))
+    for e in range(m):
+        if e not in above[zero]:
+            return ("minimum", f"0 is not below {_name(e, n)}", e)
+    for e in range(2 * n):
+        if e ^ 1 in above[e]:
+            return ("h <= h*", f"{_name(e, n)} lies below its star", e)
+    return None
+
+
+def _agrees_with_brute_force(n: int, above: list[set[int]], build) -> str:
+    """Build a poc-set and compare its refusal, or its order and pair
+    transversality, with the brute-force scan; returns the outcome."""
+    expected = _first_violation(n, above)
+    try:
+        p = build()
+    except AxiomViolation as exc:
+        assert (exc.axiom, str(exc), exc.witness) == expected
+        return exc.axiom
+    assert expected is None
+    m = 2 * n + 2
+    assert all(p.leq(a, b) == (b in above[a]) for a in range(m) for b in range(m))
+    for i, j in combinations(range(n), 2):
+        nested = any(y in above[x] for x in (2 * i, 2 * i + 1) for y in (2 * j, 2 * j + 1))
+        assert p.transverse(2 * i, 2 * j) == (not nested)
+    return "ok"
+
+
+def test_generator_axioms_agree_with_brute_force():
+    # 5,000 random generator sets, n = 0..8, with edges that touch 0 and 0*
+    rng = random.Random(2024)
+    outcomes = Counter()
+    for _ in range(5000):
+        n = rng.randint(0, 8)
+        m = 2 * n + 2
+
+        def handle():
+            return 2 * n + rng.randrange(2) if rng.random() < 0.15 else rng.randrange(m)
+
+        edges = [(handle(), handle()) for _ in range(rng.randint(0, n + 1))]
+        leq = [[a == b for b in range(m)] for a in range(m)]
+        for a, b in edges:
+            leq[a][b] = leq[b ^ 1][a ^ 1] = True
+        for e in range(m):
+            leq[2 * n][e] = leq[e][2 * n + 1] = True
+        build = lambda: FinitePocSet.from_order_generators(n, edges)
+        outcomes[_agrees_with_brute_force(n, _closure(m, leq), build)] += 1
+    assert set(outcomes) == {"ok", "antisymmetry", "h <= h*"}, outcomes
+
+
+def test_matrix_axioms_agree_with_brute_force():
+    # random star-symmetric relations, with and without the trivial bounds,
+    # so the minimum axiom fails too
+    rng = random.Random(2025)
+    outcomes = Counter()
+    for _ in range(1500):
+        n = rng.randint(0, 4)
+        m = 2 * n + 2
+        density = rng.choice((0.05, 0.15, 0.3))
+        leq = [[a == b for b in range(m)] for a in range(m)]
+        for a in range(m):
+            for b in range(m):
+                if rng.random() < density:
+                    leq[a][b] = leq[b ^ 1][a ^ 1] = True
+        if rng.random() < 0.7:
+            for e in range(m):
+                leq[2 * n][e] = leq[e][2 * n + 1] = True
+        build = lambda: FinitePocSet.from_leq_matrix(n, leq)
+        outcomes[_agrees_with_brute_force(n, _closure(m, leq), build)] += 1
+    assert set(outcomes) == {"ok", "antisymmetry", "minimum", "h <= h*"}, outcomes
 
 
 def test_dangling_handle_rejected():

@@ -312,11 +312,105 @@ def test_equal_values_hash_equal(x, y):
         routes += [x * y / y, (x / y) * y]
     for other in routes:
         assert other == x and hash(other) == hash(x)
-    # wall families and models are frozen dataclasses hashed through their normals
+    # wall families and models are records hashed through their normals
     if x or y:
         first = WallFamily((x, y))
         second = WallFamily(((x + y) - y, y * 2 / 2), Fraction(2, 2))
         assert first == second and hash(first) == hash(second)
+
+
+def _record_cases():
+    """(class, factory of field values, one other value per field) for each
+    record type the package or its tests compare or hash."""
+    from pocsets.chains import PLUS_END, ChainFamily, ChainHalfspace, ChainUltrafilter, Signature
+    from pocsets.core import Ultrafilter
+    from pocsets.cubing import Cube
+    from pocsets.euclid import ArcFiber, ImageEntry, ImageReport, PointFiber, WallModel
+    from pocsets.shadows import (
+        ClassRow,
+        DualShadow,
+        MinClassification,
+        RayReport,
+        RayStep,
+        SurjectivityReport,
+    )
+
+    vec = lambda a, b: (exact(a), exact(b))
+    fam = lambda *names: ChainFamily(tuple(names))
+    s = lambda *ends: Signature(tuple(ends))
+    h = ChainHalfspace
+    return [
+        (Ultrafilter, lambda: ((0, 1), frozenset({0, 3, 5})), ((1, 1), frozenset({0, 3}))),
+        (Cube, lambda: (0, (0, 1)), (1, (0, 2))),
+        (ChainFamily, lambda: (("a", "b"),), (("a", "c"),)),
+        (ChainHalfspace, lambda: (0, 2, False), (1, 3, True)),
+        (ChainUltrafilter, lambda: ((0, PLUS_END, -1),), ((0, -PLUS_END, -1),)),
+        (Signature, lambda: ((0, 1, -1),), ((0, 1, 1),)),
+        (
+            WallFamily,
+            lambda: (vec(1, 0), Fraction(2), Fraction(1, 2)),
+            (vec(0, 1), Fraction(3), Fraction(0)),
+        ),
+        (
+            WallModel,
+            lambda: (fam("a", "b"), (WallFamily(vec(1, 0)), WallFamily(vec(0, 1)))),
+            (fam("a", "c"), (WallFamily(vec(1, 0)), WallFamily(vec(1, 1)))),
+        ),
+        (PointFiber, lambda: (vec(1, 0),), (vec(0, 1),)),
+        (ArcFiber, lambda: (vec(1, 0), vec(0, 1)), (vec(-1, 0), vec(0, -1))),
+        (ImageEntry, lambda: (s(1, 0), (PointFiber(vec(0, 1)),)), (s(0, 1), ())),
+        (
+            ImageReport,
+            lambda: ((ImageEntry(s(1, 0), ()),), (vec(0, 1),), True, None),
+            ((), (), False, "all wall normals are parallel"),
+        ),
+        (DualShadow, lambda: ((0, 1), (2, 3)), ((0, 0), (2, 2))),
+        # mutable reports: compared, never hashed
+        (MinClassification, lambda: ([h(0, 1)], [], [h(1, 2, True)]), ([], [h(0, 1)], [])),
+        (RayStep, lambda: (0, (1, 2), 3), (1, (1, 1), 0)),
+        (
+            RayReport,
+            lambda: (s(1, 0), 4, [RayStep(0, (0, 0), 0)], 0, True, None, True),
+            (s(0, 1), 5, [], 1, False, 2, False),
+        ),
+        (ClassRow, lambda: (s(1, 0), 1, True, False), (s(0, 1), 2, False, None)),
+        (
+            SurjectivityReport,
+            lambda: (2, True, [1], [0], False, True, [ClassRow(s(1, 0), 1, True, False)], 4, []),
+            (3, False, [2], [1], True, False, [], 5, [s(1, 0)]),
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, others", [pytest.param(*case, id=case[0].__name__) for case in _record_cases()]
+)
+def test_records_have_value_semantics(cls, fields, others):
+    # equal fields give equal instances (with equal hashes where the record
+    # is hashed), any one changed field an unequal one, and another record
+    # type with the same fields never equals
+    first, second = cls(*fields()), cls(*fields())
+    assert first == second and not first != second
+    if cls.__hash__ is not None:
+        assert hash(first) == hash(second)
+    for i, other in enumerate(others):
+        changed = list(fields())
+        changed[i] = other
+        assert cls(*changed) != first, (cls.__name__, i)
+    twin = type("Twin", (cls,), {})
+    assert twin(*fields()) != first and first != twin(*fields())
+
+
+def test_records_are_slotted_and_mutable_reports_unhashable():
+    from pocsets.chains import Signature
+    from pocsets.euclid import WallModel
+    from pocsets.shadows import RayReport, SurjectivityReport, WindowField
+
+    assert not hasattr(Signature((0,)), "__dict__")
+    # a cached_property needs the instance dict
+    assert "__slots__" not in vars(WallModel) and "__slots__" not in vars(WindowField)
+    assert RayReport.__hash__ is None and SurjectivityReport.__hash__ is None
+    assert Signature((1,)) != Signature((1, 0)) and Signature((1,)) != (1,)
 
 
 @pytest.mark.parametrize("bad", [None, "1", 0.5])

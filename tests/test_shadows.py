@@ -180,6 +180,26 @@ def test_non_principal_query_is_refused_before_the_field():
             fn(model, u, 1)
 
 
+def test_non_principal_witness_is_document_values():
+    # the refusal names each chain's state as the ultrafilter literals do
+    # ("+inf", "-inf") or as the cut, never a Python repr, and is plain JSON
+    import json
+
+    from pocsets.chains import MINUS_END, PLUS_END
+
+    model = fixture_model("FIX-HEX")
+    for cuts, witness in (((PLUS_END, 0, 0), ["+inf", 0, 0]), ((3, MINUS_END, -2), [3, "-inf", -2])):
+        with pytest.raises(NotPrincipal) as exc:
+            dist_to_pi0(model, ChainUltrafilter(cuts), 4)
+        assert exc.value.witness == witness
+        diagnostic = json.loads(json.dumps(exc.value.diagnostic(), allow_nan=False))
+        assert diagnostic == {
+            "code": "not-principal",
+            "message": "ultrafilter has an end state",
+            "witness": witness,
+        }
+
+
 def test_interval_oracle_guard(z2):
     with pytest.raises(MalformedInput):
         interval_consistent(z2, (0, 0))
