@@ -54,6 +54,40 @@ def test_dual_with_samples():
     assert "isomorphic: True" in proc.stdout
 
 
+def test_dual_sample_count_is_capped(monkeypatch, capsys):
+    from pocsets import cli
+
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 3)
+    assert cli.main(["dual", "FIX-SQ", "--samples", "3"]) == 0
+    assert "sampled 3 random poc-sets" in capsys.readouterr().out
+    for count, message in (("4", "above the cap of 3"), ("-1", "must be non-negative")):
+        assert cli.main(["dual", "FIX-SQ", "--samples", count]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv", [("validate", "FIX-SQ"), ("cubing", "FIX-SQ")])
+def test_closed_stdout_ends_without_a_traceback(argv):
+    import os
+
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pocsets", *argv],
+            stdout=writer,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            timeout=60,
+        )
+    finally:
+        os.close(writer)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1
+
+
 def test_boundary_poset():
     proc = run_cli("boundary", "FIX-Z3", "--format", "structured")
     blob = json.loads(proc.stdout)

@@ -149,6 +149,101 @@ def test_matrix_axioms_agree_with_brute_force():
     assert set(outcomes) == {"ok", "antisymmetry", "minimum", "h <= h*"}, outcomes
 
 
+def _generator_rows(n: int, edges) -> list[int]:
+    """The rows of the generators with their star-duals and the trivial
+    bounds, built handle by handle."""
+    m, zero = 2 * n + 2, 2 * n
+    up = [1 << e for e in range(m)]
+    for a, b in edges:
+        up[a] |= 1 << b
+        up[star(b)] |= 1 << star(a)
+    for e in range(m):
+        up[zero] |= 1 << e
+        up[e] |= 1 << star(zero)
+    return up
+
+
+def _warshall_outcome(n: int, up: list[int]):
+    """A test oracle for the constructors' closure: Warshall closes all
+    rows, then one scan refuses the first broken axiom at its least
+    witness.  Returns the closed rows or (axiom, message, witness)."""
+    m = len(up)
+    up = list(up)
+    for k in range(m):
+        bit, row = 1 << k, up[k]
+        for a, reach in enumerate(up):
+            if reach & bit:
+                up[a] = reach | row
+    even = (4 ** (m // 2) - 1) // 3
+    for a, row in enumerate(up):
+        dual = up[a ^ 1]
+        down = (dual & even) << 1 | (dual >> 1) & even
+        equivalent = row & down & -(2 << a)
+        if equivalent:
+            b = (equivalent & -equivalent).bit_length() - 1
+            return ("antisymmetry", f"{_name(a, n)} and {_name(b, n)} are order-equivalent", (a, b))
+    missing = ~up[2 * n] & ((1 << m) - 1)
+    if missing:
+        e = (missing & -missing).bit_length() - 1
+        return ("minimum", f"0 is not below {_name(e, n)}", e)
+    for e in range(2 * n):
+        if up[e] >> (e ^ 1) & 1:
+            return ("h <= h*", f"{_name(e, n)} lies below its star", e)
+    return up
+
+
+def _built_outcome(build):
+    try:
+        return list(build()._up)
+    except AxiomViolation as exc:
+        return (exc.axiom, str(exc), exc.witness)
+
+
+def test_constructors_match_warshall_on_sampled_generators():
+    # 5,000 generator sets drawn as the finite-duality benchmark draws them:
+    # n = 4..8 and up to 2n edges between proper handles; the matrix of the
+    # generator rows must give the same outcome
+    rng = random.Random(14)
+    outcomes = Counter()
+    for _ in range(5000):
+        n = rng.randint(4, 8)
+        m = 2 * n + 2
+        edges = [(rng.randrange(2 * n), rng.randrange(2 * n)) for _ in range(rng.randint(0, 2 * n))]
+        rows = _generator_rows(n, edges)
+        expected = _warshall_outcome(n, rows)
+        assert _built_outcome(lambda: FinitePocSet.from_order_generators(n, edges)) == expected
+        leq = [[bool(row >> b & 1) for b in range(m)] for row in rows]
+        assert _built_outcome(lambda: FinitePocSet.from_leq_matrix(n, leq)) == expected
+        outcomes["ok" if isinstance(expected, list) else expected[0]] += 1
+    assert set(outcomes) == {"ok", "antisymmetry", "h <= h*"}, outcomes
+    assert min(outcomes.values()) > 500, outcomes
+
+
+def test_constructors_match_warshall_at_the_pair_cap():
+    from pocsets.chains import window_pair, window_pocset
+    from pocsets.core import MAX_PAIRS
+
+    n, k, w = MAX_PAIRS, 4, 30
+    rng = random.Random(512)
+    cases = {
+        "no edges": (n, []),
+        "chain": (n, [(2 * i, 2 * i + 2) for i in range(n - 1)]),
+        "reversed chain": (n, [(2 * i + 2, 2 * i) for i in range(n - 1)]),
+        "sparse DAG": (n, [(2 * b, 2 * a) for a, b in (sorted(rng.sample(range(n), 2)) for _ in range(600))]),
+        # the edges of window_pocset(4, 30): four chains of 61 walls
+        "window": (k * (2 * w + 1), [
+            (2 * window_pair(k, w, i, j + 1), 2 * window_pair(k, w, i, j))
+            for i in range(k)
+            for j in range(-w, w)
+        ]),
+    }
+    for name, (pairs, edges) in cases.items():
+        expected = _warshall_outcome(pairs, _generator_rows(pairs, edges))
+        assert isinstance(expected, list), name
+        assert _built_outcome(lambda: FinitePocSet.from_order_generators(pairs, edges)) == expected
+    assert _built_outcome(lambda: window_pocset(k, w)) == expected
+
+
 def test_dangling_handle_rejected():
     from pocsets.errors import MalformedInput
 
@@ -164,6 +259,19 @@ def test_pair_count_above_the_cap_is_refused():
         FinitePocSet.from_order_generators(core.MAX_PAIRS + 1, [])
     with pytest.raises(MalformedInput, match="non-negative"):
         FinitePocSet.from_order_generators(-1, [])
+
+
+def test_leq_matrix_checks_the_pair_count_first():
+    from pocsets import core
+    from pocsets.errors import MalformedInput
+
+    with pytest.raises(MalformedInput, match="non-negative"):
+        FinitePocSet.from_leq_matrix(-1, [])
+    # refused before the matrix is read, let alone closed
+    m = 2 * core.MAX_PAIRS + 4
+    row = [True] * m
+    with pytest.raises(MalformedInput, match="above the cap"):
+        FinitePocSet.from_leq_matrix(core.MAX_PAIRS + 1, [row] * m)
 
 
 def test_window_pocset_is_below_the_pair_cap():

@@ -99,6 +99,9 @@ REFUSALS = {
     "shadows-negative-window.err": ("shadows", "FIX-HEX", "--cuts", "2,2,2", "--window=-1"),
     "escape-negative-window.err": ("escape", "FIX-HEX", "--target=(+,+,+)", "--window=-1"),
     "report-negative-window.err": ("report", "FIX-HEX", "--windows=-1,2,3"),
+    # a negative sample count, and one above cli.MAX_SAMPLES
+    "dual-negative-samples.err": ("dual", "FIX-SQ", "--samples=-3"),
+    "dual-samples-over-cap.err": ("dual", "FIX-SQ", "--samples", "1000000"),
     # a negative ray length
     "escape-negative-length.err": ("escape", "FIX-HEX", "--target=(+,+,+)", "--length=-2"),
     # the principal class, its witness the signature as the command line writes it
