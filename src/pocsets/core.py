@@ -37,8 +37,8 @@ from .errors import (
 # not a performance layer.
 MAX_PAIRS_FOR_DIMENSION = 32
 # the most proper pairs a poc-set may have: building one at 512 pairs takes
-# about 0.07 s for a chain and 0.04 s with no edges on a 2-vCPU VM, and
-# about four and a half times as long per doubling
+# about 0.1 s for a chain and 5 ms with no edges on a 2-vCPU VM, and three
+# to five times as long per doubling
 MAX_PAIRS = 512
 # the most ultrafilters `FinitePocSet.ultrafilters` lists, up to 2^n for n
 # pairs; the enumeration is refused as it grows past this
@@ -188,23 +188,27 @@ class FinitePocSet:
         m = 2 * n_pairs + 2
         if len(leq) != m or any(len(row) != m for row in leq):
             raise MalformedInput("relation matrix has wrong shape", len(leq))
-        up = [0] * m
-        for a in range(m):
-            for b in range(m):
-                if leq[a][b]:
-                    up[a] |= 1 << b
-            up[a] |= 1 << a
-        for a in range(m):
-            for b in range(m):
-                ab = bool(up[a] & (1 << b))
-                ba_star = bool(up[star(b)] & (1 << star(a)))
-                if ab != ba_star:
-                    raise AxiomViolation(
-                        "involution not order-reversing",
-                        f"{_raw_name(a, n_pairs)} <= {_raw_name(b, n_pairs)} does "
-                        "not match the dual relation",
-                        (a, b),
-                    )
+        digits = bytes.maketrans(b"\0\1", b"01")  # a row is read as one binary numeral
+        rows = (int(bytes(map(bool, reversed(row))).translate(digits), 2) for row in leq)
+        return cls._from_rows(n_pairs, [row | 1 << a for a, row in enumerate(rows)])
+
+    @classmethod
+    def _from_rows(cls, n_pairs: int, up: list[int]) -> "FinitePocSet":
+        """Close relation rows (bit b of ``up[a]`` when a <= b), refusing
+        the first (a, b) in row-major order at which the involution does not
+        reverse the order: row a must be column a* with bit pairs swapped."""
+        m = len(up)
+        even = (4 ** (m // 2) - 1) // 3  # bits 0, 2, 4, ..
+        transposed = zip(*(bin(row | 1 << m)[3:] for row in reversed(up)))  # bits m-1, .., 0
+        columns = [int("".join(bits), 2) for bits in transposed][::-1]
+        for a, row in enumerate(up):
+            dual = columns[a ^ 1]
+            mismatch = row ^ ((dual & even) << 1 | (dual >> 1) & even)
+            if mismatch:
+                b = (mismatch & -mismatch).bit_length() - 1
+                names = f"{_raw_name(a, n_pairs)} <= {_raw_name(b, n_pairs)}"
+                message = f"{names} does not match the dual relation"
+                raise AxiomViolation("involution not order-reversing", message, (a, b))
         return cls(n_pairs, _closed_rows(n_pairs, up), _validated=True)
 
     def _pair_transversality(self) -> tuple[int, ...]:
@@ -213,17 +217,15 @@ class FinitePocSet:
         Transversality only depends on the pairs, not on orientations: the
         four defining relations for (h, k) coincide with those for (h*, k).
         Pair j is nested with pair i iff a handle of j lies above a handle
-        of i, i.e. iff bit 2j or 2j+1 of ``up[2i] | up[2i+1]`` is set.
+        of i, i.e. iff bit 2j or 2j+1 of ``up[2i] | up[2i+1]`` is set: with
+        each bit pair folded onto its even bit, and a marker bit m on top so
+        that ``bin`` writes "0b1" and then bits m-1, .., 0, every second digit.
         """
-        up = self._up
-        masks = [0] * self.n_pairs
-        for i in range(self.n_pairs):
-            above = up[2 * i] | up[2 * i + 1]
-            for j in range(i + 1, self.n_pairs):
-                if not above >> 2 * j & 3:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        return tuple(masks)
+        m, up, pairs = 2 * self.n_pairs + 2, self._up, (1 << self.n_pairs) - 1
+        return tuple(
+            pairs & ~int(bin(above | above >> 1 | 1 << m)[4::2], 2)
+            for above in (up[e] | up[e + 1] for e in range(0, m - 2, 2))
+        )
 
     # ------------------------------------------------------------------
     # basic queries
@@ -343,33 +345,28 @@ class FinitePocSet:
         return UltrafilterCheck(True) if bad is None else UltrafilterCheck(False, "UF2", bad)
 
     def ultrafilters(self) -> list[Ultrafilter]:
-        """All ultrafilters, in canonical (lexicographic signs) order.
+        """All ultrafilters in canonical (lexicographic signs) order, from the
+        star-mask walk; the trivial poc-set has the single one {0*}."""
+        return [Ultrafilter(signs, members) for signs, members, _ in self._walk_ultrafilters()]
 
-        Backtracking over pairs; ``stars`` holds the stars of the chosen
-        elements, so a candidate e keeps UF2 iff no chosen star lies above
-        it (c <= e* iff e <= c*, so one direction suffices).  The trivial
-        poc-set yields the single ultrafilter {0*}.
-        """
-        results: list[Ultrafilter] = []
-        n = self.n_pairs
-        up = self._up
-        signs: list[int] = []
-
-        def descend(k: int, stars: int) -> None:
-            if k == n:
-                if len(results) == MAX_ULTRAFILTERS:
-                    message = f"more than {MAX_ULTRAFILTERS} ultrafilters to enumerate"
-                    raise MalformedInput(message, n)
-                results.append(self.ultrafilter_from_signs(signs))
-                return
-            for e in (2 * k, 2 * k + 1):
-                if not up[e] & stars:
-                    signs.append(e & 1)
-                    descend(k + 1, stars | 1 << star(e))
-                    signs.pop()
-
-        descend(0, 0)
-        return results
+    def _walk_ultrafilters(self) -> list[tuple[tuple[int, ...], frozenset[int], int]]:
+        """``(signs, members, stars)`` of each ultrafilter in canonical order,
+        ``stars`` masking the proper members' stars.  Pair by pair, a partial
+        choice grows by each e keeping UF2: no chosen star lies above e (c <=
+        e* iff e <= c*).  A partial choice is a filter base and extends, so the
+        list never shrinks; it is refused once it passes `MAX_ULTRAFILTERS`."""
+        up, n, level = self._up, self.n_pairs, [((), (self.zero_star,), 0)]
+        for k in range(n):
+            a, b, grown = 2 * k, 2 * k + 1, []
+            for signs, members, stars in level:
+                if not up[a] & stars:
+                    grown.append((signs + (0,), members + (a,), stars | 1 << b))
+                if not up[b] & stars:
+                    grown.append((signs + (1,), members + (b,), stars | 1 << a))
+            if len(grown) > MAX_ULTRAFILTERS:
+                raise MalformedInput(f"more than {MAX_ULTRAFILTERS} ultrafilters to enumerate", n)
+            level = grown
+        return [(signs, frozenset(members), stars) for signs, members, stars in level]
 
     def check_filterbase(self, members: Iterable[int]) -> Optional[tuple[int, int]]:
         """None when UF2 holds, else the canonical violating pair: the least
@@ -426,11 +423,22 @@ class FinitePocSet:
 
     def min_set(self, u: Ultrafilter) -> list[int]:
         """Minimal proper members; these parametrize the flip moves."""
-        proper = [e for e in u.members if self.is_proper(e)]
-        above = 0  # every handle strictly above some proper member
-        for x in proper:
-            above |= self._up[x] & ~(1 << x)
-        return [e for e in sorted(proper) if not above >> e & 1]
+        stars = _star_mask(u.members)
+        minimal = self._minimal(stars, stars & ~(1 << self.zero))  # proper members only
+        return [e for e in sorted(u.members) if minimal >> e & 1]
+
+    def _minimal(self, stars: int, among: int) -> int:
+        """Mask of the minimal members a, a* in ``among``, of the ultrafilter
+        whose members' stars are ``stars``: x <= a iff a* <= x*, so a is
+        minimal iff ``up[a*] & stars`` has no bit but a*'s."""
+        up, minimal = self._up, 0
+        while among:
+            bit = among & -among
+            among ^= bit
+            c = bit.bit_length() - 1
+            if up[c] & stars == bit:
+                minimal |= 1 << (c ^ 1)
+        return minimal
 
     def flip(self, u: Ultrafilter, a: int) -> Ultrafilter:
         """The elementary move [u]_a = (u \\ {a}) ∪ {a*}; needs a minimal."""

@@ -4,7 +4,9 @@ Vertices are the ultrafilters, edges the elementary moves, and a d-cube is
 stored implicitly as (base vertex, transverse subset of its minimal set).
 Each edge and each cube is found once, at its least corner: the vertex whose
 signs are 0 on every flipped pair.  Only combinatorics is kept; no geometric
-product is ever built.
+product is ever built.  The work runs on integer masks: a vertex is keyed by
+its members' stars, pair sets and wall sides (over vertex indices) are masks,
+and orders are compared row by row; the records handed out stay as they are.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .core import FinitePocSet, Ultrafilter, is_star, pair_of
+from .core import FinitePocSet, Ultrafilter
 from .errors import DegenerateWall, MalformedInput, NotIsomorphic
 
 # the most cubes of dimension >= 2 `build_cubing` lists; n pairwise
@@ -173,57 +175,64 @@ def build_cubing(p: FinitePocSet) -> CubeComplex:
     the cube on each transverse subset of them.  Vertices come in
     lexicographic sign order, so raising an earlier pair reaches a later
     vertex, and taking the pairs last to first lists the edges sorted.
-    Refused once more than `MAX_CUBES` cubes of dimension >= 2 are found.
+    Raising pair k swaps bits 2k, 2k+1 of a vertex's star mask.  Refused
+    once more than `MAX_CUBES` cubes of dimension >= 2 are found.
     """
-    vertices = p.ultrafilters()
-    index = {u.signs: i for i, u in enumerate(vertices)}
-    edges = []
+    walk = p._walk_ultrafilters()
+    index = {stars: i for i, (_, _, stars) in enumerate(walk)}
+    plain_stars = (4 ** p.n_pairs - 1) // 3 << 1  # bits 1, 3, .. below 2n
+    edges, found = [], 0
     cubes: dict[int, list[Cube]] = {}
-    found = 0
-    for i, u in enumerate(vertices):
-        plain = [a for a in p.min_set(u) if not is_star(a)]
-        for a in reversed(plain):
-            signs = list(u.signs)
-            signs[pair_of(a)] = 1
-            edges.append((i, index[tuple(signs)], pair_of(a)))
-        for sub in _transverse_subsets(p, (), plain):
-            cubes.setdefault(len(sub), []).append(Cube(i, tuple(map(pair_of, sub))))
-            found += 1
-        if found > MAX_CUBES:
-            raise MalformedInput(f"more than {MAX_CUBES} cubes to build", p.n_pairs)
-    return CubeComplex(p, vertices, edges, cubes)
+    for i, (_, _, stars) in enumerate(walk):
+        plain, pairs = p._minimal(stars, stars & plain_stars), 0
+        while plain:
+            a = plain.bit_length() - 1
+            plain ^= 1 << a
+            edges.append((i, index[stars ^ 3 << a], a >> 1))
+            pairs |= 1 << (a >> 1)
+        if pairs & (pairs - 1):  # two or more pairs
+            subsets: list[tuple[int, ...]] = []
+            _transverse_subsets(p._transverse_pairs, (), pairs, subsets)
+            for sub in subsets:
+                cubes.setdefault(len(sub), []).append(Cube(i, sub))
+            found += len(subsets)
+            if found > MAX_CUBES:
+                raise MalformedInput(f"more than {MAX_CUBES} cubes to build", p.n_pairs)
+    return CubeComplex(p, [Ultrafilter(signs, members) for signs, members, _ in walk], edges, cubes)
 
 
-def _transverse_subsets(p: FinitePocSet, sub: tuple, later: list):
-    """The tuples of two or more pairwise transverse elements that extend
-    `sub` by elements of `later` (each transverse to all of `sub`), in
-    lexicographic order.  Only elements transverse to the whole tuple are
-    tried, so the work follows the tuples listed, not every subset."""
-    for j, x in enumerate(later):
+def _transverse_subsets(transverse: tuple[int, ...], sub: tuple, later: int, out: list) -> None:
+    """Append to `out`, in lexicographic order, the tuples of two or more
+    pairwise transverse pairs that extend `sub` by pairs of the mask `later`
+    (each transverse to all of `sub`).  Only pairs transverse to the whole
+    tuple are tried, so the work follows the tuples listed."""
+    while later:
+        low = later & -later
+        later ^= low
+        x = low.bit_length() - 1
         grown = sub + (x,)
-        if len(grown) >= 2:
-            yield grown
-        rest = [y for y in later[j + 1 :] if p.transverse(x, y)]
+        if sub:
+            out.append(grown)
+        rest = later & transverse[x]
         if rest:
-            yield from _transverse_subsets(p, grown, rest)
+            _transverse_subsets(transverse, grown, rest, out)
 
 
 def extract_halfspaces(c: CubeComplex) -> FinitePocSet:
     """The halfspace poc-set of a complex: vertex sides of each wall,
-    ordered by inclusion of vertex sets."""
+    ordered by inclusion of vertex sets (side a misses the side of b*)."""
     n = c.pocset.n_pairs
-    sides: list[frozenset[int]] = []
-    for wall in c.walls():
-        if not wall.side_plain or not wall.side_star:
-            raise DegenerateWall(f"wall h{wall.pair + 1} has an empty side", wall.pair)
-        sides.append(wall.side_plain)
-        sides.append(wall.side_star)
-    everything = frozenset(range(len(c.vertices)))
-    sides.append(frozenset())  # 0
-    sides.append(everything)  # 0*
-    m = 2 * n + 2
-    leq = [[sides[a] <= sides[b] for b in range(m)] for a in range(m)]
-    return FinitePocSet.from_leq_matrix(n, leq)
+    sides, everything = [], (1 << len(c.vertices)) - 1
+    signs = [u.signs for u in reversed(c.vertices)] or [(0,) * n]  # no vertex: no side
+    digits = bytes.maketrans(b"\0\1", b"01")
+    for k, column in enumerate(zip(*signs)):
+        starred = int(bytes(column).translate(digits), 2)
+        if not starred or starred == everything:
+            raise DegenerateWall(f"wall h{k + 1} has an empty side", k)
+        sides += [everything ^ starred, starred]
+    sides += [0, everything]  # 0 and 0*
+    rows = [sum(1 << b for b in range(2 * n + 2) if not side & sides[b ^ 1]) for side in sides]
+    return FinitePocSet._from_rows(n, rows)
 
 
 class DualityReport:
@@ -261,11 +270,10 @@ def duality_roundtrip(p: FinitePocSet) -> DualityReport:
     """
     c = build_cubing(p)
     q = extract_halfspaces(c)
-    for a in p.elements():
-        for b in p.elements():
-            if p.leq(a, b) != q.leq(a, b):
-                raise NotIsomorphic(
-                    f"order mismatch at ({p.name(a)}, {p.name(b)})", (a, b)
-                )
+    if q._up != p._up:
+        a = next(a for a in p.elements() if p._up[a] != q._up[a])
+        diff = p._up[a] ^ q._up[a]
+        b = (diff & -diff).bit_length() - 1
+        raise NotIsomorphic(f"order mismatch at ({p.name(a)}, {p.name(b)})", (a, b))
     bijection = {p.name(e): q.name(e) for e in p.proper_elements()}
     return DualityReport(True, bijection, {i: i for i in range(len(c.vertices))})

@@ -97,11 +97,14 @@ def pocset_from_document(doc: dict) -> FinitePocSet:
 
 
 def pocset_to_document(p: FinitePocSet) -> dict:
-    edges = []
+    """Every relation a <= b between distinct proper handles, in row order."""
+    edges, names = [], [p.name(e) for e in p.proper_elements()]
     for a in p.proper_elements():
-        for b in p.proper_elements():
-            if a != b and p.leq(a, b):
-                edges.append([p.name(a), p.name(b)])
+        above = p._up[a] & (1 << len(names)) - 1 & ~(1 << a)
+        while above:
+            b = (above & -above).bit_length() - 1
+            above ^= 1 << b
+            edges.append([names[a], names[b]])
     return {"pairs": p.n_pairs, "order": edges}
 
 

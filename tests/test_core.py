@@ -244,6 +244,96 @@ def test_constructors_match_warshall_at_the_pair_cap():
     assert _built_outcome(lambda: window_pocset(k, w)) == expected
 
 
+def _cell_by_cell_outcome(n: int, leq):
+    """A test oracle for `from_leq_matrix`: read the relation one cell at
+    a time, check the involution cell by cell in row-major order, then
+    close the rows by Warshall.  Returns what `_built_outcome` returns."""
+    m = 2 * n + 2
+    up = [0] * m
+    for a in range(m):
+        for b in range(m):
+            if leq[a][b]:
+                up[a] |= 1 << b
+        up[a] |= 1 << a
+    for a in range(m):
+        for b in range(m):
+            if bool(up[a] >> b & 1) != bool(up[star(b)] >> star(a) & 1):
+                message = f"{_name(a, n)} <= {_name(b, n)} does not match the dual relation"
+                return ("involution not order-reversing", message, (a, b))
+    return _warshall_outcome(n, up)
+
+
+def test_leq_matrix_matches_the_cell_by_cell_scan():
+    # random relations, star-symmetric or not, with truthy cells of mixed
+    # types; the generator rows of a sampled poc-set are read back too
+    rng = random.Random(1515)
+    outcomes = Counter()
+    for _ in range(3000):
+        n = rng.randint(0, 6)
+        m = 2 * n + 2
+        density = rng.choice((0.05, 0.15, 0.4))
+        symmetric = rng.random() < 0.6
+        leq = [[False] * m for _ in range(m)]
+        for a in range(m):
+            for b in range(m):
+                if rng.random() < density:
+                    leq[a][b] = True
+                    if symmetric:
+                        leq[b ^ 1][a ^ 1] = True
+        if rng.random() < 0.7:
+            for e in range(m):
+                leq[2 * n][e] = leq[e][2 * n + 1] = True
+        if rng.random() < 0.3:
+            cell = lambda v: rng.choice((1, "x", 2.5)) if v else rng.choice((0, None, ""))
+            leq = [[cell(v) for v in row] for row in leq]
+        expected = _cell_by_cell_outcome(n, leq)
+        assert _built_outcome(lambda: FinitePocSet.from_leq_matrix(n, leq)) == expected
+        outcomes["ok" if isinstance(expected, list) else expected[0]] += 1
+    kinds = {"ok", "involution not order-reversing", "antisymmetry", "minimum", "h <= h*"}
+    assert set(outcomes) == kinds, outcomes
+
+
+def test_leq_matrix_reads_back_the_order_at_the_pair_cap():
+    from pocsets.core import MAX_PAIRS
+
+    n = MAX_PAIRS
+    for edges in ([], [(2 * i, 2 * i + 2) for i in range(n - 1)]):
+        p = FinitePocSet.from_order_generators(n, edges)
+        m = 2 * n + 2
+        leq = [[bool(row >> b & 1) for b in range(m)] for row in p._up]
+        assert FinitePocSet.from_leq_matrix(n, leq)._up == p._up
+        leq[3][2 * n - 2] = True  # h2* <= h512 without h512* <= h2
+        with pytest.raises(AxiomViolation, match="h2\\* <= h512 does not match") as exc:
+            FinitePocSet.from_leq_matrix(n, leq)
+        assert exc.value.witness == (3, 2 * n - 2)
+
+
+def _classified_transversality(p: FinitePocSet) -> tuple[int, ...]:
+    """Pair transversality from `classify_pair` on the plain handles."""
+    masks = [0] * p.n_pairs
+    for i, j in combinations(range(p.n_pairs), 2):
+        if not p.classify_pair(2 * i, 2 * j).nested:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return tuple(masks)
+
+
+def test_pair_transversality_matches_classify_pair():
+    rng = random.Random(1516)
+    for _ in range(1500):
+        p = random_pocset(rng, max_pairs=9)
+        assert p._transverse_pairs == _classified_transversality(p)
+    # at the cap: no edges, a chain, and a sparse DAG
+    n = 512
+    for edges in (
+        [],
+        [(2 * i, 2 * i + 2) for i in range(n - 1)],
+        [(2 * b, 2 * a + 1) for a, b in (sorted(rng.sample(range(n), 2)) for _ in range(300))],
+    ):
+        p = FinitePocSet.from_order_generators(n, edges)
+        assert p._transverse_pairs == _classified_transversality(p)
+
+
 def test_dangling_handle_rejected():
     from pocsets.errors import MalformedInput
 

@@ -1,14 +1,24 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from pocsets.core import FinitePocSet, pair_of
-from pocsets import cubing
-from pocsets.cubing import MAX_CUBES, build_cubing, duality_roundtrip, extract_halfspaces
-from pocsets.errors import MalformedInput
+from pocsets.core import FinitePocSet, Ultrafilter, pair_of
+from pocsets import core, cubing
+from pocsets.cubing import (
+    MAX_CUBES,
+    Cube,
+    CubeComplex,
+    DualityReport,
+    build_cubing,
+    duality_roundtrip,
+    extract_halfspaces,
+)
+from pocsets.errors import AxiomViolation, DegenerateWall, MalformedInput, NotIsomorphic
 
 from conftest import brute_force_ultrafilters, random_pocset
 
@@ -56,23 +66,33 @@ def test_tripod_is_a_star(fix_tripod):
     assert sorted(degrees) == [1, 1, 1, 3]
 
 
-def test_a_star_of_many_leaves_tries_no_subsets(monkeypatch):
+def test_a_star_of_many_leaves_tries_no_subsets():
     # h_i* < h_j for all i != j: n + 1 vertices, and the centre's n plain
     # minimal elements are pairwise nested, so no subset of them is a cube
-    # and none should be tried (there are 2^40)
+    # and none should be tried (there are 2^40).  The build runs under a
+    # line budget: every line run in `core` or `cubing` counts, and a build
+    # that tried the subsets would run past it at once.
     n = 40
     star_order = [(2 * i + 1, 2 * j) for i in range(n) for j in range(n) if i != j]
     p = FinitePocSet.from_order_generators(n, star_order)
-    transverse, calls = FinitePocSet.transverse, []
+    watched = {cubing.__file__, core.__file__}
+    budget, lines = 20 * n * n, 0
 
-    def counted(self, h, k):
-        calls.append((h, k))
-        assert len(calls) <= n * n, "transversality tested past n^2 times"
-        return transverse(self, h, k)
+    def count(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            assert lines <= budget, "the build ran past its line budget"
+        return count
 
-    monkeypatch.setattr(FinitePocSet, "transverse", counted)
-    c = build_cubing(p)
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename in watched else None)
+    try:
+        c = build_cubing(p)
+    finally:
+        sys.settrace(previous)
     assert (len(c.vertices), len(c.edges), c.cubes) == (n + 1, n, {})
+    assert 0 < lines
 
 
 def test_cube_count_equals_transverse_subsets_random():
@@ -237,6 +257,36 @@ def test_extract_trivial_complex():
     assert q.n_pairs == 0
 
 
+def test_a_wall_with_an_empty_side_is_refused(fix_square):
+    # a hand-built complex on the square without the vertices across h2
+    c = build_cubing(fix_square)
+    kept = [u for u in c.vertices if u.signs[1] == 0]
+    with pytest.raises(DegenerateWall) as exc:
+        extract_halfspaces(CubeComplex(fix_square, kept, [(0, 1, 0)]))
+    assert (str(exc.value), exc.value.witness) == ("wall h2 has an empty side", 1)
+    assert exc.value.code == "degenerate-wall"
+    # and without the vertices on the plain side of h1
+    kept = [u for u in c.vertices if u.signs[0] == 1]
+    with pytest.raises(DegenerateWall, match="^wall h1 has an empty side$"):
+        extract_halfspaces(CubeComplex(fix_square, kept, [(0, 1, 1)]))
+
+
+def test_a_roundtrip_to_another_order_is_refused(monkeypatch, fix_line3):
+    # extraction patched to return three transverse pairs: line3 has
+    # h2 <= h1, so h1* <= h2*, and they do not; row h1* comes first
+    free = FinitePocSet.from_order_generators(3, [])
+    monkeypatch.setattr(cubing, "extract_halfspaces", lambda c: free)
+    with pytest.raises(NotIsomorphic) as exc:
+        duality_roundtrip(fix_line3)
+    assert (str(exc.value), exc.value.witness) == ("order mismatch at (h1*, h2*)", (1, 3))
+    assert exc.value.code == "not-isomorphic"
+    # and the other way round, a relation missing from p
+    monkeypatch.setattr(cubing, "extract_halfspaces", lambda c: fix_line3)
+    with pytest.raises(NotIsomorphic) as exc:
+        duality_roundtrip(free)
+    assert (str(exc.value), exc.value.witness) == ("order mismatch at (h1*, h2*)", (1, 3))
+
+
 def test_duality_fixtures(fix_line3, fix_square, fix_tripod):
     for p in (fix_line3, fix_square, fix_tripod):
         report = duality_roundtrip(p)
@@ -255,6 +305,134 @@ def test_duality_random():
         # the complex rebuilt from the extracted halfspaces is the same complex
         c = build_cubing(p)
         assert _complex_shape(build_cubing(extract_halfspaces(c))) == _complex_shape(c)
+
+
+# ---------------------------------------------------------------------------
+# the integer build against the frozenset build it replaced
+
+
+def _frozenset_ultrafilters(p: FinitePocSet) -> list[Ultrafilter]:
+    """Backtracking over pairs with one recursive call per choice, an
+    ultrafilter built from its signs at each leaf."""
+    results, signs = [], []
+
+    def descend(k: int, stars: int) -> None:
+        if k == p.n_pairs:
+            results.append(p.ultrafilter_from_signs(signs))
+            return
+        for e in (2 * k, 2 * k + 1):
+            if not p._up[e] & stars:
+                signs.append(e & 1)
+                descend(k + 1, stars | 1 << (e ^ 1))
+                signs.pop()
+
+    descend(0, 0)
+    return results
+
+
+def _frozenset_min_set(p: FinitePocSet, u: Ultrafilter) -> list[int]:
+    proper = [e for e in u.members if p.is_proper(e)]
+    above = 0  # every handle strictly above some proper member
+    for x in proper:
+        above |= p._up[x] & ~(1 << x)
+    return [e for e in sorted(proper) if not above >> e & 1]
+
+
+def _frozenset_subsets(p: FinitePocSet, sub: tuple, later: list):
+    for j, x in enumerate(later):
+        grown = sub + (x,)
+        if len(grown) >= 2:
+            yield grown
+        rest = [y for y in later[j + 1 :] if p.transverse(x, y)]
+        if rest:
+            yield from _frozenset_subsets(p, grown, rest)
+
+
+def _frozenset_build(p: FinitePocSet) -> CubeComplex:
+    """Vertices keyed by their sign tuples, minimal sets sorted per vertex
+    and transversality asked one pair of elements at a time."""
+    vertices = _frozenset_ultrafilters(p)
+    index = {u.signs: i for i, u in enumerate(vertices)}
+    edges, cubes = [], {}
+    for i, u in enumerate(vertices):
+        plain = [a for a in _frozenset_min_set(p, u) if not a & 1]
+        for a in reversed(plain):
+            signs = list(u.signs)
+            signs[pair_of(a)] = 1
+            edges.append((i, index[tuple(signs)], pair_of(a)))
+        for sub in _frozenset_subsets(p, (), plain):
+            cubes.setdefault(len(sub), []).append(Cube(i, tuple(map(pair_of, sub))))
+    return CubeComplex(p, vertices, edges, cubes)
+
+
+def _frozenset_extract_rows(c: CubeComplex) -> list[int]:
+    """The rows of the halfspace order, by frozenset inclusion of sides."""
+    sides = []
+    for wall in c.walls():
+        sides += [wall.side_plain, wall.side_star]
+    sides += [frozenset(), frozenset(range(len(c.vertices)))]
+    return [sum(1 << b for b, other in enumerate(sides) if side <= other) for side in sides]
+
+
+def _cell_roundtrip(p: FinitePocSet, q: FinitePocSet, vertex_count: int) -> dict:
+    """The round trip's report, comparing the two orders cell by cell."""
+    for a in p.elements():
+        for b in p.elements():
+            if p.leq(a, b) != q.leq(a, b):
+                raise NotIsomorphic(f"order mismatch at ({p.name(a)}, {p.name(b)})", (a, b))
+    bijection = {p.name(e): q.name(e) for e in p.proper_elements()}
+    return DualityReport(True, bijection, {i: i for i in range(vertex_count)}).to_json()
+
+
+def _walls(c: CubeComplex) -> list:
+    return [(w.pair, w.edges, w.side_plain, w.side_star) for w in c.walls()]
+
+
+def test_integer_build_matches_the_frozenset_build():
+    # 5,000 generator sets drawn as finite-duality draws them, n = 0..8
+    rng = random.Random(15)
+    sizes = Counter()
+    for _ in range(5000):
+        n = rng.randint(0, 8)
+        while True:
+            edges = [(rng.randrange(2 * n), rng.randrange(2 * n)) for _ in range(rng.randint(0, 2 * n))]
+            try:
+                p = FinitePocSet.from_order_generators(n, edges)
+                break
+            except AxiomViolation:
+                continue
+        old, new = _frozenset_build(p), build_cubing(p)
+        assert [(u.signs, u.members) for u in p.ultrafilters()] == [
+            (u.signs, u.members) for u in old.vertices
+        ]
+        assert [(u.signs, u.members) for u in new.vertices] == [
+            (u.signs, u.members) for u in old.vertices
+        ]
+        assert new.edges == old.edges
+        assert new.cubes == old.cubes
+        assert _walls(new) == _walls(old)
+        assert list(extract_halfspaces(new)._up) == _frozenset_extract_rows(old)
+        assert duality_roundtrip(p).to_json() == _cell_roundtrip(p, p, len(old.vertices))
+        sizes[len(old.vertices) > 16, max(old.cubes, default=1)] += 1
+    # small and large complexes, with and without cubes of dimension >= 3
+    assert {(False, 1), (False, 2), (True, 2), (True, 3)} <= set(sizes), sizes
+
+
+def test_a_refused_roundtrip_matches_the_cell_scan(monkeypatch):
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(1000):
+        p, q = random_pocset(rng, max_pairs=5), random_pocset(rng, max_pairs=5)
+        if p.n_pairs != q.n_pairs or p._up == q._up:
+            continue
+        checked += 1
+        monkeypatch.setattr(cubing, "extract_halfspaces", lambda c: q)
+        with pytest.raises(NotIsomorphic) as new:
+            duality_roundtrip(p)
+        with pytest.raises(NotIsomorphic) as old:
+            _cell_roundtrip(p, q, 0)
+        assert (str(new.value), new.value.witness) == (str(old.value), old.value.witness)
+    assert checked >= 20
 
 
 def test_dot_export(fix_square):
