@@ -11,9 +11,10 @@ int (a cut) or ``math.inf`` / ``-math.inf`` (the two ends):
 Almost-equality classes are signatures with one of Fin(0), Plus(+1),
 Minus(-1) per chain; the principal class is all-Fin.  Every function here is
 pure.  Records are plain ``__slots__`` classes with a hand-written
-``__init__``, immutable by convention: nothing assigns to a field after
-construction, and the hashed ones (`ChainUltrafilter`, `Signature`, ..) rely
-on it.
+``__init__``; equality, hash and repr come from their ``__slots__`` through
+`pocsets.core.Record`.  They are immutable by convention: nothing assigns to
+a field after construction, and the hashed ones (`ChainUltrafilter`,
+`Signature`, ..) rely on it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import re
 from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
-from .core import FinitePocSet
+from .core import FinitePocSet, Record
 from .errors import (
     ChainCountMismatch,
     EmptySequence,
@@ -44,7 +45,7 @@ _END_SYMBOL = {PLUS: "+", FIN: "0", MINUS: "-"}
 _SYMBOL_END = {"+": PLUS, "0": FIN, "-": MINUS}
 
 
-class ChainFamily:
+class ChainFamily(Record):
     """An omega-dimensional poc-set given as named pairwise-transverse
     Z-chains; geometry, when any, lives in `pocsets.euclid`."""
 
@@ -53,42 +54,18 @@ class ChainFamily:
     def __init__(self, names: tuple[str, ...]):
         self.names = names
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.names == other.names
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.names,))
-
     @property
     def k(self) -> int:
         return len(self.names)
 
 
-class ChainHalfspace:
+class ChainHalfspace(Record):
     __slots__ = ("chain", "index", "starred")
 
     def __init__(self, chain: int, index: int, starred: bool = False):
         self.chain = chain
         self.index = index
         self.starred = starred
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.chain, self.index, self.starred) == (
-                other.chain, other.index, other.starred
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.chain, self.index, self.starred))
-
-    def __repr__(self) -> str:
-        return (
-            f"ChainHalfspace(chain={self.chain!r}, index={self.index!r}, "
-            f"starred={self.starred!r})"
-        )
 
     def star(self) -> "ChainHalfspace":
         return ChainHalfspace(self.chain, self.index, not self.starred)
@@ -98,7 +75,7 @@ class ChainHalfspace:
         return f"{name}({self.index})" + ("*" if self.starred else "")
 
 
-class ChainUltrafilter:
+class ChainUltrafilter(Record):
     """One cut-or-end state per chain; always a valid ultrafilter because
     cross-chain transversality makes UF2 vacuous across chains."""
 
@@ -106,17 +83,6 @@ class ChainUltrafilter:
 
     def __init__(self, cuts: tuple[CutValue, ...]):
         self.cuts = cuts
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.cuts == other.cuts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cuts,))
-
-    def __repr__(self) -> str:
-        return f"ChainUltrafilter(cuts={self.cuts!r})"
 
     @property
     def k(self) -> int:
@@ -141,7 +107,7 @@ class ChainUltrafilter:
         return tuple(int(c) for c in self.cuts)
 
 
-class Signature:
+class Signature(Record):
     """An almost-equality class: Fin(0), Plus(+1) or Minus(-1) per chain."""
 
     __slots__ = ("ends",)
@@ -150,17 +116,6 @@ class Signature:
         if any(e not in (FIN, PLUS, MINUS) for e in ends):
             raise MalformedInput("signature entries must be -1, 0 or 1", ends)
         self.ends = ends
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.ends == other.ends
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ends,))
-
-    def __repr__(self) -> str:
-        return f"Signature(ends={self.ends!r})"
 
     @property
     def k(self) -> int:

@@ -13,15 +13,19 @@ Element indexing convention (used everywhere in this package):
 * ``star(e) = e ^ 1``; canonical element order is handle order.
 
 Records are plain classes with ``__slots__`` and a hand-written
-``__init__``; they are immutable by convention (nothing in the package
-assigns to a field after construction), and every operation is a pure
-function, so concurrent use needs no synchronization.
+``__init__``, not dataclasses, which cost start-up.  Value records derive
+equality, hash and repr from their ``__slots__`` through `Record`; mutable
+reports opt out of hashing with ``__hash__ = None``.  Records are immutable
+by convention (nothing in the package assigns to a field after
+construction), and every operation is a pure function, so concurrent use
+needs no synchronization.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -60,7 +64,42 @@ def pair_of(e: int) -> int:
     return e >> 1
 
 
-class Ultrafilter:
+class Record:
+    """Base of the records compared by value: each subclass gets `__eq__`
+    (the same class with equal fields), `__hash__` (of the field tuple,
+    unless the class sets ``__hash__ = None``) and `__repr__`
+    (``Name(field=value, ...)``), all read off its ``__slots__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        get = attrgetter(*names)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        if len(names) == 1:
+            def __hash__(self):
+                return hash((get(self),))
+        else:
+            def __hash__(self):
+                return hash(get(self))
+
+        def __repr__(self):
+            fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+            return f"{self.__class__.__name__}({fields})"
+
+        cls.__eq__ = __eq__
+        if cls.__hash__ is not None:
+            cls.__hash__ = __hash__
+        cls.__repr__ = __repr__
+
+
+class Ultrafilter(Record):
     """A UF1+UF2 subset of a finite poc-set.
 
     ``signs[k]`` is 0 when pair k's plain element is a member and 1 when the
@@ -73,17 +112,6 @@ class Ultrafilter:
     def __init__(self, signs: tuple[int, ...], members: frozenset[int]):
         self.signs = signs
         self.members = members
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.signs == other.signs and self.members == other.members
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.signs, self.members))
-
-    def __repr__(self) -> str:
-        return f"Ultrafilter(signs={self.signs!r}, members={self.members!r})"
 
     def __contains__(self, e: int) -> bool:
         return e in self.members

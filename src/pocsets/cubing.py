@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .core import FinitePocSet, Ultrafilter
+from .core import FinitePocSet, Record, Ultrafilter
 from .errors import DegenerateWall, MalformedInput, NotIsomorphic
 
 # the most cubes of dimension >= 2 `build_cubing` lists; n pairwise
@@ -23,7 +23,7 @@ from .errors import DegenerateWall, MalformedInput, NotIsomorphic
 MAX_CUBES = 10**5
 
 
-class Cube:
+class Cube(Record):
     """A d-cube: canonical base vertex index plus the flipped pair set."""
 
     __slots__ = ("base", "pairs")
@@ -31,17 +31,6 @@ class Cube:
     def __init__(self, base: int, pairs: tuple[int, ...]):
         self.base = base
         self.pairs = pairs
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.base == other.base and self.pairs == other.pairs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.pairs))
-
-    def __repr__(self) -> str:
-        return f"Cube(base={self.base!r}, pairs={self.pairs!r})"
 
     @property
     def dim(self) -> int:
@@ -67,7 +56,7 @@ class Wall:
 
 
 class CubeComplex:
-    __slots__ = ("pocset", "vertices", "edges", "cubes", "_index")
+    __slots__ = ("pocset", "vertices", "edges", "cubes")
 
     def __init__(
         self,
@@ -80,7 +69,6 @@ class CubeComplex:
         self.vertices = vertices
         self.edges = edges
         self.cubes = {} if cubes is None else cubes
-        self._index = {u.signs: i for i, u in enumerate(vertices)}
 
     @property
     def square_count(self) -> int:
@@ -112,6 +100,7 @@ class CubeComplex:
 
     def cube_vertices(self, cube: Cube) -> list[int]:
         """The 2^d corner indices of a stored cube."""
+        index = {u.signs: i for i, u in enumerate(self.vertices)}
         base_signs = self.vertices[cube.base].signs
         out = []
         for r in range(len(cube.pairs) + 1):
@@ -119,7 +108,7 @@ class CubeComplex:
                 signs = list(base_signs)
                 for k in sub:
                     signs[k] ^= 1
-                out.append(self._index[tuple(signs)])
+                out.append(index[tuple(signs)])
         return sorted(out)
 
     def walls(self) -> list[Wall]:

@@ -30,6 +30,7 @@ from .chains import (
     comparable,
     format_signature,
 )
+from .core import Record
 from .errors import LineInsideWall, MalformedInput, NonUniformModelWarning, ZeroDirection
 from .exactnum import ExactNumber, sqrt3_sign
 
@@ -82,7 +83,7 @@ def angular_cmp(u: Vec, v: Vec) -> int:
     return -c
 
 
-class WallFamily:
+class WallFamily(Record):
     __slots__ = ("normal", "spacing", "offset")
 
     def __init__(
@@ -95,22 +96,6 @@ class WallFamily:
         self.normal = normal
         self.spacing = spacing
         self.offset = offset
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.normal, self.spacing, self.offset) == (
-                other.normal, other.spacing, other.offset
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.normal, self.spacing, self.offset))
-
-    def __repr__(self) -> str:
-        return (
-            f"WallFamily(normal={self.normal!r}, spacing={self.spacing!r}, "
-            f"offset={self.offset!r})"
-        )
 
     def wall_level(self, n: int) -> ExactNumber:
         return ExactNumber.of(self.offset) + ExactNumber.of(self.spacing) * n
@@ -224,23 +209,15 @@ def rho(model: WallModel, xi: Vec) -> Signature:
 # the image of rho and its fiber structure
 
 
-class PointFiber:
+class PointFiber(Record):
     __slots__ = ("direction",)
     kind = "point"
 
     def __init__(self, direction: Vec):
         self.direction = direction
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.direction == other.direction
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.direction,))
-
-
-class ArcFiber:
+class ArcFiber(Record):
     """Open counterclockwise arc between two critical directions."""
 
     __slots__ = ("start", "end")
@@ -250,14 +227,6 @@ class ArcFiber:
         self.start = start
         self.end = end
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.start == other.start and self.end == other.end
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.end))
-
     def representative(self) -> Vec:
         mid = (self.start[0] + self.end[0], self.start[1] + self.end[1])
         if mid[0].is_zero() and mid[1].is_zero():  # half-circle arc
@@ -265,23 +234,15 @@ class ArcFiber:
         return normalize(mid)
 
 
-class ImageEntry:
+class ImageEntry(Record):
     __slots__ = ("signature", "fibers")
 
     def __init__(self, signature: Signature, fibers: tuple):
         self.signature = signature
         self.fibers = fibers
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.signature == other.signature and self.fibers == other.fibers
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.signature, self.fibers))
-
-
-class ImageReport:
+class ImageReport(Record):
     __slots__ = ("entries", "critical_directions", "uniform", "warning")
 
     def __init__(
@@ -295,14 +256,6 @@ class ImageReport:
         self.critical_directions = critical_directions
         self.uniform = uniform
         self.warning = warning
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(getattr(self, f) for f in self.__slots__))
 
     def signatures(self) -> list[Signature]:
         return [e.signature for e in self.entries]

@@ -32,6 +32,7 @@ from .chains import (
     format_signature,
     min_set,
 )
+from .core import Record
 from .errors import ChainCountMismatch, MalformedInput, NotPrincipal, WindowTooSmall
 from .euclid import WallModel, eventual_escapers, rho_image
 from .exactnum import ExactNumber, sqrt3_floor, sqrt3_sign
@@ -438,8 +439,9 @@ def dist_to_pi0(model: WallModel, u: ChainUltrafilter, window: int) -> int:
     return _distance(*_nearest(model, u, window))
 
 
-class MinClassification:
+class MinClassification(Record):
     __slots__ = ("plus", "minus", "neutral")
+    __hash__ = None
 
     def __init__(
         self, plus: list[ChainHalfspace], minus: list[ChainHalfspace], neutral: list[ChainHalfspace]
@@ -447,11 +449,6 @@ class MinClassification:
         self.plus = plus
         self.minus = minus
         self.neutral = neutral
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.plus, self.minus, self.neutral) == (other.plus, other.minus, other.neutral)
-        return NotImplemented
 
 
 def classify_min(model: WallModel, u: ChainUltrafilter, window: int) -> MinClassification:
@@ -472,7 +469,7 @@ def _classify(f: WindowField, u: ChainUltrafilter, cuts: Cuts, base: int) -> Min
     return MinClassification(plus, minus, neutral)
 
 
-class DualShadow:
+class DualShadow(Record):
     """Per chain, the two rays of halfspaces containing every shadow member:
     plains up to ``plain_upto[i]`` and stars from ``star_from[i]`` on."""
 
@@ -481,14 +478,6 @@ class DualShadow:
     def __init__(self, plain_upto: Cuts, star_from: Cuts):
         self.plain_upto = plain_upto
         self.star_from = star_from
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.plain_upto == other.plain_upto and self.star_from == other.star_from
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.plain_upto, self.star_from))
 
     def contains(self, h: ChainHalfspace) -> bool:
         if h.starred:
@@ -590,25 +579,22 @@ def shadow_report(model: WallModel, u: ChainUltrafilter, window: int) -> ShadowR
 # escaping rays
 
 
-class RayStep:
+class RayStep(Record):
     __slots__ = ("index", "cuts", "dist")
+    __hash__ = None
 
     def __init__(self, index: int, cuts: Cuts, dist: int):
         self.index = index
         self.cuts = cuts
         self.dist = dist
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.index, self.cuts, self.dist) == (other.index, other.cuts, other.dist)
-        return NotImplemented
 
-
-class RayReport:
+class RayReport(Record):
     __slots__ = (
         "target", "window", "steps", "escape_start", "success", "failure_step",
         "dual_shadows_shrink",
     )
+    __hash__ = None
 
     def __init__(
         self,
@@ -627,11 +613,6 @@ class RayReport:
         self.success = success
         self.failure_step = failure_step
         self.dual_shadows_shrink = dual_shadows_shrink
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-        return NotImplemented
 
     def to_json(self) -> dict:
         return {
@@ -701,8 +682,9 @@ def escaping_ray(model: WallModel, target: Signature, length: int, window: int) 
 # the co-compactness report
 
 
-class ClassRow:
+class ClassRow(Record):
     __slots__ = ("signature", "codim", "in_image", "escapes")
+    __hash__ = None
 
     def __init__(self, signature: Signature, codim: int, in_image: bool, escapes: Optional[bool]):
         self.signature = signature
@@ -710,17 +692,13 @@ class ClassRow:
         self.in_image = in_image
         self.escapes = escapes
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-        return NotImplemented
 
-
-class SurjectivityReport:
+class SurjectivityReport(Record):
     __slots__ = (
         "model_chains", "uniform", "windows", "max_delta", "delta_linear_growth",
         "delta_bounded", "classes", "image_size", "escaping_classes",
     )
+    __hash__ = None
 
     def __init__(
         self,
@@ -743,11 +721,6 @@ class SurjectivityReport:
         self.classes = classes
         self.image_size = image_size
         self.escaping_classes = escaping_classes
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-        return NotImplemented
 
     def to_json(self) -> dict:
         return {

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import math
 import operator
+import pkgutil
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,6 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import pocsets
+from pocsets.chains import ChainHalfspace
+from pocsets.core import Record
 from pocsets.errors import MalformedInput
 from pocsets.euclid import WallFamily
 from pocsets.exactnum import (
@@ -321,7 +326,8 @@ def test_equal_values_hash_equal(x, y):
 
 def _record_cases():
     """(class, factory of field values, one other value per field) for each
-    record type the package or its tests compare or hash."""
+    record type the package or its tests compare or hash; every
+    `pocsets.core.Record` subclass must have one."""
     from pocsets.chains import PLUS_END, ChainFamily, ChainHalfspace, ChainUltrafilter, Signature
     from pocsets.core import Ultrafilter
     from pocsets.cubing import Cube
@@ -388,17 +394,31 @@ def _record_cases():
 def test_records_have_value_semantics(cls, fields, others):
     # equal fields give equal instances (with equal hashes where the record
     # is hashed), any one changed field an unequal one, and another record
-    # type with the same fields never equals
+    # type with the same fields never equals; records print their fields
     first, second = cls(*fields()), cls(*fields())
     assert first == second and not first != second
     if cls.__hash__ is not None:
-        assert hash(first) == hash(second)
+        # the hash of the field tuple, on which set orders and so outputs rest
+        assert hash(first) == hash(second) == hash(fields())
     for i, other in enumerate(others):
         changed = list(fields())
         changed[i] = other
         assert cls(*changed) != first, (cls.__name__, i)
     twin = type("Twin", (cls,), {})
     assert twin(*fields()) != first and first != twin(*fields())
+    # a subclass of an unhashable report stays unhashable
+    assert (twin.__hash__ is None) == (cls.__hash__ is None)
+    if issubclass(cls, Record):
+        values = ", ".join(f"{n}={v!r}" for n, v in zip(cls.__slots__, fields()))
+        assert repr(first) == f"{cls.__name__}({values})"
+    # `flip` and `cf_truncate` name halfspaces by repr in their messages
+    assert repr(ChainHalfspace(0, 2)) == "ChainHalfspace(chain=0, index=2, starred=False)"
+    # no record class of the package goes without a case here
+    for module in pkgutil.iter_modules(pocsets.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"pocsets.{module.name}")
+    records = {c for c in Record.__subclasses__() if c.__module__.startswith("pocsets.")}
+    assert records <= {case[0] for case in _record_cases()}
 
 
 def test_records_are_slotted_and_mutable_reports_unhashable():
