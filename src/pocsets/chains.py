@@ -70,10 +70,6 @@ class ChainHalfspace(Record):
     def star(self) -> "ChainHalfspace":
         return ChainHalfspace(self.chain, self.index, not self.starred)
 
-    def describe(self, family: Optional[ChainFamily] = None) -> str:
-        name = family.names[self.chain] if family else f"c{self.chain}"
-        return f"{name}({self.index})" + ("*" if self.starred else "")
-
 
 class ChainUltrafilter(Record):
     """One cut-or-end state per chain; always a valid ultrafilter because
@@ -312,9 +308,6 @@ class RollerPoset:
 
     def leq(self, a: Signature, b: Signature) -> bool:
         return class_leq(a, b)
-
-    def minimum(self) -> Signature:
-        return principal(self.k)
 
     def covers(self) -> list[tuple[Signature, Signature]]:
         """Covering pairs (a, b) with a < b and nothing strictly between;

@@ -14,9 +14,7 @@ open arcs, never as a metrized object.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .chains import (
@@ -32,7 +30,7 @@ from .chains import (
 )
 from .core import Record
 from .errors import LineInsideWall, MalformedInput, NonUniformModelWarning, ZeroDirection
-from .exactnum import ExactNumber, sqrt3_sign
+from .exactnum import ONE, ZERO, ExactNumber, Rationalish, integer_pairs, sqrt3_sign
 
 Vec = tuple[ExactNumber, ExactNumber]
 
@@ -84,21 +82,23 @@ def angular_cmp(u: Vec, v: Vec) -> int:
 
 
 class WallFamily(Record):
+    """Walls n . p = offset + spacing*m for every integer m; spacing and
+    offset are held as `ExactNumber`s, whatever rationals they are given as."""
+
     __slots__ = ("normal", "spacing", "offset")
 
-    def __init__(
-        self, normal: Vec, spacing: Fraction = Fraction(1), offset: Fraction = Fraction(0)
-    ):
+    def __init__(self, normal: Vec, spacing: Rationalish = 1, offset: Rationalish = 0):
         if normal[0].is_zero() and normal[1].is_zero():
             raise MalformedInput("wall family needs a non-zero normal", [str(x) for x in normal])
+        spacing = ExactNumber.of(spacing)
         if spacing <= 0:
             raise MalformedInput("spacing must be positive", spacing)
         self.normal = normal
         self.spacing = spacing
-        self.offset = offset
+        self.offset = ExactNumber.of(offset)
 
     def wall_level(self, n: int) -> ExactNumber:
-        return ExactNumber.of(self.offset) + ExactNumber.of(self.spacing) * n
+        return self.offset + self.spacing * n
 
 
 class WallModel:
@@ -171,38 +171,14 @@ class WallModel:
 # the decomposition map
 
 
-class RhoResult:
-    __slots__ = ("signature", "roles")
-
-    def __init__(self, signature: Signature, roles: tuple[str, ...]):
-        self.signature = signature
-        self.roles = roles  # per chain: "plus" | "minus" | "parallel"
-
-
-def classify_direction(model: WallModel, xi: Vec) -> RhoResult:
-    """Chain roles of a boundary direction: parallel iff n_i . xi = 0, else
-    the sign says which end of the chain the ray runs into."""
+def rho(model: WallModel, xi: Vec) -> Signature:
+    """The minimum boundary class compatible with the direction xi: the
+    sign vector of the n_i . xi.  Chain i is FIN (0) when its walls are
+    parallel to xi, else PLUS (+1) or MINUS (-1) for the end the ray runs
+    into."""
     if xi[0].is_zero() and xi[1].is_zero():
         raise ZeroDirection("boundary directions are non-zero")
-    ends = []
-    roles = []
-    for fam in model.families:
-        s = dot(fam.normal, xi).sign()
-        if s == 0:
-            ends.append(FIN)
-            roles.append("parallel")
-        elif s > 0:
-            ends.append(PLUS)
-            roles.append("plus")
-        else:
-            ends.append(MINUS)
-            roles.append("minus")
-    return RhoResult(Signature(tuple(ends)), tuple(roles))
-
-
-def rho(model: WallModel, xi: Vec) -> Signature:
-    """The minimum boundary class compatible with the direction xi."""
-    return classify_direction(model, xi).signature
+    return Signature(tuple(dot(fam.normal, xi).sign() for fam in model.families))
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +317,9 @@ def eventual_escapers(model: WallModel) -> set[Signature]:
     perp(m_j) of each free j.  Each row of dot products u.m_i is scaled to
     integer pairs (a, b), meaning a + b*sqrt3, by one positive factor."""
     ms = [(f.normal[0] / f.spacing, f.normal[1] / f.spacing) for f in model.families]
-    one, zero = ExactNumber.of(1), ExactNumber.of(0)
     rows = []
-    for u in ((one, zero), (zero, one), *map(perp, ms)):
-        dots = [dot(u, m) for m in ms]
-        scale = lcm(*(x.d for x in dots))
-        row = [(x.p * (scale // x.d), x.q * (scale // x.d)) for x in dots]
+    for u in ((ONE, ZERO), (ZERO, ONE), *map(perp, ms)):
+        row = integer_pairs([dot(u, m) for m in ms])
         rows.append((row, [(a, b) if sqrt3_sign(a, b) >= 0 else (-a, -b) for a, b in row]))
     escapers = set()
     for s in all_signatures(model.k):
@@ -478,7 +451,7 @@ def closure_check(model: WallModel) -> ClosureReport:
 class Line:
     __slots__ = ("direction", "basepoint")
 
-    def __init__(self, direction: Vec, basepoint: Vec = (ExactNumber.of(0), ExactNumber.of(0))):
+    def __init__(self, direction: Vec, basepoint: Vec = (ZERO, ZERO)):
         self.direction = direction
         self.basepoint = basepoint
 
@@ -548,8 +521,8 @@ def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
             trivial_cuts[i] = cut + 1
         else:
             # wall n crosses at t with base + t*speed = offset + spacing*n
-            step = ExactNumber.of(fam.spacing) / speed
-            origin = (ExactNumber.of(fam.offset) - base_level) / speed
+            step = fam.spacing / speed
+            origin = (fam.offset - base_level) / speed
             progression[i] = (origin, step, 1 if speed.sign() > 0 else -1)
 
     # merge families whose crossing sets coincide

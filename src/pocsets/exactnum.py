@@ -9,17 +9,17 @@ sign computations: no floating point ever enters a geometric predicate.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import gcd, isqrt
-from typing import Union
+from math import gcd, isqrt, lcm
+from numbers import Rational
+from typing import Sequence, Union
 
 from .errors import MalformedInput
 
-Rationalish = Union[int, Fraction, "ExactNumber"]
+Rationalish = Union[Rational, "ExactNumber"]
 
 
-def sqrt3_sign(a: Union[int, Fraction], b: Union[int, Fraction]) -> int:
-    """Sign of a + b*sqrt(3) for rational a, b, decided via a^2 vs 3b^2."""
+def sqrt3_sign(a: int, b: int) -> int:
+    """Sign of a + b*sqrt(3) for integers a, b, decided via a^2 vs 3b^2."""
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0:
@@ -50,10 +50,10 @@ class ExactNumber:
 
     __slots__ = ("p", "q", "d")
 
-    def __new__(cls, a: Union[int, Fraction], b: Union[int, Fraction] = 0):
-        if not isinstance(a, (int, Fraction)) or not isinstance(b, (int, Fraction)):
-            raise TypeError(f"ExactNumber needs int or Fraction parts, got {a!r}, {b!r}")
-        (m, n), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
+    def __new__(cls, a: Rational, b: Rational = 0):
+        if not isinstance(a, Rational) or not isinstance(b, Rational):
+            raise TypeError(f"ExactNumber needs rational parts, got {a!r}, {b!r}")
+        m, n, r, s = a.numerator, a.denominator, b.numerator, b.denominator
         return _reduced(m * s, r * n, n * s)
 
     # ------------------------------------------------------------------
@@ -145,7 +145,7 @@ class ExactNumber:
         return -self if self.sign() < 0 else self
 
     def __float__(self) -> float:
-        # both quotients correctly rounded, as float(Fraction) gives them
+        # both quotients of ints, so each is correctly rounded
         return self.p / self.d + (self.q / self.d) * 3**0.5
 
     # ------------------------------------------------------------------
@@ -171,7 +171,13 @@ def _sum(x: ExactNumber, y: ExactNumber, sign: int) -> tuple[int, int, int]:
 
 ZERO = ExactNumber(0)
 ONE = ExactNumber(1)
-SQRT3 = ExactNumber(0, 1)
+
+
+def integer_pairs(xs: Sequence[ExactNumber]) -> list[tuple[int, int]]:
+    """The numbers times one positive integer, the least common multiple of
+    their denominators, as pairs (a, b) meaning a + b*sqrt(3)."""
+    scale = lcm(*(x.d for x in xs))
+    return [(x.p * (scale // x.d), x.q * (scale // x.d)) for x in xs]
 
 
 def _format_ratio(n: int, d: int) -> str:
@@ -228,12 +234,14 @@ def parse_exact(text: str) -> ExactNumber:
             raise MalformedInput(f"bad exact-number term {term!r}", text)
         coef_text = m.group("coef")
         if coef_text in (None, "+", "-"):
-            coef = Fraction((coef_text or "") + "1")
+            num, den = (-1 if coef_text == "-" else 1), 1
         else:
-            coef = Fraction(coef_text)
-        if m.group("den"):
-            coef /= Fraction(m.group("den"))
-        total = total + (ExactNumber(0, coef) if m.group("root") else ExactNumber(coef))
+            num_text, _, den_text = coef_text.partition("/")
+            num, den = int(num_text), int(den_text or 1)
+        den *= int(m.group("den") or 1)
+        if den == 0:
+            raise MalformedInput(f"zero denominator in exact-number term {term!r}", text)
+        total = total + (_reduced(0, num, den) if m.group("root") else _reduced(num, 0, den))
     return total
 
 

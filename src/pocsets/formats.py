@@ -9,7 +9,10 @@ Two document kinds, both JSON:
   "offset": "0"}``: the normal's two coordinates are exact literals in
   Q(√3), spacing and offset are rationals.
 
-Anything else is refused with `MalformedInput`.
+Anything else is refused with `MalformedInput`, and so is a file that cannot
+be read or is not UTF-8.  Spacing and offset literals are parsed here with
+`fractions.Fraction`, the only use of it in the package, and `WallFamily`
+holds them as `ExactNumber`s like every other number of the planar layer.
 
 Every structured output of the CLI that has a loader round-trips through
 these functions.  The chain-family loaders import the chain, planar and
@@ -20,7 +23,6 @@ them.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
@@ -45,24 +47,20 @@ FIXTURE_NAMES = (
 )
 
 
-def _fixture_text(name: str) -> str:
-    return (
-        resources.files("pocsets").joinpath(f"fixtures/{name}.json").read_text()
-    )
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def load_document(source: Union[str, Path]) -> dict:
-    """Read a JSON document from a path or a fixture name."""
-    text = None
+    """Read a UTF-8 JSON document from a path or a fixture name."""
     path = Path(source)
-    if path.exists():
-        text = path.read_text()
-    else:
-        name = str(source)
-        if name in FIXTURE_NAMES:
-            text = _fixture_text(name)
-    if text is None:
-        raise MalformedInput(f"no such file or fixture: {source}", str(source))
+    if not path.exists():
+        if str(source) not in FIXTURE_NAMES:
+            raise MalformedInput(f"no such file or fixture: {source}", str(source))
+        path = FIXTURES / f"{source}.json"
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInput(f"cannot read {source}: {exc}", str(source)) from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -8,7 +8,7 @@ input always produces identical bytes.
 from __future__ import annotations
 
 from .euclid import WallModel
-from .exactnum import ExactNumber
+from .exactnum import ONE
 from .shadows import ShadowReport, _feasible_point, _slab_constraints
 
 
@@ -46,7 +46,7 @@ def _virtual_position(model: WallModel, cuts):
     stand-in position of an inconsistent cut tuple."""
     from .euclid import cross
 
-    half = ExactNumber.of(1) / 2
+    half = ONE / 2
     for i in range(model.k):
         for j in range(i + 1, model.k):
             n1 = model.families[i].normal
@@ -54,12 +54,8 @@ def _virtual_position(model: WallModel, cuts):
             det = cross(n1, n2)
             if det.is_zero():
                 continue
-            m1 = model.families[i].wall_level(cuts[i]) - ExactNumber.of(
-                model.families[i].spacing
-            ) * half
-            m2 = model.families[j].wall_level(cuts[j]) - ExactNumber.of(
-                model.families[j].spacing
-            ) * half
+            m1 = model.families[i].wall_level(cuts[i]) - model.families[i].spacing * half
+            m2 = model.families[j].wall_level(cuts[j]) - model.families[j].spacing * half
             x = (m1 * n2[1] - m2 * n1[1]) / det
             y = (n1[0] * m2 - n2[0] * m1) / det
             return (x, y)

@@ -17,9 +17,8 @@ places on a geodesic from the query.
 from __future__ import annotations
 
 from functools import cached_property
-from fractions import Fraction
 from itertools import pairwise, product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -35,7 +34,7 @@ from .chains import (
 from .core import Record
 from .errors import ChainCountMismatch, MalformedInput, NotPrincipal, WindowTooSmall
 from .euclid import WallModel, eventual_escapers, rho_image
-from .exactnum import ExactNumber, sqrt3_floor, sqrt3_sign
+from .exactnum import ZERO, ExactNumber, integer_pairs, sqrt3_floor, sqrt3_sign
 
 Cuts = tuple[int, ...]
 Constraint = tuple[ExactNumber, ExactNumber, ExactNumber]  # ax*x + ay*y <= c
@@ -95,7 +94,7 @@ def _pick(lo: Optional[ExactNumber], hi: Optional[ExactNumber]) -> ExactNumber:
         return lo + 1
     if hi is not None:
         return hi - 1
-    return ExactNumber.of(0)
+    return ZERO
 
 
 def _closure_constraint(model: WallModel, h: ChainHalfspace) -> Constraint:
@@ -184,16 +183,13 @@ class ConsistencyOracle:
         rows = []
         for i, fam in enumerate(model.families):
             # both rows times a positive integer that clears every denominator
-            nx, ny = fam.normal
-            o, s = fam.offset, fam.spacing
-            scale = lcm(nx.d, ny.d, o.denominator, s.denominator)
-            normal = tuple((x.p * (scale // x.d), x.q * (scale // x.d)) for x in (nx, ny))
-            o, s = (r.numerator * (scale // r.denominator) for r in (o, s))
+            *normal, o, s = integer_pairs((*fam.normal, fam.offset, fam.spacing))
             top = [(0, 0)] * (k + 1)  # n.p <= o + s*c_i
-            top[0], top[1 + i] = (o, 0), (s, 0)
+            top[0], top[1 + i] = o, s
             bottom = [(-a, -b) for a, b in top]  # -n.p <= -(o + s*(c_i - 1))
-            bottom[0] = (s - o, 0)
-            rows += [(normal, tuple(top)), (tuple((-a, -b) for a, b in normal), tuple(bottom))]
+            bottom[0] = (s[0] - o[0], s[1] - o[1])
+            rows.append((tuple(normal), tuple(top)))
+            rows.append((tuple((-a, -b) for a, b in normal), tuple(bottom)))
         forms = set()
         for _, rhs in _eliminate_first(_eliminate_first(rows)):
             alpha, beta = _integer_form(rhs)
@@ -244,8 +240,8 @@ def interval_consistent(model: WallModel, cuts: Cuts) -> bool:
     iff zero lies in the interval sum of the selected slabs."""
     if model.k != 3:
         raise MalformedInput("interval oracle is defined for three chains", model.k)
-    sx = sum((f.normal[0] for f in model.families), ExactNumber.of(0))
-    sy = sum((f.normal[1] for f in model.families), ExactNumber.of(0))
+    sx = sum((f.normal[0] for f in model.families), ZERO)
+    sy = sum((f.normal[1] for f in model.families), ZERO)
     if not (sx.is_zero() and sy.is_zero()):
         names = list(model.chains.names)
         raise MalformedInput("interval oracle needs normals summing to zero", names)
@@ -765,8 +761,10 @@ def surjectivity_report(
     max_delta = [max_delta_over_window(model, w) for w in windows]
     diffs = [b - a for a, b in zip(max_delta, max_delta[1:])]
     window_steps = [b - a for a, b in zip(windows, windows[1:])]
-    slopes = {Fraction(d, s) for d, s in zip(diffs, window_steps)}
-    linear = len(slopes) == 1 and diffs[0] > 0
+    # one slope d/s for every step, compared by cross-multiplication
+    linear = bool(diffs) and diffs[0] > 0 and all(
+        d * window_steps[0] == diffs[0] * s for d, s in zip(diffs, window_steps)
+    )
     bounded = max_delta[-1] == 0
     image = rho_image(model)
     in_image = set(image.signatures())

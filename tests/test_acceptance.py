@@ -43,7 +43,7 @@ from pocsets.core import FinitePocSet
 from pocsets.cubing import build_cubing, duality_roundtrip
 from pocsets.errors import AxiomViolation
 from pocsets.euclid import Line, closure_check, line_end_incomparability, rho, rho_image, safe_components
-from pocsets.exactnum import ExactNumber, SQRT3
+from pocsets.exactnum import ExactNumber
 from pocsets.formats import fixture_model, fixture_pocset
 from pocsets.shadows import (
     ChainHalfspace,
@@ -62,6 +62,8 @@ from pocsets.shadows import (
 )
 
 from conftest import brute_force_ultrafilters, random_pocset
+
+SQRT3 = ExactNumber(0, 1)
 
 
 def _timed(budget: float):

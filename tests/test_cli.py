@@ -297,6 +297,44 @@ def test_boundary_document_reloads():
     assert model is not None
 
 
+def test_zero_denominator_in_a_direction_is_malformed_input():
+    for witness, argv in (
+        ("1/0", ("rho", "FIX-HEX", "--direction", "1/0,1")),
+        ("√3/0", ("restrict", "FIX-HEX", "--direction", "1,0", "--base", "0,√3/0")),
+    ):
+        proc = run_cli(*argv, expect=1)
+        [line] = proc.stderr.splitlines()
+        diag = json.loads(line)
+        assert diag["code"] == "malformed-input" and diag["witness"] == witness
+
+
+def test_unreadable_documents_are_malformed_input(tmp_path):
+    # a file that is not UTF-8, and a directory: one JSON line each
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"chains": ["é"], "geometry": null}'.encode("latin-1"))
+    for source in (latin, tmp_path):
+        proc = run_cli("boundary", str(source), expect=1)
+        [line] = proc.stderr.splitlines()
+        diag = json.loads(line)
+        assert diag["code"] == "malformed-input" and diag["witness"] == str(source)
+
+
+def test_fixtures_load_under_an_ascii_locale():
+    # FIX-HEX holds √3 literals: documents are read as UTF-8, not in the
+    # locale's encoding
+    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "LC_ALL": "C"}
+    env.update(PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pocsets", "rho", "FIX-HEX", "--direction", "1,0"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli("rho", "FIX-HEX", "--direction", "1,0").stdout
+
+
 def test_report_refuses_a_model_without_chains(tmp_path):
     # the windowed field needs a last axis; this used to end in a traceback
     doc = tmp_path / "no-chains.json"
@@ -335,6 +373,14 @@ def test_importing_the_cli_loads_no_layer():
     assert "pocsets.cli" in loaded
     heavy = {"dataclasses", "random", "pocsets.cubing", *PLANAR}
     assert loaded & heavy == set()
+
+
+def test_planar_layer_loads_no_fractions():
+    # every planar number is an ExactNumber; Fraction is parsed only in
+    # formats, at the document boundary
+    loaded = _modules_loaded_by("import pocsets.shadows")
+    assert "pocsets.shadows" in loaded
+    assert loaded & {"fractions", "decimal"} == set()
 
 
 def test_validate_loads_no_planar_module():

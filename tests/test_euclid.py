@@ -13,7 +13,6 @@ from pocsets.euclid import (
     ArcFiber,
     Line,
     WallModel,
-    classify_direction,
     closure_check,
     line_end_incomparability,
     negate,
@@ -23,8 +22,10 @@ from pocsets.euclid import (
     safe_components,
     zd_image_signatures,
 )
-from pocsets.exactnum import ExactNumber, SQRT3, parse_exact
+from pocsets.exactnum import ExactNumber, parse_exact
 from pocsets.formats import fixture_model
+
+SQRT3 = ExactNumber(0, 1)
 
 
 def ex(v):
@@ -58,9 +59,9 @@ def z1():
 
 
 def test_classify_z2_axis(z2):
-    res = classify_direction(z2, vec(1, 0))
-    assert res.signature == sig(PLUS, FIN)
-    assert res.roles == ("plus", "parallel")
+    # the first chain's walls are crossed toward its plus end, the second's
+    # are parallel to the direction
+    assert rho(z2, vec(1, 0)) == sig(PLUS, FIN)
 
 
 def test_classify_z2_diagonal(z2):
@@ -79,9 +80,9 @@ def test_rho_rejects_zero(z2):
 
 def test_hex_direction_of_first_normal(hexmodel):
     xi = hexmodel.families[0].normal
-    res = classify_direction(hexmodel, xi)
-    assert res.signature.ends[0] == PLUS
-    assert res.roles.count("parallel") == 0
+    ends = rho(hexmodel, xi).ends
+    assert ends[0] == PLUS
+    assert FIN not in ends
 
 
 def test_hex_never_all_plus(hexmodel):

@@ -18,13 +18,14 @@ from pocsets.errors import MalformedInput
 from pocsets.euclid import WallFamily
 from pocsets.exactnum import (
     ExactNumber,
-    SQRT3,
     format_exact,
     parse_exact,
     parse_exact_pair,
     sqrt3_floor,
     sqrt3_sign,
 )
+
+SQRT3 = ExactNumber(0, 1)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -91,10 +92,13 @@ def test_parse(text, value):
     assert parse_exact(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "x", "√5", "1/", "-", "+", "√3/", "1//2"])
+@pytest.mark.parametrize(
+    "bad", ["", "x", "√5", "1/", "-", "+", "√3/", "1//2", "1/0", "√3/0", "1+2√3/0", "0/0"]
+)
 def test_parse_rejects(bad):
-    with pytest.raises(MalformedInput):
+    with pytest.raises(MalformedInput) as info:
         parse_exact(bad)
+    assert info.value.witness == bad
 
 
 @given(rationals, rationals)
@@ -324,6 +328,22 @@ def test_equal_values_hash_equal(x, y):
         assert first == second and hash(first) == hash(second)
 
 
+def test_rational_spacings_build_equal_families():
+    # ints and Fractions, as the benchmark passes them, become the same
+    # ExactNumber fields as ExactNumber arguments
+    normal = (exact(1), exact(0, 1))
+    families = [
+        WallFamily(normal, 2, -1),
+        WallFamily(normal, Fraction(4, 2), Fraction(-1)),
+        WallFamily(normal, exact(2), exact(-1)),
+    ]
+    assert len(set(families)) == 1 and len({hash(f) for f in families}) == 1
+    for f in families:
+        assert type(f.spacing) is ExactNumber and type(f.offset) is ExactNumber
+    assert WallFamily(normal) == WallFamily(normal, 1, 0)
+    assert WallFamily(normal, Fraction(1, 2)) != WallFamily(normal)
+
+
 def _record_cases():
     """(class, factory of field values, one other value per field) for each
     record type the package or its tests compare or hash; every
@@ -354,8 +374,8 @@ def _record_cases():
         (Signature, lambda: ((0, 1, -1),), ((0, 1, 1),)),
         (
             WallFamily,
-            lambda: (vec(1, 0), Fraction(2), Fraction(1, 2)),
-            (vec(0, 1), Fraction(3), Fraction(0)),
+            lambda: (vec(1, 0), exact(2), exact(Fraction(1, 2))),
+            (vec(0, 1), exact(3), exact(0)),
         ),
         (
             WallModel,

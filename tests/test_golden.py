@@ -120,6 +120,7 @@ REFUSALS = {
     "malformed-geometry-numbers.err": malformed("rho", "geometry-numbers", *RHO),
     # witnesses are document values: the normal's literals, the chain names, the document
     "malformed-normal-zero.err": malformed("rho", "normal-zero", *RHO),
+    "malformed-normal-zero-denominator.err": malformed("rho", "normal-zero-denominator", *RHO),
     "malformed-chains-empty-image.err": malformed("image", "chains-empty"),
     "malformed-chains-empty-report.err": malformed("report", "chains-empty"),
     "malformed-chains-empty-shadows.err": malformed("shadows", "chains-empty", "--cuts", "1"),

@@ -27,7 +27,7 @@ from pocsets.errors import (
     WindowTooSmall,
 )
 from pocsets.euclid import WallFamily, WallModel, eventual_escapers, zd_image_signatures
-from pocsets.exactnum import SQRT3, ExactNumber
+from pocsets.exactnum import ExactNumber
 from pocsets.formats import fixture_model
 from pocsets.shadows import (
     MAX_WINDOW_TUPLES,
@@ -51,6 +51,8 @@ from pocsets.shadows import (
     surjectivity_report,
     window_field,
 )
+
+SQRT3 = ExactNumber(0, 1)
 
 
 @pytest.fixture(scope="module")
