@@ -67,9 +67,6 @@ class ChainHalfspace(Record):
         self.index = index
         self.starred = starred
 
-    def star(self) -> "ChainHalfspace":
-        return ChainHalfspace(self.chain, self.index, not self.starred)
-
 
 class ChainUltrafilter(Record):
     """One cut-or-end state per chain; always a valid ultrafilter because
@@ -190,19 +187,9 @@ def local_cubes(u: ChainUltrafilter, dim: int) -> list[tuple[ChainHalfspace, ...
     that dimension at this vertex.  No global complex exists on this
     backend, so local structure is all that is ever exposed: choose dim
     distinct chains and one of the two minimal elements on each."""
-    cuts = u.int_cuts()
-    out: list[tuple[ChainHalfspace, ...]] = []
-    for chosen in combinations(range(u.k), dim):
-        per_chain = [
-            (
-                ChainHalfspace(i, cuts[i] - 1, False),
-                ChainHalfspace(i, cuts[i], True),
-            )
-            for i in chosen
-        ]
-        for pick in product(*per_chain):
-            out.append(tuple(pick))
-    return out
+    mins = min_set(u)
+    per_chain = list(zip(mins[::2], mins[1::2]))
+    return [pick for chosen in combinations(per_chain, dim) for pick in product(*chosen)]
 
 
 def flip(u: ChainUltrafilter, h: ChainHalfspace) -> ChainUltrafilter:
@@ -305,9 +292,6 @@ class RollerPoset:
     @classmethod
     def build(cls, k: int) -> "RollerPoset":
         return cls(k, all_signatures(k))
-
-    def leq(self, a: Signature, b: Signature) -> bool:
-        return class_leq(a, b)
 
     def covers(self) -> list[tuple[Signature, Signature]]:
         """Covering pairs (a, b) with a < b and nothing strictly between;

@@ -100,30 +100,33 @@ class Record:
 
 
 class Ultrafilter(Record):
-    """A UF1+UF2 subset of a finite poc-set.
+    """A UF1+UF2 subset of a finite poc-set, held as its sign vector alone.
 
     ``signs[k]`` is 0 when pair k's plain element is a member and 1 when the
-    starred one is; ``members`` lists every member handle including ``0*``.
-    Ordering by ``signs`` is the canonical enumeration order.
+    starred one is; ``0*`` is always a member.  Membership is read off the
+    signs (``e in u`` looks at ``signs[e >> 1]``), and `members` and
+    `sorted_members` derive every member handle, ``0*`` included, so they
+    cannot disagree with the signs.  Lexicographic order of ``signs`` is the
+    canonical enumeration order.
     """
 
-    __slots__ = ("signs", "members")
+    __slots__ = ("signs",)
 
-    def __init__(self, signs: tuple[int, ...], members: frozenset[int]):
+    def __init__(self, signs: tuple[int, ...]):
         self.signs = signs
-        self.members = members
 
     def __contains__(self, e: int) -> bool:
-        return e in self.members
+        k, n = e >> 1, len(self.signs)
+        if 0 <= k < n:
+            return self.signs[k] == e & 1
+        return e == 2 * n + 1  # 0* is in every ultrafilter, 0 in none
 
-    def __lt__(self, other: "Ultrafilter") -> bool:
-        return self.signs < other.signs
-
-    def __le__(self, other: "Ultrafilter") -> bool:
-        return self.signs <= other.signs
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.sorted_members())
 
     def sorted_members(self) -> list[int]:
-        return sorted(self.members)
+        return [2 * k + s for k, s in enumerate(self.signs)] + [2 * len(self.signs) + 1]
 
 
 class PairClassification:
@@ -347,10 +350,7 @@ class FinitePocSet:
     # ultrafilters
 
     def ultrafilter_from_signs(self, signs: Sequence[int]) -> Ultrafilter:
-        members = frozenset(
-            2 * k + s for k, s in enumerate(signs)
-        ) | {self.zero_star}
-        return Ultrafilter(tuple(signs), members)
+        return Ultrafilter(tuple(signs))
 
     def ultrafilter_from_members(self, members: Iterable[int]) -> Ultrafilter:
         mset = set(members) | {self.zero_star}
@@ -375,26 +375,26 @@ class FinitePocSet:
     def ultrafilters(self) -> list[Ultrafilter]:
         """All ultrafilters in canonical (lexicographic signs) order, from the
         star-mask walk; the trivial poc-set has the single one {0*}."""
-        return [Ultrafilter(signs, members) for signs, members, _ in self._walk_ultrafilters()]
+        return [Ultrafilter(signs) for signs, _ in self._walk_ultrafilters()]
 
-    def _walk_ultrafilters(self) -> list[tuple[tuple[int, ...], frozenset[int], int]]:
-        """``(signs, members, stars)`` of each ultrafilter in canonical order,
+    def _walk_ultrafilters(self) -> list[tuple[tuple[int, ...], int]]:
+        """``(signs, stars)`` of each ultrafilter in canonical order,
         ``stars`` masking the proper members' stars.  Pair by pair, a partial
         choice grows by each e keeping UF2: no chosen star lies above e (c <=
         e* iff e <= c*).  A partial choice is a filter base and extends, so the
         list never shrinks; it is refused once it passes `MAX_ULTRAFILTERS`."""
-        up, n, level = self._up, self.n_pairs, [((), (self.zero_star,), 0)]
+        up, n, level = self._up, self.n_pairs, [((), 0)]
         for k in range(n):
             a, b, grown = 2 * k, 2 * k + 1, []
-            for signs, members, stars in level:
+            for signs, stars in level:
                 if not up[a] & stars:
-                    grown.append((signs + (0,), members + (a,), stars | 1 << b))
+                    grown.append((signs + (0,), stars | 1 << b))
                 if not up[b] & stars:
-                    grown.append((signs + (1,), members + (b,), stars | 1 << a))
+                    grown.append((signs + (1,), stars | 1 << a))
             if len(grown) > MAX_ULTRAFILTERS:
                 raise MalformedInput(f"more than {MAX_ULTRAFILTERS} ultrafilters to enumerate", n)
             level = grown
-        return [(signs, frozenset(members), stars) for signs, members, stars in level]
+        return level
 
     def check_filterbase(self, members: Iterable[int]) -> Optional[tuple[int, int]]:
         """None when UF2 holds, else the canonical violating pair: the least
@@ -451,9 +451,10 @@ class FinitePocSet:
 
     def min_set(self, u: Ultrafilter) -> list[int]:
         """Minimal proper members; these parametrize the flip moves."""
-        stars = _star_mask(u.members)
+        members = u.sorted_members()
+        stars = _star_mask(members)
         minimal = self._minimal(stars, stars & ~(1 << self.zero))  # proper members only
-        return [e for e in sorted(u.members) if minimal >> e & 1]
+        return [e for e in members if minimal >> e & 1]
 
     def _minimal(self, stars: int, among: int) -> int:
         """Mask of the minimal members a, a* in ``among``, of the ultrafilter
@@ -470,7 +471,7 @@ class FinitePocSet:
 
     def flip(self, u: Ultrafilter, a: int) -> Ultrafilter:
         """The elementary move [u]_a = (u \\ {a}) ∪ {a*}; needs a minimal."""
-        if a not in u.members or a not in self.min_set(u):
+        if a not in u or a not in self.min_set(u):
             raise NotMinimal(f"{self.name(a)} is not minimal in the ultrafilter", a)
         signs = list(u.signs)
         signs[pair_of(a)] ^= 1
@@ -521,7 +522,7 @@ class FinitePocSet:
         """Indices (into ``among`` or the canonical enumeration) of the
         ultrafilters containing h; the vertex set S_h."""
         pool = list(among) if among is not None else self.ultrafilters()
-        return [i for i, u in enumerate(pool) if h in u.members]
+        return [i for i, u in enumerate(pool) if h in u]
 
     def vset_nonempty(
         self,
@@ -533,12 +534,12 @@ class FinitePocSet:
         invariant, not assumed here."""
         els = list(elements)
         pool = list(restrict_to) if restrict_to is not None else self.ultrafilters()
-        return any(all(a in u.members for a in els) for u in pool)
+        return any(all(a in u for a in els) for u in pool)
 
     # ------------------------------------------------------------------
 
     def format_ultrafilter(self, u: Ultrafilter) -> str:
-        proper = [self.name(e) for e in sorted(u.members) if self.is_proper(e)]
+        proper = [self.name(e) for e in u.sorted_members() if self.is_proper(e)]
         return "{" + ", ".join(proper) + "}"
 
     def __repr__(self) -> str:

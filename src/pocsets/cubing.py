@@ -168,11 +168,11 @@ def build_cubing(p: FinitePocSet) -> CubeComplex:
     once more than `MAX_CUBES` cubes of dimension >= 2 are found.
     """
     walk = p._walk_ultrafilters()
-    index = {stars: i for i, (_, _, stars) in enumerate(walk)}
+    index = {stars: i for i, (_, stars) in enumerate(walk)}
     plain_stars = (4 ** p.n_pairs - 1) // 3 << 1  # bits 1, 3, .. below 2n
     edges, found = [], 0
     cubes: dict[int, list[Cube]] = {}
-    for i, (_, _, stars) in enumerate(walk):
+    for i, (_, stars) in enumerate(walk):
         plain, pairs = p._minimal(stars, stars & plain_stars), 0
         while plain:
             a = plain.bit_length() - 1
@@ -187,7 +187,7 @@ def build_cubing(p: FinitePocSet) -> CubeComplex:
             found += len(subsets)
             if found > MAX_CUBES:
                 raise MalformedInput(f"more than {MAX_CUBES} cubes to build", p.n_pairs)
-    return CubeComplex(p, [Ultrafilter(signs, members) for signs, members, _ in walk], edges, cubes)
+    return CubeComplex(p, [Ultrafilter(signs) for signs, _ in walk], edges, cubes)
 
 
 def _transverse_subsets(transverse: tuple[int, ...], sub: tuple, later: int, out: list) -> None:

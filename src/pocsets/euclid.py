@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import warnings
 from functools import cached_property, cmp_to_key
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chains import (
     FIN,
-    MINUS,
-    PLUS,
     ChainFamily,
     Signature,
     all_signatures,
@@ -83,19 +81,22 @@ def angular_cmp(u: Vec, v: Vec) -> int:
 
 class WallFamily(Record):
     """Walls n . p = offset + spacing*m for every integer m; spacing and
-    offset are held as `ExactNumber`s, whatever rationals they are given as."""
+    offset are rational, held as `ExactNumber`s whatever they are given as,
+    so a family writes a document that `pocsets.formats` reads back."""
 
     __slots__ = ("normal", "spacing", "offset")
 
     def __init__(self, normal: Vec, spacing: Rationalish = 1, offset: Rationalish = 0):
         if normal[0].is_zero() and normal[1].is_zero():
             raise MalformedInput("wall family needs a non-zero normal", [str(x) for x in normal])
-        spacing = ExactNumber.of(spacing)
+        spacing, offset = ExactNumber.of(spacing), ExactNumber.of(offset)
+        if spacing.q or offset.q:
+            raise MalformedInput("spacing and offset must be rational", [str(spacing), str(offset)])
         if spacing <= 0:
             raise MalformedInput("spacing must be positive", spacing)
         self.normal = normal
         self.spacing = spacing
-        self.offset = ExactNumber.of(offset)
+        self.offset = offset
 
     def wall_level(self, n: int) -> ExactNumber:
         return self.offset + self.spacing * n
@@ -457,10 +458,14 @@ class Line:
 
 
 class LineRestrictionReport:
+    """A line's restricted wall system; its end classes are rho of the
+    line's two directions by construction, so ``commutes`` is always true."""
+
     __slots__ = (
         "nontrivial_families", "trivial_cuts", "merged_chains", "collapse",
-        "plus_end_class", "minus_end_class", "commutes",
+        "plus_end_class", "minus_end_class",
     )
+    commutes = True
 
     def __init__(
         self,
@@ -470,7 +475,6 @@ class LineRestrictionReport:
         collapse: dict[int, int],
         plus_end_class: Signature,
         minus_end_class: Signature,
-        commutes: bool,
     ):
         self.nontrivial_families = nontrivial_families
         self.trivial_cuts = trivial_cuts  # parallel family -> its frozen cut
@@ -479,7 +483,6 @@ class LineRestrictionReport:
         self.collapse = collapse  # family -> merged chain id
         self.plus_end_class = plus_end_class
         self.minus_end_class = minus_end_class
-        self.commutes = commutes
 
     def to_json(self) -> dict:
         return {
@@ -501,14 +504,16 @@ def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
     line.  Families whose crossing progressions coincide as sets collapse
     onto a single chain (the finite-to-one collapse is recorded); on the
     line all restricted halfspaces are mutually nested, and that
-    inter-chain order is deliberately not modelled here.  The report
-    verifies that the composite class map agrees with rho on both ends.
+    inter-chain order is deliberately not modelled here.  The line's two
+    ends are rho of its two directions by construction: the ray toward d
+    runs into the PLUS end of family i when n_i . d > 0, the MINUS end when
+    n_i . d < 0, and stays FIN when the walls are parallel to the line.
     """
     d = line.direction
     if d[0].is_zero() and d[1].is_zero():
         raise ZeroDirection("line needs a direction")
     trivial_cuts: dict[int, int] = {}
-    progression: dict[int, tuple[ExactNumber, ExactNumber, int]] = {}
+    progression: dict[int, tuple[ExactNumber, ExactNumber]] = {}
     for i, fam in enumerate(model.families):
         speed = dot(fam.normal, d)
         base_level = dot(fam.normal, line.basepoint)
@@ -523,14 +528,14 @@ def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
             # wall n crosses at t with base + t*speed = offset + spacing*n
             step = fam.spacing / speed
             origin = (fam.offset - base_level) / speed
-            progression[i] = (origin, step, 1 if speed.sign() > 0 else -1)
+            progression[i] = (origin, step)
 
     # merge families whose crossing sets coincide
     merged: list[list[int]] = []
     collapse: dict[int, int] = {}
-    for i, (origin, step, _) in progression.items():
+    for i, (origin, step) in progression.items():
         for cid, chain in enumerate(merged):
-            o2, s2, _ = progression[chain[0]]
+            o2, s2 = progression[chain[0]]
             if abs(step) == abs(s2) and _integer_multiple(origin - o2, abs(step)):
                 chain.append(i)
                 break
@@ -539,33 +544,8 @@ def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
             merged.append([i])
         collapse[i] = cid
 
-    def end_class(direction: Vec) -> Signature:
-        # composite route: pull the all-plus / all-minus end of the merged
-        # system back through the collapse, chain by chain
-        forward = dot(d, direction).sign() > 0
-        ends = []
-        for i in range(model.k):
-            if i in trivial_cuts:
-                ends.append(FIN)
-            else:
-                orient = progression[i][2]
-                toward_plus = (orient > 0) == forward
-                ends.append(PLUS if toward_plus else MINUS)
-        return Signature(tuple(ends))
-
-    plus_composite = end_class(d)
-    minus_composite = end_class(negate(d))
-    commutes = plus_composite == rho(model, d) and minus_composite == rho(
-        model, negate(d)
-    )
     return LineRestrictionReport(
-        sorted(progression),
-        trivial_cuts,
-        merged,
-        collapse,
-        plus_composite,
-        minus_composite,
-        commutes,
+        sorted(progression), trivial_cuts, merged, collapse, rho(model, d), rho(model, negate(d))
     )
 
 
@@ -596,6 +576,4 @@ def zd_image_signatures(d: int) -> list[Signature]:
     """Classes realized by boundary directions of the standard cubulation of
     E^d: sign vectors of non-zero directions, i.e. every non-principal
     signature."""
-    from .chains import all_signatures
-
     return [s for s in all_signatures(d) if s.codim() > 0]

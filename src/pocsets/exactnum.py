@@ -233,12 +233,13 @@ def parse_exact(text: str) -> ExactNumber:
         ):
             raise MalformedInput(f"bad exact-number term {term!r}", text)
         coef_text = m.group("coef")
-        if coef_text in (None, "+", "-"):
-            num, den = (-1 if coef_text == "-" else 1), 1
-        else:
-            num_text, _, den_text = coef_text.partition("/")
-            num, den = int(num_text), int(den_text or 1)
-        den *= int(m.group("den") or 1)
+        if coef_text in (None, "+", "-"):  # a bare √3 term
+            coef_text = (coef_text or "") + "1"
+        num_text, _, den_text = coef_text.partition("/")
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            num, den = int(num_text), int(den_text or 1) * int(m.group("den") or 1)
+        except ValueError:
+            raise MalformedInput("too many digits in an exact-number literal", text) from None
         if den == 0:
             raise MalformedInput(f"zero denominator in exact-number term {term!r}", text)
         total = total + (_reduced(0, num, den) if m.group("root") else _reduced(num, 0, den))

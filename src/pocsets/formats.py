@@ -7,12 +7,14 @@ Two document kinds, both JSON:
 * chain family: ``{"chains": ["r", "s", "t"], "geometry": [...] | null}``
   with per-chain geometry ``{"normal": ["0", "1"], "spacing": "1",
   "offset": "0"}``: the normal's two coordinates are exact literals in
-  Q(√3), spacing and offset are rationals.
+  Q(√3), spacing and offset rational literals of the same grammar (``2``,
+  ``-3/4``; no decimal point, exponent or √3 part).
 
 Anything else is refused with `MalformedInput`, and so is a file that cannot
-be read or is not UTF-8.  Spacing and offset literals are parsed here with
-`fractions.Fraction`, the only use of it in the package, and `WallFamily`
-holds them as `ExactNumber`s like every other number of the planar layer.
+be read, is not UTF-8, or is JSON too deep or with too long an integer for
+`json.loads`.  Every literal is parsed by `pocsets.exactnum.parse_exact`, so
+its value is no larger than its text, and `WallFamily` holds spacing and
+offset as `ExactNumber`s like every other number of the planar layer.
 
 Every structured output of the CLI that has a loader round-trips through
 these functions.  The chain-family loaders import the chain, planar and
@@ -30,10 +32,9 @@ from .core import FinitePocSet, check_pair_count, parse_handle
 from .errors import MalformedInput
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .chains import ChainFamily
     from .euclid import WallFamily, WallModel
+    from .exactnum import ExactNumber
 
 FIXTURE_NAMES = (
     "FIX-LINE3",
@@ -63,8 +64,8 @@ def load_document(source: Union[str, Path]) -> dict:
         raise MalformedInput(f"cannot read {source}: {exc}", str(source)) from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid JSON in {source}: {exc}", str(source)) from exc
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
+        raise MalformedInput(f"invalid JSON in {source}: {exc}", str(source)) from None
     if not isinstance(doc, dict):
         raise MalformedInput("document must be a JSON object", str(source))
     return doc
@@ -152,14 +153,17 @@ def _wall_family(entry) -> WallFamily:
     )
 
 
-def _rational(entry: dict, key: str, default: str) -> Fraction:
-    from fractions import Fraction
+def _rational(entry: dict, key: str, default: str) -> ExactNumber:
+    from .exactnum import parse_exact
 
     text = str(entry.get(key, default))
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise MalformedInput(f"{key} must be a rational literal, got {text!r}", text) from None
+        value = parse_exact(text)
+        if not value.q:
+            return value
+    except MalformedInput:
+        pass
+    raise MalformedInput(f"{key} must be a rational literal, got {text!r}", text)
 
 
 def chain_family_to_document(family: ChainFamily, model: Union[WallModel, None]) -> dict:

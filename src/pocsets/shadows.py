@@ -107,11 +107,9 @@ def _closure_constraint(model: WallModel, h: ChainHalfspace) -> Constraint:
 
 
 def _slab_constraints(model: WallModel, cuts: Cuts) -> list[Constraint]:
-    cons = []
-    for i, c in enumerate(cuts):
-        cons.append(_closure_constraint(model, ChainHalfspace(i, c - 1, False)))
-        cons.append(_closure_constraint(model, ChainHalfspace(i, c, True)))
-    return cons
+    """The closed slab of each chain, as the closures of its two minimal
+    halfspaces h_i(c-1) and h_i(c)*."""
+    return [_closure_constraint(model, h) for h in min_set(ChainUltrafilter(cuts))]
 
 
 def is_consistent_set(model: WallModel, halfspaces: Iterable[ChainHalfspace]) -> bool:

@@ -319,6 +319,29 @@ def test_unreadable_documents_are_malformed_input(tmp_path):
         assert diag["code"] == "malformed-input" and diag["witness"] == str(source)
 
 
+def test_hostile_literals_and_documents_are_malformed_input(tmp_path):
+    # an integer past int()'s digit limit, in a literal or in the JSON, and
+    # JSON nested past the recursion limit: one JSON line each, no traceback
+    nines = "9" * 5000
+    normal = tmp_path / "long-normal.json"
+    normal.write_text(json.dumps({"chains": ["r"], "geometry": [{"normal": [nines, "1"]}]}))
+    pairs = tmp_path / "long-pairs.json"
+    pairs.write_text('{"pairs": %s}' % nines)
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"pairs": %s}' % ("[" * 100_000 + "]" * 100_000))
+    for witness, argv in (
+        (nines, ("rho", "FIX-HEX", f"--direction={nines},1")),
+        (nines, ("restrict", "FIX-Z2", "--direction=1,1", f"--base={nines},0")),
+        (nines, ("rho", str(normal), "--direction=1,0")),
+        (str(pairs), ("validate", str(pairs))),
+        (str(deep), ("validate", str(deep))),
+    ):
+        proc = run_cli(*argv, expect=1, timeout=60)
+        [line] = proc.stderr.splitlines()
+        diag = json.loads(line)
+        assert diag["code"] == "malformed-input" and diag["witness"] == witness
+
+
 def test_fixtures_load_under_an_ascii_locale():
     # FIX-HEX holds √3 literals: documents are read as UTF-8, not in the
     # locale's encoding
@@ -376,9 +399,14 @@ def test_importing_the_cli_loads_no_layer():
 
 
 def test_planar_layer_loads_no_fractions():
-    # every planar number is an ExactNumber; Fraction is parsed only in
-    # formats, at the document boundary
+    # every planar number is an ExactNumber, spacing and offset literals
+    # included, so neither the layer nor a report on a document loads Fraction
     loaded = _modules_loaded_by("import pocsets.shadows")
+    assert "pocsets.shadows" in loaded
+    assert loaded & {"fractions", "decimal"} == set()
+    loaded = _modules_loaded_by(
+        "import pocsets.cli\npocsets.cli.main(['report', 'FIX-HEX', '--window', '1'])"
+    )
     assert "pocsets.shadows" in loaded
     assert loaded & {"fractions", "decimal"} == set()
 

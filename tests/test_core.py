@@ -828,6 +828,21 @@ def test_top_level_delta_dispatch(fix_square):
         pocsets.delta(a, uf(0, 0))
     with pytest.raises(BackendMismatch):
         pocsets.delta(uf(0), uf(0, 0))
+    with pytest.raises(BackendMismatch):  # finite ultrafilters of different poc-sets
+        pocsets.delta(a, FinitePocSet.from_order_generators(3).ultrafilters()[0])
+
+
+def test_membership_is_read_off_the_signs():
+    # `e in u`, `members` and `sorted_members` all derive from the signs:
+    # 0* is a member, 0, negative and out-of-range handles are not
+    rng = random.Random(18)
+    for _ in range(200):
+        p = random_pocset(rng)
+        handles = range(-1, 2 * p.n_pairs + 4)
+        for u in p.ultrafilters():
+            expect = {2 * k + s for k, s in enumerate(u.signs)} | {p.zero_star}
+            assert u.members == expect and u.sorted_members() == sorted(u.members)
+            assert [e in u for e in handles] == [e in u.members for e in handles]
 
 
 def test_vset_with_restriction_class(fix_square):

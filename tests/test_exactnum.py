@@ -366,7 +366,7 @@ def _record_cases():
     s = lambda *ends: Signature(tuple(ends))
     h = ChainHalfspace
     return [
-        (Ultrafilter, lambda: ((0, 1), frozenset({0, 3, 5})), ((1, 1), frozenset({0, 3}))),
+        (Ultrafilter, lambda: ((0, 1),), ((1, 1),)),
         (Cube, lambda: (0, (0, 1)), (1, (0, 2))),
         (ChainFamily, lambda: (("a", "b"),), (("a", "c"),)),
         (ChainHalfspace, lambda: (0, 2, False), (1, 3, True)),

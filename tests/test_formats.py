@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -91,3 +92,39 @@ def test_document_kind_and_errors(tmp_path):
     with pytest.raises(MalformedInput):
         load_document(bad)
 
+
+def test_spacing_and_offset_take_the_normals_grammar():
+    # rational literals only: no decimal point, exponent, underscore, JSON
+    # float, √3 part or zero denominator; a literal's value is no larger
+    # than its text
+    from pocsets.exactnum import ExactNumber
+
+    def wall(key, value):
+        return {"chains": ["r"], "geometry": [{"normal": ["1", "0"], key: value}]}
+
+    for key in ("spacing", "offset"):
+        for value in ("1.5", "1e3", "1_000", 1.5, "√3", "1+√3", "1/0", "1e1000000"):
+            with pytest.raises(MalformedInput, match=f"{key} must be a rational literal"):
+                chain_family_from_document(wall(key, value))
+        for value, expect in (("3/4", ExactNumber(Fraction(3, 4))), (2, ExactNumber(2))):
+            _, model = chain_family_from_document(wall(key, value))
+            assert getattr(model.families[0], key) == expect
+
+
+def test_api_families_write_documents_their_loader_reads():
+    # WallFamily refuses a √3 spacing or offset itself, so a model built
+    # through the API always round-trips through its document
+    from pocsets.chains import ChainFamily
+    from pocsets.euclid import WallFamily, WallModel
+    from pocsets.exactnum import ExactNumber, parse_exact
+
+    normal = (parse_exact("1/2"), parse_exact("√3/2"))
+    sqrt3 = ExactNumber(0, 1)
+    for spacing, offset in ((sqrt3, 0), (1, sqrt3), (2, sqrt3 + 1)):
+        with pytest.raises(MalformedInput, match="spacing and offset must be rational"):
+            WallFamily(normal, spacing, offset)
+    family = ChainFamily(("r", "s"))
+    walls = (WallFamily(normal, Fraction(3, 4), -2), WallFamily(normal[::-1], 5, Fraction(-1, 3)))
+    model = WallModel(family, walls)
+    doc = json.loads(json.dumps(chain_family_to_document(family, model)))
+    assert chain_family_from_document(doc) == (family, model)

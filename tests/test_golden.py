@@ -116,6 +116,8 @@ REFUSALS = {
     "malformed-normal-string.err": malformed("rho", "normal-string", *RHO),
     "malformed-spacing-sqrt3.err": malformed("rho", "spacing-sqrt3", *RHO),
     "malformed-offset-sqrt3.err": malformed("rho", "offset-sqrt3", *RHO),
+    # an exponent, once expanded by Fraction into a million-digit integer
+    "malformed-spacing-exponent.err": malformed("report", "spacing-exponent", "--window", "2"),
     "malformed-geometry-number.err": malformed("rho", "geometry-number", *RHO),
     "malformed-geometry-numbers.err": malformed("rho", "geometry-numbers", *RHO),
     # witnesses are document values: the normal's literals, the chain names, the document
