@@ -51,9 +51,6 @@ class ChainFamily(Record):
 
     __slots__ = ("names",)
 
-    def __init__(self, names: tuple[str, ...]):
-        self.names = names
-
     @property
     def k(self) -> int:
         return len(self.names)

@@ -25,13 +25,19 @@ class PocError(Exception):
         }
 
 
-def _jsonable(value):
+# the levels of a witness kept, below which each part is one marker: this and
+# json.dumps recurse once per level, and a deep document overflows the stack
+WITNESS_DEPTH = 32
+DEEPER = f"<nested deeper than {WITNESS_DEPTH} levels>"
+
+
+def _jsonable(value, depth: int = WITNESS_DEPTH):
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
     if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, depth - 1) for v in value] if depth else DEEPER
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): _jsonable(v, depth - 1) for k, v in value.items()} if depth else DEEPER
     return str(value)
 
 

@@ -39,6 +39,7 @@ from .exactnum import ZERO, ExactNumber, integer_pairs, sqrt3_floor, sqrt3_sign
 Cuts = tuple[int, ...]
 Constraint = tuple[ExactNumber, ExactNumber, ExactNumber]  # ax*x + ay*y <= c
 Row = Optional[tuple[int, int]]  # one prefix's consistent last cuts: [lo, hi]
+Box = Optional[tuple[Cuts, Cuts]]  # a nearest set's least and greatest cuts, if inside
 
 
 # ---------------------------------------------------------------------------
@@ -348,27 +349,42 @@ class WindowField:
         q_{d+1}..q_k) must have distance r - sum_{i<=d} |c_i - q_i|.  A
         nearest member with that prefix is that close to t, and the triangle
         inequality keeps t at least that far, so the test drops no member
-        and costs one table read.  The row of each full prefix gives the
-        last cuts in its interval at the remaining distance."""
+        and costs one table read.  Each kept prefix walks the candidates
+        for its next cut, clamped to the window once: t's flat index steps
+        by the axis stride, and the expected distance rises by one up to the
+        query's cut and falls by one after it, so no candidate costs index
+        arithmetic or an abs.  The walk of c_{k-1} reads the row of each
+        full prefix it keeps there and then, for the last cuts in its
+        interval at the remaining distance."""
         index = self._index(cuts)  # refuses a wrong length before unpacking
-        bound, n, table = self.bound, 2 * self.bound + 1, self.distance_table
+        bound, n, table, rows = self.bound, 2 * self.bound + 1, self.distance_table, self.rows
         *head, last = cuts
-        # each prefix carries the index of its t: c_d moves it by (c_d - q_d) strides
+        if not head:  # one chain: the window is one row
+            r, (lo, hi) = table[index], rows[0]
+            return [(c,) for c in ((last,) if r == 0 else (last - r, last + r)) if lo <= c <= hi]
         level: list[tuple[Cuts, int, int]] = [((), index, table[index])]
-        for d, q in enumerate(head):
-            stride = n ** (len(head) - d)
-            level = [
-                ((*prefix, c), j, s)
-                for prefix, i, r in level
-                for c in range(max(-bound, q - r), min(bound, q + r) + 1)
-                if table[j := i + (c - q) * stride] == (s := r - abs(c - q))
-            ]
-        found: list[Cuts] = []
-        for prefix, i, r in level:
-            row = self.rows[i // n]
-            if row:
-                ends = (last,) if r == 0 else (last - r, last + r)
-                found += [(*prefix, c) for c in ends if row[0] <= c <= row[1]]
+        stride, found = len(table), []
+        for d, q in enumerate(head, 1):
+            stride, final, nxt = stride // n, d == len(head), []  # final: walking c_{k-1}
+            for prefix, j, r in level:
+                # the steps down and up from q that stay within r and the window
+                down = r if r < q + bound else q + bound
+                up = r if r < bound - q else bound - q
+                j -= down * stride
+                s = r - down
+                for c in range(q - down, q + up + 1):
+                    if table[j] == s:
+                        if not final:
+                            nxt.append(((*prefix, c), j, s))
+                        elif row := rows[j // n]:
+                            lo, hi = row
+                            if lo <= last - s <= hi:
+                                found.append((*prefix, c, last - s))
+                            if s and lo <= last + s <= hi:
+                                found.append((*prefix, c, last + s))
+                    j += stride
+                    s += 1 if c < q else -1
+            level = nxt
         return found
 
 
@@ -406,23 +422,30 @@ def window_field(model: WallModel, bound: int) -> WindowField:
 
 
 def _nearest(model: WallModel, u: ChainUltrafilter, window: int):
-    """The one windowed step behind every query: the field, the cuts of u
-    and the members nearest u, found by a single argmin.  A negative window
-    is refused first, then a non-principal u, then the field is built."""
+    """The one windowed step behind every query: the field, the cuts of u,
+    the members nearest u, found by a single argmin, and their box, the
+    least and the greatest cut of each chain over them, or None when the
+    box reaches the window boundary.  The members all lie strictly inside
+    the window iff the box does, so the window guards read the box and scan
+    the members only on the way to a refusal.  A negative window is refused
+    first, then a non-principal u, then the field is built."""
     _check_window(window)
     cuts = u.int_cuts()
     f = window_field(model, window)
-    return f, cuts, f.argmin(cuts)
+    nearest = f.argmin(cuts)
+    columns = list(zip(*nearest))
+    low, high = tuple(map(min, columns)), tuple(map(max, columns))
+    return f, cuts, nearest, (low, high) if -window < min(low) and max(high) < window else None
 
 
-def _distance(f: WindowField, cuts: Cuts, nearest: list[Cuts]) -> int:
-    if not any(f.interior(m) for m in nearest):
+def _distance(f: WindowField, cuts: Cuts, nearest: list[Cuts], box: Box) -> int:
+    if box is None and not any(map(f.interior, nearest)):
         raise WindowTooSmall(f"every minimizer for {cuts} touches the window boundary", cuts)
     return f.distance(cuts)
 
 
-def _whole_shadow(f: WindowField, cuts: Cuts, nearest: list[Cuts]) -> list[Cuts]:
-    if not all(f.interior(m) for m in nearest):
+def _whole_shadow(cuts: Cuts, nearest: list[Cuts], box: Box) -> list[Cuts]:
+    if box is None:
         raise WindowTooSmall(f"shadow of {cuts} touches the window boundary", cuts)
     return nearest
 
@@ -449,16 +472,21 @@ def classify_min(model: WallModel, u: ChainUltrafilter, window: int) -> MinClass
     """Split min(u) by the effect of each flip on the distance to the
     consistent set; "neutral" collects the distance-preserving moves the
     two signed sets do not cover."""
-    f, cuts, nearest = _nearest(model, u, window)
-    return _classify(f, u, cuts, _distance(f, cuts, nearest))
+    f, cuts, nearest, box = _nearest(model, u, window)
+    return _classify(f, u, cuts, _distance(f, cuts, nearest, box))
 
 
 def _classify(f: WindowField, u: ChainUltrafilter, cuts: Cuts, base: int) -> MinClassification:
+    """Each flip's distance is read at the query's flat index -+ its chain's
+    stride; a flip past the window goes through `distance`, which refuses it."""
     plus, minus, neutral = [], [], []
+    table, index, n = f.distance_table, f._index(cuts), 2 * f.bound + 1
+    strides = [n**e for e in reversed(range(len(cuts)))]
     for h in min_set(u):
-        moved = list(cuts)
-        moved[h.chain] += 1 if h.starred else -1
-        d = f.distance(tuple(moved))
+        step = 1 if h.starred else -1
+        if abs(cuts[h.chain] + step) > f.bound:
+            f.distance((*cuts[: h.chain], cuts[h.chain] + step, *cuts[h.chain + 1 :]))
+        d = table[index + step * strides[h.chain]]
         (plus if d > base else minus if d < base else neutral).append(h)
     return MinClassification(plus, minus, neutral)
 
@@ -496,15 +524,19 @@ class DualShadow(Record):
 def shadow(model: WallModel, u: ChainUltrafilter, window: int) -> list[ChainUltrafilter]:
     """The nearest consistent ultrafilters; the whole set must sit strictly
     inside the window."""
-    return [ChainUltrafilter(m) for m in _whole_shadow(*_nearest(model, u, window))]
+    _, cuts, nearest, box = _nearest(model, u, window)
+    return [ChainUltrafilter(m) for m in _whole_shadow(cuts, nearest, box)]
 
 
 def dual_shadow(model: WallModel, u: ChainUltrafilter, window: int) -> DualShadow:
-    return _dual(_whole_shadow(*_nearest(model, u, window)))
+    _, cuts, nearest, box = _nearest(model, u, window)
+    _whole_shadow(cuts, nearest, box)
+    return _dual(box)
 
 
-def _dual(members: list[Cuts]) -> DualShadow:
-    return DualShadow(tuple(min(c) - 1 for c in zip(*members)), tuple(map(max, zip(*members))))
+def _dual(box: tuple[Cuts, Cuts]) -> DualShadow:
+    low, high = box
+    return DualShadow(tuple(c - 1 for c in low), high)
 
 
 class ShadowReport:
@@ -557,15 +589,17 @@ class ShadowReport:
 
 
 def shadow_report(model: WallModel, u: ChainUltrafilter, window: int) -> ShadowReport:
-    """All four answers from one nearest set, refused by the first guard
-    that dist_to_pi0, classify_min, shadow and dual_shadow would fire."""
-    f, cuts, nearest = _nearest(model, u, window)
-    dist = _distance(f, cuts, nearest)
+    """All four answers from one argmin and one pass over its nearest set,
+    for the box that decides both window guards and gives the dual shadow;
+    refused by the first guard that dist_to_pi0, classify_min, shadow and
+    dual_shadow would fire."""
+    f, cuts, nearest, box = _nearest(model, u, window)
+    dist = _distance(f, cuts, nearest, box)
     mins = _classify(f, u, cuts, dist)
-    members = _whole_shadow(f, cuts, nearest)
+    members = _whole_shadow(cuts, nearest, box)
     return ShadowReport(
         cuts, f.bound, dist == 0, dist,
-        mins.plus, mins.minus, mins.neutral, members, _dual(members),
+        mins.plus, mins.minus, mins.neutral, members, _dual(box),
     )
 
 
@@ -577,11 +611,6 @@ class RayStep(Record):
     __slots__ = ("index", "cuts", "dist")
     __hash__ = None
 
-    def __init__(self, index: int, cuts: Cuts, dist: int):
-        self.index = index
-        self.cuts = cuts
-        self.dist = dist
-
 
 class RayReport(Record):
     __slots__ = (
@@ -589,24 +618,6 @@ class RayReport(Record):
         "dual_shadows_shrink",
     )
     __hash__ = None
-
-    def __init__(
-        self,
-        target: Signature,
-        window: int,
-        steps: list[RayStep],
-        escape_start: Optional[int],
-        success: bool,
-        failure_step: Optional[int],
-        dual_shadows_shrink: Optional[bool],
-    ):
-        self.target = target
-        self.window = window
-        self.steps = steps
-        self.escape_start = escape_start
-        self.success = success
-        self.failure_step = failure_step
-        self.dual_shadows_shrink = dual_shadows_shrink
 
     def to_json(self) -> dict:
         return {
@@ -693,28 +704,6 @@ class SurjectivityReport(Record):
         "delta_bounded", "classes", "image_size", "escaping_classes",
     )
     __hash__ = None
-
-    def __init__(
-        self,
-        model_chains: int,
-        uniform: bool,
-        windows: list[int],
-        max_delta: list[int],
-        delta_linear_growth: bool,
-        delta_bounded: bool,
-        classes: list[ClassRow],
-        image_size: int,
-        escaping_classes: list[Signature],
-    ):
-        self.model_chains = model_chains
-        self.uniform = uniform
-        self.windows = windows
-        self.max_delta = max_delta
-        self.delta_linear_growth = delta_linear_growth
-        self.delta_bounded = delta_bounded
-        self.classes = classes
-        self.image_size = image_size
-        self.escaping_classes = escaping_classes
 
     def to_json(self) -> dict:
         return {

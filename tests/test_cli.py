@@ -342,6 +342,26 @@ def test_hostile_literals_and_documents_are_malformed_input(tmp_path):
         assert diag["code"] == "malformed-input" and diag["witness"] == witness
 
 
+def test_deep_witnesses_are_one_json_line(tmp_path):
+    # a refused field nested 900 deep, which json.loads still accepts: the
+    # witness is cut to WITNESS_DEPTH levels and one marker instead of
+    # overflowing the stack in the diagnostic
+    from pocsets.errors import DEEPER, WITNESS_DEPTH
+
+    nested = "[" * 900 + "]" * 900
+    order = tmp_path / "deep-order.json"
+    order.write_text('{"pairs": 1, "order": %s}' % nested)
+    normal = tmp_path / "deep-normal.json"
+    normal.write_text('{"chains": ["r"], "geometry": [{"normal": %s}]}' % nested)
+    for argv in (("validate", str(order)), ("rho", str(normal), "--direction=1,0")):
+        proc = run_cli(*argv, expect=1, timeout=60)
+        [line] = proc.stderr.splitlines()
+        witness, levels = json.loads(line)["witness"], 0
+        while isinstance(witness, list):
+            [witness], levels = witness, levels + 1
+        assert (witness, levels) == (DEEPER, WITNESS_DEPTH), argv
+
+
 def test_fixtures_load_under_an_ascii_locale():
     # FIX-HEX holds √3 literals: documents are read as UTF-8, not in the
     # locale's encoding

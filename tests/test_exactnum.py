@@ -426,6 +426,9 @@ def test_records_have_value_semantics(cls, fields, others):
         assert cls(*changed) != first, (cls.__name__, i)
     twin = type("Twin", (cls,), {})
     assert twin(*fields()) != first and first != twin(*fields())
+    if "__init__" not in vars(cls):  # Record's, which takes every field
+        with pytest.raises(TypeError):
+            cls(*fields()[1:])
     # a subclass of an unhashable report stays unhashable
     assert (twin.__hash__ is None) == (cls.__hash__ is None)
     if issubclass(cls, Record):

@@ -15,6 +15,7 @@ from pocsets.chains import (
     ChainHalfspace,
     ChainUltrafilter,
     format_signature,
+    min_set,
     principal,
     sig,
     uf,
@@ -32,6 +33,8 @@ from pocsets.formats import fixture_model
 from pocsets.shadows import (
     MAX_WINDOW_TUPLES,
     ConsistencyOracle,
+    DualShadow,
+    MinClassification,
     RayReport,
     RayStep,
     _feasible_point,
@@ -323,7 +326,7 @@ def _argmin_by_rows(f, cuts):
     """`WindowField.argmin` without its geodesic pruning, as a test oracle:
     every prefix within the query's distance of its head, in prefix order,
     gives the last cuts in its row at the remaining distance."""
-    bound, n = f.bound, 2 * f.bound + 1
+    bound, n, r = f.bound, 2 * f.bound + 1, f.distance(cuts)  # refuses () too
     *head, last = cuts
     found = []
 
@@ -338,22 +341,47 @@ def _argmin_by_rows(f, cuts):
         for c in range(max(-bound, q - r), min(bound, q + r) + 1):
             walk((*prefix, c), index * n + c + bound, r - abs(c - q))
 
-    walk((), 0, f.distance(cuts))
+    walk((), 0, r)
     return found
 
 
+def _edge_queries(rng, k, bound, count):
+    """Cut tuples in [-bound - 1, bound + 1] with one cut on the window's
+    boundary or one step past it, of length k and of lengths k -+ 1."""
+    for _ in range(count):
+        length = rng.choice((k - 1, k, k, k + 1))
+        cuts = [rng.randint(-bound - 1, bound + 1) for _ in range(length)]
+        if cuts:
+            cuts[rng.randrange(len(cuts))] = rng.choice((-1, 1)) * rng.choice((bound, bound + 1))
+        yield tuple(cuts)
+
+
 def test_argmin_matches_row_walk():
-    # FIX-HEX at window 12, on queries inside and past the window and of the
-    # wrong length, so that the refusals are compared too
+    # FIX-HEX at window 12, and generated models with k = 1..4 at small
+    # windows, on queries inside the window, on its boundary, past it and of
+    # the wrong length: the stepped strides of every k and the refusals are
+    # compared too
     rng = random.Random(73)
-    f = window_field(fixture_model("FIX-HEX"), 12)
-    outcomes = set()
-    for _ in range(2000):
-        cuts = tuple(rng.randint(-13, 13) for _ in range(rng.choice((2, 3, 3, 3, 4))))
+    hexfield = window_field(fixture_model("FIX-HEX"), 12)
+    queries = [
+        (hexfield, tuple(rng.randint(-13, 13) for _ in range(rng.choice((2, 3, 3, 3, 4)))))
+        for _ in range(2000)
+    ]
+    kinds = {}
+    for k, bound in ((1, 6), (2, 4), (3, 3), (4, 2)):
+        fields = []
+        while len(fields) < 3:
+            model = _wall_model(rng, [rng.randrange(12) for _ in range(k)])
+            f, _ = _outcome(window_field, model, bound)
+            fields += [f] if f else []
+        queries += [(f, cuts) for f in fields for cuts in _edge_queries(rng, k, bound, 200)]
+    for f, cuts in queries:
         got = _outcome(f.argmin, cuts)
         assert got == _outcome(_argmin_by_rows, f, cuts), cuts
-        outcomes.add(got[1][0] if got[1] else len(got[0]) > 1)
-    assert outcomes == {True, False, WindowTooSmall, ChainCountMismatch}
+        kinds.setdefault(len(f.members[0]), set()).add(got[1][0] if got[1] else len(got[0]) > 1)
+    # one chain has one row, so a single nearest member
+    every = {True, False, WindowTooSmall, ChainCountMismatch}
+    assert kinds == {1: every - {True}, 2: every, 3: every, 4: every}
 
 
 def test_argmin_reads_rows_only_on_geodesics(monkeypatch):
@@ -602,6 +630,71 @@ def test_shadow_report_equals_its_parts(hexmodel):
     for _ in range(40):
         cuts = tuple(rng.randint(-12, 12) for _ in range(3))
         _check_report_against_parts(hexmodel, cuts, 12)
+
+
+def _check_parts_by_brute_force(model, bound):
+    """dist_to_pi0, shadow, dual_shadow and classify_min on every tuple of
+    the window against the nearest set of a scan of all members, found tuple
+    by tuple by the oracle, and the breadth-first distances of the flips;
+    returns the refusal messages and the number of answers."""
+    members, dist = _bfs_field(model, bound)
+    interior = lambda m: all(abs(c) < bound for c in m)
+    messages, answered = set(), 0
+    for cuts in product(range(-bound, bound + 1), repeat=model.k):
+        u = ChainUltrafilter(cuts)
+        l1 = [sum(abs(a - b) for a, b in zip(cuts, m)) for m in members]
+        best = min(l1)
+        nearest = [m for m, d in zip(members, l1) if d == best]
+        columns = list(zip(*nearest))
+        signed = {1: [], -1: [], 0: []}  # plus, minus, neutral
+        past = None  # the first flip outside the window
+        for h in min_set(u):
+            moved = list(cuts)
+            moved[h.chain] += 1 if h.starred else -1
+            moved = tuple(moved)
+            if moved in dist:
+                signed[(dist[moved] > best) - (dist[moved] < best)].append(h)
+            else:
+                past = past or moved
+        minimizer = None
+        if not any(map(interior, nearest)):
+            minimizer = (f"every minimizer for {cuts} touches the window boundary", cuts)
+        whole = None
+        if not all(map(interior, nearest)):
+            whole = (f"shadow of {cuts} touches the window boundary", cuts)
+        flip = (f"{past} is outside window {bound}", past) if past else None
+        expect = {
+            dist_to_pi0: (best, minimizer),
+            shadow: ([ChainUltrafilter(m) for m in nearest], whole),
+            dual_shadow: (
+                DualShadow(tuple(min(c) - 1 for c in columns), tuple(map(max, columns))),
+                whole,
+            ),
+            classify_min: (MinClassification(signed[1], signed[-1], signed[0]), minimizer or flip),
+        }
+        for fn, (answer, refusal) in expect.items():
+            got = _outcome(fn, model, u, bound)
+            if refusal:
+                assert got == (None, (WindowTooSmall, *refusal)), (fn.__name__, cuts)
+                messages.add(refusal[0])
+            else:
+                assert got == (answer, None), (fn.__name__, cuts)
+                answered += 1
+    return messages, answered
+
+
+def test_report_parts_match_brute_force(hexmodel):
+    # FIX-HEX at window 4 and a generated model with four chains at window 2
+    rng = random.Random(19)
+    model = _wall_model(rng, [rng.randrange(12) for _ in range(4)])
+    for m, bound in ((hexmodel, 4), (model, 2)):
+        messages, answered = _check_parts_by_brute_force(m, bound)
+        # every guard refuses somewhere: some minimizer, a flip outside the
+        # window, the whole shadow
+        assert answered > 100
+        assert any(x.startswith("every minimizer") for x in messages)
+        assert any(x.endswith(f"is outside window {bound}") for x in messages)
+        assert any(x.startswith("shadow of") for x in messages)
 
 
 def _stable_answers(model, cuts, small, large):
