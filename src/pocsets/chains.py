@@ -10,11 +10,13 @@ int (a cut) or ``math.inf`` / ``-math.inf`` (the two ends):
 
 Almost-equality classes are signatures with one of Fin(0), Plus(+1),
 Minus(-1) per chain; the principal class is all-Fin.  Every function here is
-pure.  Records are plain ``__slots__`` classes with a hand-written
-``__init__``; equality, hash and repr come from their ``__slots__`` through
-`pocsets.core.Record`.  They are immutable by convention: nothing assigns to
-a field after construction, and the hashed ones (`ChainUltrafilter`,
-`Signature`, ..) rely on it.
+pure.  Records take equality, hash and repr from their ``__slots__``
+through `pocsets.core.Record`, and so does the constructor of those built
+once per call (`ChainFamily`, `RollerPoset`); those built in bulk
+(`ChainHalfspace`, `ChainUltrafilter`, `Signature`) and `MoveSchedule`,
+called with keywords, write their own.  They are immutable by convention:
+nothing assigns to a field after construction, and the hashed ones
+(`ChainUltrafilter`, `Signature`, ..) rely on it.
 """
 
 from __future__ import annotations
@@ -277,14 +279,11 @@ def all_signatures(k: int) -> list[Signature]:
     return [Signature(ends) for ends in product((MINUS, FIN, PLUS), repeat=k)]
 
 
-class RollerPoset:
+class RollerPoset(Record):
     """All 3^k classes with the closure order."""
 
     __slots__ = ("k", "signatures")
-
-    def __init__(self, k: int, signatures: list[Signature]):
-        self.k = k
-        self.signatures = signatures
+    __hash__ = None
 
     @classmethod
     def build(cls, k: int) -> "RollerPoset":

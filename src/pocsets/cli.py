@@ -63,15 +63,8 @@ def cmd_ultrafilters(args) -> int:
         for u in ufs:
             print(p.format_ultrafilter(u))
     else:
-        _emit(
-            args,
-            {
-                "count": len(ufs),
-                "ultrafilters": [
-                    [p.name(e) for e in u.sorted_members()] for u in ufs
-                ],
-            },
-        )
+        ultrafilters = [[p.name(e) for e in u.sorted_members()] for u in ufs]
+        _emit(args, {"count": len(ufs), "ultrafilters": ultrafilters})
     return 0
 
 

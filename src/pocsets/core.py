@@ -12,11 +12,12 @@ Element indexing convention (used everywhere in this package):
 * the trivial pair sits last: ``0`` at handle ``2n``, ``0*`` at ``2n+1``;
 * ``star(e) = e ^ 1``; canonical element order is handle order.
 
-Records are plain classes with ``__slots__`` and a hand-written
-``__init__``, not dataclasses, which cost start-up.  Value records derive
-equality, hash and repr from their ``__slots__`` through `Record`; mutable
-reports opt out of hashing with ``__hash__ = None``.  Records are immutable
-by convention (nothing in the package assigns to a field after
+Records are ``__slots__`` classes (dataclasses cost start-up) that derive
+equality, hash and repr from their ``__slots__`` through `Record`; one
+holding a list or a dict sets ``__hash__ = None``.  A record built once per
+call takes `Record`'s positional constructor; one built in bulk, one that
+checks its fields or one called with defaults writes its own.  Records are
+immutable by convention (nothing in the package assigns to a field after
 construction), and every operation is a pure function, so concurrent use
 needs no synchronization.
 """
@@ -137,38 +138,28 @@ class Ultrafilter(Record):
         return [2 * k + s for k, s in enumerate(self.signs)] + [2 * len(self.signs) + 1]
 
 
-class PairClassification:
-    """Nested with a witness relation ``lhs <= rhs``, or transverse."""
+class PairClassification(Record):
+    """Nested with a witness relation ``lhs <= rhs``, or transverse with
+    witness None; ``kind`` is "nested" or "transverse"."""
 
     __slots__ = ("kind", "witness")
-
-    def __init__(self, kind: str, witness: Optional[tuple[int, int]] = None):
-        self.kind = kind  # "nested" | "transverse"
-        self.witness = witness
 
     @property
     def nested(self) -> bool:
         return self.kind == "nested"
 
 
-class UltrafilterCheck:
-    """Outcome of an ultrafilter validity test, with a violation witness."""
+class UltrafilterCheck(Record):
+    """Outcome of an ultrafilter validity test: ``ok``, the failed ``axiom``
+    ("UF1" or "UF2", None when ok) and its violation witness."""
 
     __slots__ = ("ok", "axiom", "witness")
 
-    def __init__(self, ok: bool, axiom: Optional[str] = None, witness: Optional[tuple] = None):
-        self.ok = ok
-        self.axiom = axiom  # "UF1" | "UF2"
-        self.witness = witness
 
-
-class FilterBase:
+class FilterBase(Record):
     """A validated UF2-only subset; build with `FinitePocSet.filterbase`."""
 
     __slots__ = ("members",)
-
-    def __init__(self, members: frozenset[int]):
-        self.members = members
 
     def __iter__(self):
         return iter(sorted(self.members))
@@ -310,7 +301,7 @@ class FinitePocSet:
         for lhs, rhs in ((h, k), (k, h), (h, star(k)), (star(k), h)):
             if self.leq(lhs, rhs):
                 return PairClassification("nested", (lhs, rhs))
-        return PairClassification("transverse")
+        return PairClassification("transverse", None)
 
     def transverse(self, h: int, k: int) -> bool:
         return pair_of(h) != pair_of(k) and bool(
@@ -378,7 +369,7 @@ class FinitePocSet:
             if (2 * k in mset) == (2 * k + 1 in mset):
                 return UltrafilterCheck(False, "UF1", 2 * k)
         bad = self.check_filterbase(mset)
-        return UltrafilterCheck(True) if bad is None else UltrafilterCheck(False, "UF2", bad)
+        return UltrafilterCheck(bad is None, None if bad is None else "UF2", bad)
 
     def ultrafilters(self) -> list[Ultrafilter]:
         """All ultrafilters in canonical (lexicographic signs) order, from the

@@ -12,7 +12,6 @@ and orders are compared row by row; the records handed out stay as they are.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
 
 from .core import FinitePocSet, Record, Ultrafilter
 from .errors import DegenerateWall, MalformedInput, NotIsomorphic
@@ -37,38 +36,18 @@ class Cube(Record):
         return len(self.pairs)
 
 
-class Wall:
+class Wall(Record):
     """One wall of the complex: its labelled edges and vertex bipartition."""
 
     __slots__ = ("pair", "edges", "side_plain", "side_star")
 
-    def __init__(
-        self,
-        pair: int,
-        edges: tuple[tuple[int, int], ...],
-        side_plain: frozenset[int],
-        side_star: frozenset[int],
-    ):
-        self.pair = pair
-        self.edges = edges
-        self.side_plain = side_plain
-        self.side_star = side_star
 
+class CubeComplex(Record):
+    """A poc-set's dual: ultrafilters as vertices, edges ``(i, j, pair)``
+    with ``i < j``, and the cubes of each dimension >= 2 by dimension."""
 
-class CubeComplex:
     __slots__ = ("pocset", "vertices", "edges", "cubes")
-
-    def __init__(
-        self,
-        pocset: FinitePocSet,
-        vertices: list[Ultrafilter],
-        edges: list[tuple[int, int, int]],  # (i, j, pair) with i < j
-        cubes: Optional[dict[int, list[Cube]]] = None,
-    ):
-        self.pocset = pocset
-        self.vertices = vertices
-        self.edges = edges
-        self.cubes = {} if cubes is None else cubes
+    __hash__ = None
 
     @property
     def square_count(self) -> int:
@@ -224,20 +203,14 @@ def extract_halfspaces(c: CubeComplex) -> FinitePocSet:
     return FinitePocSet._from_rows(n, rows)
 
 
-class DualityReport:
-    __slots__ = ("isomorphic", "element_bijection", "vertex_bijection", "mismatch")
+class DualityReport(Record):
+    """A round trip's element and vertex bijections; a failed one raises
+    `NotIsomorphic`, so ``isomorphic`` is always true, ``mismatch`` None."""
 
-    def __init__(
-        self,
-        isomorphic: bool,
-        element_bijection: dict[str, str],
-        vertex_bijection: dict[int, int],
-        mismatch: Optional[str] = None,
-    ):
-        self.isomorphic = isomorphic
-        self.element_bijection = element_bijection
-        self.vertex_bijection = vertex_bijection
-        self.mismatch = mismatch
+    __slots__ = ("element_bijection", "vertex_bijection")
+    __hash__ = None
+    isomorphic = True
+    mismatch = None
 
     def to_json(self) -> dict:
         return {
@@ -265,4 +238,4 @@ def duality_roundtrip(p: FinitePocSet) -> DualityReport:
         b = (diff & -diff).bit_length() - 1
         raise NotIsomorphic(f"order mismatch at ({p.name(a)}, {p.name(b)})", (a, b))
     bijection = {p.name(e): q.name(e) for e in p.proper_elements()}
-    return DualityReport(True, bijection, {i: i for i in range(len(c.vertices))})
+    return DualityReport(bijection, {i: i for i in range(len(c.vertices))})

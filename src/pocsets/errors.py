@@ -20,7 +20,7 @@ class PocError(Exception):
     def diagnostic(self) -> dict:
         return {
             "code": self.code,
-            "message": str(self),
+            "message": _jsonable(str(self)),
             "witness": _jsonable(self.witness),
         }
 
@@ -29,16 +29,27 @@ class PocError(Exception):
 # json.dumps recurse once per level, and a deep document overflows the stack
 WITNESS_DEPTH = 32
 DEEPER = f"<nested deeper than {WITNESS_DEPTH} levels>"
+# the items of each list or object of a witness kept, and the characters of
+# each string and of the message: the rest is one marker, so a refused value
+# as wide as a whole document is echoed at a bounded width
+WITNESS_WIDTH = 64
+TEXT_WIDTH = 1024
 
 
 def _jsonable(value, depth: int = WITNESS_DEPTH):
-    if value is None or isinstance(value, (str, int, float, bool)):
+    if value is None or isinstance(value, (int, float, bool)):
         return value
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v, depth - 1) for v in value] if depth else DEEPER
+    if not isinstance(value, (list, tuple, set, frozenset, dict)):
+        text = str(value)
+        more = len(text) - TEXT_WIDTH
+        return f"{text[:TEXT_WIDTH]}<{more} more characters>" if more > 0 else text
+    if not depth:
+        return DEEPER
+    more = [f"<{len(value) - WITNESS_WIDTH} more items>"] if len(value) > WITNESS_WIDTH else []
     if isinstance(value, dict):
-        return {str(k): _jsonable(v, depth - 1) for k, v in value.items()} if depth else DEEPER
-    return str(value)
+        kept = list(value.items())[:WITNESS_WIDTH]
+        return {_jsonable(str(k)): _jsonable(v, depth - 1) for k, v in kept} | dict.fromkeys(more)
+    return [_jsonable(v, depth - 1) for v in list(value)[:WITNESS_WIDTH]] + more
 
 
 class MalformedInput(PocError):

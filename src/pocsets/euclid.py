@@ -214,25 +214,9 @@ class ArcFiber(Record):
 class ImageEntry(Record):
     __slots__ = ("signature", "fibers")
 
-    def __init__(self, signature: Signature, fibers: tuple):
-        self.signature = signature
-        self.fibers = fibers
-
 
 class ImageReport(Record):
     __slots__ = ("entries", "critical_directions", "uniform", "warning")
-
-    def __init__(
-        self,
-        entries: tuple[ImageEntry, ...],
-        critical_directions: tuple[Vec, ...],
-        uniform: bool,
-        warning: Optional[str] = None,
-    ):
-        self.entries = entries
-        self.critical_directions = critical_directions
-        self.uniform = uniform
-        self.warning = warning
 
     def signatures(self) -> list[Signature]:
         return [e.signature for e in self.entries]
@@ -358,36 +342,14 @@ def safe_components(signatures: Sequence[Signature]) -> list[list[Signature]]:
     return sorted(components, key=lambda comp: comp[0].ends)
 
 
-class ClosureEntry:
+class ClosureEntry(Record):
     __slots__ = ("signature", "below_in_image", "closure_classes", "ok")
-
-    def __init__(
-        self,
-        signature: Signature,
-        below_in_image: list[Signature],
-        closure_classes: list[Signature],
-        ok: bool,
-    ):
-        self.signature = signature
-        self.below_in_image = below_in_image
-        self.closure_classes = closure_classes
-        self.ok = ok
+    __hash__ = None
 
 
-class ClosureReport:
+class ClosureReport(Record):
     __slots__ = ("entries", "ok", "codim1_closed", "first_violation")
-
-    def __init__(
-        self,
-        entries: list[ClosureEntry],
-        ok: bool,
-        codim1_closed: bool,
-        first_violation: Optional[Signature] = None,
-    ):
-        self.entries = entries
-        self.ok = ok
-        self.codim1_closed = codim1_closed
-        self.first_violation = first_violation
+    __hash__ = None
 
     def to_json(self) -> dict:
         return {
@@ -457,32 +419,19 @@ class Line:
         self.basepoint = basepoint
 
 
-class LineRestrictionReport:
-    """A line's restricted wall system; its end classes are rho of the
-    line's two directions by construction, so ``commutes`` is always true."""
+class LineRestrictionReport(Record):
+    """A line's restricted wall system: ``trivial_cuts`` maps each parallel
+    family to its frozen cut, ``merged_chains`` lists per merged chain the
+    families whose walls interleave into it, and ``collapse`` maps each family
+    to its merged chain's id.  The end classes are rho of the line's two
+    directions by construction, so ``commutes`` is always true."""
 
     __slots__ = (
         "nontrivial_families", "trivial_cuts", "merged_chains", "collapse",
         "plus_end_class", "minus_end_class",
     )
+    __hash__ = None
     commutes = True
-
-    def __init__(
-        self,
-        nontrivial_families: list[int],
-        trivial_cuts: dict[int, int],
-        merged_chains: list[list[int]],
-        collapse: dict[int, int],
-        plus_end_class: Signature,
-        minus_end_class: Signature,
-    ):
-        self.nontrivial_families = nontrivial_families
-        self.trivial_cuts = trivial_cuts  # parallel family -> its frozen cut
-        # one list per merged chain: the families whose walls interleave into it
-        self.merged_chains = merged_chains
-        self.collapse = collapse  # family -> merged chain id
-        self.plus_end_class = plus_end_class
-        self.minus_end_class = minus_end_class
 
     def to_json(self) -> dict:
         return {

@@ -356,7 +356,9 @@ class WindowField:
         arithmetic or an abs.  The walk of c_{k-1} reads the row of each
         full prefix it keeps there and then, for the last cuts in its
         interval at the remaining distance."""
-        index = self._index(cuts)  # refuses a wrong length before unpacking
+        return self._argmin(cuts, self._index(cuts))  # refuses a wrong length before unpacking
+
+    def _argmin(self, cuts: Cuts, index: int) -> list[Cuts]:
         bound, n, table, rows = self.bound, 2 * self.bound + 1, self.distance_table, self.rows
         *head, last = cuts
         if not head:  # one chain: the window is one row
@@ -422,26 +424,29 @@ def window_field(model: WallModel, bound: int) -> WindowField:
 
 
 def _nearest(model: WallModel, u: ChainUltrafilter, window: int):
-    """The one windowed step behind every query: the field, the cuts of u,
-    the members nearest u, found by a single argmin, and their box, the
-    least and the greatest cut of each chain over them, or None when the
-    box reaches the window boundary.  The members all lie strictly inside
-    the window iff the box does, so the window guards read the box and scan
-    the members only on the way to a refusal.  A negative window is refused
-    first, then a non-principal u, then the field is built."""
+    """The one windowed step behind every query: the field, the cuts of u
+    and their flat index, the members nearest u, found by a single argmin,
+    and their box, the least and the greatest cut of each chain over them,
+    or None when the box reaches the window boundary.  The members all lie
+    strictly inside the window iff the box does, so the window guards read
+    the box and scan the members only on the way to a refusal.  A negative
+    window is refused first, then a non-principal u, then the field is
+    built, then cuts of the wrong length or outside the window."""
     _check_window(window)
     cuts = u.int_cuts()
     f = window_field(model, window)
-    nearest = f.argmin(cuts)
+    index = f._index(cuts)
+    nearest = f._argmin(cuts, index)
     columns = list(zip(*nearest))
     low, high = tuple(map(min, columns)), tuple(map(max, columns))
-    return f, cuts, nearest, (low, high) if -window < min(low) and max(high) < window else None
+    inside = -window < min(low) and max(high) < window
+    return f, cuts, index, nearest, (low, high) if inside else None
 
 
-def _distance(f: WindowField, cuts: Cuts, nearest: list[Cuts], box: Box) -> int:
+def _distance(f: WindowField, cuts: Cuts, index: int, nearest: list[Cuts], box: Box) -> int:
     if box is None and not any(map(f.interior, nearest)):
         raise WindowTooSmall(f"every minimizer for {cuts} touches the window boundary", cuts)
-    return f.distance(cuts)
+    return f.distance_table[index]
 
 
 def _whole_shadow(cuts: Cuts, nearest: list[Cuts], box: Box) -> list[Cuts]:
@@ -460,27 +465,22 @@ class MinClassification(Record):
     __slots__ = ("plus", "minus", "neutral")
     __hash__ = None
 
-    def __init__(
-        self, plus: list[ChainHalfspace], minus: list[ChainHalfspace], neutral: list[ChainHalfspace]
-    ):
-        self.plus = plus
-        self.minus = minus
-        self.neutral = neutral
-
 
 def classify_min(model: WallModel, u: ChainUltrafilter, window: int) -> MinClassification:
     """Split min(u) by the effect of each flip on the distance to the
     consistent set; "neutral" collects the distance-preserving moves the
     two signed sets do not cover."""
-    f, cuts, nearest, box = _nearest(model, u, window)
-    return _classify(f, u, cuts, _distance(f, cuts, nearest, box))
+    f, cuts, index, nearest, box = _nearest(model, u, window)
+    return _classify(f, u, cuts, index, _distance(f, cuts, index, nearest, box))
 
 
-def _classify(f: WindowField, u: ChainUltrafilter, cuts: Cuts, base: int) -> MinClassification:
+def _classify(
+    f: WindowField, u: ChainUltrafilter, cuts: Cuts, index: int, base: int
+) -> MinClassification:
     """Each flip's distance is read at the query's flat index -+ its chain's
     stride; a flip past the window goes through `distance`, which refuses it."""
     plus, minus, neutral = [], [], []
-    table, index, n = f.distance_table, f._index(cuts), 2 * f.bound + 1
+    table, n = f.distance_table, 2 * f.bound + 1
     strides = [n**e for e in reversed(range(len(cuts)))]
     for h in min_set(u):
         step = 1 if h.starred else -1
@@ -524,12 +524,12 @@ class DualShadow(Record):
 def shadow(model: WallModel, u: ChainUltrafilter, window: int) -> list[ChainUltrafilter]:
     """The nearest consistent ultrafilters; the whole set must sit strictly
     inside the window."""
-    _, cuts, nearest, box = _nearest(model, u, window)
+    _, cuts, _, nearest, box = _nearest(model, u, window)
     return [ChainUltrafilter(m) for m in _whole_shadow(cuts, nearest, box)]
 
 
 def dual_shadow(model: WallModel, u: ChainUltrafilter, window: int) -> DualShadow:
-    _, cuts, nearest, box = _nearest(model, u, window)
+    _, cuts, _, nearest, box = _nearest(model, u, window)
     _whole_shadow(cuts, nearest, box)
     return _dual(box)
 
@@ -539,33 +539,12 @@ def _dual(box: tuple[Cuts, Cuts]) -> DualShadow:
     return DualShadow(tuple(c - 1 for c in low), high)
 
 
-class ShadowReport:
+class ShadowReport(Record):
     __slots__ = (
         "pi", "window", "consistent", "dist", "min_plus", "min_minus", "min_neutral",
         "shadow", "dual_shadow",
     )
-
-    def __init__(
-        self,
-        pi: Cuts,
-        window: int,
-        consistent: bool,
-        dist: int,
-        min_plus: list[ChainHalfspace],
-        min_minus: list[ChainHalfspace],
-        min_neutral: list[ChainHalfspace],
-        shadow: list[Cuts],
-        dual_shadow: DualShadow,
-    ):
-        self.pi = pi
-        self.window = window
-        self.consistent = consistent
-        self.dist = dist
-        self.min_plus = min_plus
-        self.min_minus = min_minus
-        self.min_neutral = min_neutral
-        self.shadow = shadow
-        self.dual_shadow = dual_shadow
+    __hash__ = None
 
     def to_json(self) -> dict:
         describe = lambda hs: [
@@ -593,9 +572,9 @@ def shadow_report(model: WallModel, u: ChainUltrafilter, window: int) -> ShadowR
     for the box that decides both window guards and gives the dual shadow;
     refused by the first guard that dist_to_pi0, classify_min, shadow and
     dual_shadow would fire."""
-    f, cuts, nearest, box = _nearest(model, u, window)
-    dist = _distance(f, cuts, nearest, box)
-    mins = _classify(f, u, cuts, dist)
+    f, cuts, index, nearest, box = _nearest(model, u, window)
+    dist = _distance(f, cuts, index, nearest, box)
+    mins = _classify(f, u, cuts, index, dist)
     members = _whole_shadow(cuts, nearest, box)
     return ShadowReport(
         cuts, f.bound, dist == 0, dist,

@@ -321,8 +321,12 @@ def test_unreadable_documents_are_malformed_input(tmp_path):
 
 def test_hostile_literals_and_documents_are_malformed_input(tmp_path):
     # an integer past int()'s digit limit, in a literal or in the JSON, and
-    # JSON nested past the recursion limit: one JSON line each, no traceback
+    # JSON nested past the recursion limit: one JSON line each, no traceback;
+    # the literal is echoed up to TEXT_WIDTH characters
+    from pocsets.errors import TEXT_WIDTH
+
     nines = "9" * 5000
+    cut = f"{nines[:TEXT_WIDTH]}<{5000 - TEXT_WIDTH} more characters>"
     normal = tmp_path / "long-normal.json"
     normal.write_text(json.dumps({"chains": ["r"], "geometry": [{"normal": [nines, "1"]}]}))
     pairs = tmp_path / "long-pairs.json"
@@ -330,9 +334,9 @@ def test_hostile_literals_and_documents_are_malformed_input(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text('{"pairs": %s}' % ("[" * 100_000 + "]" * 100_000))
     for witness, argv in (
-        (nines, ("rho", "FIX-HEX", f"--direction={nines},1")),
-        (nines, ("restrict", "FIX-Z2", "--direction=1,1", f"--base={nines},0")),
-        (nines, ("rho", str(normal), "--direction=1,0")),
+        (cut, ("rho", "FIX-HEX", f"--direction={nines},1")),
+        (cut, ("restrict", "FIX-Z2", "--direction=1,1", f"--base={nines},0")),
+        (cut, ("rho", str(normal), "--direction=1,0")),
         (str(pairs), ("validate", str(pairs))),
         (str(deep), ("validate", str(deep))),
     ):
@@ -360,6 +364,32 @@ def test_deep_witnesses_are_one_json_line(tmp_path):
         while isinstance(witness, list):
             [witness], levels = witness, levels + 1
         assert (witness, levels) == (DEEPER, WITNESS_DEPTH), argv
+
+
+def test_wide_witnesses_are_one_short_json_line(tmp_path):
+    # a refused value as wide as the whole document: each list of the witness
+    # keeps WITNESS_WIDTH items and a marker, the message TEXT_WIDTH characters
+    from pocsets.errors import TEXT_WIDTH, WITNESS_WIDTH
+
+    wide = list(range(200_000))
+    kept = wide[:WITNESS_WIDTH] + [f"<{200_000 - WITNESS_WIDTH} more items>"]
+    more = f"<{100_000 - WITNESS_WIDTH} more items>"
+    keys = {f"k{i}": i for i in range(100_000)}
+    cases = (
+        ("validate", {"pairs": 1, "order": [wide]}, kept),
+        ("validate", {"kind": "chains", "walls": wide}, {"kind": "chains", "walls": kept}),
+        ("validate", keys, dict(list(keys.items())[:WITNESS_WIDTH]) | {more: None}),
+        ("image", {"chains": ["r"], "geometry": [{"normal": wide[:100_000]}]}, kept[:-1] + [more]),
+    )
+    for i, (command, doc, witness) in enumerate(cases):
+        path = tmp_path / f"wide-{i}.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(command, str(path), expect=1, timeout=60)
+        [line] = proc.stderr.splitlines()
+        assert len(line) < 4096, (command, len(line))
+        diag = json.loads(line)
+        assert diag["code"] == "malformed-input" and diag["witness"] == witness
+        assert len(diag["message"]) <= TEXT_WIDTH + len("<9999999 more characters>")
 
 
 def test_fixtures_load_under_an_ascii_locale():

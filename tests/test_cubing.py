@@ -262,13 +262,13 @@ def test_a_wall_with_an_empty_side_is_refused(fix_square):
     c = build_cubing(fix_square)
     kept = [u for u in c.vertices if u.signs[1] == 0]
     with pytest.raises(DegenerateWall) as exc:
-        extract_halfspaces(CubeComplex(fix_square, kept, [(0, 1, 0)]))
+        extract_halfspaces(CubeComplex(fix_square, kept, [(0, 1, 0)], {}))
     assert (str(exc.value), exc.value.witness) == ("wall h2 has an empty side", 1)
     assert exc.value.code == "degenerate-wall"
     # and without the vertices on the plain side of h1
     kept = [u for u in c.vertices if u.signs[0] == 1]
     with pytest.raises(DegenerateWall, match="^wall h1 has an empty side$"):
-        extract_halfspaces(CubeComplex(fix_square, kept, [(0, 1, 1)]))
+        extract_halfspaces(CubeComplex(fix_square, kept, [(0, 1, 1)], {}))
 
 
 def test_a_roundtrip_to_another_order_is_refused(monkeypatch, fix_line3):
@@ -381,7 +381,7 @@ def _cell_roundtrip(p: FinitePocSet, q: FinitePocSet, vertex_count: int) -> dict
             if p.leq(a, b) != q.leq(a, b):
                 raise NotIsomorphic(f"order mismatch at ({p.name(a)}, {p.name(b)})", (a, b))
     bijection = {p.name(e): q.name(e) for e in p.proper_elements()}
-    return DualityReport(True, bijection, {i: i for i in range(vertex_count)}).to_json()
+    return DualityReport(bijection, {i: i for i in range(vertex_count)}).to_json()
 
 
 def _walls(c: CubeComplex) -> list:

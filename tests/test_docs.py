@@ -62,3 +62,42 @@ def test_readme_commands_run():
     for argv in commands:
         with redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads: not as a name, and not in
+    a string that parses as an expression (a quoted annotation, ``__all__``)."""
+    tree = ast.parse(source)
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    trees = [tree]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                trees.append(ast.parse(node.value, mode="eval"))
+            except (SyntaxError, ValueError):  # prose, or a string with a NUL
+                pass
+    read = {
+        n.id
+        for t in trees
+        for n in ast.walk(t)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a deleted annotated __init__ can leave its typing import behind
+    assert _unused_imports("from typing import Optional, Sequence\nx: 'Sequence[int]'\n") == [
+        "Optional"
+    ]
+    unused = {
+        path.name: _unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "pocsets").glob("*.py"))
+    }
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -348,16 +348,39 @@ def _record_cases():
     """(class, factory of field values, one other value per field) for each
     record type the package or its tests compare or hash; every
     `pocsets.core.Record` subclass must have one."""
-    from pocsets.chains import PLUS_END, ChainFamily, ChainHalfspace, ChainUltrafilter, Signature
-    from pocsets.core import Ultrafilter
-    from pocsets.cubing import Cube
-    from pocsets.euclid import ArcFiber, ImageEntry, ImageReport, PointFiber, WallModel
+    from pocsets.chains import (
+        PLUS_END,
+        ChainFamily,
+        ChainHalfspace,
+        ChainUltrafilter,
+        RollerPoset,
+        Signature,
+    )
+    from pocsets.core import (
+        FilterBase,
+        FinitePocSet,
+        PairClassification,
+        Ultrafilter,
+        UltrafilterCheck,
+    )
+    from pocsets.cubing import Cube, CubeComplex, DualityReport, Wall
+    from pocsets.euclid import (
+        ArcFiber,
+        ClosureEntry,
+        ClosureReport,
+        ImageEntry,
+        ImageReport,
+        LineRestrictionReport,
+        PointFiber,
+        WallModel,
+    )
     from pocsets.shadows import (
         ClassRow,
         DualShadow,
         MinClassification,
         RayReport,
         RayStep,
+        ShadowReport,
         SurjectivityReport,
     )
 
@@ -365,9 +388,19 @@ def _record_cases():
     fam = lambda *names: ChainFamily(tuple(names))
     s = lambda *ends: Signature(tuple(ends))
     h = ChainHalfspace
+    # a poc-set compares by identity, so each complex case holds the same one
+    line, square = FinitePocSet.from_order_generators(1), FinitePocSet.from_order_generators(2)
     return [
         (Ultrafilter, lambda: ((0, 1),), ((1, 1),)),
+        (PairClassification, lambda: ("nested", (0, 2)), ("transverse", None)),
+        (UltrafilterCheck, lambda: (False, "UF2", (0, 3)), (True, None, None)),
+        (FilterBase, lambda: (frozenset({0, 2}),), (frozenset({0}),)),
         (Cube, lambda: (0, (0, 1)), (1, (0, 2))),
+        (
+            Wall,
+            lambda: (0, ((0, 1),), frozenset({0}), frozenset({1})),
+            (1, ((0, 2),), frozenset({1}), frozenset({0})),
+        ),
         (ChainFamily, lambda: (("a", "b"),), (("a", "c"),)),
         (ChainHalfspace, lambda: (0, 2, False), (1, 3, True)),
         (ChainUltrafilter, lambda: ((0, PLUS_END, -1),), ((0, -PLUS_END, -1),)),
@@ -392,7 +425,34 @@ def _record_cases():
         ),
         (DualShadow, lambda: ((0, 1), (2, 3)), ((0, 0), (2, 2))),
         # mutable reports: compared, never hashed
+        (RollerPoset, lambda: (1, [s(-1), s(0), s(1)]), (2, [s(0)])),
+        (
+            CubeComplex,
+            lambda: (line, [Ultrafilter((0,)), Ultrafilter((1,))], [(0, 1, 0)], {}),
+            (square, [Ultrafilter((0,))], [], {2: [Cube(0, (0, 1))]}),
+        ),
+        (DualityReport, lambda: ({"h1": "h1"}, {0: 0}), ({"h1": "h1*"}, {0: 1})),
+        (
+            ClosureEntry,
+            lambda: (s(1, 0), [s(1, 0)], [s(1, 0)], True),
+            (s(0, 1), [], [s(0, 1)], False),
+        ),
+        (
+            ClosureReport,
+            lambda: ([ClosureEntry(s(1, 0), [], [], True)], True, True, None),
+            ([], False, False, s(1, 0)),
+        ),
+        (
+            LineRestrictionReport,
+            lambda: ([0], {1: 2}, [[0]], {0: 0}, s(1, 0), s(-1, 0)),
+            ([1], {}, [[1]], {1: 0}, s(0, 1), s(0, -1)),
+        ),
         (MinClassification, lambda: ([h(0, 1)], [], [h(1, 2, True)]), ([], [h(0, 1)], [])),
+        (
+            ShadowReport,
+            lambda: ((0, 1), 4, True, 0, [h(0, 1)], [], [], [(0, 1)], DualShadow((-1, 0), (0, 1))),
+            ((1, 1), 5, False, 1, [], [h(0, 2)], [h(1, 0, True)], [], DualShadow((0, 0), (1, 1))),
+        ),
         (RayStep, lambda: (0, (1, 2), 3), (1, (1, 1), 0)),
         (
             RayReport,
@@ -446,7 +506,8 @@ def test_records_have_value_semantics(cls, fields, others):
 
 def test_records_are_slotted_and_mutable_reports_unhashable():
     from pocsets.chains import Signature
-    from pocsets.euclid import WallModel
+    from pocsets.cubing import DualityReport
+    from pocsets.euclid import LineRestrictionReport, WallModel
     from pocsets.shadows import RayReport, SurjectivityReport, WindowField
 
     assert not hasattr(Signature((0,)), "__dict__")
@@ -454,6 +515,16 @@ def test_records_are_slotted_and_mutable_reports_unhashable():
     assert "__slots__" not in vars(WallModel) and "__slots__" not in vars(WindowField)
     assert RayReport.__hash__ is None and SurjectivityReport.__hash__ is None
     assert Signature((1,)) != Signature((1, 0)) and Signature((1,)) != (1,)
+    # a record holding a list or a dict is a mutable report: never hashed
+    for cls, fields, _ in _record_cases():
+        if any(isinstance(value, (list, dict)) for value in fields()):
+            assert cls.__hash__ is None, cls.__name__
+    # fields that cannot vary are class constants, not slots
+    report = DualityReport({}, {}).to_json()
+    assert (report["isomorphic"], report["mismatch"]) == (True, None)
+    constants = {DualityReport: ("isomorphic", "mismatch"), LineRestrictionReport: ("commutes",)}
+    for cls, names in constants.items():
+        assert all(name in vars(cls) and name not in cls.__slots__ for name in names), cls
 
 
 @pytest.mark.parametrize("bad", [None, "1", 0.5])
