@@ -229,9 +229,12 @@ def class_leq(s1: Signature, s2: Signature) -> bool:
     frees its Fin chains (cut sequences reach either end), giving the
     componentwise rule.  The all-Fin class is the unique minimum.
     """
-    if s1.k != s2.k:
-        raise ChainCountMismatch(f"{s1.k} vs {s2.k}")
-    return all(a == FIN or a == b for a, b in zip(s1.ends, s2.ends))
+    if len(s1.ends) != len(s2.ends):
+        raise ChainCountMismatch(f"{len(s1.ends)} vs {len(s2.ends)}")
+    for a, b in zip(s1.ends, s2.ends):  # a plain loop, for the ~170 calls of a model's report
+        if a and a != b:  # an end of s1 (FIN is 0) that s2 does not match
+            return False
+    return True
 
 
 def class_lt(s1: Signature, s2: Signature) -> bool:

@@ -19,6 +19,8 @@ from typing import Optional, Sequence
 
 from .chains import (
     FIN,
+    MINUS,
+    PLUS,
     ChainFamily,
     Signature,
     all_signatures,
@@ -296,29 +298,37 @@ def eventual_escapers(model: WallModel) -> set[Signature]:
 
     With m_i = n_i/s_i, the ray toward s gains D0(s) = min_p |s - Mp|_1 <=
     |supp s| per round of |supp s| flips, so it escapes iff D0(s) = |supp s|.
-    By LP duality (Schrijver 1986, ch. 7) that holds iff -sum of s_i*m_i over
-    supp s lies in the zonotope of [-1, 1]*m_j over the free chains j, and a
-    planar zonotope holds x iff |u.x| <= sum |u.m_j| for u = e1, e2 and
-    perp(m_j) of each free j.  Each row of dot products u.m_i is scaled to
-    integer pairs (a, b), meaning a + b*sqrt3, by one positive factor."""
+    By LP duality (Schrijver 1986, ch. 7) that holds iff x = -sum of s_i*m_i
+    over supp s lies in the zonotope of [-1, 1]*m_j over the free chains j,
+    and a planar zonotope holds x iff |u.x| <= h = sum |u.m_j| for u = e1,
+    e2 and perp(m_j) of each free j.  Each row of dot products u.m_i is
+    scaled to integer pairs (a, b), meaning a + b*sqrt3, by one positive
+    factor.  Classes grow chain by chain, in `all_signatures` order, and
+    each prefix carries every row's x and h so far."""
     ms = [(f.normal[0] / f.spacing, f.normal[1] / f.spacing) for f in model.families]
-    rows = []
-    for u in ((ONE, ZERO), (ZERO, ONE), *map(perp, ms)):
-        row = integer_pairs([dot(u, m) for m in ms])
-        rows.append((row, [(a, b) if sqrt3_sign(a, b) >= 0 else (-a, -b) for a, b in row]))
+    units = ((ONE, ZERO), (ZERO, ONE), *map(perp, ms))
+    rows = [integer_pairs([dot(u, m) for m in ms]) for u in units]
+
+    def shift(sums, pairs, e):  # sums + e*pairs, row by row
+        return [(x + e * a, y + e * b) for (x, y), (a, b) in zip(sums, pairs)]
+
+    level = [((), (), [(0, 0)] * len(rows), [(0, 0)] * len(rows))]  # ends, free chains, x, h
+    for i, column in enumerate(zip(*rows)):  # chain i's pair in every row
+        size = [(a, b) if sqrt3_sign(a, b) >= 0 else (-a, -b) for a, b in column]
+        level = [
+            (ends + (e,), free + (i,), xs, shift(hs, size, 1)) if e == FIN
+            else (ends + (e,), free, shift(xs, column, e), hs)
+            for ends, free, xs, hs in level
+            for e in (MINUS, FIN, PLUS)
+        ]
     escapers = set()
-    for s in all_signatures(model.k):
-        free = [i for i, e in enumerate(s.ends) if e == FIN]
-        if len(free) == model.k:
-            continue
-
-        def inside(row, size) -> bool:  # |u.x| <= sum |u.m_j|, in pairs
-            x = [sum(e * r[t] for e, r in zip(s.ends, row)) for t in (0, 1)]
-            h = [sum(size[j][t] for j in free) for t in (0, 1)]
-            return all(sqrt3_sign(h[0] - c * x[0], h[1] - c * x[1]) >= 0 for c in (1, -1))
-
-        if all(inside(*rows[i]) for i in (0, 1, *(2 + j for j in free))):
-            escapers.add(s)
+    for ends, free, xs, hs in level:
+        tests = [(xs[r], hs[r]) for r in (0, 1, *(2 + j for j in free))]  # u = e1, e2, perp(m_j)
+        if len(free) < model.k and all(
+            sqrt3_sign(g - x, h - y) >= 0 and sqrt3_sign(g + x, h + y) >= 0
+            for (x, y), (g, h) in tests
+        ):
+            escapers.add(Signature(ends))
     return escapers
 
 
@@ -328,16 +338,12 @@ def safe_components(signatures: Sequence[Signature]) -> list[list[Signature]]:
     remaining = list(signatures)
     components: list[list[Signature]] = []
     while remaining:
-        seed = remaining.pop()
-        component = [seed]
-        grew = True
-        while grew:
-            grew = False
-            for s in remaining[:]:
-                if any(comparable(s, t) for t in component):
-                    component.append(s)
-                    remaining.remove(s)
-                    grew = True
+        component = [remaining.pop()]
+        for s in component:  # breadth first: the component grows while it is read
+            rest = []
+            for t in remaining:
+                (component if comparable(s, t) else rest).append(t)
+            remaining = rest
         components.append(sorted(component, key=lambda s: s.ends))
     return sorted(components, key=lambda comp: comp[0].ends)
 
@@ -388,10 +394,7 @@ def closure_check(model: WallModel) -> ClosureReport:
     first_violation = None
     codim1_closed = True
     for e in image.entries:
-        below = sorted(
-            (s for s in in_image if class_leq(s, e.signature)),
-            key=lambda s: s.ends,
-        )
+        below = sorted((s for s in in_image if class_leq(s, e.signature)), key=lambda s: s.ends)
         closure_classes = {e.signature}
         for fiber in e.fibers:
             if fiber.kind == "arc":

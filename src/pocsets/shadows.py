@@ -8,16 +8,18 @@ right-hand sides, into a few integer sign conditions on the cuts, instead of
 being eliminated again for every tuple.  All minimization is
 exhaustive inside a window [-W, W]^k with interiority checks on minimizers,
 and every result records the window it was computed in.  Inside a window the
-consistent set is kept by rows, one interval of last cuts per prefix solved
-from the compiled forms, and the distance to it by a flat table filled with
-separable L1 sweeps; nearest members are read off the rows that the table
-places on a geodesic from the query.
+consistent set is kept by rows, one interval of last cuts per prefix, solved
+from row bounds compiled with the forms or clipped from a larger window's
+rows, and the distance to it by a flat table filled with separable L1 sweeps
+unless the set fills the window; nearest members are read off the rows that
+the table places on a geodesic from the query.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import cached_property
-from itertools import pairwise, product
+from itertools import pairwise, product, takewhile
 from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -172,10 +174,9 @@ class ConsistencyOracle:
     takes positive combinations of rows, so it runs once on symbolic
     right-hand sides and leaves a few forms F_j(c) = alpha_j(c) +
     beta_j(c)*sqrt3 with integer coefficients: the slabs share a point iff
-    every F_j(c) >= 0.
-
-    It also keeps the model's window fields, one per bound, built on first
-    use by `window_field`."""
+    every F_j(c) >= 0.  `bounds` holds each form's root in the last cut, for
+    `row`.  It also keeps the model's window fields, one per bound, built on
+    first use by `window_field`."""
 
     def __init__(self, model: WallModel):
         k = self.k = model.k
@@ -196,6 +197,7 @@ class ConsistencyOracle:
             if not (constant and sqrt3_sign(alpha[0], beta[0]) >= 0):
                 forms.add((alpha, beta))
         self.forms = sorted(forms)
+        self.bounds = [_row_bound(alpha, beta) for alpha, beta in self.forms]
         self.fields: dict[int, WindowField] = {}
 
     def consistent(self, cuts: Cuts) -> bool:
@@ -212,26 +214,39 @@ class ConsistencyOracle:
         """The last cuts c in [-bound, bound] that make head + (c,)
         consistent: one closed interval (lo, hi), or None.
 
-        Each form (a + da*c) + (b + db*c)*sqrt3 holds for every c, for none,
-        or on the ray of c beyond its root (p + q*sqrt3)/n, whose ceiling or
-        floor (`sqrt3_floor`) then bounds lo or hi.  The first form that
-        empties the row ends the solve."""
+        Each form holds for every c, for none, or on the ray of c beyond
+        its root, whose ceiling or floor then bounds lo or hi: two dot
+        products and one `sqrt3_floor` on the form's `bounds`.  The first
+        form that empties the row ends the solve."""
         lo, hi = -bound, bound
-        point = (1, *head)  # the forms' last coefficients multiply c
-        for alpha, beta in self.forms:
-            a, b = sum(map(mul, alpha, point)), sum(map(mul, beta, point))
-            da, db = alpha[-1], beta[-1]
-            p, q, n = 3 * b * db - a * da, a * db - b * da, da * da - 3 * db * db
-            slope = sqrt3_sign(da, db)
-            if slope > 0:
-                lo = max(lo, -sqrt3_floor(-p, -q, n))
+        point = (1, *head)
+        for slope, p_form, q_form, n in self.bounds:
+            p, q = sum(map(mul, p_form, point)), sum(map(mul, q_form, point))
+            if slope > 0:  # no max() or min(): their calls were a third of the solve
+                lo = c if (c := -sqrt3_floor(p, q, n)) > lo else lo
             elif slope < 0:
-                hi = min(hi, sqrt3_floor(p, q, n))
-            elif sqrt3_sign(a, b) < 0:
+                hi = c if (c := sqrt3_floor(p, q, n)) < hi else hi
+            elif sqrt3_sign(p, q) < 0:
                 return None
             if lo > hi:
                 return None
         return lo, hi
+
+
+def _row_bound(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, tuple, tuple, int]:
+    """(slope, P, Q, n) of the form (a + da*c) + (b + db*c)*sqrt3: the sign of
+    da + db*sqrt3 and its root c = (p + q*sqrt3)/n, n = da^2 - 3*db^2, where
+    P and Q give p and q over (1, *head), signed so that n > 0 and negated for
+    a positive slope, whose ceiling is -floor(-root); without c, P, Q = a, b."""
+    *a, da = alpha
+    *b, db = beta
+    slope, n = sqrt3_sign(da, db), da * da - 3 * db * db
+    if not slope:
+        return 0, tuple(a), tuple(b), 0
+    sign = -slope if n > 0 else slope  # n != 0: sqrt3 is irrational
+    p_form = tuple(sign * (3 * y * db - x * da) for x, y in zip(a, b))
+    q_form = tuple(sign * (x * db - y * da) for x, y in zip(a, b))
+    return slope, p_form, q_form, abs(n)
 
 
 def interval_consistent(model: WallModel, cuts: Cuts) -> bool:
@@ -266,7 +281,9 @@ def _check_window(bound: int) -> None:
 
 def _pi0_rows(model: WallModel, bound: int) -> tuple[list[Row], list[Cuts]]:
     """Pi0 inside the window: the `ConsistencyOracle.row` of every
-    (k-1)-prefix of the window, in lexicographic order, and its members."""
+    (k-1)-prefix of the window, in lexicographic order, and its members.
+    If the oracle holds a larger field, its rows clipped to the window are
+    these rows, and none is solved again."""
     _check_window(bound)
     count = (2 * bound + 1) ** model.k  # refused before the first row
     if count > MAX_WINDOW_TUPLES:
@@ -274,12 +291,18 @@ def _pi0_rows(model: WallModel, bound: int) -> tuple[list[Row], list[Cuts]]:
         raise MalformedInput(message, bound)
     if model.k == 0:
         raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
-    rows, members = [], []
-    for head in product(range(-bound, bound + 1), repeat=model.k - 1):
-        row = model.oracle.row(head, bound)
-        rows.append(row)
-        if row:
-            members += [(*head, c) for c in range(row[0], row[1] + 1)]
+    heads = list(product(range(-bound, bound + 1), repeat=model.k - 1))
+    if big := next((f for b, f in model.oracle.fields.items() if b > bound), None):
+        rows = []
+        for head in heads:  # the larger field's row, clipped to the window
+            row = big.rows[big._index((*head, 0)) // (2 * big.bound + 1)]
+            meets = row and row[0] <= bound and -bound <= row[1]
+            rows.append((max(row[0], -bound), min(row[1], bound)) if meets else None)
+    else:
+        rows = [model.oracle.row(head, bound) for head in heads]
+    members = [
+        (*head, c) for head, row in zip(heads, rows) if row for c in range(row[0], row[1] + 1)
+    ]
     return rows, members
 
 
@@ -397,7 +420,9 @@ def enumerate_pi0(model: WallModel, bound: int) -> list[ChainUltrafilter]:
 
 def window_field(model: WallModel, bound: int) -> WindowField:
     """The model's distance field in window `bound`, built once and kept by
-    the model's oracle for the model's lifetime."""
+    the model's oracle for the model's lifetime.  Its rows come from
+    `_pi0_rows`; a table with no positive entry (Pi0 fills the window) is
+    not swept."""
     fields = model.oracle.fields
     if bound in fields:
         return fields[bound]
@@ -413,8 +438,9 @@ def window_field(model: WallModel, bound: int) -> WindowField:
         else:
             lo, hi = row
             table += [*range(lo + bound, 0, -1), *[0] * (hi - lo + 1), *range(1, bound - hi + 1)]
-    for axis in range(1, model.k):
-        _sweep(table, n, n**axis)
+    if any(table):
+        for axis in range(1, model.k):
+            _sweep(table, n, n**axis)
     field = fields[bound] = WindowField(bound, members, table, rows)
     return field
 
@@ -724,6 +750,14 @@ def surjectivity_report(
     fully covered image.  The ``escapes`` column is `eventual_escapers`:
     exact and window-free, with `escaping_ray` as its windowed witness."""
     windows = sorted(set(windows))  # a repeated window adds no step
+    if not windows:
+        raise MalformedInput("a report needs at least one window", [])
+    # the largest window before the first cheap refusal is built first and the
+    # others clip its rows; if it is empty, so is the smallest, refused first
+    cheap = lambda w: w >= 0 and (2 * w + 1) ** model.k <= MAX_WINDOW_TUPLES
+    if affordable := list(takewhile(cheap, windows)):
+        with suppress(WindowTooSmall):
+            window_field(model, affordable[-1])
     max_delta = [max_delta_over_window(model, w) for w in windows]
     diffs = [b - a for a, b in zip(max_delta, max_delta[1:])]
     window_steps = [b - a for a, b in zip(windows, windows[1:])]

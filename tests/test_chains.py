@@ -186,6 +186,23 @@ def test_class_leq_examples():
         class_leq(sig(FIN), sig(FIN, FIN))
 
 
+def test_class_leq_is_the_componentwise_rule():
+    # every pair of classes for k <= 4 against the definition: wherever s1
+    # has an end, s2 has the same end; a chain count mismatch is refused with
+    # both counts
+    for k in range(5):
+        sigs = all_signatures(k)
+        for a in sigs:
+            for b in sigs:
+                expect = all(x == FIN or x == y for x, y in zip(a.ends, b.ends))
+                assert class_leq(a, b) == expect, (a, b)
+    for a, b in ((sig(FIN), sig(FIN, FIN)), (sig(PLUS, MINUS, FIN), sig(PLUS)), (sig(), sig(MINUS))):
+        with pytest.raises(ChainCountMismatch) as exc:
+            class_leq(a, b)
+        assert str(exc.value) == f"{len(a.ends)} vs {len(b.ends)}"
+        assert exc.value.witness is None
+
+
 def test_partial_order_with_unique_minimum():
     for k in (1, 2, 3):
         sigs = all_signatures(k)

@@ -193,6 +193,42 @@ def test_safe_components_of_incomparable_pair():
     assert len(comps) == 2
 
 
+def _components_by_fixpoint(signatures):
+    """`safe_components` by repeated passes, as a test oracle: a component
+    takes every remaining class comparable to one of its members until a
+    pass adds none."""
+    remaining = list(signatures)
+    components = []
+    while remaining:
+        component = [remaining.pop()]
+        grew = True
+        while grew:
+            grew = False
+            for s in remaining[:]:
+                if any(comparable(s, t) for t in component):
+                    component.append(s)
+                    remaining.remove(s)
+                    grew = True
+        components.append(sorted(component, key=lambda s: s.ends))
+    return sorted(components, key=lambda comp: comp[0].ends)
+
+
+def test_safe_components_match_repeated_passes():
+    # random sets of classes, k = 1..4, with repeats and in random order
+    from pocsets.chains import all_signatures
+
+    rng = random.Random(75)
+    counts = set()
+    for k in range(1, 5):
+        sigs = all_signatures(k)
+        for _ in range(60):
+            chosen = [rng.choice(sigs) for _ in range(rng.randint(0, 12))]
+            components = safe_components(chosen)
+            assert components == _components_by_fixpoint(chosen), chosen
+            counts.add(len(components))
+    assert {0, 1, 2, 3} <= counts
+
+
 # ---------------------------------------------------------------------------
 # closure formula
 

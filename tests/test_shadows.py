@@ -900,11 +900,9 @@ def _d0_by_vertices(model):
     return table
 
 
-def test_eventual_escapers_match_vertex_enumeration():
-    # s escapes iff D0(s) = |supp s|, on 200 generated k = 1..5 models, a
-    # fifth of them all-parallel; no escaper is in the image of rho
+def _escaper_test_models():
+    """200 generated k = 1..5 models, a fifth of them all-parallel."""
     rng = random.Random(73)
-    seen = set()
     for k, count in ((1, 45), (2, 45), (3, 45), (4, 45), (5, 20)):
         for n in range(count):
             j = rng.randrange(12)
@@ -913,14 +911,61 @@ def test_eventual_escapers_match_vertex_enumeration():
                 if n % 5 == 0
                 else [rng.randrange(12) for _ in range(k)]
             )
-            model = _wall_model(rng, angles)
-            escapers = eventual_escapers(model)
-            for s, d0 in _d0_by_vertices(model).items():
-                if not s.is_principal():
-                    assert (s in escapers) == (d0 == ExactNumber.of(s.codim())), (angles, s)
-            assert not escapers & set(model.image.signatures()), angles
-            seen.add(len(escapers))
+            yield angles, _wall_model(rng, angles)
+
+
+def test_eventual_escapers_match_vertex_enumeration():
+    # s escapes iff D0(s) = |supp s|; no escaper is in the image of rho
+    seen = set()
+    for angles, model in _escaper_test_models():
+        escapers = eventual_escapers(model)
+        for s, d0 in _d0_by_vertices(model).items():
+            if not s.is_principal():
+                assert (s in escapers) == (d0 == ExactNumber.of(s.codim())), (angles, s)
+        assert not escapers & set(model.image.signatures()), angles
+        seen.add(len(escapers))
     assert len(seen) > 3
+
+
+def _escapers_by_class(model):
+    """`eventual_escapers` summed class by class, as a test oracle: for each
+    class, x and h re-summed over its chains for every row tested."""
+    from pocsets.chains import all_signatures
+    from pocsets.euclid import dot, perp
+    from pocsets.exactnum import ONE, ZERO, integer_pairs, sqrt3_sign
+
+    ms = [(f.normal[0] / f.spacing, f.normal[1] / f.spacing) for f in model.families]
+    rows = []
+    for u in ((ONE, ZERO), (ZERO, ONE), *map(perp, ms)):
+        row = integer_pairs([dot(u, m) for m in ms])
+        rows.append((row, [(a, b) if sqrt3_sign(a, b) >= 0 else (-a, -b) for a, b in row]))
+    escapers = set()
+    for s in all_signatures(model.k):
+        free = [i for i, e in enumerate(s.ends) if e == FIN]
+        if len(free) == model.k:
+            continue
+
+        def inside(row, size) -> bool:  # |u.x| <= sum |u.m_j|, in pairs
+            x = [sum(e * r[t] for e, r in zip(s.ends, row)) for t in (0, 1)]
+            h = [sum(size[j][t] for j in free) for t in (0, 1)]
+            return all(sqrt3_sign(h[0] - c * x[0], h[1] - c * x[1]) >= 0 for c in (1, -1))
+
+        if all(inside(*rows[i]) for i in (0, 1, *(2 + j for j in free))):
+            escapers.add(s)
+    return escapers
+
+
+def test_eventual_escapers_match_per_class_sums():
+    # the chain-by-chain walk against the per-class sums, on the fixtures
+    # and the 200 models above
+    models = [fixture_model("FIX-HEX"), fixture_model("FIX-Z2")]
+    models += [model for _, model in _escaper_test_models()]
+    sizes = set()
+    for model in models:
+        escapers = eventual_escapers(model)
+        assert escapers == _escapers_by_class(model), model
+        sizes.add(len(escapers))
+    assert len(eventual_escapers(models[0])) == 26 - 12 and len(sizes) > 3
 
 
 def test_certified_escapers_rays_strictly_increase():
@@ -984,6 +1029,99 @@ def test_max_delta_window_values(hexmodel):
     f = window_field(hexmodel, 5)
     assert f.distance((-5, -5, -5)) == 15
     assert f.distance((5, 5, 5)) == 12
+
+
+def _parallel_model():
+    """Two parallel families ten slabs apart: a tuple is consistent iff its
+    cuts differ by 9, 10 or 11, so window 5 is the first with a member."""
+    one, zero = ExactNumber.of(1), ExactNumber.of(0)
+    families = (WallFamily((one, zero), 1, 0), WallFamily((one, zero), 1, 10))
+    return WallModel(ChainFamily(("a", "b")), families)
+
+
+def _model_empty_at_zero():
+    """A generated k = 3 model whose window 0 holds no member and window 3
+    some."""
+    rng = random.Random(80)
+    while True:
+        model = _wall_model(rng, [rng.randrange(12) for _ in range(3)])
+        if not enumerate_pi0(model, 0) and enumerate_pi0(model, 3):
+            return model
+
+
+def _field_outcome(model, bound):
+    f, refusal = _outcome(window_field, model, bound)
+    return (f.rows, f.members, f.distance_table, f.start) if f else None, refusal
+
+
+def test_window_build_order_does_not_matter():
+    # windows built descending on one model (the first solved, the rest
+    # clipped from it) and ascending on an equal model loaded separately
+    # (each solved) give equal rows, members, tables and starts, and refuse
+    # the same windows the same way, clipped or solved
+    rng = random.Random(81)
+    cases = [
+        (lambda: fixture_model("FIX-HEX"), (7, 4, 2, 1, 0)),
+        (lambda: fixture_model("FIX-Z2"), (9, 4, 1, 0)),
+        (_parallel_model, (6, 5, 4, 0)),
+        (_model_empty_at_zero, (3, 1, 0)),
+    ]
+    windows = {1: (12, 5, 3, 0), 2: (7, 4, 2, 0), 3: (4, 3, 1, 0), 4: (3, 2, 1, 0)}
+    for k in range(1, 5):
+        angle_sets = [[rng.randrange(12) for _ in range(k)] for _ in range(4)]
+        angle_sets += [[(j + rng.choice((0, 6))) % 12 for _ in range(k)] for j in (0, 3)]
+        for angles in angle_sets:
+            seed = rng.randrange(10**6)
+            make = lambda angles=angles, seed=seed: _wall_model(random.Random(seed), angles)
+            cases.append((make, windows[k]))
+    refused = {"clipped": 0, "solved": 0}
+    for make, bounds in cases:
+        down, up = make(), make()
+        assert down == up and down is not up
+        solved = []
+        solve = down.oracle.row
+        down.oracle.row = lambda head, bound: solved.append(bound) or solve(head, bound)
+        by_down = {w: _field_outcome(down, w) for w in sorted(bounds, reverse=True)}
+        by_up = {w: _field_outcome(up, w) for w in sorted(bounds)}
+        assert by_down == by_up, bounds
+        largest = max(bounds)
+        if by_down[largest][0]:  # every other window clipped the largest's rows
+            assert solved == [largest] * (2 * largest + 1) ** (down.k - 1)
+        for w, (field, refusal) in by_down.items():
+            if refusal:
+                assert refusal == (WindowTooSmall, f"no consistent tuple inside window {w}", w)
+                refused["clipped" if w < largest and by_down[largest][0] else "solved"] += 1
+    assert refused["clipped"] and refused["solved"], refused
+
+
+def test_report_refuses_the_window_it_refused_before():
+    # building the largest window first changes no refusal: the ascending
+    # loop refuses the same window with the same message and witness, and
+    # keeps the fields it built on the way
+    cap = "window 100000 has 8000120000600001 tuples, more than 1000000"
+    empty = (WindowTooSmall, "no consistent tuple inside window 0", 0)
+    cases = [
+        (lambda: fixture_model("FIX-HEX"), (3, -1), (MalformedInput, "window bound must be >= 0", -1), []),
+        (lambda: fixture_model("FIX-HEX"), (4, 10**5), (MalformedInput, cap, 10**5), [4]),
+        (_model_empty_at_zero, (0, 10**5), empty, []),
+        (_model_empty_at_zero, (0, 3), empty, [3]),
+        (_parallel_model, (0, 3), empty, []),
+        (_parallel_model, (3, 0, 5), empty, [5]),
+    ]
+    for make, windows, refusal, kept in cases:
+        model = make()
+        assert _outcome(surjectivity_report, model, windows) == (None, refusal), windows
+        assert sorted(model.oracle.fields) == kept
+
+
+def test_report_without_windows_is_refused():
+    # before any field is built, so before the model's oracle is compiled
+    model = fixture_model("FIX-HEX")
+    for windows in ((), []):
+        assert _outcome(surjectivity_report, model, windows) == (
+            None, (MalformedInput, "a report needs at least one window", [])
+        )
+    assert "oracle" not in vars(model)
 
 
 def test_window_fields_live_on_their_model():
