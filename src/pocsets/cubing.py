@@ -7,11 +7,14 @@ signs are 0 on every flipped pair.  Only combinatorics is kept; no geometric
 product is ever built.  The work runs on integer masks: a vertex is keyed by
 its members' stars, pair sets and wall sides (over vertex indices) are masks,
 and orders are compared row by row; the records handed out stay as they are.
+The duality round trip reads the vertices only: it counts the cubes to
+refuse what `build_cubing` refuses, but lists no edge and no cube.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
 from .core import FinitePocSet, Record, Ultrafilter
 from .errors import DegenerateWall, MalformedInput, NotIsomorphic
@@ -138,35 +141,44 @@ class CubeComplex(Record):
 def build_cubing(p: FinitePocSet) -> CubeComplex:
     """Vertices from enumeration; each edge and cube from its least corner.
 
-    The plain minimal elements of a vertex u are the walls whose flip raises
-    u's signs: u is the least corner of the edge across each of them and of
-    the cube on each transverse subset of them.  Vertices come in
-    lexicographic sign order, so raising an earlier pair reaches a later
-    vertex, and taking the pairs last to first lists the edges sorted.
-    Raising pair k swaps bits 2k, 2k+1 of a vertex's star mask.  Refused
-    once more than `MAX_CUBES` cubes of dimension >= 2 are found.
+    Vertices come in lexicographic sign order, so raising an earlier pair
+    reaches a later vertex, and taking the pairs last to first lists the
+    edges sorted.  Raising pair k swaps bits 2k, 2k+1 of a vertex's star
+    mask.  Refused once more than `MAX_CUBES` cubes of dimension >= 2 are
+    found.
     """
     walk = p._walk_ultrafilters()
     index = {stars: i for i, (_, stars) in enumerate(walk)}
-    plain_stars = (4 ** p.n_pairs - 1) // 3 << 1  # bits 1, 3, .. below 2n
-    edges, found = [], 0
+    edges = []
     cubes: dict[int, list[Cube]] = {}
-    for i, (_, stars) in enumerate(walk):
-        plain, pairs = p._minimal(stars, stars & plain_stars), 0
+    for i, stars, plain, subsets in _least_corners(p, walk):
         while plain:
             a = plain.bit_length() - 1
             plain ^= 1 << a
             edges.append((i, index[stars ^ 3 << a], a >> 1))
-            pairs |= 1 << (a >> 1)
-        if pairs & (pairs - 1):  # two or more pairs
-            subsets: list[tuple[int, ...]] = []
+        for sub in subsets:
+            cubes.setdefault(len(sub), []).append(Cube(i, sub))
+    return CubeComplex(p, [Ultrafilter(signs) for signs, _ in walk], edges, cubes)
+
+
+def _least_corners(p: FinitePocSet, walk: list) -> Iterator[tuple[int, int, int, list]]:
+    """``(i, stars, plain, subsets)`` per vertex of the walk: ``plain`` masks
+    its plain minimal elements, the walls whose flip raises its signs, and
+    ``subsets`` lists the tuples of two or more pairwise transverse ones; it
+    is the least corner of the edges across those walls and of the cubes on
+    those subsets.  Refused once more than `MAX_CUBES` subsets are found."""
+    n, found = p.n_pairs, 0
+    plain_stars = (4 ** n - 1) // 3 << 1  # bits 1, 3, .. below 2n
+    for i, (_, stars) in enumerate(walk):
+        plain, subsets = p._minimal(stars, stars & plain_stars), []
+        if plain & (plain - 1):  # two or more walls
+            # the pairs of the plain handles: every second digit after "0b1"
+            pairs = int(bin(plain | 1 << 2 * n)[4::2], 2)
             _transverse_subsets(p._transverse_pairs, (), pairs, subsets)
-            for sub in subsets:
-                cubes.setdefault(len(sub), []).append(Cube(i, sub))
             found += len(subsets)
             if found > MAX_CUBES:
-                raise MalformedInput(f"more than {MAX_CUBES} cubes to build", p.n_pairs)
-    return CubeComplex(p, [Ultrafilter(signs) for signs, _ in walk], edges, cubes)
+                raise MalformedInput(f"more than {MAX_CUBES} cubes to build", n)
+        yield i, stars, plain, subsets
 
 
 def _transverse_subsets(transverse: tuple[int, ...], sub: tuple, later: int, out: list) -> None:
@@ -190,17 +202,21 @@ def extract_halfspaces(c: CubeComplex) -> FinitePocSet:
     """The halfspace poc-set of a complex: vertex sides of each wall,
     ordered by inclusion of vertex sets (side a misses the side of b*)."""
     n = c.pocset.n_pairs
-    sides, everything = [], (1 << len(c.vertices)) - 1
-    signs = [u.signs for u in reversed(c.vertices)] or [(0,) * n]  # no vertex: no side
+    return FinitePocSet._from_rows(n, _halfspace_rows(n, [u.signs for u in c.vertices]))
+
+
+def _halfspace_rows(n: int, signs: list[tuple[int, ...]]) -> list[int]:
+    """The unvalidated order rows of the halfspaces of the vertices with
+    these sign vectors; refused at the first wall with an empty side."""
+    sides, everything = [], (1 << len(signs)) - 1
     digits = bytes.maketrans(b"\0\1", b"01")
-    for k, column in enumerate(zip(*signs)):
+    for k, column in enumerate(zip(*(signs[::-1] or [(0,) * n]))):  # no vertex: no side
         starred = int(bytes(column).translate(digits), 2)
         if not starred or starred == everything:
             raise DegenerateWall(f"wall h{k + 1} has an empty side", k)
         sides += [everything ^ starred, starred]
     sides += [0, everything]  # 0 and 0*
-    rows = [sum(1 << b for b in range(2 * n + 2) if not side & sides[b ^ 1]) for side in sides]
-    return FinitePocSet._from_rows(n, rows)
+    return [sum(1 << b for b in range(2 * n + 2) if not side & sides[b ^ 1]) for side in sides]
 
 
 class DualityReport(Record):
@@ -224,18 +240,24 @@ class DualityReport(Record):
 def duality_roundtrip(p: FinitePocSet) -> DualityReport:
     """Check extract_halfspaces(build_cubing(p)) is poc-isomorphic to p.
 
+    Only the vertices are read: one ultrafilter walk gives their signs, and
+    the cubes are counted to refuse what `build_cubing` refuses, not listed.
     The element map is the identity on handles (pair k -> wall k, oriented
-    so the plain side is the vertex set of h_k); raises `NotIsomorphic` at
-    the first order mismatch.  The vertex map v -> (halfspaces containing v)
-    is the identity, because each wall's sides are read from the vertices'
-    signs.
+    so the plain side is the vertex set of h_k).  Rows equal to p's are p's
+    closed, valid order; others are validated as `extract_halfspaces` does,
+    and `NotIsomorphic` is raised at the first order mismatch.  The vertex
+    map v -> (halfspaces containing v) is the identity, because each wall's
+    sides are read from the vertices' signs.
     """
-    c = build_cubing(p)
-    q = extract_halfspaces(c)
+    walk = p._walk_ultrafilters()
+    for _ in _least_corners(p, walk):  # the cubes are counted, not kept
+        pass
+    rows = _halfspace_rows(p.n_pairs, [signs for signs, _ in walk])
+    q = p if rows == list(p._up) else FinitePocSet._from_rows(p.n_pairs, rows)
     if q._up != p._up:
         a = next(a for a in p.elements() if p._up[a] != q._up[a])
         diff = p._up[a] ^ q._up[a]
         b = (diff & -diff).bit_length() - 1
         raise NotIsomorphic(f"order mismatch at ({p.name(a)}, {p.name(b)})", (a, b))
-    bijection = {p.name(e): q.name(e) for e in p.proper_elements()}
-    return DualityReport(bijection, {i: i for i in range(len(c.vertices))})
+    names, vertices = list(map(p.name, p.proper_elements())), range(len(walk))
+    return DualityReport(dict(zip(names, names)), dict(zip(vertices, vertices)))

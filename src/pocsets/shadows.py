@@ -770,8 +770,9 @@ def surjectivity_report(
     in_image = set(image.signatures())
     escapers = eventual_escapers(model)
     rows = [
-        ClassRow(s, s.codim(), s in in_image, None if s.is_principal() else s in escapers)
+        ClassRow(s, codim, s in in_image, None if codim == 0 else s in escapers)
         for s in all_signatures(model.k)
+        for codim in (s.codim(),)
     ]
     escaping = [r.signature for r in rows if r.escapes]
     return SurjectivityReport(

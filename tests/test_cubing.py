@@ -18,7 +18,13 @@ from pocsets.cubing import (
     duality_roundtrip,
     extract_halfspaces,
 )
-from pocsets.errors import AxiomViolation, DegenerateWall, MalformedInput, NotIsomorphic
+from pocsets.errors import (
+    AxiomViolation,
+    DegenerateWall,
+    MalformedInput,
+    NotIsomorphic,
+    PocError,
+)
 
 from conftest import brute_force_ultrafilters, random_pocset
 
@@ -272,16 +278,16 @@ def test_a_wall_with_an_empty_side_is_refused(fix_square):
 
 
 def test_a_roundtrip_to_another_order_is_refused(monkeypatch, fix_line3):
-    # extraction patched to return three transverse pairs: line3 has
+    # halfspace rows patched to those of three transverse pairs: line3 has
     # h2 <= h1, so h1* <= h2*, and they do not; row h1* comes first
     free = FinitePocSet.from_order_generators(3, [])
-    monkeypatch.setattr(cubing, "extract_halfspaces", lambda c: free)
+    monkeypatch.setattr(cubing, "_halfspace_rows", lambda n, signs: list(free._up))
     with pytest.raises(NotIsomorphic) as exc:
         duality_roundtrip(fix_line3)
     assert (str(exc.value), exc.value.witness) == ("order mismatch at (h1*, h2*)", (1, 3))
     assert exc.value.code == "not-isomorphic"
     # and the other way round, a relation missing from p
-    monkeypatch.setattr(cubing, "extract_halfspaces", lambda c: fix_line3)
+    monkeypatch.setattr(cubing, "_halfspace_rows", lambda n, signs: list(fix_line3._up))
     with pytest.raises(NotIsomorphic) as exc:
         duality_roundtrip(free)
     assert (str(exc.value), exc.value.witness) == ("order mismatch at (h1*, h2*)", (1, 3))
@@ -305,6 +311,93 @@ def test_duality_random():
         # the complex rebuilt from the extracted halfspaces is the same complex
         c = build_cubing(p)
         assert _complex_shape(build_cubing(extract_halfspaces(c))) == _complex_shape(c)
+
+
+# ---------------------------------------------------------------------------
+# the round trip against the composition it checks
+
+
+def _composed_roundtrip(p: FinitePocSet) -> DualityReport:
+    """The round trip as the composition it checks: build the complex,
+    extract its halfspace poc-set and compare the two orders."""
+    c = build_cubing(p)
+    q = extract_halfspaces(c)
+    if q._up != p._up:
+        a = next(a for a in p.elements() if p._up[a] != q._up[a])
+        diff = p._up[a] ^ q._up[a]
+        b = (diff & -diff).bit_length() - 1
+        raise NotIsomorphic(f"order mismatch at ({p.name(a)}, {p.name(b)})", (a, b))
+    bijection = {p.name(e): q.name(e) for e in p.proper_elements()}
+    return DualityReport(bijection, {i: i for i in range(len(c.vertices))})
+
+
+def _outcome(roundtrip, p: FinitePocSet):
+    """The report, or the refusal's class, message and witness."""
+    try:
+        return roundtrip(p).to_json()
+    except PocError as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def test_the_roundtrip_matches_the_composition(monkeypatch, fix_line3, fix_square, fix_tripod):
+    pocsets = [fix_line3, fix_square, fix_tripod, FinitePocSet.from_order_generators(10, [])]
+    rng = random.Random(22)
+    pocsets += [random_pocset(rng, max_pairs=7) for _ in range(200)]
+    outcomes = Counter()
+    for cap in (10**5, 7, 3, 1, 0):
+        monkeypatch.setattr(cubing, "MAX_CUBES", cap)
+        for p in pocsets:
+            new = _outcome(duality_roundtrip, p)
+            assert new == _outcome(_composed_roundtrip, p)
+            outcomes[type(new)] += 1
+    assert outcomes[dict] and outcomes[tuple], outcomes
+    # three free pairs have exactly 7 cubes: at a cap of 7 they pass, at 6 not
+    free3 = FinitePocSet.from_order_generators(3, [])
+    monkeypatch.setattr(cubing, "MAX_CUBES", 7)
+    assert duality_roundtrip(free3).isomorphic
+    monkeypatch.setattr(cubing, "MAX_CUBES", 6)
+    assert _outcome(duality_roundtrip, free3) == (MalformedInput, "more than 6 cubes to build", 3)
+
+
+def test_a_flipped_row_bit_is_refused_as_the_composition_refuses_it(monkeypatch, fix_line3, fix_square, fix_tripod):
+    # each bit (a, b) of the extracted rows flipped in turn, alone and with
+    # its dual bit (b*, a*): the round trip must reach the composition's
+    # outcome for the same rows, mostly an `AxiomViolation` from validating
+    # a lone flip and `NotIsomorphic` for a relation added or dropped.
+    # `_from_rows` takes reflexive rows, as both its callers' rows are, so a
+    # diagonal bit is only flipped alone (the involution check refuses that)
+    halfspace_rows = cubing._halfspace_rows
+    rng = random.Random(23)
+    pocsets = [fix_line3, fix_square, fix_tripod] + [random_pocset(rng, max_pairs=4) for _ in range(10)]
+    outcomes = Counter()
+    for p in pocsets:
+        m = p.element_count
+        for a, b, dual in ((a, b, dual) for a in range(m) for b in range(m) for dual in (False, a != b)):
+            cells = {(a, b), (b ^ 1, a ^ 1)} if dual else {(a, b)}
+            flipped = lambda n, signs: [
+                row ^ sum(1 << y for x, y in cells if x == r)
+                for r, row in enumerate(halfspace_rows(n, signs))
+            ]
+            monkeypatch.setattr(cubing, "_halfspace_rows", flipped)
+            new = _outcome(duality_roundtrip, p)
+            assert new == _outcome(_composed_roundtrip, p), (p, a, b)
+            outcomes[new[0] if isinstance(new, tuple) else dict] += 1
+    assert outcomes[AxiomViolation] and outcomes[NotIsomorphic], outcomes
+
+
+def test_the_roundtrip_builds_no_cube(monkeypatch, fix_line3, fix_square, fix_tripod):
+    free11 = FinitePocSet.from_order_generators(11, [])
+    refused = _outcome(build_cubing, free11)
+    assert refused == (MalformedInput, "more than 100000 cubes to build", 11)
+
+    def no_record(*args):
+        raise AssertionError("the round trip built a cube or a complex")
+
+    monkeypatch.setattr(cubing, "Cube", no_record)
+    monkeypatch.setattr(cubing, "CubeComplex", no_record)
+    for p in (fix_line3, fix_square, fix_tripod):
+        assert duality_roundtrip(p).isomorphic
+    assert _outcome(duality_roundtrip, free11) == refused
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +525,7 @@ def test_a_refused_roundtrip_matches_the_cell_scan(monkeypatch):
         if p.n_pairs != q.n_pairs or p._up == q._up:
             continue
         checked += 1
-        monkeypatch.setattr(cubing, "extract_halfspaces", lambda c: q)
+        monkeypatch.setattr(cubing, "_halfspace_rows", lambda n, signs: list(q._up))
         with pytest.raises(NotIsomorphic) as new:
             duality_roundtrip(p)
         with pytest.raises(NotIsomorphic) as old:
