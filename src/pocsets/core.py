@@ -213,20 +213,23 @@ class FinitePocSet:
     def from_leq_matrix(cls, n_pairs: int, leq) -> "FinitePocSet":
         """Build from a full boolean relation ``leq[a][b]``; unlike the
         generator path, order-reversal of the involution is checked, not
-        imposed."""
+        imposed.  The diagonal is implied: ``_from_rows`` sets it."""
         check_pair_count(n_pairs)
         m = 2 * n_pairs + 2
         if len(leq) != m or any(len(row) != m for row in leq):
             raise MalformedInput("relation matrix has wrong shape", len(leq))
         digits = bytes.maketrans(b"\0\1", b"01")  # a row is read as one binary numeral
         rows = (int(bytes(map(bool, reversed(row))).translate(digits), 2) for row in leq)
-        return cls._from_rows(n_pairs, [row | 1 << a for a, row in enumerate(rows)])
+        return cls._from_rows(n_pairs, rows)
 
     @classmethod
-    def _from_rows(cls, n_pairs: int, up: list[int]) -> "FinitePocSet":
+    def _from_rows(cls, n_pairs: int, up: Iterable[int]) -> "FinitePocSet":
         """Close relation rows (bit b of ``up[a]`` when a <= b), refusing
         the first (a, b) in row-major order at which the involution does not
-        reverse the order: row a must be column a* with bit pairs swapped."""
+        reverse the order: row a must be column a* with bit pairs swapped.
+        Every a <= a is set first: the search in `_closed_rows` only stops
+        on reflexive rows."""
+        up = [row | 1 << a for a, row in enumerate(up)]
         m = len(up)
         even = (4 ** (m // 2) - 1) // 3  # bits 0, 2, 4, ..
         transposed = zip(*(bin(row | 1 << m)[3:] for row in reversed(up)))  # bits m-1, .., 0

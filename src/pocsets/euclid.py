@@ -6,15 +6,17 @@ and the halfplane ``h_i(n) = {p : n_i . p > o_i + s_i n}``, so halfplanes
 shrink as the index grows and a boundary direction xi with ``n_i . xi > 0``
 eventually enters every ``h_i(n)``.
 
-All direction tests are exact (the √3 field covers the shipped fixtures);
-the circle at infinity is handled symbolically as critical directions plus
-open arcs, never as a metrized object.
+All direction tests are exact (the √3 field covers the shipped fixtures).
+A direction is held by its `normalize`d representative, so equal directions
+are equal pairs and sets and sorting need no pairwise search.  The circle
+at infinity is handled symbolically as critical directions plus open arcs,
+never as a metrized object.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .chains import (
@@ -52,10 +54,6 @@ def negate(v: Vec) -> Vec:
     return (-v[0], -v[1])
 
 
-def same_direction(u: Vec, v: Vec) -> bool:
-    return cross(u, v).is_zero() and dot(u, v).sign() > 0
-
-
 def normalize(v: Vec) -> Vec:
     """Scale so |x|+|y| = 1; canonical representative of the ray through v."""
     scale = abs(v[0]) + abs(v[1])
@@ -64,21 +62,10 @@ def normalize(v: Vec) -> Vec:
     return (v[0] / scale, v[1] / scale)
 
 
-def _half(v: Vec) -> int:
-    # 0 for the upper half circle starting at (1,0) inclusive, 1 for the rest
-    sy = v[1].sign()
-    if sy > 0 or (sy == 0 and v[0].sign() > 0):
-        return 0
-    return 1
-
-
-def angular_cmp(u: Vec, v: Vec) -> int:
-    """Counterclockwise order from (1,0); exact."""
-    hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = cross(u, v).sign()
-    return -c
+def _ccw_key(d: Vec) -> tuple:
+    """Counterclockwise order from (1,0) of normalized directions: x falls
+    along the closed upper half circle and rises along the open lower one."""
+    return (0, -d[0]) if d[1].sign() >= 0 else (1, d[0])
 
 
 class WallFamily(Record):
@@ -152,12 +139,9 @@ class WallModel:
         )
 
     def distinct_wall_directions(self) -> int:
-        dirs: list[Vec] = []
-        for fam in self.families:
-            d = normalize(fam.normal)
-            if not any(cross(d, e).is_zero() for e in dirs):
-                dirs.append(d)
-        return len(dirs)
+        """Parallel classes of the normals, each one ± pair of directions."""
+        normals = (v for fam in self.families for v in (fam.normal, negate(fam.normal)))
+        return len(set(map(normalize, normals))) // 2
 
     def is_uniform(self) -> tuple[bool, Optional[str]]:
         """Structural uniformness: chains are two-way infinite by
@@ -272,13 +256,8 @@ def rho_image(model: WallModel) -> ImageReport:
 
 def _build_image(model: WallModel) -> ImageReport:
     uniform, reason = model.is_uniform()
-    criticals: list[Vec] = []
-    for fam in model.families:
-        for cand in (perp(fam.normal), perp(negate(fam.normal))):
-            c = normalize(cand)
-            if not any(same_direction(c, d) for d in criticals):
-                criticals.append(c)
-    criticals.sort(key=cmp_to_key(angular_cmp))
+    perps = (v for fam in model.families for v in (perp(fam.normal), negate(perp(fam.normal))))
+    criticals = sorted(set(map(normalize, perps)), key=_ccw_key)
     fibers: dict[Signature, list] = {}
     if not criticals:
         raise MalformedInput("a wall model needs at least one family", list(model.chains.names))

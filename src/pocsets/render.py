@@ -7,8 +7,9 @@ input always produces identical bytes.
 
 from __future__ import annotations
 
-from .euclid import WallModel
-from .exactnum import ONE
+from itertools import combinations
+
+from .euclid import WallModel, cross
 from .shadows import ShadowReport, _feasible_point, _slab_constraints
 
 
@@ -44,21 +45,15 @@ def _wall_segment(normal, level, half: float):
 def _virtual_position(model: WallModel, cuts):
     """Mid-slab intersection of the first two non-parallel families; the
     stand-in position of an inconsistent cut tuple."""
-    from .euclid import cross
 
-    half = ONE / 2
-    for i in range(model.k):
-        for j in range(i + 1, model.k):
-            n1 = model.families[i].normal
-            n2 = model.families[j].normal
-            det = cross(n1, n2)
-            if det.is_zero():
-                continue
-            m1 = model.families[i].wall_level(cuts[i]) - model.families[i].spacing * half
-            m2 = model.families[j].wall_level(cuts[j]) - model.families[j].spacing * half
-            x = (m1 * n2[1] - m2 * n1[1]) / det
-            y = (n1[0] * m2 - n2[0] * m1) / det
-            return (x, y)
+    def mid_line(fam, cut):  # n.p = level - spacing/2, as two halfplanes
+        (nx, ny), level = fam.normal, fam.wall_level(cut) - fam.spacing / 2
+        return [(nx, ny, level), (-nx, -ny, -level)]
+
+    for i, j in combinations(range(model.k), 2):
+        f, g = model.families[i], model.families[j]
+        if not cross(f.normal, g.normal).is_zero():
+            return _feasible_point(mid_line(f, cuts[i]) + mid_line(g, cuts[j]))
     return None
 
 

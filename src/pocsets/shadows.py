@@ -741,14 +741,17 @@ def max_delta_over_window(model: WallModel, window: int) -> int:
 def surjectivity_report(
     model: WallModel, windows: Sequence[int] = (5, 10, 15)
 ) -> SurjectivityReport:
-    """Tabulate all 3^k classes against the image of rho, the window growth
-    of the distance to the consistent set, and the classes that escape.
+    """Tabulate all 3^k classes against the image of rho, the max distance
+    to the consistent set per window, its growth, and the classes that
+    escape.
 
     The co-compactness dichotomy is checkable from the fields: linear
-    window growth of the max distance must co-occur with a non-principal
-    class outside the image, while a bounded distance field accompanies a
-    fully covered image.  The ``escapes`` column is `eventual_escapers`:
-    exact and window-free, with `escaping_ray` as its windowed witness."""
+    growth of the max distance must co-occur with a non-principal class
+    outside the image, while a bounded distance field accompanies a fully
+    covered image.  Growth and ``escapes`` are exact and window-free: max
+    delta over [-W, W]^k is sigma*W up to a constant, where sigma > 0 iff
+    the rows n_i/s_i have rank < k, and the column is `eventual_escapers`,
+    with `escaping_ray` as its windowed witness."""
     windows = sorted(set(windows))  # a repeated window adds no step
     if not windows:
         raise MalformedInput("a report needs at least one window", [])
@@ -759,13 +762,8 @@ def surjectivity_report(
         with suppress(WindowTooSmall):
             window_field(model, affordable[-1])
     max_delta = [max_delta_over_window(model, w) for w in windows]
-    diffs = [b - a for a, b in zip(max_delta, max_delta[1:])]
-    window_steps = [b - a for a, b in zip(windows, windows[1:])]
-    # one slope d/s for every step, compared by cross-multiplication
-    linear = bool(diffs) and diffs[0] > 0 and all(
-        d * window_steps[0] == diffs[0] * s for d, s in zip(diffs, window_steps)
-    )
-    bounded = max_delta[-1] == 0
+    # in the plane the rows n_i/s_i have rank min(2, directions)
+    linear = min(2, model.distinct_wall_directions()) < model.k
     image = rho_image(model)
     in_image = set(image.signatures())
     escapers = eventual_escapers(model)
@@ -781,7 +779,7 @@ def surjectivity_report(
         list(windows),
         max_delta,
         linear,
-        bounded,
+        not linear,
         rows,
         len(in_image),
         escaping,

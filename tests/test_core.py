@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +310,27 @@ def test_leq_matrix_reads_back_the_order_at_the_pair_cap():
         with pytest.raises(AxiomViolation, match="h2\\* <= h512 does not match") as exc:
             FinitePocSet.from_leq_matrix(n, leq)
         assert exc.value.witness == (3, 2 * n - 2)
+
+
+def test_rows_without_their_diagonal_close_to_the_order():
+    # `_from_rows` sets a <= a itself; the closure's search never stopped on
+    # rows missing it, so a fresh interpreter runs the check and a
+    # regression fails at the timeout instead of hanging the suite
+    tests = Path(__file__).resolve().parent
+    script = (
+        "import random\n"
+        "from conftest import line3, random_pocset, square, tripod\n"
+        "from pocsets.core import FinitePocSet\n"
+        "p = square()  # h1 <= h1 and h1* <= h1* cleared\n"
+        "up = [row & ~(1 << a) if a < 2 else row for a, row in enumerate(p._up)]\n"
+        "assert FinitePocSet._from_rows(p.n_pairs, up)._up == p._up\n"
+        "rng = random.Random(5)\n"
+        "for p in [line3(), square(), tripod()] + [random_pocset(rng, 5) for _ in range(20)]:\n"
+        "    bare = [row & ~(1 << a) for a, row in enumerate(p._up)]\n"
+        "    assert FinitePocSet._from_rows(p.n_pairs, bare)._up == p._up\n"
+    )
+    path = os.pathsep.join((str(tests.parent / "src"), str(tests)))
+    subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": path}, timeout=60, check=True)
 
 
 def _classified_transversality(p: FinitePocSet) -> tuple[int, ...]:

@@ -364,8 +364,9 @@ def test_a_flipped_row_bit_is_refused_as_the_composition_refuses_it(monkeypatch,
     # its dual bit (b*, a*): the round trip must reach the composition's
     # outcome for the same rows, mostly an `AxiomViolation` from validating
     # a lone flip and `NotIsomorphic` for a relation added or dropped.
-    # `_from_rows` takes reflexive rows, as both its callers' rows are, so a
-    # diagonal bit is only flipped alone (the involution check refuses that)
+    # `_from_rows` sets every diagonal bit, so a cleared one restores p; a
+    # diagonal bit is flipped alone, as clearing a <= a and a* <= a* together
+    # once hung the closure and is checked in a fresh interpreter instead
     halfspace_rows = cubing._halfspace_rows
     rng = random.Random(23)
     pocsets = [fix_line3, fix_square, fix_tripod] + [random_pocset(rng, max_pairs=4) for _ in range(10)]

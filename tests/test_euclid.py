@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -11,11 +12,18 @@ from pocsets.chains import FIN, MINUS, PLUS, comparable, class_leq, sig
 from pocsets.errors import LineInsideWall, NonUniformModelWarning, ZeroDirection
 from pocsets.euclid import (
     ArcFiber,
+    ImageEntry,
+    ImageReport,
     Line,
+    PointFiber,
     WallModel,
     closure_check,
+    cross,
+    dot,
     line_end_incomparability,
     negate,
+    normalize,
+    perp,
     rho,
     rho_image,
     restrict_to_line,
@@ -430,3 +438,84 @@ def test_uniform_images_never_contain_principal(z2, hexmodel):
         report = rho_image(model)
         assert report.uniform
         assert not report.contains_class(principal(model.k))
+
+
+# ---------------------------------------------------------------------------
+# directions by normalized representative, against the pairwise searches
+# and the comparator sort they replaced
+
+
+def _angular_cmp(u, v):
+    """Counterclockwise order from (1,0) by half circle, then cross product."""
+    half = lambda w: 0 if w[1].sign() > 0 or (w[1].is_zero() and w[0].sign() > 0) else 1
+    if half(u) != half(v):
+        return -1 if half(u) < half(v) else 1
+    return -cross(u, v).sign()
+
+
+def _pairwise_criticals(model):
+    """The ±perpendiculars of the normals, one per direction by a pairwise
+    same-direction search, sorted by `_angular_cmp`."""
+    criticals = []
+    for fam in model.families:
+        for cand in (perp(fam.normal), perp(negate(fam.normal))):
+            c = normalize(cand)
+            if not any(cross(c, d).is_zero() and dot(c, d).sign() > 0 for d in criticals):
+                criticals.append(c)
+    return sorted(criticals, key=cmp_to_key(_angular_cmp))
+
+
+def _pairwise_direction_count(model):
+    dirs = []
+    for fam in model.families:
+        d = normalize(fam.normal)
+        if not any(cross(d, e).is_zero() for e in dirs):
+            dirs.append(d)
+    return len(dirs)
+
+
+def _pairwise_image(model):
+    """`rho_image` over `_pairwise_criticals`, fiber by fiber."""
+    criticals = _pairwise_criticals(model)
+    fibers = {}
+    for i, c in enumerate(criticals):
+        fibers.setdefault(rho(model, c), []).append(PointFiber(c))
+        arc = ArcFiber(c, criticals[(i + 1) % len(criticals)])
+        fibers.setdefault(rho(model, arc.representative()), []).append(arc)
+    uniform = _pairwise_direction_count(model) >= 2
+    return ImageReport(
+        tuple(ImageEntry(s, tuple(fs)) for s, fs in fibers.items()),
+        tuple(criticals),
+        uniform,
+        None if uniform else "all wall normals are parallel",
+    )
+
+
+def _random_wall_models(seed, count, sizes):
+    from test_shadows import _wall_model
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield _wall_model(rng, [rng.randrange(12) for _ in range(rng.choice(sizes))])
+
+
+def test_critical_directions_match_the_pairwise_search():
+    # 1-8 families at rational multiples of 30 degrees: parallel, antipodal
+    # and repeated normals at different scales all occur
+    parallel = 0
+    for model in _random_wall_models(11, 300, range(1, 9)):
+        assert model.image.critical_directions == tuple(_pairwise_criticals(model))
+        assert model.distinct_wall_directions() == _pairwise_direction_count(model)
+        parallel += model.distinct_wall_directions() < model.k
+    assert parallel > 100
+
+
+def test_image_and_closure_match_the_pairwise_search():
+    for model in _random_wall_models(12, 150, range(1, 6)):
+        reference = _pairwise_image(model)
+        twin = WallModel(model.chains, model.families)
+        twin.__dict__["image"] = reference  # what `cached_property` would keep
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonUniformModelWarning)
+            assert rho_image(model).to_json() == reference.to_json()
+            assert closure_check(model).to_json() == closure_check(twin).to_json()

@@ -61,6 +61,11 @@ CASES = {
     "boundary-z2.txt": ("boundary", "FIX-Z2"),
     "rho-hex.txt": ("rho", "FIX-HEX", "--direction", "1,0"),
     "image-hex.txt": ("image", "FIX-HEX"),
+    # every fiber's directions: the critical directions in counterclockwise order
+    "image-hex.json": ("image", "FIX-HEX") + STRUCTURED,
+    "image-z2.json": ("image", "FIX-Z2") + STRUCTURED,
+    # one family: two critical directions and two half-circle arcs
+    "image-z1.json": ("image", "FIX-Z1") + STRUCTURED,
     "safe-hex.txt": ("safe", "FIX-HEX"),
     "closure-hex.txt": ("closure", "FIX-HEX"),
     "restrict-z2.txt": ("restrict", "FIX-Z2", "--direction", "1,1"),

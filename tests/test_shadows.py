@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -851,6 +852,40 @@ def test_surjectivity_z2(z2):
     assert report.escaping_classes == []
 
 
+def _normals_rank(model):
+    """Rank of the matrix of normals, by cross products."""
+    pairs = combinations((f.normal for f in model.families), 2)
+    return 2 if any(u[0] * v[1] != u[1] * v[0] for u, v in pairs) else min(1, model.k)
+
+
+def test_growth_flags_follow_the_rank_of_the_normals():
+    # max delta over [-W, W]^k is sigma*W up to a constant, and sigma > 0 iff
+    # rank M < k: exactly one flag, whatever the windows, also where max
+    # delta grows unevenly (e.g. [4, 9, 13] at 3, 6, 9); at k <= 2 the
+    # bounded side shows, and parallel normals give rank 1 < k
+    import warnings
+
+    rng = random.Random(7)
+    answered = Counter()
+    for n in range(100):
+        k = rng.choice((3, 4)) if n < 60 else rng.choice((1, 2))
+        windows = (2, 3, 4) if k == 4 else (3, 6, 9)
+        angles = [rng.randrange(12) if n < 60 else rng.choice((0, 3, rng.randrange(12))) for _ in range(k)]
+        model = _wall_model(rng, angles)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # all-parallel models warn
+                report = surjectivity_report(model, windows)
+        except WindowTooSmall:
+            continue
+        linear = report.delta_linear_growth
+        assert linear == (not report.delta_bounded) == (_normals_rank(model) < k)
+        assert report.max_delta[-1] > 0 if linear else not any(report.max_delta)
+        answered[k, linear] += 1
+    assert answered[3, True] + answered[4, True] == 56
+    assert answered[1, False] and answered[2, False] and answered[2, True]
+
+
 def test_surjectivity_hex(hexmodel):
     report = surjectivity_report(hexmodel, windows=(5, 10, 15))
     assert report.uniform
@@ -1009,7 +1044,8 @@ def test_image_built_once_per_model(monkeypatch):
 def test_repeated_windows_sweep_once(hexmodel):
     once = surjectivity_report(hexmodel, windows=(5,))
     assert surjectivity_report(hexmodel, windows=(5, 5)) == once
-    assert once.windows == [5] and not once.delta_linear_growth
+    # one window shows no slope, but the flags need none: sigma = 3 here
+    assert once.windows == [5] and once.delta_linear_growth and not once.delta_bounded
 
 
 def test_surjectivity_z1_flags_non_uniform(z1):
