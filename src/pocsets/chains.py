@@ -12,11 +12,11 @@ Almost-equality classes are signatures with one of Fin(0), Plus(+1),
 Minus(-1) per chain; the principal class is all-Fin.  Every function here is
 pure.  Records take equality, hash and repr from their ``__slots__``
 through `pocsets.core.Record`, and so does the constructor of those built
-once per call (`ChainFamily`, `RollerPoset`); those built in bulk
-(`ChainHalfspace`, `ChainUltrafilter`, `Signature`) and `MoveSchedule`,
-called with keywords, write their own.  They are immutable by convention:
-nothing assigns to a field after construction, and the hashed ones
-(`ChainUltrafilter`, `Signature`, ..) rely on it.
+once per call (`ChainFamily`, `RollerPoset`); those built per tuple or per
+vertex (`ChainHalfspace`, `ChainUltrafilter`, `Signature`) and
+`MoveSchedule`, called with keywords, write their own.  They are immutable
+by convention: nothing assigns to a field after construction, and the
+hashed ones (`ChainUltrafilter`, `Signature`, ..) rely on it.
 """
 
 from __future__ import annotations

@@ -14,12 +14,12 @@ Element indexing convention (used everywhere in this package):
 
 Records are ``__slots__`` classes (dataclasses cost start-up) that derive
 equality, hash and repr from their ``__slots__`` through `Record`; one
-holding a list or a dict sets ``__hash__ = None``.  A record built once per
-call takes `Record`'s positional constructor; one built in bulk, one that
-checks its fields or one called with defaults writes its own.  Records are
-immutable by convention (nothing in the package assigns to a field after
-construction), and every operation is a pure function, so concurrent use
-needs no synchronization.
+holding a list or a dict sets ``__hash__ = None``.  A record built once or
+a few times per call takes `Record`'s positional constructor; one built per
+tuple or per vertex, one that checks its fields or one called with defaults
+writes its own.  Records are immutable by convention (nothing in the package
+assigns to a field after construction), and every operation is a pure
+function, so concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class Record:
     (the same class with equal fields), `__hash__` (of the field tuple,
     unless the class sets ``__hash__ = None``) and `__repr__`
     (``Name(field=value, ...)``), all read off its ``__slots__``, and an
-    `__init__` of the fields in slot order; a record built in bulk writes
-    its own, three to four times as fast."""
+    `__init__` of the fields in slot order; a record built per tuple or per
+    vertex writes its own, three to four times as fast."""
 
     __slots__ = ()
 

@@ -7,6 +7,8 @@ diagnostics without string parsing.
 
 from __future__ import annotations
 
+from itertools import islice
+
 
 class PocError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -47,9 +49,14 @@ def _jsonable(value, depth: int = WITNESS_DEPTH):
         return DEEPER
     more = [f"<{len(value) - WITNESS_WIDTH} more items>"] if len(value) > WITNESS_WIDTH else []
     if isinstance(value, dict):
-        kept = list(value.items())[:WITNESS_WIDTH]
+        kept = islice(value.items(), WITNESS_WIDTH)
         return {_jsonable(str(k)): _jsonable(v, depth - 1) for k, v in kept} | dict.fromkeys(more)
-    return [_jsonable(v, depth - 1) for v in list(value)[:WITNESS_WIDTH]] + more
+    return [_jsonable(v, depth - 1) for v in islice(value, WITNESS_WIDTH)] + more
+
+
+def brief(value) -> str:
+    """The repr of a refused value cut as its witness is, for a message."""
+    return repr(_jsonable(value))
 
 
 class MalformedInput(PocError):

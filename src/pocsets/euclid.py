@@ -176,19 +176,12 @@ class PointFiber(Record):
     __slots__ = ("direction",)
     kind = "point"
 
-    def __init__(self, direction: Vec):
-        self.direction = direction
-
 
 class ArcFiber(Record):
     """Open counterclockwise arc between two critical directions."""
 
     __slots__ = ("start", "end")
     kind = "arc"
-
-    def __init__(self, start: Vec, end: Vec):
-        self.start = start
-        self.end = end
 
     def representative(self) -> Vec:
         mid = (self.start[0] + self.end[0], self.start[1] + self.end[1])

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
 from .core import FinitePocSet, check_pair_count, parse_handle
-from .errors import MalformedInput
+from .errors import MalformedInput, brief
 
 if TYPE_CHECKING:
     from .chains import ChainFamily
@@ -82,14 +82,14 @@ def pocset_from_document(doc: dict) -> FinitePocSet:
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad poc-set document: {exc}", doc) from exc
     if isinstance(pairs, bool) or not isinstance(pairs, int):
-        raise MalformedInput(f"pairs must be an integer, got {pairs!r}", pairs)
+        raise MalformedInput(f"pairs must be an integer, got {brief(pairs)}", pairs)
     if not isinstance(order, (list, tuple)):
-        raise MalformedInput(f"order must be a list of pairs, got {order!r}", order)
+        raise MalformedInput(f"order must be a list of pairs, got {brief(order)}", order)
     check_pair_count(pairs)  # before any name is resolved against it
     edges = []
     for entry in order:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise MalformedInput(f"order edges are pairs, got {entry!r}", entry)
+            raise MalformedInput(f"order edges are pairs, got {brief(entry)}", entry)
         a, b = entry
         edges.append((parse_handle(str(a), pairs), parse_handle(str(b), pairs)))
     return FinitePocSet.from_order_generators(pairs, edges)
@@ -124,7 +124,7 @@ def chain_family_from_document(doc: dict) -> tuple[ChainFamily, Union[WallModel,
 
     chains = doc.get("chains")
     if not isinstance(chains, (list, tuple)):
-        raise MalformedInput(f"chains must be a list of names, got {chains!r}", chains)
+        raise MalformedInput(f"chains must be a list of names, got {brief(chains)}", chains)
     names = tuple(str(n) for n in chains)
     if len(set(names)) != len(names):
         raise MalformedInput("chain names must be distinct", names)
@@ -142,10 +142,11 @@ def _wall_family(entry) -> WallFamily:
     from .exactnum import parse_exact
 
     if not isinstance(entry, dict):
-        raise MalformedInput(f"geometry entries are objects, got {entry!r}", entry)
+        raise MalformedInput(f"geometry entries are objects, got {brief(entry)}", entry)
     normal = entry.get("normal")
     if not isinstance(normal, (list, tuple)) or len(normal) != 2:
-        raise MalformedInput(f"normal must be a list of two exact literals, got {normal!r}", normal)
+        got = brief(normal)
+        raise MalformedInput(f"normal must be a list of two exact literals, got {got}", normal)
     return WallFamily(
         (parse_exact(str(normal[0])), parse_exact(str(normal[1]))),
         _rational(entry, "spacing", "1"),
@@ -163,7 +164,7 @@ def _rational(entry: dict, key: str, default: str) -> ExactNumber:
             return value
     except MalformedInput:
         pass
-    raise MalformedInput(f"{key} must be a rational literal, got {text!r}", text)
+    raise MalformedInput(f"{key} must be a rational literal, got {brief(text)}", text)
 
 
 def chain_family_to_document(family: ChainFamily, model: Union[WallModel, None]) -> dict:

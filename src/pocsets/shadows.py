@@ -9,17 +9,15 @@ being eliminated again for every tuple.  All minimization is
 exhaustive inside a window [-W, W]^k with interiority checks on minimizers,
 and every result records the window it was computed in.  Inside a window the
 consistent set is kept by rows, one interval of last cuts per prefix, solved
-from row bounds compiled with the forms or clipped from a larger window's
-rows, and the distance to it by a flat table filled with separable L1 sweeps
-unless the set fills the window; nearest members are read off the rows that
-the table places on a geodesic from the query.
+from row bounds compiled with the forms, and the distance to it by a flat
+table filled with separable L1 sweeps unless the set fills the window;
+nearest members are read off the rows that the table places on a geodesic
+from the query.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
-from functools import cached_property
-from itertools import pairwise, product, takewhile
+from itertools import pairwise, product
 from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -281,9 +279,7 @@ def _check_window(bound: int) -> None:
 
 def _pi0_rows(model: WallModel, bound: int) -> tuple[list[Row], list[Cuts]]:
     """Pi0 inside the window: the `ConsistencyOracle.row` of every
-    (k-1)-prefix of the window, in lexicographic order, and its members.
-    If the oracle holds a larger field, its rows clipped to the window are
-    these rows, and none is solved again."""
+    (k-1)-prefix of the window, in lexicographic order, and its members."""
     _check_window(bound)
     count = (2 * bound + 1) ** model.k  # refused before the first row
     if count > MAX_WINDOW_TUPLES:
@@ -292,14 +288,7 @@ def _pi0_rows(model: WallModel, bound: int) -> tuple[list[Row], list[Cuts]]:
     if model.k == 0:
         raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
     heads = list(product(range(-bound, bound + 1), repeat=model.k - 1))
-    if big := next((f for b, f in model.oracle.fields.items() if b > bound), None):
-        rows = []
-        for head in heads:  # the larger field's row, clipped to the window
-            row = big.rows[big._index((*head, 0)) // (2 * big.bound + 1)]
-            meets = row and row[0] <= bound and -bound <= row[1]
-            rows.append((max(row[0], -bound), min(row[1], bound)) if meets else None)
-    else:
-        rows = [model.oracle.row(head, bound) for head in heads]
+    rows = [model.oracle.row(head, bound) for head in heads]
     members = [
         (*head, c) for head, row in zip(heads, rows) if row for c in range(row[0], row[1] + 1)
     ]
@@ -332,7 +321,9 @@ class WindowField:
     inside the box it is the lattice distance, so the table is the exact
     in-window restriction of delta(-, Pi0).  `argmin` reads the table to
     walk only the prefixes on a geodesic to a nearest member, and the rows
-    to list the members.  No ``__slots__``: `start` is a `cached_property`."""
+    to list the members."""
+
+    __slots__ = ("bound", "members", "distance_table", "rows")
 
     def __init__(self, bound: int, members: list[Cuts], distance_table: list[int], rows: list[Row]):
         self.bound = bound
@@ -340,10 +331,10 @@ class WindowField:
         self.distance_table = distance_table
         self.rows = rows
 
-    @cached_property
+    @property
     def start(self) -> Cuts:
         """The member of least L1 norm, then least lexicographically: the
-        first member nearest the origin."""
+        first member nearest the origin, found again on each read."""
         return self.argmin((0,) * len(self.members[0]))[0]
 
     def interior(self, cuts: Cuts) -> bool:
@@ -523,10 +514,6 @@ class DualShadow(Record):
 
     __slots__ = ("plain_upto", "star_from")
 
-    def __init__(self, plain_upto: Cuts, star_from: Cuts):
-        self.plain_upto = plain_upto
-        self.star_from = star_from
-
     def contains(self, h: ChainHalfspace) -> bool:
         if h.starred:
             return h.index >= self.star_from[h.chain]
@@ -696,12 +683,6 @@ class ClassRow(Record):
     __slots__ = ("signature", "codim", "in_image", "escapes")
     __hash__ = None
 
-    def __init__(self, signature: Signature, codim: int, in_image: bool, escapes: Optional[bool]):
-        self.signature = signature
-        self.codim = codim
-        self.in_image = in_image
-        self.escapes = escapes
-
 
 class SurjectivityReport(Record):
     __slots__ = (
@@ -751,20 +732,15 @@ def surjectivity_report(
     covered image.  Growth and ``escapes`` are exact and window-free: max
     delta over [-W, W]^k is sigma*W up to a constant, where sigma > 0 iff
     the rows n_i/s_i have rank < k, and the column is `eventual_escapers`,
-    with `escaping_ray` as its windowed witness."""
+    with `escaping_ray` as its windowed witness.  Windows are built in the
+    ascending order they are reported, so the smallest failing window refuses."""
     windows = sorted(set(windows))  # a repeated window adds no step
     if not windows:
         raise MalformedInput("a report needs at least one window", [])
-    # the largest window before the first cheap refusal is built first and the
-    # others clip its rows; if it is empty, so is the smallest, refused first
-    cheap = lambda w: w >= 0 and (2 * w + 1) ** model.k <= MAX_WINDOW_TUPLES
-    if affordable := list(takewhile(cheap, windows)):
-        with suppress(WindowTooSmall):
-            window_field(model, affordable[-1])
     max_delta = [max_delta_over_window(model, w) for w in windows]
-    # in the plane the rows n_i/s_i have rank min(2, directions)
-    linear = min(2, model.distinct_wall_directions()) < model.k
     image = rho_image(model)
+    # rank n_i/s_i = min(2, directions), each with two ±perpendicular criticals
+    linear = min(2, len(image.critical_directions) // 2) < model.k
     in_image = set(image.signatures())
     escapers = eventual_escapers(model)
     rows = [

@@ -390,6 +390,8 @@ def test_wide_witnesses_are_one_short_json_line(tmp_path):
         diag = json.loads(line)
         assert diag["code"] == "malformed-input" and diag["witness"] == witness
         assert len(diag["message"]) <= TEXT_WIDTH + len("<9999999 more characters>")
+        if i == 0:  # the message formats the witness's bounded form, not the whole entry
+            assert diag["message"].endswith(f"'<{200_000 - WITNESS_WIDTH} more items>']")
 
 
 def test_fixtures_load_under_an_ascii_locale():

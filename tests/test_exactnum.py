@@ -511,8 +511,9 @@ def test_records_are_slotted_and_mutable_reports_unhashable():
     from pocsets.shadows import RayReport, SurjectivityReport, WindowField
 
     assert not hasattr(Signature((0,)), "__dict__")
-    # a cached_property needs the instance dict
-    assert "__slots__" not in vars(WallModel) and "__slots__" not in vars(WindowField)
+    # a wall model's cached properties need the instance dict; a window
+    # field caches nothing
+    assert "__slots__" not in vars(WallModel) and "__slots__" in vars(WindowField)
     assert RayReport.__hash__ is None and SurjectivityReport.__hash__ is None
     assert Signature((1,)) != Signature((1, 0)) and Signature((1,)) != (1,)
     # a record holding a list or a dict is a mutable report: never hashed
