@@ -90,9 +90,17 @@ def pocset_from_document(doc: dict) -> FinitePocSet:
     for entry in order:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise MalformedInput(f"order edges are pairs, got {brief(entry)}", entry)
-        a, b = entry
-        edges.append((parse_handle(str(a), pairs), parse_handle(str(b), pairs)))
+        a, b = (parse_handle(_literal(h, "order handles must be names"), pairs) for h in entry)
+        edges.append((a, b))
     return FinitePocSet.from_order_generators(pairs, edges)
+
+
+def _literal(value, refusal: str) -> str:
+    """The text of a scalar JSON value; a list or an object is refused
+    first, quoted as its witness is, since its str() is as wide as it."""
+    if isinstance(value, (list, tuple, dict)):
+        raise MalformedInput(f"{refusal}, got {brief(value)}", value)
+    return str(value)
 
 
 def pocset_to_document(p: FinitePocSet) -> dict:
@@ -147,8 +155,9 @@ def _wall_family(entry) -> WallFamily:
     if not isinstance(normal, (list, tuple)) or len(normal) != 2:
         got = brief(normal)
         raise MalformedInput(f"normal must be a list of two exact literals, got {got}", normal)
+    x, y = (parse_exact(_literal(c, "normal coordinates must be exact literals")) for c in normal)
     return WallFamily(
-        (parse_exact(str(normal[0])), parse_exact(str(normal[1]))),
+        (x, y),
         _rational(entry, "spacing", "1"),
         _rational(entry, "offset", "0"),
     )
@@ -157,7 +166,7 @@ def _wall_family(entry) -> WallFamily:
 def _rational(entry: dict, key: str, default: str) -> ExactNumber:
     from .exactnum import parse_exact
 
-    text = str(entry.get(key, default))
+    text = _literal(entry.get(key, default), f"{key} must be a rational literal")
     try:
         value = parse_exact(text)
         if not value.q:

@@ -12,7 +12,8 @@ consistent set is kept by rows, one interval of last cuts per prefix, solved
 from row bounds compiled with the forms, and the distance to it by a flat
 table filled with separable L1 sweeps unless the set fills the window;
 nearest members are read off the rows that the table places on a geodesic
-from the query.
+from the query, and a query's walk stops once it has found both a member on
+the window boundary and one strictly inside, which decides its refusal.
 """
 
 from __future__ import annotations
@@ -372,17 +373,24 @@ class WindowField:
         interval at the remaining distance."""
         return self._argmin(cuts, self._index(cuts))  # refuses a wrong length before unpacking
 
-    def _argmin(self, cuts: Cuts, index: int) -> list[Cuts]:
+    def _argmin(self, cuts: Cuts, index: int, settle: bool = False) -> list[Cuts]:
+        """`argmin` at a checked flat index.  With `settle`, the walk stops
+        at the first member it appends once it holds both a member on the
+        window boundary and one strictly inside: the list is then partial,
+        but it still holds an interior member and touches the boundary, and
+        no window guard asks more of it.  Each kept prefix carries whether a
+        cut of it is on the boundary, so only a member's last two cuts are
+        compared with the bound, once per row the walk reads."""
         bound, n, table, rows = self.bound, 2 * self.bound + 1, self.distance_table, self.rows
         *head, last = cuts
         if not head:  # one chain: the window is one row
             r, (lo, hi) = table[index], rows[0]
             return [(c,) for c in ((last,) if r == 0 else (last - r, last + r)) if lo <= c <= hi]
-        level: list[tuple[Cuts, int, int]] = [((), index, table[index])]
-        stride, found = len(table), []
+        level: list[tuple[Cuts, int, int, bool]] = [((), index, table[index], False)]
+        stride, found, inner, outer = len(table), [], False, False
         for d, q in enumerate(head, 1):
             stride, final, nxt = stride // n, d == len(head), []  # final: walking c_{k-1}
-            for prefix, j, r in level:
+            for prefix, j, r, edge in level:
                 # the steps down and up from q that stay within r and the window
                 down = r if r < q + bound else q + bound
                 up = r if r < bound - q else bound - q
@@ -391,13 +399,20 @@ class WindowField:
                 for c in range(q - down, q + up + 1):
                     if table[j] == s:
                         if not final:
-                            nxt.append(((*prefix, c), j, s))
+                            nxt.append(((*prefix, c), j, s, edge or c == bound or c == -bound))
                         elif row := rows[j // n]:
                             lo, hi = row
-                            if lo <= last - s <= hi:
-                                found.append((*prefix, c, last - s))
-                            if s and lo <= last + s <= hi:
-                                found.append((*prefix, c, last + s))
+                            rim = edge or c == bound or c == -bound
+                            for m in (last - s, last + s) if s else (last,):
+                                if lo <= m <= hi:
+                                    found.append((*prefix, c, m))
+                                    if settle:
+                                        if rim or m == bound or m == -bound:
+                                            outer = True
+                                        else:
+                                            inner = True
+                                        if inner and outer:
+                                            return found
                     j += stride
                     s += 1 if c < q else -1
             level = nxt
@@ -442,18 +457,22 @@ def window_field(model: WallModel, bound: int) -> WindowField:
 
 def _nearest(model: WallModel, u: ChainUltrafilter, window: int):
     """The one windowed step behind every query: the field, the cuts of u
-    and their flat index, the members nearest u, found by a single argmin,
-    and their box, the least and the greatest cut of each chain over them,
-    or None when the box reaches the window boundary.  The members all lie
-    strictly inside the window iff the box does, so the window guards read
-    the box and scan the members only on the way to a refusal.  A negative
-    window is refused first, then a non-principal u, then the field is
-    built, then cuts of the wrong length or outside the window."""
+    and their flat index, the members nearest u, found by a single settled
+    argmin, and their box, the least and the greatest cut of each chain over
+    them, or None when the box reaches the window boundary.  The members all
+    lie strictly inside the window iff the box does, so the window guards
+    read the box and scan the members only on the way to a refusal.  The
+    walk stops at the first pair of an interior and a boundary member: the
+    box is then None whatever the rest holds, and the interior member
+    already answers `_distance`'s guard, so the list is whole whenever a
+    query returns it or its box.  A negative window is refused first, then
+    a non-principal u, then the field is built, then cuts of the wrong
+    length or outside the window."""
     _check_window(window)
     cuts = u.int_cuts()
     f = window_field(model, window)
     index = f._index(cuts)
-    nearest = f._argmin(cuts, index)
+    nearest = f._argmin(cuts, index, settle=True)
     columns = list(zip(*nearest))
     low, high = tuple(map(min, columns)), tuple(map(max, columns))
     inside = -window < min(low) and max(high) < window
@@ -488,23 +507,23 @@ def classify_min(model: WallModel, u: ChainUltrafilter, window: int) -> MinClass
     consistent set; "neutral" collects the distance-preserving moves the
     two signed sets do not cover."""
     f, cuts, index, nearest, box = _nearest(model, u, window)
-    return _classify(f, u, cuts, index, _distance(f, cuts, index, nearest, box))
+    return _classify(f, cuts, index, _distance(f, cuts, index, nearest, box))
 
 
-def _classify(
-    f: WindowField, u: ChainUltrafilter, cuts: Cuts, index: int, base: int
-) -> MinClassification:
-    """Each flip's distance is read at the query's flat index -+ its chain's
-    stride; a flip past the window goes through `distance`, which refuses it."""
+def _classify(f: WindowField, cuts: Cuts, index: int, base: int) -> MinClassification:
+    """The flips of min(u), each chain's h_i(c-1) and then h_i(c)* as
+    `min_set` lists them, built from the cuts; each flip's distance is read
+    at the query's flat index -+ its chain's stride, and a flip past the
+    window goes through `distance`, which refuses it."""
     plus, minus, neutral = [], [], []
-    table, n = f.distance_table, 2 * f.bound + 1
-    strides = [n**e for e in reversed(range(len(cuts)))]
-    for h in min_set(u):
-        step = 1 if h.starred else -1
-        if abs(cuts[h.chain] + step) > f.bound:
-            f.distance((*cuts[: h.chain], cuts[h.chain] + step, *cuts[h.chain + 1 :]))
-        d = table[index + step * strides[h.chain]]
-        (plus if d > base else minus if d < base else neutral).append(h)
+    table, n, stride = f.distance_table, 2 * f.bound + 1, len(f.distance_table)
+    for i, c in enumerate(cuts):
+        stride //= n
+        for step, h in ((-1, ChainHalfspace(i, c - 1, False)), (1, ChainHalfspace(i, c, True))):
+            if abs(c + step) > f.bound:
+                f.distance((*cuts[:i], c + step, *cuts[i + 1 :]))
+            d = table[index + step * stride]
+            (plus if d > base else minus if d < base else neutral).append(h)
     return MinClassification(plus, minus, neutral)
 
 
@@ -581,13 +600,13 @@ class ShadowReport(Record):
 
 
 def shadow_report(model: WallModel, u: ChainUltrafilter, window: int) -> ShadowReport:
-    """All four answers from one argmin and one pass over its nearest set,
-    for the box that decides both window guards and gives the dual shadow;
+    """All four answers from one settled argmin and its box, which
+    decides both window guards and gives the dual shadow;
     refused by the first guard that dist_to_pi0, classify_min, shadow and
     dual_shadow would fire."""
     f, cuts, index, nearest, box = _nearest(model, u, window)
     dist = _distance(f, cuts, index, nearest, box)
-    mins = _classify(f, u, cuts, index, dist)
+    mins = _classify(f, cuts, index, dist)
     members = _whole_shadow(cuts, nearest, box)
     return ShadowReport(
         cuts, f.bound, dist == 0, dist,

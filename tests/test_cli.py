@@ -394,6 +394,38 @@ def test_wide_witnesses_are_one_short_json_line(tmp_path):
             assert diag["message"].endswith(f"'<{200_000 - WITNESS_WIDTH} more items>']")
 
 
+def test_wide_lists_in_literal_places_are_refused_unprinted(tmp_path):
+    # a list where a handle, a normal coordinate or a spacing literal
+    # belongs is refused as a list, quoted as its witness is, instead of
+    # being turned into its whole text first
+    from pocsets.errors import TEXT_WIDTH, WITNESS_WIDTH
+
+    wide = list(range(200_000))
+    kept = wide[:WITNESS_WIDTH] + [f"<{200_000 - WITNESS_WIDTH} more items>"]
+    cases = (
+        ("validate", {"pairs": 1, "order": [["h1", wide]]}, "order handles must be names"),
+        (
+            "image",
+            {"chains": ["r"], "geometry": [{"normal": ["1", wide]}]},
+            "normal coordinates must be exact literals",
+        ),
+        (
+            "image",
+            {"chains": ["r"], "geometry": [{"normal": ["1", "0"], "spacing": wide}]},
+            "spacing must be a rational literal",
+        ),
+    )
+    for i, (command, doc, refusal) in enumerate(cases):
+        path = tmp_path / f"wide-literal-{i}.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(command, str(path), expect=1, timeout=60)
+        [line] = proc.stderr.splitlines()
+        diag = json.loads(line)
+        assert diag["code"] == "malformed-input" and diag["witness"] == kept
+        assert diag["message"] == f"{refusal}, got {kept!r}"
+        assert len(diag["message"]) <= TEXT_WIDTH
+
+
 def test_fixtures_load_under_an_ascii_locale():
     # FIX-HEX holds √3 literals: documents are read as UTF-8, not in the
     # locale's encoding

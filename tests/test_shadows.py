@@ -38,6 +38,7 @@ from pocsets.shadows import (
     MinClassification,
     RayReport,
     RayStep,
+    ShadowReport,
     _feasible_point,
     _slab_constraints,
     canonical_start,
@@ -346,6 +347,17 @@ def _argmin_by_rows(f, cuts):
     return found
 
 
+def _settled(members, interior):
+    """The members up to the first that completes a pair of an interior and
+    a boundary member, or all of them when no such pair forms."""
+    kinds = set()
+    for i, m in enumerate(members):
+        kinds.add(interior(m))
+        if len(kinds) == 2:
+            return members[: i + 1]
+    return members
+
+
 def _edge_queries(rng, k, bound, count):
     """Cut tuples in [-bound - 1, bound + 1] with one cut on the window's
     boundary or one step past it, of length k and of lengths k -+ 1."""
@@ -361,7 +373,8 @@ def test_argmin_matches_row_walk():
     # FIX-HEX at window 12, and generated models with k = 1..4 at small
     # windows, on queries inside the window, on its boundary, past it and of
     # the wrong length: the stepped strides of every k and the refusals are
-    # compared too
+    # compared too, and the settled walk of the queries with the members up
+    # to its first pair of an interior and a boundary member
     rng = random.Random(73)
     hexfield = window_field(fixture_model("FIX-HEX"), 12)
     queries = [
@@ -379,6 +392,9 @@ def test_argmin_matches_row_walk():
     for f, cuts in queries:
         got = _outcome(f.argmin, cuts)
         assert got == _outcome(_argmin_by_rows, f, cuts), cuts
+        if got[0]:  # the queries' walk stops at its first interior-and-boundary pair
+            settled = f._argmin(cuts, f._index(cuts), settle=True)
+            assert settled == _settled(got[0], f.interior), cuts
         kinds.setdefault(len(f.members[0]), set()).add(got[1][0] if got[1] else len(got[0]) > 1)
     # one chain has one row, so a single nearest member
     every = {True, False, WindowTooSmall, ChainCountMismatch}
@@ -401,6 +417,35 @@ def test_argmin_reads_rows_only_on_geodesics(monkeypatch):
     monkeypatch.setattr(f, "rows", CountingRows(f.rows))
     found = sum(len(f.argmin(q)) for q in product(range(-6, 7), repeat=3))
     assert 0 < CountingRows.reads <= 1.1 * found
+
+
+def test_refused_queries_stop_their_walk_early(monkeypatch):
+    # the walk stops at the first pair of an interior and a boundary member,
+    # which no answer shows, so only the rows it skips can show its loss:
+    # over FIX-HEX at window 12 on [-10, 10]^3, a refused shadow_report reads
+    # at most a third of the rows the whole argmin reads (28 %, 101,934 of
+    # 360,653), and an answered one reads exactly as many
+    class CountingRows(list):
+        reads = 0
+
+        def __getitem__(self, index):
+            CountingRows.reads += 1
+            return super().__getitem__(index)
+
+    model = fixture_model("FIX-HEX")
+    f = window_field(model, 12)
+    monkeypatch.setattr(f, "rows", CountingRows(f.rows))
+    reads = {True: [0, 0], False: [0, 0]}  # refused: [walked, whole]
+    for cuts in product(range(-10, 11), repeat=3):
+        CountingRows.reads = 0
+        _, refusal = _outcome(shadow_report, model, ChainUltrafilter(cuts), 12)
+        walked, CountingRows.reads = CountingRows.reads, 0
+        f.argmin(cuts)
+        counts = reads[refusal is not None]
+        counts[0] += walked
+        counts[1] += CountingRows.reads
+    (refused, whole), (answered, full) = reads[True], reads[False]
+    assert 0 < 3 * refused <= whole and 0 < answered == full, reads
 
 
 @pytest.mark.parametrize("module", ["shadows", "euclid", "exactnum"])
@@ -696,6 +741,88 @@ def test_report_parts_match_brute_force(hexmodel):
         assert any(x.startswith("every minimizer") for x in messages)
         assert any(x.endswith(f"is outside window {bound}") for x in messages)
         assert any(x.startswith("shadow of") for x in messages)
+
+
+def _queries_from_whole_nearest_set(model, cuts, bound):
+    """dist_to_pi0, classify_min, shadow, dual_shadow and shadow_report (as
+    JSON) from the complete `argmin` list, each refused by the first of its
+    guards in query order: some minimizer off the boundary, then the flips,
+    then the whole shadow.  A test oracle for the walk that stops once its
+    refusal is decided."""
+    u = ChainUltrafilter(cuts)
+    f, err = _outcome(window_field, model, bound)
+    nearest, err = _outcome(f.argmin, cuts) if f else (None, err)
+    if err:
+        return [(None, err)] * 5
+    interior = [all(abs(c) < bound for c in m) for m in nearest]
+
+    def dist():
+        if not any(interior):
+            raise WindowTooSmall(f"every minimizer for {cuts} touches the window boundary", cuts)
+        return f.distance(cuts)
+
+    def mins():
+        base, signed = dist(), {1: [], -1: [], 0: []}
+        for h in min_set(u):
+            moved = list(cuts)
+            moved[h.chain] += 1 if h.starred else -1
+            d = f.distance(tuple(moved))  # refuses a flip past the window
+            signed[(d > base) - (d < base)].append(h)
+        return MinClassification(signed[1], signed[-1], signed[0])
+
+    def whole():
+        if not all(interior):
+            raise WindowTooSmall(f"shadow of {cuts} touches the window boundary", cuts)
+        return nearest
+
+    def dual():
+        columns = list(zip(*whole()))
+        return DualShadow(tuple(min(c) - 1 for c in columns), tuple(map(max, columns)))
+
+    def report():
+        m = mins()
+        d, members = dist(), whole()
+        report = ShadowReport(cuts, bound, d == 0, d, m.plus, m.minus, m.neutral, members, dual())
+        return report.to_json()
+
+    members = lambda: [ChainUltrafilter(m) for m in whole()]
+    return [_outcome(fn) for fn in (dist, mins, members, dual, report)]
+
+
+def test_queries_match_the_whole_nearest_set():
+    # the five queries, whose walk stops at the first pair of an interior
+    # and a boundary member, against the complete nearest set: every FIX-HEX
+    # tuple of [-13, 13]^3 at window 12 (inside the window, on its boundary
+    # and past it), and generated models with k = 1..4 at small windows on
+    # tuples inside, on the boundary, past it and of the wrong length
+    rng = random.Random(74)
+    hexmodel = fixture_model("FIX-HEX")
+    cases = [(hexmodel, cuts, 12) for cuts in product(range(-13, 14), repeat=3)]
+    for k, bound in ((1, 6), (2, 4), (3, 3), (4, 2)):
+        for _ in range(3):
+            model = _wall_model(rng, [rng.randrange(12) for _ in range(k)])
+            cases += [(model, cuts, bound) for cuts in _edge_queries(rng, k, bound, 150)]
+            cases += [
+                (model, tuple(rng.randint(-bound, bound) for _ in range(k)), bound)
+                for _ in range(150)
+            ]
+    report_json = lambda model, u, bound: shadow_report(model, u, bound).to_json()
+    reports = Counter()
+    for model, cuts, bound in cases:
+        u = ChainUltrafilter(cuts)
+        expect = _queries_from_whole_nearest_set(model, cuts, bound)
+        for fn, want in zip((dist_to_pi0, classify_min, shadow, dual_shadow, report_json), expect):
+            assert _outcome(fn, model, u, bound) == want, (fn.__name__, cuts, bound)
+        _, refusal = expect[-1]
+        reports[(model is hexmodel, refusal[0] if refusal else None)] += 1
+        if refusal and model is hexmodel:
+            reports[refusal[1].replace(str(refusal[2]), "*", 1)] += 1
+    # FIX-HEX answers and refuses by each guard and past the window, and the
+    # generated cases refuse a wrong length
+    assert reports[True, None] > 5000 and reports[False, ChainCountMismatch], reports
+    assert reports["every minimizer for * touches the window boundary"], reports
+    assert reports["shadow of * touches the window boundary"], reports
+    assert reports["* is outside window 12"] > 2000, reports
 
 
 def _stable_answers(model, cuts, small, large):
