@@ -10,7 +10,8 @@ All direction tests are exact (the √3 field covers the shipped fixtures).
 A direction is held by its `normalize`d representative, so equal directions
 are equal pairs and sets and sorting need no pairwise search.  The circle
 at infinity is handled symbolically as critical directions plus open arcs,
-never as a metrized object.
+never as a metrized object.  An arc takes its class from its end classes;
+uniformness and the count of wall directions are read off the image.
 """
 
 from __future__ import annotations
@@ -139,19 +140,16 @@ class WallModel:
         )
 
     def distinct_wall_directions(self) -> int:
-        """Parallel classes of the normals, each one ± pair of directions."""
-        normals = (v for fam in self.families for v in (fam.normal, negate(fam.normal)))
-        return len(set(map(normalize, normals))) // 2
+        """Parallel classes of the normals: the image's ± pairs of critical directions."""
+        return len(self.image.critical_directions) // 2 if self.k else 0
 
     def is_uniform(self) -> tuple[bool, Optional[str]]:
         """Structural uniformness: chains are two-way infinite by
         construction, so the only obstruction is a direction perpendicular
-        to every family, i.e. all normals parallel."""
+        to every family, i.e. all normals parallel; read off the image."""
         if self.k == 0:
             return False, "no wall families"
-        if self.distinct_wall_directions() < 2:
-            return False, "all wall normals are parallel"
-        return True, None
+        return self.image.uniform, self.image.warning
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +180,6 @@ class ArcFiber(Record):
 
     __slots__ = ("start", "end")
     kind = "arc"
-
-    def representative(self) -> Vec:
-        mid = (self.start[0] + self.end[0], self.start[1] + self.end[1])
-        if mid[0].is_zero() and mid[1].is_zero():  # half-circle arc
-            return perp(self.start)
-        return normalize(mid)
 
 
 class ImageEntry(Record):
@@ -248,20 +240,27 @@ def rho_image(model: WallModel) -> ImageReport:
 
 
 def _build_image(model: WallModel) -> ImageReport:
-    uniform, reason = model.is_uniform()
+    """Every direction fact from one sorted set of normalized ±perpendiculars:
+    one `rho` per critical direction, an open arc's class from its end classes,
+    and uniformness and the direction count from how many there are."""
     perps = (v for fam in model.families for v in (perp(fam.normal), negate(perp(fam.normal))))
     criticals = sorted(set(map(normalize, perps)), key=_ccw_key)
-    fibers: dict[Signature, list] = {}
     if not criticals:
         raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
-    # perpendiculars come in antipodal pairs, so there are at least two
-    # critical directions and every gap is at most a half circle
+    uniform = len(criticals) > 2  # antipodal pairs; only one if every wall is parallel
+    classes = [rho(model, c) for c in criticals]
+    fibers: dict[Signature, list] = {}
     for i, c in enumerate(criticals):
-        fibers.setdefault(rho(model, c), []).append(PointFiber(c))
-        arc = ArcFiber(c, criticals[(i + 1) % len(criticals)])
-        fibers.setdefault(rho(model, arc.representative()), []).append(arc)
+        j = (i + 1) % len(criticals)
+        fibers.setdefault(classes[i], []).append(PointFiber(c))
+        if uniform:  # under a half circle: each chain is FIN at one end at most
+            arc_class = Signature(tuple(a or b for a, b in zip(classes[i].ends, classes[j].ends)))
+        else:  # a half circle, FIN at both ends on every chain
+            arc_class = rho(model, perp(c))
+        fibers.setdefault(arc_class, []).append(ArcFiber(c, criticals[j]))
     entries = tuple(ImageEntry(s, tuple(fs)) for s, fs in fibers.items())
-    return ImageReport(entries, tuple(criticals), uniform, reason)
+    warning = None if uniform else "all wall normals are parallel"
+    return ImageReport(entries, tuple(criticals), uniform, warning)
 
 
 def eventual_escapers(model: WallModel) -> set[Signature]:

@@ -133,7 +133,7 @@ def chain_family_from_document(doc: dict) -> tuple[ChainFamily, Union[WallModel,
     chains = doc.get("chains")
     if not isinstance(chains, (list, tuple)):
         raise MalformedInput(f"chains must be a list of names, got {brief(chains)}", chains)
-    names = tuple(str(n) for n in chains)
+    names = tuple(_literal(n, "chain names must be scalars") for n in chains)
     if len(set(names)) != len(names):
         raise MalformedInput("chain names must be distinct", names)
     family = ChainFamily(names)

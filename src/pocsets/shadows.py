@@ -758,8 +758,7 @@ def surjectivity_report(
         raise MalformedInput("a report needs at least one window", [])
     max_delta = [max_delta_over_window(model, w) for w in windows]
     image = rho_image(model)
-    # rank n_i/s_i = min(2, directions), each with two ±perpendicular criticals
-    linear = min(2, len(image.critical_directions) // 2) < model.k
+    linear = min(2, model.distinct_wall_directions()) < model.k  # rank of n_i/s_i
     in_image = set(image.signatures())
     escapers = eventual_escapers(model)
     rows = [

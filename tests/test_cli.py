@@ -395,15 +395,16 @@ def test_wide_witnesses_are_one_short_json_line(tmp_path):
 
 
 def test_wide_lists_in_literal_places_are_refused_unprinted(tmp_path):
-    # a list where a handle, a normal coordinate or a spacing literal
-    # belongs is refused as a list, quoted as its witness is, instead of
-    # being turned into its whole text first
+    # a list where a handle, a chain name, a normal coordinate or a spacing
+    # literal belongs is refused as a list, quoted as its witness is,
+    # instead of being turned into its whole text first
     from pocsets.errors import TEXT_WIDTH, WITNESS_WIDTH
 
     wide = list(range(200_000))
     kept = wide[:WITNESS_WIDTH] + [f"<{200_000 - WITNESS_WIDTH} more items>"]
     cases = (
         ("validate", {"pairs": 1, "order": [["h1", wide]]}, "order handles must be names"),
+        ("boundary", {"chains": [wide, "b"], "geometry": None}, "chain names must be scalars"),
         (
             "image",
             {"chains": ["r"], "geometry": [{"normal": ["1", wide]}]},

@@ -9,7 +9,7 @@ from functools import cmp_to_key
 import pytest
 
 from pocsets.chains import FIN, MINUS, PLUS, comparable, class_leq, sig
-from pocsets.errors import LineInsideWall, NonUniformModelWarning, ZeroDirection
+from pocsets.errors import LineInsideWall, MalformedInput, NonUniformModelWarning, ZeroDirection
 from pocsets.euclid import (
     ArcFiber,
     ImageEntry,
@@ -474,14 +474,24 @@ def _pairwise_direction_count(model):
     return len(dirs)
 
 
+def _midpoint(arc):
+    """A direction inside an open arc: its ends' normalized sum, or a quarter
+    turn from its start when it is a half circle."""
+    mid = (arc.start[0] + arc.end[0], arc.start[1] + arc.end[1])
+    if mid[0].is_zero() and mid[1].is_zero():
+        return perp(arc.start)
+    return normalize(mid)
+
+
 def _pairwise_image(model):
-    """`rho_image` over `_pairwise_criticals`, fiber by fiber."""
+    """`rho_image` over `_pairwise_criticals`, fiber by fiber, with each
+    arc's class taken at its midpoint rather than from its end classes."""
     criticals = _pairwise_criticals(model)
     fibers = {}
     for i, c in enumerate(criticals):
         fibers.setdefault(rho(model, c), []).append(PointFiber(c))
         arc = ArcFiber(c, criticals[(i + 1) % len(criticals)])
-        fibers.setdefault(rho(model, arc.representative()), []).append(arc)
+        fibers.setdefault(rho(model, _midpoint(arc)), []).append(arc)
     uniform = _pairwise_direction_count(model) >= 2
     return ImageReport(
         tuple(ImageEntry(s, tuple(fs)) for s, fs in fibers.items()),
@@ -505,9 +515,24 @@ def test_critical_directions_match_the_pairwise_search():
     parallel = 0
     for model in _random_wall_models(11, 300, range(1, 9)):
         assert model.image.critical_directions == tuple(_pairwise_criticals(model))
-        assert model.distinct_wall_directions() == _pairwise_direction_count(model)
-        parallel += model.distinct_wall_directions() < model.k
+        directions = _pairwise_direction_count(model)
+        assert model.distinct_wall_directions() == directions
+        if directions >= 2:
+            assert model.is_uniform() == (True, None)
+        else:
+            assert model.is_uniform() == (False, "all wall normals are parallel")
+        parallel += directions < model.k
     assert parallel > 100
+
+
+def test_a_model_without_families_has_no_directions():
+    from pocsets.chains import ChainFamily
+
+    model = WallModel(ChainFamily(()), ())
+    assert model.distinct_wall_directions() == 0
+    assert model.is_uniform() == (False, "no wall families")
+    with pytest.raises(MalformedInput, match="a wall model needs at least one family"):
+        rho_image(model)
 
 
 def test_image_and_closure_match_the_pairwise_search():
