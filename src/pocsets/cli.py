@@ -360,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     escape.add_argument("--length", type=int, default=20)
     escape.add_argument("--window", type=int, default=13)
     report = add("report", cmd_report, "co-compactness report; escapes are exact, window-free")
-    report.add_argument("--windows", default="5,10,15", help="window sweep")
-    report.add_argument(
+    sweep = report.add_mutually_exclusive_group()
+    sweep.add_argument("--windows", default="5,10,15", help="window sweep")
+    sweep.add_argument(
         "--window", type=int, default=None, help="largest window of a 3-step sweep"
     )
     return parser

@@ -10,10 +10,9 @@ exhaustive inside a window [-W, W]^k with interiority checks on minimizers,
 and every result records the window it was computed in.  Inside a window the
 consistent set is kept by rows, one interval of last cuts per prefix, solved
 from row bounds compiled with the forms, and the distance to it by a flat
-table filled with separable L1 sweeps unless the set fills the window;
-nearest members are read off the rows that the table places on a geodesic
-from the query, and a query's walk stops once it has found both a member on
-the window boundary and one strictly inside, which decides its refusal.
+table filled with separable L1 sweeps unless the set fills the window.
+Members are read off the rows, the nearest ones off the rows that the table
+places on a geodesic from the query, with two flags that decide its refusal.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .exactnum import ZERO, ExactNumber, integer_pairs, sqrt3_floor, sqrt3_sign
 Cuts = tuple[int, ...]
 Constraint = tuple[ExactNumber, ExactNumber, ExactNumber]  # ax*x + ay*y <= c
 Row = Optional[tuple[int, int]]  # one prefix's consistent last cuts: [lo, hi]
-Box = Optional[tuple[Cuts, Cuts]]  # a nearest set's least and greatest cuts, if inside
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +276,28 @@ def _check_window(bound: int) -> None:
         raise MalformedInput("window bound must be >= 0", bound)
 
 
-def _pi0_rows(model: WallModel, bound: int) -> tuple[list[Row], list[Cuts]]:
-    """Pi0 inside the window: the `ConsistencyOracle.row` of every
-    (k-1)-prefix of the window, in lexicographic order, and its members."""
+def _window_tuples(model: WallModel, bound: int) -> int:
+    """(2*bound + 1)^k, refused for a negative bound or past the cap."""
     _check_window(bound)
-    count = (2 * bound + 1) ** model.k  # refused before the first row
-    if count > MAX_WINDOW_TUPLES:
+    if (count := (2 * bound + 1) ** model.k) > MAX_WINDOW_TUPLES:
         message = f"window {bound} has {count} tuples, more than {MAX_WINDOW_TUPLES}"
         raise MalformedInput(message, bound)
+    return count
+
+
+def _pi0_rows(model: WallModel, bound: int) -> list[Row]:
+    """The `ConsistencyOracle.row` of every (k-1)-prefix of the window, in lexicographic order."""
+    _window_tuples(model, bound)  # refused before the first row
     if model.k == 0:
         raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
-    heads = list(product(range(-bound, bound + 1), repeat=model.k - 1))
-    rows = [model.oracle.row(head, bound) for head in heads]
-    members = [
-        (*head, c) for head, row in zip(heads, rows) if row for c in range(row[0], row[1] + 1)
-    ]
-    return rows, members
+    heads = product(range(-bound, bound + 1), repeat=model.k - 1)
+    return [model.oracle.row(head, bound) for head in heads]
+
+
+def _members(bound: int, k: int, rows: list[Row]) -> list[Cuts]:
+    """The members of the rows of window `bound`, in lexicographic order."""
+    heads = product(range(-bound, bound + 1), repeat=k - 1)
+    return [(*head, c) for head, row in zip(heads, rows) if row for c in range(row[0], row[1] + 1)]
 
 
 def _sweep(table: list[int], n: int, stride: int) -> None:
@@ -322,29 +326,30 @@ class WindowField:
     inside the box it is the lattice distance, so the table is the exact
     in-window restriction of delta(-, Pi0).  `argmin` reads the table to
     walk only the prefixes on a geodesic to a nearest member, and the rows
-    to list the members."""
+    to list the members; Pi0 is held by the rows alone, never all None."""
 
-    __slots__ = ("bound", "members", "distance_table", "rows")
+    __slots__ = ("bound", "k", "distance_table", "rows")
 
-    def __init__(self, bound: int, members: list[Cuts], distance_table: list[int], rows: list[Row]):
+    def __init__(self, bound: int, k: int, distance_table: list[int], rows: list[Row]):
         self.bound = bound
-        self.members = members  # never empty, lexicographic
+        self.k = k
         self.distance_table = distance_table
         self.rows = rows
+
+    @property
+    def members(self) -> list[Cuts]:
+        """The members in lexicographic order, read off the rows on each read."""
+        return _members(self.bound, self.k, self.rows)
 
     @property
     def start(self) -> Cuts:
         """The member of least L1 norm, then least lexicographically: the
         first member nearest the origin, found again on each read."""
-        return self.argmin((0,) * len(self.members[0]))[0]
-
-    def interior(self, cuts: Cuts) -> bool:
-        return all(abs(c) < self.bound for c in cuts)
+        return self.argmin((0,) * self.k)[0]
 
     def _index(self, cuts: Cuts) -> int:
-        k = len(self.members[0])
-        if len(cuts) != k:
-            raise _wrong_length(k, cuts)
+        if len(cuts) != self.k:
+            raise _wrong_length(self.k, cuts)
         if any(abs(c) > self.bound for c in cuts):
             raise WindowTooSmall(f"{cuts} is outside window {self.bound}", cuts)
         n, index = 2 * self.bound + 1, 0
@@ -371,21 +376,21 @@ class WindowField:
         arithmetic or an abs.  The walk of c_{k-1} reads the row of each
         full prefix it keeps there and then, for the last cuts in its
         interval at the remaining distance."""
-        return self._argmin(cuts, self._index(cuts))  # refuses a wrong length before unpacking
+        return self._argmin(cuts, self._index(cuts))[0]  # refuses a wrong length before unpacking
 
-    def _argmin(self, cuts: Cuts, index: int, settle: bool = False) -> list[Cuts]:
-        """`argmin` at a checked flat index.  With `settle`, the walk stops
-        at the first member it appends once it holds both a member on the
-        window boundary and one strictly inside: the list is then partial,
-        but it still holds an interior member and touches the boundary, and
-        no window guard asks more of it.  Each kept prefix carries whether a
-        cut of it is on the boundary, so only a member's last two cuts are
-        compared with the bound, once per row the walk reads."""
+    def _argmin(self, cuts: Cuts, index: int, settle: bool = False):
+        """`argmin` at a checked flat index, and whether a member lies
+        strictly inside the window (inner) and one on its boundary (outer).
+        With `settle`, the walk stops at the first member that makes both
+        true, so the list may be partial but its flags are the whole list's.
+        A kept prefix carries whether one of its cuts is on the boundary."""
         bound, n, table, rows = self.bound, 2 * self.bound + 1, self.distance_table, self.rows
         *head, last = cuts
         if not head:  # one chain: the window is one row
             r, (lo, hi) = table[index], rows[0]
-            return [(c,) for c in ((last,) if r == 0 else (last - r, last + r)) if lo <= c <= hi]
+            found = [(c,) for c in ((last,) if r == 0 else (last - r, last + r)) if lo <= c <= hi]
+            inside = [-bound < c < bound for (c,) in found]
+            return found, any(inside), not all(inside)
         level: list[tuple[Cuts, int, int, bool]] = [((), index, table[index], False)]
         stride, found, inner, outer = len(table), [], False, False
         for d, q in enumerate(head, 1):
@@ -406,22 +411,21 @@ class WindowField:
                             for m in (last - s, last + s) if s else (last,):
                                 if lo <= m <= hi:
                                     found.append((*prefix, c, m))
-                                    if settle:
-                                        if rim or m == bound or m == -bound:
-                                            outer = True
-                                        else:
-                                            inner = True
-                                        if inner and outer:
-                                            return found
+                                    if rim or m == bound or m == -bound:
+                                        outer = True
+                                    else:
+                                        inner = True
+                                    if settle and inner and outer:
+                                        return found, True, True
                     j += stride
                     s += 1 if c < q else -1
             level = nxt
-        return found
+        return found, inner, outer
 
 
 def enumerate_pi0(model: WallModel, bound: int) -> list[ChainUltrafilter]:
     """All consistent cut tuples inside the window, in canonical order."""
-    return [ChainUltrafilter(m) for m in _pi0_rows(model, bound)[1]]
+    return [ChainUltrafilter(m) for m in _members(bound, model.k, _pi0_rows(model, bound))]
 
 
 def window_field(model: WallModel, bound: int) -> WindowField:
@@ -432,8 +436,8 @@ def window_field(model: WallModel, bound: int) -> WindowField:
     fields = model.oracle.fields
     if bound in fields:
         return fields[bound]
-    rows, members = _pi0_rows(model, bound)
-    if not members:
+    rows = _pi0_rows(model, bound)
+    if not any(rows):
         raise WindowTooSmall(f"no consistent tuple inside window {bound}", bound)
     n = 2 * bound + 1
     far = n * model.k  # beyond every in-window distance
@@ -447,7 +451,7 @@ def window_field(model: WallModel, bound: int) -> WindowField:
     if any(table):
         for axis in range(1, model.k):
             _sweep(table, n, n**axis)
-    field = fields[bound] = WindowField(bound, members, table, rows)
+    field = fields[bound] = WindowField(bound, model.k, table, rows)
     return field
 
 
@@ -456,37 +460,26 @@ def window_field(model: WallModel, bound: int) -> WindowField:
 
 
 def _nearest(model: WallModel, u: ChainUltrafilter, window: int):
-    """The one windowed step behind every query: the field, the cuts of u
-    and their flat index, the members nearest u, found by a single settled
-    argmin, and their box, the least and the greatest cut of each chain over
-    them, or None when the box reaches the window boundary.  The members all
-    lie strictly inside the window iff the box does, so the window guards
-    read the box and scan the members only on the way to a refusal.  The
-    walk stops at the first pair of an interior and a boundary member: the
-    box is then None whatever the rest holds, and the interior member
-    already answers `_distance`'s guard, so the list is whole whenever a
-    query returns it or its box.  A negative window is refused first, then
-    a non-principal u, then the field is built, then cuts of the wrong
-    length or outside the window."""
+    """The one windowed step behind every query: the field, the cuts of u,
+    their flat index, and the nearest members, inner and outer of one
+    settled `_argmin`.  A negative window is refused first, then a
+    non-principal u, then the field is built, then cuts of the wrong length
+    or outside the window."""
     _check_window(window)
     cuts = u.int_cuts()
     f = window_field(model, window)
     index = f._index(cuts)
-    nearest = f._argmin(cuts, index, settle=True)
-    columns = list(zip(*nearest))
-    low, high = tuple(map(min, columns)), tuple(map(max, columns))
-    inside = -window < min(low) and max(high) < window
-    return f, cuts, index, nearest, (low, high) if inside else None
+    return (f, cuts, index, *f._argmin(cuts, index, settle=True))
 
 
-def _distance(f: WindowField, cuts: Cuts, index: int, nearest: list[Cuts], box: Box) -> int:
-    if box is None and not any(map(f.interior, nearest)):
+def _distance(f: WindowField, cuts: Cuts, index: int, inner: bool) -> int:
+    if not inner:
         raise WindowTooSmall(f"every minimizer for {cuts} touches the window boundary", cuts)
     return f.distance_table[index]
 
 
-def _whole_shadow(cuts: Cuts, nearest: list[Cuts], box: Box) -> list[Cuts]:
-    if box is None:
+def _whole_shadow(cuts: Cuts, nearest: list[Cuts], outer: bool) -> list[Cuts]:
+    if outer:
         raise WindowTooSmall(f"shadow of {cuts} touches the window boundary", cuts)
     return nearest
 
@@ -494,7 +487,8 @@ def _whole_shadow(cuts: Cuts, nearest: list[Cuts], box: Box) -> list[Cuts]:
 def dist_to_pi0(model: WallModel, u: ChainUltrafilter, window: int) -> int:
     """Exhaustive min over the in-window consistent set, with an interiority
     check: some minimizer must avoid the window boundary."""
-    return _distance(*_nearest(model, u, window))
+    f, cuts, index, _, inner, _ = _nearest(model, u, window)
+    return _distance(f, cuts, index, inner)
 
 
 class MinClassification(Record):
@@ -506,8 +500,8 @@ def classify_min(model: WallModel, u: ChainUltrafilter, window: int) -> MinClass
     """Split min(u) by the effect of each flip on the distance to the
     consistent set; "neutral" collects the distance-preserving moves the
     two signed sets do not cover."""
-    f, cuts, index, nearest, box = _nearest(model, u, window)
-    return _classify(f, cuts, index, _distance(f, cuts, index, nearest, box))
+    f, cuts, index, _, inner, _ = _nearest(model, u, window)
+    return _classify(f, cuts, index, _distance(f, cuts, index, inner))
 
 
 def _classify(f: WindowField, cuts: Cuts, index: int, base: int) -> MinClassification:
@@ -556,19 +550,18 @@ class DualShadow(Record):
 def shadow(model: WallModel, u: ChainUltrafilter, window: int) -> list[ChainUltrafilter]:
     """The nearest consistent ultrafilters; the whole set must sit strictly
     inside the window."""
-    _, cuts, _, nearest, box = _nearest(model, u, window)
-    return [ChainUltrafilter(m) for m in _whole_shadow(cuts, nearest, box)]
+    _, cuts, _, nearest, _, outer = _nearest(model, u, window)
+    return [ChainUltrafilter(m) for m in _whole_shadow(cuts, nearest, outer)]
 
 
 def dual_shadow(model: WallModel, u: ChainUltrafilter, window: int) -> DualShadow:
-    _, cuts, _, nearest, box = _nearest(model, u, window)
-    _whole_shadow(cuts, nearest, box)
-    return _dual(box)
+    _, cuts, _, nearest, _, outer = _nearest(model, u, window)
+    return _dual(_whole_shadow(cuts, nearest, outer))
 
 
-def _dual(box: tuple[Cuts, Cuts]) -> DualShadow:
-    low, high = box
-    return DualShadow(tuple(c - 1 for c in low), high)
+def _dual(nearest: list[Cuts]) -> DualShadow:
+    columns = list(zip(*nearest))
+    return DualShadow(tuple(min(c) - 1 for c in columns), tuple(map(max, columns)))
 
 
 class ShadowReport(Record):
@@ -600,17 +593,16 @@ class ShadowReport(Record):
 
 
 def shadow_report(model: WallModel, u: ChainUltrafilter, window: int) -> ShadowReport:
-    """All four answers from one settled argmin and its box, which
-    decides both window guards and gives the dual shadow;
-    refused by the first guard that dist_to_pi0, classify_min, shadow and
-    dual_shadow would fire."""
-    f, cuts, index, nearest, box = _nearest(model, u, window)
-    dist = _distance(f, cuts, index, nearest, box)
+    """All four answers from one settled argmin, whose two flags decide
+    both window guards; refused by the first guard that dist_to_pi0,
+    classify_min, shadow and dual_shadow would fire."""
+    f, cuts, index, nearest, inner, outer = _nearest(model, u, window)
+    dist = _distance(f, cuts, index, inner)
     mins = _classify(f, cuts, index, dist)
-    members = _whole_shadow(cuts, nearest, box)
+    members = _whole_shadow(cuts, nearest, outer)
     return ShadowReport(
         cuts, f.bound, dist == 0, dist,
-        mins.plus, mins.minus, mins.neutral, members, _dual(box),
+        mins.plus, mins.minus, mins.neutral, members, _dual(members),
     )
 
 
@@ -752,11 +744,17 @@ def surjectivity_report(
     delta over [-W, W]^k is sigma*W up to a constant, where sigma > 0 iff
     the rows n_i/s_i have rank < k, and the column is `eventual_escapers`,
     with `escaping_ray` as its windowed witness.  Windows are built in the
-    ascending order they are reported, so the smallest failing window refuses."""
+    ascending order they are reported, so the smallest failing window refuses,
+    and they may hold together what three windows at the cap hold."""
     windows = sorted(set(windows))  # a repeated window adds no step
     if not windows:
         raise MalformedInput("a report needs at least one window", [])
-    max_delta = [max_delta_over_window(model, w) for w in windows]
+    max_delta, total, cap = [], 0, 3 * MAX_WINDOW_TUPLES
+    for w in windows:
+        total += _window_tuples(model, w)
+        if total > cap:
+            raise MalformedInput(f"windows up to {w} hold {total} tuples, more than {cap}", w)
+        max_delta.append(max_delta_over_window(model, w))
     image = rho_image(model)
     linear = min(2, model.distinct_wall_directions()) < model.k  # rank of n_i/s_i
     in_image = set(image.signatures())

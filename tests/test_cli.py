@@ -264,6 +264,24 @@ def test_unaffordable_window_fails_fast():
         assert json.loads(line)["code"] == "malformed-input"
 
 
+def test_report_windows_fail_fast_together():
+    # each window is under the cap, but the 500 fields together would
+    # exhaust memory: refused once they pass three windows at the cap
+    windows = ",".join(map(str, range(500)))
+    proc = run_cli("report", "FIX-Z2", "--windows", windows, expect=1, timeout=30)
+    [line] = proc.stderr.splitlines()
+    diagnostic = json.loads(line)
+    assert diagnostic["code"] == "malformed-input"
+    assert diagnostic["message"] == "windows up to 131 hold 3066580 tuples, more than 3000000"
+
+
+def test_report_refuses_window_with_windows():
+    # a sweep is asked for one way: --window and --windows together are a
+    # usage error, not a silent choice of --window
+    proc = run_cli("report", "FIX-HEX", "--windows", "1,2", "--window", "3", expect=2)
+    assert "not allowed with argument" in proc.stderr
+
+
 def test_report_single_window_flag():
     proc = run_cli("report", "FIX-HEX", "--window", "10")
     assert "escaping ray: yes" in proc.stdout

@@ -39,6 +39,7 @@ from pocsets.shadows import (
     RayReport,
     RayStep,
     ShadowReport,
+    WindowField,
     _feasible_point,
     _slab_constraints,
     canonical_start,
@@ -393,9 +394,12 @@ def test_argmin_matches_row_walk():
         got = _outcome(f.argmin, cuts)
         assert got == _outcome(_argmin_by_rows, f, cuts), cuts
         if got[0]:  # the queries' walk stops at its first interior-and-boundary pair
-            settled = f._argmin(cuts, f._index(cuts), settle=True)
-            assert settled == _settled(got[0], f.interior), cuts
-        kinds.setdefault(len(f.members[0]), set()).add(got[1][0] if got[1] else len(got[0]) > 1)
+            interior = lambda m: all(abs(c) < f.bound for c in m)
+            flags = (any(map(interior, got[0])), not all(map(interior, got[0])))
+            assert f._argmin(cuts, f._index(cuts)) == (got[0], *flags), cuts
+            settled, *settled_flags = f._argmin(cuts, f._index(cuts), settle=True)
+            assert settled == _settled(got[0], interior) and settled_flags == list(flags), cuts
+        kinds.setdefault(f.k, set()).add(got[1][0] if got[1] else len(got[0]) > 1)
     # one chain has one row, so a single nearest member
     every = {True, False, WindowTooSmall, ChainCountMismatch}
     assert kinds == {1: every - {True}, 2: every, 3: every, 4: every}
@@ -1269,6 +1273,28 @@ def test_report_refuses_the_window_it_refused_before():
         assert sorted(model.oracle.fields) == kept
 
 
+def test_report_caps_the_tuples_its_windows_hold(monkeypatch):
+    # every field a report builds stays on its model, so the windows
+    # together hold at most three windows at the cap (here 400 tuples, so
+    # window 9 at k = 2): refused at the first window past the total, after
+    # each window's own cap, and a sweep of three windows at the cap passes
+    import pocsets.shadows
+
+    monkeypatch.setattr(pocsets.shadows, "MAX_WINDOW_TUPLES", 400)
+    total = "windows up to 9 hold 1330 tuples, more than 1200"
+    own = "window 10 has 441 tuples, more than 400"
+    cases = [
+        (range(10), (MalformedInput, total, 9), list(range(9))),
+        (range(12), (MalformedInput, total, 9), list(range(9))),
+        ((*range(9), 10), (MalformedInput, own, 10), list(range(9))),
+    ]
+    for windows, refusal, kept in cases:
+        model = fixture_model("FIX-Z2")
+        assert _outcome(surjectivity_report, model, windows) == (None, refusal), windows
+        assert sorted(model.oracle.fields) == kept
+    assert surjectivity_report(fixture_model("FIX-Z2"), (7, 8, 9)).windows == [7, 8, 9]
+
+
 def test_report_without_windows_is_refused():
     # before any field is built, so before the model's oracle is compiled
     model = fixture_model("FIX-HEX")
@@ -1286,6 +1312,14 @@ def test_window_fields_live_on_their_model():
     assert window_field(fixture_model("FIX-HEX"), 4) is not window_field(model, 4)
     # a plain function, not a wrapper around a module-global cache
     assert inspect.isfunction(window_field)
+
+
+def test_window_field_holds_pi0_by_rows_only():
+    # Pi0 is held once, by the rows, and `members` reads the same list off them
+    assert "members" not in WindowField.__slots__
+    for name, bound in (("FIX-HEX", 4), ("FIX-Z2", 3), ("FIX-Z1", 5)):
+        model = fixture_model(name)
+        assert window_field(model, bound).members == [u.cuts for u in enumerate_pi0(model, bound)]
 
 
 def test_canonical_start(z2, hexmodel):
