@@ -9,10 +9,10 @@ being eliminated again for every tuple.  All minimization is
 exhaustive inside a window [-W, W]^k with interiority checks on minimizers,
 and every result records the window it was computed in.  Inside a window the
 consistent set is kept by rows, one interval of last cuts per prefix, solved
-from row bounds compiled with the forms, and the distance to it by a flat
-table filled with separable L1 sweeps unless the set fills the window.
-Members are read off the rows, the nearest ones off the rows that the table
-places on a geodesic from the query, with two flags that decide its refusal.
+level by level under consistent prefixes only, and the distance to it by a
+flat table of separable L1 sweeps, a layer at a time, unless the set fills
+the window.  Members are read off the rows, the nearest ones off the rows that
+the table places on a geodesic from the query, with two flags for its refusal.
 """
 
 from __future__ import annotations
@@ -140,18 +140,20 @@ def _combine(p: Surd, f: Form, q: Surd, g: Form) -> Form:
     )
 
 
-def _eliminate_first(rows: list[tuple[Form, Form]]) -> list[tuple[Form, Form]]:
-    """One Fourier-Motzkin step on rows (coefs, rhs), each meaning
-    coefs . v <= rhs(c): the rows that no longer mention v[0]."""
-    signs = [sqrt3_sign(*coefs[0]) for coefs, _ in rows]
+def _eliminate_first(rows: list[tuple[Form, Form, int]]) -> list[tuple[Form, Form, int]]:
+    """One Fourier-Motzkin step on rows (coefs, rhs, level), each meaning
+    coefs . v <= rhs(c) and combined from families 1..level: the rows that
+    no longer mention v[0]."""
+    signs = [sqrt3_sign(*coefs[0]) for coefs, _, _ in rows]
     ups = [r for r, s in zip(rows, signs) if s > 0]
     downs = [r for r, s in zip(rows, signs) if s < 0]
-    out = [(coefs[1:], rhs) for (coefs, rhs), s in zip(rows, signs) if s == 0]
-    for cu, ru in ups:
-        for cd, rd in downs:
+    out = [(coefs[1:], rhs, j) for (coefs, rhs, j), s in zip(rows, signs) if s == 0]
+    for cu, ru, ju in ups:
+        for cd, rd, jd in downs:
             # positive multipliers that cancel v[0]
             minus = (-cd[0][0], -cd[0][1])
-            out.append((_combine(minus, cu, cu[0], cd)[1:], _combine(minus, ru, cu[0], rd)))
+            combined = _combine(minus, cu, cu[0], cd)[1:], _combine(minus, ru, cu[0], rd)
+            out.append((*combined, max(ju, jd)))
     return out
 
 
@@ -171,30 +173,37 @@ class ConsistencyOracle:
     takes positive combinations of rows, so it runs once on symbolic
     right-hand sides and leaves a few forms F_j(c) = alpha_j(c) +
     beta_j(c)*sqrt3 with integer coefficients: the slabs share a point iff
-    every F_j(c) >= 0.  `bounds` holds each form's root in the last cut, for
-    `row`.  It also keeps the model's window fields, one per bound, built on
-    first use by `window_field`."""
+    every F_j(c) >= 0.  `levels` maps each form to the least j such that it
+    combines rows of families 1..j only: it involves c_1..c_j, the forms of
+    level <= j are the first j families' own, and level 1 is empty.  The
+    roots in c_j of the level-j forms are `row_bounds[j-1]`; `fields` keeps
+    the model's window fields for `window_field`."""
 
     def __init__(self, model: WallModel):
         k = self.k = model.k
         rows = []
-        for i, fam in enumerate(model.families):
+        for i, fam in enumerate(model.families, 1):
             # both rows times a positive integer that clears every denominator
             *normal, o, s = integer_pairs((*fam.normal, fam.offset, fam.spacing))
             top = [(0, 0)] * (k + 1)  # n.p <= o + s*c_i
-            top[0], top[1 + i] = o, s
+            top[0], top[i] = o, s
             bottom = [(-a, -b) for a, b in top]  # -n.p <= -(o + s*(c_i - 1))
             bottom[0] = (s[0] - o[0], s[1] - o[1])
-            rows.append((tuple(normal), tuple(top)))
-            rows.append((tuple((-a, -b) for a, b in normal), tuple(bottom)))
-        forms = set()
-        for _, rhs in _eliminate_first(_eliminate_first(rows)):
-            alpha, beta = _integer_form(rhs)
+            rows.append((tuple(normal), tuple(top), i))
+            rows.append((tuple((-a, -b) for a, b in normal), tuple(bottom), i))
+        levels = self.levels = {}  # each form's least level
+        for _, rhs, j in _eliminate_first(_eliminate_first(rows)):
+            alpha, beta = form = _integer_form(rhs)
             constant = not any(alpha[1:]) and not any(beta[1:])
             if not (constant and sqrt3_sign(alpha[0], beta[0]) >= 0):
-                forms.add((alpha, beta))
-        self.forms = sorted(forms)
-        self.bounds = [_row_bound(alpha, beta) for alpha, beta in self.forms]
+                levels[form] = min(j, levels.get(form, j))
+        self.forms = sorted(levels)
+        self.row_bounds: list[list[tuple]] = [[] for _ in range(k)]
+        for a, b in self.forms:
+            j = levels[a, b]
+            # without c_j it holds wherever the lower levels do: j's slabs cover the plane
+            if a[j] or b[j]:
+                self.row_bounds[j - 1].append(_row_bound(a[: j + 1], b[: j + 1]))
         self.fields: dict[int, WindowField] = {}
 
     def consistent(self, cuts: Cuts) -> bool:
@@ -207,39 +216,15 @@ class ConsistencyOracle:
                 return False
         return True
 
-    def row(self, head: Cuts, bound: int) -> Row:
-        """The last cuts c in [-bound, bound] that make head + (c,)
-        consistent: one closed interval (lo, hi), or None.
-
-        Each form holds for every c, for none, or on the ray of c beyond
-        its root, whose ceiling or floor then bounds lo or hi: two dot
-        products and one `sqrt3_floor` on the form's `bounds`.  The first
-        form that empties the row ends the solve."""
-        lo, hi = -bound, bound
-        point = (1, *head)
-        for slope, p_form, q_form, n in self.bounds:
-            p, q = sum(map(mul, p_form, point)), sum(map(mul, q_form, point))
-            if slope > 0:  # no max() or min(): their calls were a third of the solve
-                lo = c if (c := -sqrt3_floor(p, q, n)) > lo else lo
-            elif slope < 0:
-                hi = c if (c := sqrt3_floor(p, q, n)) < hi else hi
-            elif sqrt3_sign(p, q) < 0:
-                return None
-            if lo > hi:
-                return None
-        return lo, hi
-
 
 def _row_bound(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, tuple, tuple, int]:
     """(slope, P, Q, n) of the form (a + da*c) + (b + db*c)*sqrt3: the sign of
     da + db*sqrt3 and its root c = (p + q*sqrt3)/n, n = da^2 - 3*db^2, where
     P and Q give p and q over (1, *head), signed so that n > 0 and negated for
-    a positive slope, whose ceiling is -floor(-root); without c, P, Q = a, b."""
+    a positive slope, whose ceiling is -floor(-root); the form must involve c."""
     *a, da = alpha
     *b, db = beta
     slope, n = sqrt3_sign(da, db), da * da - 3 * db * db
-    if not slope:
-        return 0, tuple(a), tuple(b), 0
     sign = -slope if n > 0 else slope  # n != 0: sqrt3 is irrational
     p_form = tuple(sign * (3 * y * db - x * da) for x, y in zip(a, b))
     q_form = tuple(sign * (x * db - y * da) for x, y in zip(a, b))
@@ -285,32 +270,58 @@ def _window_tuples(model: WallModel, bound: int) -> int:
     return count
 
 
+def _solve_line(bounds: list[tuple], prefix: Cuts, lo: int, hi: int, bound: int) -> list[Row]:
+    """The rows of the heads (*prefix, c), c = lo..hi, under one level's
+    `row_bounds`.  Each form holds on the ray of next cuts beyond its root,
+    whose ceiling or floor bounds the row.  p and q step by the form's last
+    coefficient along the line, so a head costs no dot product; the first
+    form that empties its row ends its solve."""
+    point, steps = (1, *prefix), []
+    for slope, p_form, q_form, n in bounds:
+        dp, dq = p_form[-1], q_form[-1]  # map() stops at the end of point
+        p, q = sum(map(mul, p_form, point)) + dp * lo, sum(map(mul, q_form, point)) + dq * lo
+        steps.append((slope, p, dp, q, dq, n))
+    rows: list[Row] = []
+    for i in range(hi - lo + 1):
+        a, b = -bound, bound
+        for slope, p, dp, q, dq, n in steps:
+            f = sqrt3_floor(p + dp * i, q + dq * i, n)
+            if slope > 0:  # no max() or min(): their calls cost a third of the solve
+                a = -f if a + f < 0 else a
+            else:
+                b = f if f < b else b
+            if a > b:
+                break
+        rows.append((a, b) if a <= b else None)
+    return rows
+
+
 def _pi0_rows(model: WallModel, bound: int) -> list[Row]:
-    """The `ConsistencyOracle.row` of every (k-1)-prefix of the window, in lexicographic order."""
+    """The row of every (k-1)-prefix of the window, in lexicographic order,
+    level by level from c_1's row, the window: each row of level j-1 is one
+    `_solve_line` of level j, and an empty row is never extended."""
     _window_tuples(model, bound)  # refused before the first row
     if model.k == 0:
         raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
-    heads = product(range(-bound, bound + 1), repeat=model.k - 1)
-    return [model.oracle.row(head, bound) for head in heads]
+    n = 2 * bound + 1
+    lines = [((), 0, (-bound, bound))]  # a consistent prefix, its flat index and row
+    for bounds in model.oracle.row_bounds[1:]:
+        lines = [
+            ((*prefix, c), index * n + bound + c, row)
+            for prefix, index, (lo, hi) in lines
+            for c, row in zip(range(lo, hi + 1), _solve_line(bounds, prefix, lo, hi, bound))
+            if row
+        ]
+    rows: list[Row] = [None] * n ** (model.k - 1)
+    for _, index, row in lines:
+        rows[index] = row
+    return rows
 
 
 def _members(bound: int, k: int, rows: list[Row]) -> list[Cuts]:
     """The members of the rows of window `bound`, in lexicographic order."""
     heads = product(range(-bound, bound + 1), repeat=k - 1)
     return [(*head, c) for head, row in zip(heads, rows) if row for c in range(row[0], row[1] + 1)]
-
-
-def _sweep(table: list[int], n: int, stride: int) -> None:
-    """g(x) = min(f(x), g(x-1) + 1) and then g(x) = min(g(x), g(x+1) + 1)
-    along the axis whose unit step is `stride`, a whole slice at a time."""
-    block = n * stride
-    for base in range(0, len(table), block):
-        ends = range(base, base + block, stride)
-        for x, y in [*zip(ends[1:], ends), *zip(ends[-2::-1], ends[:0:-1])]:
-            table[x : x + stride] = [
-                a if a <= b else b + 1
-                for a, b in zip(table[x : x + stride], table[y : y + stride])
-            ]
 
 
 class WindowField:
@@ -321,7 +332,7 @@ class WindowField:
     (lexicographic order) to a member.  The table is a flat list indexed by
     the mixed-radix number of (c_1 + bound, .., c_k + bound): each tuple's
     distance to its own row, then swept twice along every other axis by
-    g(x) = min(f(x), g(x -+ 1) + 1) (Rosenfeld & Pfaltz 1966).  L1 distance
+    g(x) = min(f(x), g(x -+ 1) + 1) (Rosenfeld & Pfaltz 1966), one layer at a time.  L1 distance
     separates by axis (Felzenszwalb & Huttenlocher 2012, section 2), and
     inside the box it is the lattice distance, so the table is the exact
     in-window restriction of delta(-, Pi0).  `argmin` reads the table to
@@ -430,9 +441,11 @@ def enumerate_pi0(model: WallModel, bound: int) -> list[ChainUltrafilter]:
 
 def window_field(model: WallModel, bound: int) -> WindowField:
     """The model's distance field in window `bound`, built once and kept by
-    the model's oracle for the model's lifetime.  Its rows come from
-    `_pi0_rows`; a table with no positive entry (Pi0 fills the window) is
-    not swept."""
+    the model's oracle, oldest dropped first past three windows at the cap.
+    Its rows come from `_pi0_rows`; its table is swept along each head axis
+    while that axis is outermost, a whole layer at a time, then turned so
+    the next one is, and k turns restore its order.  A table with no
+    positive entry (Pi0 fills the window) is not swept."""
     fields = model.oracle.fields
     if bound in fields:
         return fields[bound]
@@ -449,8 +462,21 @@ def window_field(model: WallModel, bound: int) -> WindowField:
             lo, hi = row
             table += [*range(lo + bound, 0, -1), *[0] * (hi - lo + 1), *range(1, bound - hi + 1)]
     if any(table):
-        for axis in range(1, model.k):
-            _sweep(table, n, n**axis)
+        m = len(table) // n
+        ends = range(0, len(table), m)
+        for axis in range(1, model.k + 1):
+            if axis < model.k:  # c_axis is outermost: g(x) = min(f(x), g(x -+ 1) + 1)
+                for x, y in [*zip(ends[1:], ends), *zip(ends[-2::-1], ends[:0:-1])]:
+                    table[x : x + m] = [
+                        a if a <= b else b + 1 for a, b in zip(table[x : x + m], table[y : y + m])
+                    ]
+            turned = [0] * len(table)  # c_axis innermost, the next axis outermost
+            for i, x in enumerate(ends):
+                turned[i::n] = table[x : x + m]
+            table = turned
+    kept = len(table) + sum(len(f.distance_table) for f in fields.values())
+    while kept > 3 * MAX_WINDOW_TUPLES:  # the oldest field first
+        kept -= len(fields.pop(next(iter(fields))).distance_table)
     field = fields[bound] = WindowField(bound, model.k, table, rows)
     return field
 

@@ -96,3 +96,26 @@ def brute_force_ultrafilters(p: FinitePocSet):
         if ok:
             found.append(signs)
     return found
+
+
+# The six-family G~2 wall model (spacing 1, offset 0), as the document a
+# fixture file would hold.  The long normals, of length sqrt3, encode wall
+# spacing 1/sqrt3, since a spacing must be rational.
+G2_DOCUMENT = {
+    "chains": ["a", "b", "c", "d", "e", "f"],
+    "geometry": [
+        {"normal": ["1", "0"], "spacing": "1", "offset": "0"},
+        {"normal": ["3/2", "√3/2"], "spacing": "1", "offset": "0"},
+        {"normal": ["1/2", "√3/2"], "spacing": "1", "offset": "0"},
+        {"normal": ["0", "√3"], "spacing": "1", "offset": "0"},
+        {"normal": ["-1/2", "√3/2"], "spacing": "1", "offset": "0"},
+        {"normal": ["-3/2", "√3/2"], "spacing": "1", "offset": "0"},
+    ],
+}
+
+
+def g2_model():
+    """A fresh `WallModel` of `G2_DOCUMENT`."""
+    from pocsets.formats import chain_family_from_document
+
+    return chain_family_from_document(G2_DOCUMENT)[1]

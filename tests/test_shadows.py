@@ -8,6 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import g2_model
 from pocsets.chains import (
     FIN,
     MINUS,
@@ -28,7 +29,7 @@ from pocsets.errors import (
     PocError,
     WindowTooSmall,
 )
-from pocsets.euclid import WallFamily, WallModel, eventual_escapers, zd_image_signatures
+from pocsets.euclid import WallFamily, WallModel, eventual_escapers, rho_image, zd_image_signatures
 from pocsets.exactnum import ExactNumber
 from pocsets.formats import fixture_model
 from pocsets.shadows import (
@@ -143,6 +144,48 @@ def test_prepared_oracle_matches_direct_elimination():
                 assert oracle.consistent(cuts) == expect, (angles, cuts)
                 outcomes.add(expect)
     assert outcomes == {True, False}
+
+
+def _first_families(model, j):
+    """The model of the first j families of `model` alone."""
+    return WallModel(ChainFamily(model.chains.names[:j]), model.families[:j])
+
+
+def _generated_models(rng, k, count):
+    """`count` models with random directions, then two with parallel families
+    (each direction or its opposite)."""
+    angle_sets = [[rng.randrange(12) for _ in range(k)] for _ in range(count)]
+    angle_sets += [[(j + rng.choice((0, 6))) % 12 for _ in range(k)] for j in (0, rng.randrange(12))]
+    return [_wall_model(rng, angles) for angles in angle_sets]
+
+
+def test_form_levels_match_the_compile_of_the_first_families():
+    # a form of level j involves c_1..c_j only, and the forms of level <= j
+    # are exactly those compiled from the first j families (none at j = 1);
+    # axis and 60-degree directions derive some forms at two levels, and
+    # some of level j without c_j, which bound no row
+    rng = random.Random(45)
+    models = [g2_model(), fixture_model("FIX-HEX")]
+    for k in range(1, 7):
+        models += _generated_models(rng, k, 8)
+        models += [_wall_model(rng, [rng.choice((0, 2, 3, 6, 8, 9)) for _ in range(k)]) for _ in range(8)]
+    levels_seen, without_last = set(), 0
+    for model in models:
+        oracle = model.oracle
+        assert sorted(oracle.levels) == oracle.forms
+        for (alpha, beta), j in oracle.levels.items():
+            assert not any(alpha[j + 1 :]) and not any(beta[j + 1 :]), (alpha, beta, j)
+        for j in range(1, model.k + 1):
+            low = sorted((a[: j + 1], b[: j + 1]) for (a, b), i in oracle.levels.items() if i <= j)
+            assert low == _first_families(model, j).oracle.forms, j
+            level = [f for f, i in oracle.levels.items() if i == j]
+            bounded = [(a, b) for a, b in level if a[j] or b[j]]
+            assert len(oracle.row_bounds[j - 1]) == len(bounded)
+            levels_seen.update([j] if level else [])
+            if len(bounded) < len(level):  # the rows, solved without those forms
+                without_last += 1
+                _check_field(model, 1, rng, queries=10)
+    assert levels_seen == {2, 3, 4, 5, 6} and without_last
 
 
 def test_wrong_chain_count_is_refused(hexmodel):
@@ -311,18 +354,49 @@ def test_field_matches_bfs_on_fixtures():
 
 
 def test_field_matches_bfs_on_generated_models():
-    # k = 1..4, random normals at multiples of 30 degrees and all-parallel
-    # families (empty rows, rows decided by a form without a c_k term)
+    # k = 1..6, random normals at multiples of 30 degrees and all-parallel
+    # families (empty rows, rows decided by a form without a c_k term), and
+    # the six-family G~2 model
     rng = random.Random(71)
-    windows = {1: (0, 3, 12), 2: (0, 2, 7), 3: (1, 4), 4: (1, 3)}
+    windows = {1: (0, 3, 12), 2: (0, 2, 7), 3: (1, 4), 4: (1, 3), 5: (1, 2), 6: (1,)}
     sizes = []
-    for k in range(1, 5):
+    for k in range(1, 7):
         angle_sets = [[rng.randrange(12) for _ in range(k)] for _ in range(4)]
         angle_sets += [[(j + rng.choice((0, 6))) % 12 for _ in range(k)] for j in (0, 3, 5)]
         for angles in angle_sets:
             model = _wall_model(rng, angles)
             sizes += [_check_field(model, w, rng) for w in windows[k]]
+    sizes += [_check_field(g2_model(), w, rng) for w in (0, 1, 2)]
     assert 0 in sizes and min(s for s in sizes if s) < 10 < max(sizes)
+
+
+def test_rows_are_solved_only_under_consistent_prefixes(monkeypatch):
+    # the heads solved at the last level are the window members of the
+    # first k - 1 families: on G~2 at window 4, 794 of the window's 59,049
+    # heads, for 655 non-empty rows
+    import pocsets.shadows
+    from pocsets.shadows import _pi0_rows
+
+    solve, calls = pocsets.shadows._solve_line, []
+
+    def spy(bounds, prefix, lo, hi, bound):
+        calls.append((bounds, hi - lo + 1))
+        return solve(bounds, prefix, lo, hi, bound)
+
+    monkeypatch.setattr(pocsets.shadows, "_solve_line", spy)
+    rng = random.Random(73)
+    cases = [(g2_model(), 4), (fixture_model("FIX-HEX"), 6), (fixture_model("FIX-Z2"), 3)]
+    for k in range(2, 7):
+        cases += [(model, 2 if k < 6 else 1) for model in _generated_models(rng, k, 3)]
+    counted = []
+    for model, w in cases:
+        heads = len(enumerate_pi0(_first_families(model, model.k - 1), w))
+        calls.clear()
+        rows = _pi0_rows(model, w)
+        last = model.oracle.row_bounds[-1]
+        assert sum(size for bounds, size in calls if bounds is last) == heads
+        counted.append((heads, sum(map(bool, rows))))
+    assert counted[0] == (794, 655)
 
 
 def _argmin_by_rows(f, cuts):
@@ -1066,6 +1140,17 @@ def _d0_by_vertices(model):
     return table
 
 
+def test_surjectivity_g2():
+    # six families, so the cap stops windows at W = 4
+    model = g2_model()
+    report = surjectivity_report(model, windows=(2, 3, 4))
+    assert report.max_delta == [10, 16, 22]
+    assert report.delta_linear_growth and not report.delta_bounded
+    assert report.image_size == 24 and len(rho_image(model).signatures()) == 24
+    members = [c for c in product(range(-2, 3), repeat=6) if model.oracle.consistent(c)]
+    assert window_field(model, 2).members == members
+
+
 def _escaper_test_models():
     """200 generated k = 1..5 models, a fifth of them all-parallel."""
     rng = random.Random(73)
@@ -1320,6 +1405,31 @@ def test_window_field_holds_pi0_by_rows_only():
     for name, bound in (("FIX-HEX", 4), ("FIX-Z2", 3), ("FIX-Z1", 5)):
         model = fixture_model(name)
         assert window_field(model, bound).members == [u.cuts for u in enumerate_pi0(model, bound)]
+
+
+def test_kept_fields_are_bounded(monkeypatch):
+    # a model keeps fields of at most three windows at the cap (here 400
+    # tuples): a new field past that drops the oldest first, in the order
+    # they were built, and a kept field is the same object on each read
+    import pocsets.shadows
+
+    monkeypatch.setattr(pocsets.shadows, "MAX_WINDOW_TUPLES", 400)
+    model = fixture_model("FIX-Z2")
+    fields = model.oracle.fields
+    for w in (9, 0, 8, 1, 7, 6, 5):  # 1175 tuples
+        window_field(model, w)
+    assert list(fields) == [9, 0, 8, 1, 7, 6, 5]
+    four = window_field(model, 4)  # 1256: drops window 9
+    assert list(fields) == [0, 8, 1, 7, 6, 5, 4] and window_field(model, 4) is four
+    nine = window_field(model, 9)  # 1256: drops windows 0 and 8
+    assert list(fields) == [1, 7, 6, 5, 4, 9] and window_field(model, 9) is nine
+    assert window_field(model, 0).rows == [(0, 0)]  # rebuilt
+    # queries at every window of one model keep a bounded total
+    model = fixture_model("FIX-Z2")
+    for w in range(1, 10):
+        assert dist_to_pi0(model, uf(0, 0), w) == 0
+        assert sum(len(f.distance_table) for f in model.oracle.fields.values()) <= 1200
+    assert list(model.oracle.fields) == [5, 6, 7, 8, 9]
 
 
 def test_canonical_start(z2, hexmodel):
