@@ -11,13 +11,15 @@ A direction is held by its `normalize`d representative, so equal directions
 are equal pairs and sets and sorting need no pairwise search.  The circle
 at infinity is handled symbolically as critical directions plus open arcs,
 never as a metrized object.  An arc takes its class from its end classes;
-uniformness and the count of wall directions are read off the image.
+uniformness and the count of wall directions are read off the image.  The
+consistency compile, the image and the escapers read `WallModel.arrangement`.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from .chains import (
@@ -33,7 +35,7 @@ from .chains import (
 )
 from .core import Record
 from .errors import LineInsideWall, MalformedInput, NonUniformModelWarning, ZeroDirection
-from .exactnum import ONE, ZERO, ExactNumber, Rationalish, integer_pairs, sqrt3_sign
+from .exactnum import ZERO, ExactNumber, Rationalish, integer_pairs, sqrt3_sign
 
 Vec = tuple[ExactNumber, ExactNumber]
 
@@ -92,11 +94,33 @@ class WallFamily(Record):
         return self.offset + self.spacing * n
 
 
+class Arrangement:
+    """A model's families under one positive integer scale T: normals T*n_i
+    as pairs of pairs (a, b), each meaning a + b*sqrt3, offsets T*o_i and
+    spacings T*s_i as ints (they are rational), and the k x k table
+    ``cross[i][j]`` = T*n_i x T*n_j, zero iff i and j are parallel."""
+
+    __slots__ = ("normals", "offsets", "spacings", "cross")
+
+    def __init__(self, families: Sequence[WallFamily]):
+        scaled = integer_pairs([x for f in families for x in (*f.normal, f.offset, f.spacing)])
+        self.normals = [tuple(scaled[i : i + 2]) for i in range(0, len(scaled), 4)]
+        self.offsets = [a for a, _ in scaled[2::4]]
+        self.spacings = [a for a, _ in scaled[3::4]]
+        self.cross = [[_cross(u, v) for v in self.normals] for u in self.normals]
+
+
+def _cross(u, v) -> tuple[int, int]:
+    """u x v of two vectors of pairs (a, b), each meaning a + b*sqrt3."""
+    ((a, b), (c, d)), ((e, f), (g, h)) = u, v
+    return a * g + 3 * b * h - c * e - 3 * d * f, a * h + b * g - c * f - d * e
+
+
 class WallModel:
     """A chain family with planar geometry, one wall family per chain.
 
-    No ``__slots__``: the compiled oracle and the image are kept in the
-    instance dict by `cached_property`."""
+    No ``__slots__``: the arrangement, the compiled oracle and the image
+    are kept in the instance dict by `cached_property`."""
 
     def __init__(self, chains: ChainFamily, families: tuple[WallFamily, ...]):
         if len(families) != chains.k:
@@ -115,6 +139,12 @@ class WallModel:
     @property
     def k(self) -> int:
         return self.chains.k
+
+    @cached_property
+    def arrangement(self) -> Arrangement:
+        """The model's integer kernel (see `Arrangement`), built on first
+        use; not a field, so equality and hashing ignore it."""
+        return Arrangement(self.families)
 
     @cached_property
     def oracle(self):
@@ -241,14 +271,19 @@ def rho_image(model: WallModel) -> ImageReport:
 
 def _build_image(model: WallModel) -> ImageReport:
     """Every direction fact from one sorted set of normalized ±perpendiculars:
-    one `rho` per critical direction, an open arc's class from its end classes,
+    the class of perp(n_j) is the signs of the cross table's row j (n_i .
+    perp(n_j) = n_j x n_i), an open arc's class comes from its end classes,
     and uniformness and the direction count from how many there are."""
-    perps = (v for fam in model.families for v in (perp(fam.normal), negate(perp(fam.normal))))
-    criticals = sorted(set(map(normalize, perps)), key=_ccw_key)
+    ends: dict[Vec, tuple[int, ...]] = {}  # each critical direction's class
+    for fam, row in zip(model.families, model.arrangement.cross):
+        d, signs = normalize(perp(fam.normal)), tuple(sqrt3_sign(a, b) for a, b in row)
+        ends.setdefault(d, signs)
+        ends.setdefault(negate(d), tuple(-e for e in signs))
+    criticals = sorted(ends, key=_ccw_key)
     if not criticals:
         raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
     uniform = len(criticals) > 2  # antipodal pairs; only one if every wall is parallel
-    classes = [rho(model, c) for c in criticals]
+    classes = [Signature(ends[c]) for c in criticals]
     fibers: dict[Signature, list] = {}
     for i, c in enumerate(criticals):
         j = (i + 1) % len(criticals)
@@ -272,13 +307,15 @@ def eventual_escapers(model: WallModel) -> set[Signature]:
     By LP duality (Schrijver 1986, ch. 7) that holds iff x = -sum of s_i*m_i
     over supp s lies in the zonotope of [-1, 1]*m_j over the free chains j,
     and a planar zonotope holds x iff |u.x| <= h = sum |u.m_j| for u = e1,
-    e2 and perp(m_j) of each free j.  Each row of dot products u.m_i is
-    scaled to integer pairs (a, b), meaning a + b*sqrt3, by one positive
-    factor.  Classes grow chain by chain, in `all_signatures` order, and
-    each prefix carries every row's x and h so far."""
-    ms = [(f.normal[0] / f.spacing, f.normal[1] / f.spacing) for f in model.families]
-    units = ((ONE, ZERO), (ZERO, ONE), *map(perp, ms))
-    rows = [integer_pairs([dot(u, m) for m in ms]) for u in units]
+    e2 and perp(m_j) of each free j.  Each row of u.m_i, up to a positive
+    factor, is read off the arrangement as integer pairs (a, b), meaning a +
+    b*sqrt3: the normals' coordinates and the cross table's row j, entry i
+    times L/S_i for the lcm L of the spacings.  Classes grow chain by chain,
+    in `all_signatures` order, and each prefix carries every row's x and h."""
+    kernel = model.arrangement
+    steps = [lcm(*kernel.spacings) // s for s in kernel.spacings]
+    units = ([n[0] for n in kernel.normals], [n[1] for n in kernel.normals], *kernel.cross)
+    rows = [[(a * t, b * t) for (a, b), t in zip(row, steps)] for row in units]
 
     def shift(sums, pairs, e):  # sums + e*pairs, row by row
         return [(x + e * a, y + e * b) for (x, y), (a, b) in zip(sums, pairs)]

@@ -2,10 +2,11 @@
 shadows, escaping rays and the co-compactness report.
 
 A principal chain ultrafilter with cuts (c_1..c_k) is consistent when the k
-closed slabs it selects share a point.  Each wall model's slab system is
-compiled once, by Fourier-Motzkin elimination over the √3 field on symbolic
-right-hand sides, into a few integer sign conditions on the cuts, instead of
-being eliminated again for every tuple.  All minimization is
+closed slabs it selects share a point.  By Helly's theorem they do iff every
+three of them do, so each wall model's slab system is compiled once, from
+its arrangement's cross products, into two integer sign conditions on the
+cuts per parallel pair and per pairwise non-parallel triple of families,
+instead of being eliminated again for every tuple.  All minimization is
 exhaustive inside a window [-W, W]^k with interiority checks on minimizers,
 and every result records the window it was computed in.  Inside a window the
 consistent set is kept by rows, one interval of last cuts per prefix, solved
@@ -34,7 +35,7 @@ from .chains import (
 from .core import Record
 from .errors import ChainCountMismatch, MalformedInput, NotPrincipal, WindowTooSmall
 from .euclid import WallModel, eventual_escapers, rho_image
-from .exactnum import ZERO, ExactNumber, integer_pairs, sqrt3_floor, sqrt3_sign
+from .exactnum import ZERO, ExactNumber, sqrt3_floor, sqrt3_sign
 
 Cuts = tuple[int, ...]
 Constraint = tuple[ExactNumber, ExactNumber, ExactNumber]  # ax*x + ay*y <= c
@@ -128,82 +129,55 @@ def _wrong_length(k: int, cuts: Cuts) -> ChainCountMismatch:
     return ChainCountMismatch(f"{cuts} has {len(cuts)} cuts, the model has {k} chains", cuts)
 
 
-Surd = tuple[int, int]  # a + b*sqrt3 as (a, b)
-Form = tuple[Surd, ...]  # affine in the cuts: form[0] + sum form[1+i]*c_i
-
-
-def _combine(p: Surd, f: Form, q: Surd, g: Form) -> Form:
-    (a, b), (c, d) = p, q
-    return tuple(
-        (a * x + 3 * b * y + c * z + 3 * d * w, a * y + b * x + c * w + d * z)
-        for (x, y), (z, w) in zip(f, g)
-    )
-
-
-def _eliminate_first(rows: list[tuple[Form, Form, int]]) -> list[tuple[Form, Form, int]]:
-    """One Fourier-Motzkin step on rows (coefs, rhs, level), each meaning
-    coefs . v <= rhs(c) and combined from families 1..level: the rows that
-    no longer mention v[0]."""
-    signs = [sqrt3_sign(*coefs[0]) for coefs, _, _ in rows]
-    ups = [r for r, s in zip(rows, signs) if s > 0]
-    downs = [r for r, s in zip(rows, signs) if s < 0]
-    out = [(coefs[1:], rhs, j) for (coefs, rhs, j), s in zip(rows, signs) if s == 0]
-    for cu, ru, ju in ups:
-        for cd, rd, jd in downs:
-            # positive multipliers that cancel v[0]
-            minus = (-cd[0][0], -cd[0][1])
-            combined = _combine(minus, cu, cu[0], cd)[1:], _combine(minus, ru, cu[0], rd)
-            out.append((*combined, max(ju, jd)))
-    return out
-
-
-def _integer_form(rhs: Form) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """rhs as coprime integer vectors (alpha, beta) with rhs(c) a positive
-    multiple of alpha . (1, c) + (beta . (1, c))*sqrt3."""
-    g = gcd(*(x for pair in rhs for x in pair)) or 1
-    return tuple(a // g for a, _ in rhs), tuple(b // g for _, b in rhs)
-
-
 class ConsistencyOracle:
     """The consistency test of one model's cut tuples, compiled once.
 
-    The slab system of cuts c has 2k closed halfplanes whose normals are
-    fixed by the model and whose right-hand sides are affine in c.
-    Fourier-Motzkin elimination of x and then y (Schrijver 1986, 12.2) only
-    takes positive combinations of rows, so it runs once on symbolic
-    right-hand sides and leaves a few forms F_j(c) = alpha_j(c) +
-    beta_j(c)*sqrt3 with integer coefficients: the slabs share a point iff
-    every F_j(c) >= 0.  `levels` maps each form to the least j such that it
-    combines rows of families 1..j only: it involves c_1..c_j, the forms of
-    level <= j are the first j families' own, and level 1 is empty.  The
-    roots in c_j of the level-j forms are `row_bounds[j-1]`; `fields` keeps
-    the model's window fields for `window_field`."""
+    Slabs in the plane meet iff every three of them meet (Helly's theorem;
+    Danzer, Grünbaum & Klee 1963).  Three pairwise non-parallel slabs
+    L_i <= N_i.p <= U_i meet iff 0 is in the interval sum of lambda_i*[L_i,
+    U_i], lambda = (N_b x N_c, N_c x N_a, N_a x N_b), as p -> (N_i.p) maps
+    onto the plane lambda.y = 0; a parallel pair meets by the same rule with a
+    lambda that cancels its normals, any other triple iff its parallel pair
+    does.  On the arrangement's integers L_i and U_i are affine in c_i, so
+    each rule gives two forms alpha(c) + beta(c)*sqrt3 >= 0 with integer
+    coefficients.  A form's level in `levels` is its largest family j: it
+    involves c_j and no later cut, and the forms of level <= j are the
+    first j families' own; level 1 is empty.  The roots in c_j of the
+    level-j forms are `row_bounds[j-1]`; `fields` keeps the model's window
+    fields for `window_field`."""
 
     def __init__(self, model: WallModel):
         k = self.k = model.k
-        rows = []
-        for i, fam in enumerate(model.families, 1):
-            # both rows times a positive integer that clears every denominator
-            *normal, o, s = integer_pairs((*fam.normal, fam.offset, fam.spacing))
-            top = [(0, 0)] * (k + 1)  # n.p <= o + s*c_i
-            top[0], top[i] = o, s
-            bottom = [(-a, -b) for a, b in top]  # -n.p <= -(o + s*(c_i - 1))
-            bottom[0] = (s[0] - o[0], s[1] - o[1])
-            rows.append((tuple(normal), tuple(top), i))
-            rows.append((tuple((-a, -b) for a, b in normal), tuple(bottom), i))
-        levels = self.levels = {}  # each form's least level
-        for _, rhs, j in _eliminate_first(_eliminate_first(rows)):
-            alpha, beta = form = _integer_form(rhs)
-            constant = not any(alpha[1:]) and not any(beta[1:])
-            if not (constant and sqrt3_sign(alpha[0], beta[0]) >= 0):
-                levels[form] = min(j, levels.get(form, j))
+        arr = model.arrangement
+        normals, offsets, spacings, cross = arr.normals, arr.offsets, arr.spacings, arr.cross
+        rules = []  # each rule's lambda, by family
+        for c in range(k):
+            for a in range(c):
+                if not any(cross[a][c]):  # parallel: a coordinate both normals have
+                    t = 0 if any(normals[a][0]) else 1
+                    rules.append({a: normals[c][t], c: tuple(-x for x in normals[a][t])})
+                    continue
+                rules += [
+                    {a: cross[b][c], b: cross[c][a], c: cross[a][b]}
+                    for b in range(a + 1, c)
+                    if any(cross[a][b]) and any(cross[b][c])
+                ]
+        levels = self.levels = {}
+        for rule in rules:
+            for sign in (1, -1):  # the top of the sum of mu_i*[L_i, U_i], mu = +-lambda, is >= 0
+                alpha, beta = [0] * (k + 1), [0] * (k + 1)
+                for i, (x, y) in rule.items():
+                    x, y, s = sign * x, sign * y, spacings[i]
+                    o = offsets[i] if sqrt3_sign(x, y) > 0 else offsets[i] - s  # U_i or L_i at c_i = 0
+                    alpha[0], beta[0] = alpha[0] + x * o, beta[0] + y * o
+                    alpha[i + 1], beta[i + 1] = x * s, y * s
+                g = gcd(*alpha, *beta)
+                levels[tuple(a // g for a in alpha), tuple(b // g for b in beta)] = max(rule) + 1
         self.forms = sorted(levels)
         self.row_bounds: list[list[tuple]] = [[] for _ in range(k)]
         for a, b in self.forms:
             j = levels[a, b]
-            # without c_j it holds wherever the lower levels do: j's slabs cover the plane
-            if a[j] or b[j]:
-                self.row_bounds[j - 1].append(_row_bound(a[: j + 1], b[: j + 1]))
+            self.row_bounds[j - 1].append(_row_bound(a[: j + 1], b[: j + 1]))
         self.fields: dict[int, WindowField] = {}
 
     def consistent(self, cuts: Cuts) -> bool:
@@ -221,7 +195,8 @@ def _row_bound(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, tupl
     """(slope, P, Q, n) of the form (a + da*c) + (b + db*c)*sqrt3: the sign of
     da + db*sqrt3 and its root c = (p + q*sqrt3)/n, n = da^2 - 3*db^2, where
     P and Q give p and q over (1, *head), signed so that n > 0 and negated for
-    a positive slope, whose ceiling is -floor(-root); the form must involve c."""
+    a positive slope, whose ceiling is -floor(-root).  The form involves c by
+    construction: a level-j form's c_j coefficient is lambda_j*s_j != 0."""
     *a, da = alpha
     *b, db = beta
     slope, n = sqrt3_sign(da, db), da * da - 3 * db * db
@@ -233,7 +208,9 @@ def _row_bound(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, tupl
 
 def interval_consistent(model: WallModel, cuts: Cuts) -> bool:
     """Closed-form oracle for zero-sum normal triples: the cut slabs meet
-    iff zero lies in the interval sum of the selected slabs."""
+    iff zero lies in the interval sum of the selected slabs: the compile's
+    one-triple case, whose three cross products are equal, kept apart from
+    `ConsistencyOracle` as an independent oracle for tests and checks."""
     if model.k != 3:
         raise MalformedInput("interval oracle is defined for three chains", model.k)
     sx = sum((f.normal[0] for f in model.families), ZERO)

@@ -5,6 +5,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
+from operator import mul
 
 import pytest
 
@@ -30,7 +32,7 @@ from pocsets.errors import (
     WindowTooSmall,
 )
 from pocsets.euclid import WallFamily, WallModel, eventual_escapers, rho_image, zd_image_signatures
-from pocsets.exactnum import ExactNumber
+from pocsets.exactnum import ExactNumber, integer_pairs, sqrt3_sign
 from pocsets.formats import fixture_model
 from pocsets.shadows import (
     MAX_WINDOW_TUPLES,
@@ -159,17 +161,23 @@ def _generated_models(rng, k, count):
     return [_wall_model(rng, angles) for angles in angle_sets]
 
 
+def _parallel(model, i, j):
+    (a, b), (c, d) = model.families[i].normal, model.families[j].normal
+    return (a * d - b * c).is_zero()
+
+
 def test_form_levels_match_the_compile_of_the_first_families():
     # a form of level j involves c_1..c_j only, and the forms of level <= j
     # are exactly those compiled from the first j families (none at j = 1);
-    # axis and 60-degree directions derive some forms at two levels, and
-    # some of level j without c_j, which bound no row
+    # every level-j form involves c_j, and level j holds two forms for each
+    # parallel pair and each pairwise non-parallel triple whose largest
+    # family is j, on random, axis and 60-degree directions
     rng = random.Random(45)
     models = [g2_model(), fixture_model("FIX-HEX")]
     for k in range(1, 7):
         models += _generated_models(rng, k, 8)
         models += [_wall_model(rng, [rng.choice((0, 2, 3, 6, 8, 9)) for _ in range(k)]) for _ in range(8)]
-    levels_seen, without_last = set(), 0
+    levels_seen = set()
     for model in models:
         oracle = model.oracle
         assert sorted(oracle.levels) == oracle.forms
@@ -182,10 +190,119 @@ def test_form_levels_match_the_compile_of_the_first_families():
             bounded = [(a, b) for a, b in level if a[j] or b[j]]
             assert len(oracle.row_bounds[j - 1]) == len(bounded)
             levels_seen.update([j] if level else [])
-            if len(bounded) < len(level):  # the rows, solved without those forms
-                without_last += 1
-                _check_field(model, 1, rng, queries=10)
-    assert levels_seen == {2, 3, 4, 5, 6} and without_last
+            assert bounded == level, j
+            pairs = sum(_parallel(model, a, j - 1) for a in range(j - 1))
+            triples = sum(
+                not (_parallel(model, a, b) or _parallel(model, a, j - 1) or _parallel(model, b, j - 1))
+                for a, b in combinations(range(j - 1), 2)
+            )
+            assert len(level) == 2 * (pairs + triples), j
+    assert levels_seen == {2, 3, 4, 5, 6}
+    # 40 forms on G~2, where the elimination kept 104, and 2 on any three
+    # pairwise non-parallel families, where it could keep 6
+    assert len(g2_model().oracle.forms) == 40 and len(fixture_model("FIX-HEX").oracle.forms) == 2
+    for _ in range(20):
+        a, b, c = rng.sample(range(6), 3)
+        model = _wall_model(rng, [a + rng.choice((0, 6)), b + rng.choice((0, 6)), c + rng.choice((0, 6))])
+        assert len(model.oracle.forms) == 2
+
+
+def _combine(p, f, q, g):
+    (a, b), (c, d) = p, q
+    return tuple(
+        (a * x + 3 * b * y + c * z + 3 * d * w, a * y + b * x + c * w + d * z)
+        for (x, y), (z, w) in zip(f, g)
+    )
+
+
+def _eliminate_first(rows):
+    """One Fourier-Motzkin step on rows (coefs, rhs), each meaning
+    coefs . v <= rhs(c) with pairs (a, b) for a + b*sqrt3: the rows that no
+    longer mention v[0]."""
+    signs = [sqrt3_sign(*coefs[0]) for coefs, _ in rows]
+    ups = [r for r, s in zip(rows, signs) if s > 0]
+    downs = [r for r, s in zip(rows, signs) if s < 0]
+    out = [(coefs[1:], rhs) for (coefs, rhs), s in zip(rows, signs) if s == 0]
+    for cu, ru in ups:
+        for cd, rd in downs:
+            # positive multipliers that cancel v[0]
+            minus = (-cd[0][0], -cd[0][1])
+            out.append((_combine(minus, cu, cu[0], cd)[1:], _combine(minus, ru, cu[0], rd)))
+    return out
+
+
+def _fourier_motzkin_forms(model):
+    """The slab system compiled by Fourier-Motzkin elimination of x and then
+    y (Schrijver 1986, 12.2) on symbolic right-hand sides, as a reference:
+    integer forms (alpha, beta) over (1, c_1..c_k), the slabs sharing a
+    point iff every alpha(c) + beta(c)*sqrt3 >= 0."""
+    k, rows = model.k, []
+    for i, fam in enumerate(model.families, 1):
+        *normal, o, s = integer_pairs((*fam.normal, fam.offset, fam.spacing))
+        top = [(0, 0)] * (k + 1)  # n.p <= o + s*c_i
+        top[0], top[i] = o, s
+        bottom = [(-a, -b) for a, b in top]  # -n.p <= -(o + s*(c_i - 1))
+        bottom[0] = (s[0] - o[0], s[1] - o[1])
+        rows.append((tuple(normal), tuple(top)))
+        rows.append((tuple((-a, -b) for a, b in normal), tuple(bottom)))
+    forms = set()
+    for _, rhs in _eliminate_first(_eliminate_first(rows)):
+        g = gcd(*(x for pair in rhs for x in pair)) or 1
+        alpha, beta = tuple(a // g for a, _ in rhs), tuple(b // g for _, b in rhs)
+        if any(alpha[1:]) or any(beta[1:]) or sqrt3_sign(alpha[0], beta[0]) < 0:
+            forms.add((alpha, beta))  # a form that always holds is dropped
+    return forms
+
+
+def _helly_test_models():
+    """G~2, the planar fixtures, and generated models with k = 1..6: random,
+    axis and 60-degree directions, all-parallel families, opposite normals
+    and a repeated identical family, each with the window its rows are
+    compared in."""
+    rng = random.Random(47)
+    windows = {1: 6, 2: 4, 3: 3, 4: 2, 5: 1, 6: 0}
+    cases = [(g2_model(), 1), *((fixture_model(n), 2) for n in ("FIX-Z1", "FIX-Z2", "FIX-HEX"))]
+    for k in range(1, 7):
+        angle_sets = [[rng.randrange(12) for _ in range(k)] for _ in range(3)]
+        angle_sets += [[rng.choice(choices) for _ in range(k)] for choices in ((0, 3, 6, 9), (0, 2, 4, 6, 8, 10))]
+        j = rng.randrange(12)
+        angle_sets += [[(j + rng.choice((0, 6))) % 12 for _ in range(k)]]  # all parallel
+        angle_sets += [[(j + 6 * (i % 2)) % 12 if i < 2 else rng.randrange(12) for i in range(k)]]
+        for angles in angle_sets:
+            model = _wall_model(rng, angles)
+            cases.append((model, windows[k]))
+            if k < 6:  # the last family repeated
+                families = (*model.families, model.families[-1])
+                chains = ChainFamily(tuple(f"c{i}" for i in range(k + 1)))
+                cases.append((WallModel(chains, families), windows[k + 1]))
+    return cases
+
+
+def test_helly_compile_matches_fourier_motzkin():
+    # the two compiles agree on every tuple of [-w-1, w+1]^k, and the rows
+    # of window w are those of the reference's consistent tuples
+    from pocsets.shadows import _pi0_rows
+
+    outcomes = set()
+    for model, w in _helly_test_models():
+        forms = _fourier_motzkin_forms(model)
+        consistent = set()
+        for cuts in product(range(-w - 1, w + 2), repeat=model.k):
+            point = (1, *cuts)
+            expect = all(
+                sqrt3_sign(sum(map(mul, a, point)), sum(map(mul, b, point))) >= 0 for a, b in forms
+            )
+            assert model.oracle.consistent(cuts) == expect, (model.families, cuts)
+            consistent.update([cuts] if expect else [])
+            outcomes.add(expect)
+        rows = []
+        for head in product(range(-w, w + 1), repeat=model.k - 1):
+            last = [c for c in range(-w, w + 1) if (*head, c) in consistent]
+            assert last == list(range(last[0], last[-1] + 1)) if last else True
+            rows.append((last[0], last[-1]) if last else None)
+        assert _pi0_rows(model, w) == rows, model.families
+    assert outcomes == {True, False}
+    assert len(_fourier_motzkin_forms(g2_model())) == 104
 
 
 def test_wrong_chain_count_is_refused(hexmodel):
