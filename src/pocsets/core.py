@@ -25,8 +25,9 @@ function, so concurrent use needs no synchronization.
 from __future__ import annotations
 
 import re
-from itertools import combinations
-from operator import attrgetter
+from functools import reduce
+from itertools import combinations, compress
+from operator import attrgetter, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -50,6 +51,7 @@ MAX_PAIRS = 512
 MAX_ULTRAFILTERS = 2**14
 
 _NAME_RE = re.compile(r"^(?:h([1-9][0-9]*)|0)(\*)?$")
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a binary numeral's digits as the bytes 0 and 1
 
 
 def star(e: int) -> int:
@@ -596,16 +598,22 @@ def _closed_rows(n_pairs: int, up: list[int]) -> list[int]:
     a are ``up[a*]`` with each bit pair swapped, and antisymmetry is checked
     as soon as a pair is closed, at its plain handle a only: once every
     earlier pair has passed, an a* equivalent to some b > a* would make a
-    equivalent to b* > a."""
+    equivalent to b* > a.  A row one OR-fold shows closed is not searched."""
     m = len(up)
     even = (4 ** (m // 2) - 1) // 3  # bits 0, 2, 4, ..
     # 0* adds nothing to a row when nothing lies above it, as in a poc-set
     top = up[-1] if up[-1] == 1 << (m - 1) else 0
+    # the fold of a row (the OR of the rows its digits select, lowest first)
+    # costs more than its search on 8 pairs or fewer, or up to 4 bits to search
+    wide = n_pairs > 8
     for a in range(0, m, 2):
         for e in (a, a + 1):
             row = up[e]
             seen = top | 1 << e
             todo = row & ~seen
+            digits = wide and todo.bit_count() > 4 and bin(row)[:1:-1].encode().translate(_BITS)
+            if digits and reduce(or_, compress(up, digits), row) == row:
+                continue
             while todo:
                 c = (todo & -todo).bit_length() - 1
                 folded = up[c]

@@ -7,16 +7,17 @@ signs are 0 on every flipped pair.  Only combinatorics is kept; no geometric
 product is ever built.  The work runs on integer masks: a vertex is keyed by
 its members' stars, pair sets and wall sides (over vertex indices) are masks,
 and orders are compared row by row; the records handed out stay as they are.
-The duality round trip reads the vertices only: it counts the cubes to
-refuse what `build_cubing` refuses, but lists no edge and no cube.
+The duality round trip reads the vertices only: it counts the cubes only
+when a bound on them passes the cap, and lists no edge and no cube.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add
 from typing import Iterator
 
-from .core import FinitePocSet, Record, Ultrafilter
+from .core import FinitePocSet, Record, Ultrafilter, _star_mask
 from .errors import DegenerateWall, MalformedInput, NotIsomorphic
 
 # the most cubes of dimension >= 2 `build_cubing` lists; n pairwise
@@ -201,22 +202,26 @@ def _transverse_subsets(transverse: tuple[int, ...], sub: tuple, later: int, out
 def extract_halfspaces(c: CubeComplex) -> FinitePocSet:
     """The halfspace poc-set of a complex: vertex sides of each wall,
     ordered by inclusion of vertex sets (side a misses the side of b*)."""
-    n = c.pocset.n_pairs
-    return FinitePocSet._from_rows(n, _halfspace_rows(n, [u.signs for u in c.vertices]))
+    walk = [(u.signs, _star_mask(u.sorted_members())) for u in c.vertices]
+    return FinitePocSet._from_rows(c.pocset.n_pairs, _halfspace_rows(c.pocset.n_pairs, walk))
 
 
-def _halfspace_rows(n: int, signs: list[tuple[int, ...]]) -> list[int]:
+def _halfspace_rows(n: int, walk: list) -> list[int]:
     """The unvalidated order rows of the halfspaces of the vertices with
-    these sign vectors; refused at the first wall with an empty side."""
-    sides, everything = [], (1 << len(signs)) - 1
-    digits = bytes.maketrans(b"\0\1", b"01")
-    for k, column in enumerate(zip(*(signs[::-1] or [(0,) * n]))):  # no vertex: no side
-        starred = int(bytes(column).translate(digits), 2)
-        if not starred or starred == everything:
+    these ``(signs, stars)``, refused at the first wall with an empty side.
+    Side a lies in side b iff no vertex on side a holds b*: row a is the AND
+    of the member masks (stars, bit pairs swapped, and 0*) over side a."""
+    top = 1 << 2 * n + 1  # 0*: no vertex holds 0, so no stars mask has this bit
+    common = [2 * top - 1] * (2 * n + 2)  # the stars all of side a hold; all if it is empty
+    handles = range(0, 2 * n + 2, 2)
+    for signs, stars in walk:
+        for a in map(add, handles, signs + (1,)):  # and 0*, on every vertex
+            common[a] &= stars
+    for k in range(n):
+        if (common[2 * k] | common[2 * k + 1]) & top:
             raise DegenerateWall(f"wall h{k + 1} has an empty side", k)
-        sides += [everything ^ starred, starred]
-    sides += [0, everything]  # 0 and 0*
-    return [sum(1 << b for b in range(2 * n + 2) if not side & sides[b ^ 1]) for side in sides]
+    even = (4 ** (n + 1) - 1) // 3  # bits 0, 2, .., 2n
+    return [(s & even) << 1 | (s >> 1) & even | top for s in common]
 
 
 class DualityReport(Record):
@@ -240,20 +245,22 @@ class DualityReport(Record):
 def duality_roundtrip(p: FinitePocSet) -> DualityReport:
     """Check extract_halfspaces(build_cubing(p)) is poc-isomorphic to p.
 
-    Only the vertices are read: one ultrafilter walk gives their signs, and
-    the cubes are counted to refuse what `build_cubing` refuses, not listed.
-    The element map is the identity on handles (pair k -> wall k, oriented
-    so the plain side is the vertex set of h_k).  Rows equal to p's are p's
-    closed, valid order; others are validated as `extract_halfspaces` does,
-    and `NotIsomorphic` is raised at the first order mismatch.  The vertex
-    map v -> (halfspaces containing v) is the identity, because each wall's
-    sides are read from the vertices' signs.
+    Only the vertices are read, from one ultrafilter walk.  A cube is a
+    vertex and two or more of its n or fewer plain minimal walls, so cubes
+    are counted, to refuse what `build_cubing` refuses, only when
+    ``len(walk) * (2^n - n - 1)`` passes `MAX_CUBES`.  The element map is
+    the identity on handles (pair k -> wall k, oriented so the plain side is
+    the vertex set of h_k).  Rows equal to p's are p's closed, valid order;
+    others are validated as `extract_halfspaces` does, and `NotIsomorphic`
+    is raised at the first order mismatch.  The vertex map v -> (halfspaces
+    containing v) is the identity: each wall's sides are read from the signs.
     """
-    walk = p._walk_ultrafilters()
-    for _ in _least_corners(p, walk):  # the cubes are counted, not kept
-        pass
-    rows = _halfspace_rows(p.n_pairs, [signs for signs, _ in walk])
-    q = p if rows == list(p._up) else FinitePocSet._from_rows(p.n_pairs, rows)
+    walk, n = p._walk_ultrafilters(), p.n_pairs
+    if len(walk) * (2**n - n - 1) > MAX_CUBES:
+        for _ in _least_corners(p, walk):  # the cubes are counted, not kept
+            pass
+    rows = _halfspace_rows(n, walk)
+    q = p if rows == list(p._up) else FinitePocSet._from_rows(n, rows)
     if q._up != p._up:
         a = next(a for a in p.elements() if p._up[a] != q._up[a])
         diff = p._up[a] ^ q._up[a]

@@ -312,6 +312,34 @@ def test_leq_matrix_reads_back_the_order_at_the_pair_cap():
         assert exc.value.witness == (3, 2 * n - 2)
 
 
+def test_closed_rows_are_not_searched_again():
+    # the closed rows of the 512-pair chain h1 <= h2 <= .. <= h512: each row
+    # is shown closed by one OR-fold, so closing them again stays within a
+    # line budget that a bit search of every row (about 2.6e5 steps) passes
+    # at once, and gives the same rows
+    from pocsets import core
+
+    n = core.MAX_PAIRS
+    closed = list(FinitePocSet.from_order_generators(n, [(2 * i, 2 * i + 2) for i in range(n - 1)])._up)
+    budget, lines = 30 * len(closed), 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            assert lines <= budget, "closing closed rows ran past its line budget"
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == core.__file__ else None)
+    try:
+        rows = core._closed_rows(n, list(closed))
+    finally:
+        sys.settrace(previous)
+    assert rows == closed
+    assert 0 < lines
+
+
 def test_rows_without_their_diagonal_close_to_the_order():
     # `_from_rows` sets a <= a itself; the closure's search never stopped on
     # rows missing it, so a fresh interpreter runs the check and a

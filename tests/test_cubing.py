@@ -3,7 +3,8 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
+from typing import Iterator
 
 import pytest
 
@@ -401,6 +402,33 @@ def test_the_roundtrip_builds_no_cube(monkeypatch, fix_line3, fix_square, fix_tr
     assert _outcome(duality_roundtrip, free11) == refused
 
 
+def test_the_roundtrip_counts_the_cubes_only_when_their_bound_passes_the_cap(monkeypatch, fix_square):
+    # each cube is a vertex and 2 or more of its n or fewer plain minimal
+    # walls, so len(walk) * (2^n - n - 1) bounds the count: the round trip
+    # counts (and may refuse) exactly when that bound passes MAX_CUBES
+    counted = []
+    least_corners = cubing._least_corners
+
+    def spy(p, walk):
+        counted.append(p)
+        return least_corners(p, walk)
+
+    monkeypatch.setattr(cubing, "_least_corners", spy)
+    free3, free10 = (FinitePocSet.from_order_generators(n, []) for n in (3, 10))
+    cases = [(fix_square, 10**5, False), (free10, 10**5, True), (free3, 7, True), (free3, 6, True)]
+    rng = random.Random(22)
+    cases += [(random_pocset(rng, max_pairs=7), cap, None) for cap in (10**5, 7, 3, 1, 0) for _ in range(40)]
+    for p, cap, expected in cases:
+        monkeypatch.setattr(cubing, "MAX_CUBES", cap)
+        n = p.n_pairs
+        passes = len(p.ultrafilters()) * (2**n - n - 1) > cap
+        assert expected in (None, passes), (p, cap)
+        counted.clear()
+        outcome = _outcome(duality_roundtrip, p)
+        assert counted == ([p] if passes else []), (p, cap)
+        assert outcome == _outcome(_composed_roundtrip, p)
+
+
 # ---------------------------------------------------------------------------
 # the integer build against the frozenset build it replaced
 
@@ -482,22 +510,27 @@ def _walls(c: CubeComplex) -> list:
     return [(w.pair, w.edges, w.side_plain, w.side_star) for w in c.walls()]
 
 
-def test_integer_build_matches_the_frozenset_build():
-    # 5,000 generator sets drawn as finite-duality draws them, n = 0..8
-    # (every comparison is a function of the poc-set alone, so each distinct
-    # one is compared once, on first sight, and `sizes` still counts all draws)
+def _sampled_pocsets() -> Iterator[FinitePocSet]:
+    """5,000 poc-sets from generator sets drawn as finite-duality draws
+    them, n = 0..8, repeats included."""
     rng = random.Random(15)
-    sizes = Counter()
-    seen = {}
     for _ in range(5000):
         n = rng.randint(0, 8)
         while True:
             edges = [(rng.randrange(2 * n), rng.randrange(2 * n)) for _ in range(rng.randint(0, 2 * n))]
             try:
-                p = FinitePocSet.from_order_generators(n, edges)
+                yield FinitePocSet.from_order_generators(n, edges)
                 break
             except AxiomViolation:
                 continue
+
+
+def test_integer_build_matches_the_frozenset_build():
+    # every comparison is a function of the poc-set alone, so each distinct
+    # one is compared once, on first sight, and `sizes` still counts all draws
+    sizes = Counter()
+    seen = {}
+    for p in _sampled_pocsets():
         key = (p.n_pairs, tuple(p._up))
         if key not in seen:
             old, new = _frozenset_build(p), build_cubing(p)
@@ -516,6 +549,60 @@ def test_integer_build_matches_the_frozenset_build():
         sizes[seen[key]] += 1
     # small and large complexes, with and without cubes of dimension >= 3
     assert {(False, 1), (False, 2), (True, 2), (True, 3)} <= set(sizes), sizes
+
+
+def _side_rows(n: int, signs: list[tuple[int, ...]]) -> list[int]:
+    """The halfspace rows from the vertex sets of the sides, one bit at a
+    time: bit b of row a is set iff side a misses side b*; refused at the
+    first wall with an empty side."""
+    sides, everything = [], (1 << len(signs)) - 1
+    digits = bytes.maketrans(b"\0\1", b"01")
+    for k, column in enumerate(zip(*(signs[::-1] or [(0,) * n]))):  # no vertex: no side
+        starred = int(bytes(column).translate(digits), 2)
+        if not starred or starred == everything:
+            raise DegenerateWall(f"wall h{k + 1} has an empty side", k)
+        sides += [everything ^ starred, starred]
+    sides += [0, everything]  # 0 and 0*
+    return [sum(1 << b for b in range(2 * n + 2) if not side & sides[b ^ 1]) for side in sides]
+
+
+def _rows_outcome(rows, *args):
+    """The rows, or the refusal's class, message and witness."""
+    try:
+        return rows(*args)
+    except PocError as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def _member_mask_rows(n: int, signs: list[tuple[int, ...]]):
+    """`_halfspace_rows` on the vertices with these signs, each with the
+    mask of its members' stars (member 2k + s has star 2k + 1 - s)."""
+    walk = [(v, sum(1 << 2 * k + 1 - s for k, s in enumerate(v))) for v in signs]
+    return _rows_outcome(cubing._halfspace_rows, n, walk)
+
+
+def test_member_mask_rows_match_the_side_rows(fix_line3, fix_square, fix_tripod):
+    free10 = FinitePocSet.from_order_generators(10, [])
+    pocsets = {(p.n_pairs, p._up): p for p in (fix_line3, fix_square, fix_tripod, free10)}
+    pocsets.update({(p.n_pairs, p._up): p for p in _sampled_pocsets()})
+    for p in pocsets.values():
+        walk = p._walk_ultrafilters()
+        rows = _side_rows(p.n_pairs, [signs for signs, _ in walk])
+        assert cubing._halfspace_rows(p.n_pairs, walk) == rows == list(p._up)
+        assert _member_mask_rows(p.n_pairs, [signs for signs, _ in walk]) == rows
+    # crafted vertex lists: none at all, a single one (every wall is
+    # one-sided, so the first is refused), and the vertices on one side of
+    # wall k (and on either side of the others): the same refusal at k
+    outcomes = Counter()
+    for n in range(5):
+        crafted = [[], [(1,) * n]] + [
+            [v for v in product((0, 1), repeat=n) if v[k] == side] for k in range(n) for side in (0, 1)
+        ]
+        for signs in crafted:
+            expected = _rows_outcome(_side_rows, n, signs)
+            assert _member_mask_rows(n, signs) == expected, (n, signs)
+            outcomes[expected[2] if isinstance(expected, tuple) else None] += 1
+    assert set(outcomes) == {None, 0, 1, 2, 3}, outcomes
 
 
 def test_a_refused_roundtrip_matches_the_cell_scan(monkeypatch):
