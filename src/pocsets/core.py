@@ -244,7 +244,7 @@ class FinitePocSet:
                 names = f"{_raw_name(a, n_pairs)} <= {_raw_name(b, n_pairs)}"
                 message = f"{names} does not match the dual relation"
                 raise AxiomViolation("involution not order-reversing", message, (a, b))
-        return cls(n_pairs, _closed_rows(n_pairs, up), _validated=True)
+        return cls(n_pairs, _closed_rows(n_pairs, up, fold=True), _validated=True)
 
     def _pair_transversality(self) -> tuple[int, ...]:
         """Bitmask per pair of the pairs transverse to it.
@@ -586,7 +586,7 @@ def _star_mask(elements: Iterable[int]) -> int:
     return mask
 
 
-def _closed_rows(n_pairs: int, up: list[int]) -> list[int]:
+def _closed_rows(n_pairs: int, up: list[int], fold: bool = False) -> list[int]:
     """Close star-symmetric generator rows in place and return them, or
     refuse the first of antisymmetry, minimum and ``h <= h*`` to fail, at
     its least witness.
@@ -598,21 +598,19 @@ def _closed_rows(n_pairs: int, up: list[int]) -> list[int]:
     a are ``up[a*]`` with each bit pair swapped, and antisymmetry is checked
     as soon as a pair is closed, at its plain handle a only: once every
     earlier pair has passed, an a* equivalent to some b > a* would make a
-    equivalent to b* > a.  A row one OR-fold shows closed is not searched."""
+    equivalent to b* > a.  With ``fold``, for rows that arrive closed, a row
+    with bits to search that one OR-fold (of the rows its bits select) shows
+    closed is not searched."""
     m = len(up)
     even = (4 ** (m // 2) - 1) // 3  # bits 0, 2, 4, ..
     # 0* adds nothing to a row when nothing lies above it, as in a poc-set
     top = up[-1] if up[-1] == 1 << (m - 1) else 0
-    # the fold of a row (the OR of the rows its digits select, lowest first)
-    # costs more than its search on 8 pairs or fewer, or up to 4 bits to search
-    wide = n_pairs > 8
     for a in range(0, m, 2):
         for e in (a, a + 1):
             row = up[e]
             seen = top | 1 << e
             todo = row & ~seen
-            digits = wide and todo.bit_count() > 4 and bin(row)[:1:-1].encode().translate(_BITS)
-            if digits and reduce(or_, compress(up, digits), row) == row:
+            if fold and todo and reduce(or_, compress(up, bin(row)[:1:-1].encode().translate(_BITS)), row) == row:
                 continue
             while todo:
                 c = (todo & -todo).bit_length() - 1

@@ -313,15 +313,15 @@ def test_leq_matrix_reads_back_the_order_at_the_pair_cap():
 
 
 def test_closed_rows_are_not_searched_again():
-    # the closed rows of the 512-pair chain h1 <= h2 <= .. <= h512: each row
-    # is shown closed by one OR-fold, so closing them again stays within a
-    # line budget that a bit search of every row (about 2.6e5 steps) passes
-    # at once, and gives the same rows
+    # the closed rows of the 512-pair chain h1 <= h2 <= .. <= h512, read back
+    # by `_from_rows`: each row is shown closed by one OR-fold, so the closure
+    # stays within a line budget that a bit search of every row (about 2.6e5
+    # steps) passes at once, and gives the same rows
     from pocsets import core
 
     n = core.MAX_PAIRS
     closed = list(FinitePocSet.from_order_generators(n, [(2 * i, 2 * i + 2) for i in range(n - 1)])._up)
-    budget, lines = 30 * len(closed), 0
+    budget, lines, closure = 30 * len(closed), 0, core._closed_rows.__code__
 
     def count(frame, event, arg):
         nonlocal lines
@@ -331,12 +331,12 @@ def test_closed_rows_are_not_searched_again():
         return count
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == core.__file__ else None)
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is closure else None)
     try:
-        rows = core._closed_rows(n, list(closed))
+        rows = FinitePocSet._from_rows(n, closed)._up
     finally:
         sys.settrace(previous)
-    assert rows == closed
+    assert rows == tuple(closed)
     assert 0 < lines
 
 
