@@ -68,6 +68,16 @@ CASES = {
     "image-z1.json": ("image", "FIX-Z1") + STRUCTURED,
     "safe-hex.txt": ("safe", "FIX-HEX"),
     "closure-hex.txt": ("closure", "FIX-HEX"),
+    # the class layer in full: each fiber's classes below it and its closure
+    "closure-hex.json": ("closure", "FIX-HEX") + STRUCTURED,
+    "safe-hex.json": ("safe", "FIX-HEX") + STRUCTURED,
+    # one family, so the model is not uniform: the principal class is in the
+    # image and the codimension-1 fibers are not closed
+    "report-z1.json": ("report", "FIX-Z1") + REPORT + STRUCTURED,
+    "closure-z1.json": ("closure", "FIX-Z1") + STRUCTURED,
+    "safe-z1.json": ("safe", "FIX-Z1") + STRUCTURED,
+    # all 81 classes of four chains and their covering pairs
+    "boundary-z4.json": ("boundary", "FIX-Z4") + STRUCTURED,
     "restrict-z2.txt": ("restrict", "FIX-Z2", "--direction", "1,1"),
     "restrict-hex.json": (
         "restrict", "FIX-HEX", "--direction", "1,0", "--base", "0,1/2", "--format", "structured",
