@@ -105,7 +105,7 @@ class Signature(Record):
     __slots__ = ("ends",)
 
     def __init__(self, ends: tuple[int, ...]):
-        if any(e not in (FIN, PLUS, MINUS) for e in ends):
+        if ends.count(FIN) + ends.count(PLUS) + ends.count(MINUS) != len(ends):
             raise MalformedInput("signature entries must be -1, 0 or 1", ends)
         self.ends = ends
 
@@ -114,7 +114,7 @@ class Signature(Record):
         return len(self.ends)
 
     def codim(self) -> int:
-        return sum(1 for e in self.ends if e != FIN)
+        return len(self.ends) - self.ends.count(FIN)
 
     def is_principal(self) -> bool:
         return self.codim() == 0
@@ -231,14 +231,10 @@ def class_leq(s1: Signature, s2: Signature) -> bool:
     """
     if len(s1.ends) != len(s2.ends):
         raise ChainCountMismatch(f"{len(s1.ends)} vs {len(s2.ends)}")
-    for a, b in zip(s1.ends, s2.ends):  # a plain loop, for the ~170 calls of a model's report
+    for a, b in zip(s1.ends, s2.ends):
         if a and a != b:  # an end of s1 (FIN is 0) that s2 does not match
             return False
     return True
-
-
-def class_lt(s1: Signature, s2: Signature) -> bool:
-    return s1 != s2 and class_leq(s1, s2)
 
 
 def comparable(s1: Signature, s2: Signature) -> bool:
@@ -294,12 +290,14 @@ class RollerPoset(Record):
 
     def covers(self) -> list[tuple[Signature, Signature]]:
         """Covering pairs (a, b) with a < b and nothing strictly between;
-        in this poset b covers a iff b adds exactly one end to a."""
+        in this poset b covers a iff b sets one FIN chain of a to an end.
+        Pairs come by a, and by b in `all_signatures` order, where setting
+        chain i moves a class 3^(k-1-i) places: MINUS back, PLUS forward."""
+        places = [3 ** (self.k - 1 - i) for i in range(self.k)]
         out = []
-        for a in self.signatures:
-            for b in self.signatures:
-                if class_lt(a, b) and b.codim() == a.codim() + 1:
-                    out.append((a, b))
+        for n, a in enumerate(self.signatures):
+            up = [p for p, e in zip(places, a.ends) if e == FIN]  # descending
+            out += [(a, self.signatures[n + d]) for d in [-p for p in up] + up[::-1]]
         return out
 
     def to_json(self) -> dict:
@@ -534,7 +532,7 @@ def parse_ultrafilter(family: ChainFamily, text: str) -> ChainUltrafilter:
 
 
 def format_signature(s: Signature) -> str:
-    return "(" + ",".join(_END_SYMBOL[e] for e in s.ends) + ")"
+    return "(" + ",".join(map(_END_SYMBOL.__getitem__, s.ends)) + ")"
 
 
 def parse_signature(text: str) -> Signature:

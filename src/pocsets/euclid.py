@@ -13,6 +13,9 @@ at infinity is handled symbolically as critical directions plus open arcs,
 never as a metrized object.  An arc takes its class from its end classes;
 uniformness and the count of wall directions are read off the image.  The
 consistency compile, the image and the escapers read `WallModel.arrangement`.
+A class and its negation escape together, so escape is decided for the
+classes whose first end is PLUS and mirrored; the closure order of the
+image's classes is read off sign masks, one bit per chain and end.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .chains import (
     ChainFamily,
     Signature,
     all_signatures,
-    class_leq,
     comparable,
     format_signature,
 )
@@ -222,10 +224,8 @@ class ImageReport(Record):
     def signatures(self) -> list[Signature]:
         return [e.signature for e in self.entries]
 
-    def contains_class(self, s: Signature) -> bool:
-        return any(e.signature == s for e in self.entries)
-
     def to_json(self) -> dict:
+        text = {c: [str(c[0]), str(c[1])] for c in self.critical_directions}  # each one once
         return {
             "uniform": self.uniform,
             "warning": self.warning,
@@ -234,23 +234,15 @@ class ImageReport(Record):
                     "signature": format_signature(e.signature),
                     "codim": e.signature.codim(),
                     "fibers": [
-                        {"kind": "point", "direction": _vec_json(f.direction)}
+                        {"kind": "point", "direction": text[f.direction]}
                         if f.kind == "point"
-                        else {
-                            "kind": "arc",
-                            "start": _vec_json(f.start),
-                            "end": _vec_json(f.end),
-                        }
+                        else {"kind": "arc", "start": text[f.start], "end": text[f.end]}
                         for f in e.fibers
                     ],
                 }
                 for e in self.entries
             ],
         }
-
-
-def _vec_json(v: Vec) -> list[str]:
-    return [str(v[0]), str(v[1])]
 
 
 def rho_image(model: WallModel) -> ImageReport:
@@ -298,9 +290,9 @@ def _build_image(model: WallModel) -> ImageReport:
     return ImageReport(entries, tuple(criticals), uniform, warning)
 
 
-def eventual_escapers(model: WallModel) -> set[Signature]:
-    """The non-principal classes whose flow ray is eventually strictly
-    increasing in its distance to the consistent set; none is in the image.
+def _escape_verdicts(model: WallModel) -> list[bool]:
+    """Whether each class escapes, in `all_signatures` order; the principal
+    class never does.
 
     With m_i = n_i/s_i, the ray toward s gains D0(s) = min_p |s - Mp|_1 <=
     |supp s| per round of |supp s| flips, so it escapes iff D0(s) = |supp s|.
@@ -310,8 +302,12 @@ def eventual_escapers(model: WallModel) -> set[Signature]:
     e2 and perp(m_j) of each free j.  Each row of u.m_i, up to a positive
     factor, is read off the arrangement as integer pairs (a, b), meaning a +
     b*sqrt3: the normals' coordinates and the cross table's row j, entry i
-    times L/S_i for the lcm L of the spacings.  Classes grow chain by chain,
-    in `all_signatures` order, and each prefix carries every row's x and h."""
+    times L/S_i for the lcm L of the spacings.  The test reads |x|, so s and
+    -s escape together: classes grow chain by chain over the all-FIN prefix
+    and the prefixes whose first end is PLUS, which in `all_signatures` order
+    are the principal class and every class after it, and each prefix carries
+    every row's x and h.  Class i's negation is class 3^k - 1 - i, so the
+    first half of the verdicts is the second half mirrored."""
     kernel = model.arrangement
     steps = [lcm(*kernel.spacings) // s for s in kernel.spacings]
     units = ([n[0] for n in kernel.normals], [n[1] for n in kernel.normals], *kernel.cross)
@@ -320,39 +316,55 @@ def eventual_escapers(model: WallModel) -> set[Signature]:
     def shift(sums, pairs, e):  # sums + e*pairs, row by row
         return [(x + e * a, y + e * b) for (x, y), (a, b) in zip(sums, pairs)]
 
-    level = [((), (), [(0, 0)] * len(rows), [(0, 0)] * len(rows))]  # ends, free chains, x, h
+    zeros = [(0, 0)] * len(rows)
+    level = [(True, (), zeros, zeros)]  # all FIN so far, free chains, x, h
     for i, column in enumerate(zip(*rows)):  # chain i's pair in every row
         size = [(a, b) if sqrt3_sign(a, b) >= 0 else (-a, -b) for a, b in column]
         level = [
-            (ends + (e,), free + (i,), xs, shift(hs, size, 1)) if e == FIN
-            else (ends + (e,), free, shift(xs, column, e), hs)
-            for ends, free, xs, hs in level
-            for e in (MINUS, FIN, PLUS)
+            (fin, free + (i,), xs, shift(hs, size, 1)) if e == FIN
+            else (False, free, shift(xs, column, e), hs)
+            for fin, free, xs, hs in level
+            for e in ((FIN, PLUS) if fin else (MINUS, FIN, PLUS))
         ]
-    escapers = set()
-    for ends, free, xs, hs in level:
-        tests = [(xs[r], hs[r]) for r in (0, 1, *(2 + j for j in free))]  # u = e1, e2, perp(m_j)
-        if len(free) < model.k and all(
+    upper = [
+        not fin and all(
             sqrt3_sign(g - x, h - y) >= 0 and sqrt3_sign(g + x, h + y) >= 0
-            for (x, y), (g, h) in tests
-        ):
-            escapers.add(Signature(ends))
-    return escapers
+            for (x, y), (g, h) in (
+                (xs[r], hs[r]) for r in (0, 1, *(2 + j for j in free))  # u = e1, e2, perp(m_j)
+            )
+        )
+        for fin, free, xs, hs in level
+    ]
+    return upper[:0:-1] + upper
+
+
+def eventual_escapers(model: WallModel) -> set[Signature]:
+    """The non-principal classes whose flow ray is eventually strictly
+    increasing in its distance to the consistent set; none is in the image,
+    and a class escapes iff its negation does.  Read off `_escape_verdicts`."""
+    return {s for s, escapes in zip(all_signatures(model.k), _escape_verdicts(model)) if escapes}
+
+
+def _sign_mask(s: Signature) -> int:
+    """s's PLUS chains at the even bits and its MINUS chains at the odd ones,
+    so s <= t in the closure order iff s's mask is inside t's."""
+    return sum(1 << (2 * i + (e < 0)) for i, e in enumerate(s.ends) if e)
 
 
 def safe_components(signatures: Sequence[Signature]) -> list[list[Signature]]:
     """Connected components of the comparability graph; these are the safe
-    path components of the boundary."""
-    remaining = list(signatures)
+    path components of the boundary.  Two classes compare iff one sign mask
+    holds the other."""
+    remaining = [(s, _sign_mask(s)) for s in signatures]
     components: list[list[Signature]] = []
     while remaining:
         component = [remaining.pop()]
-        for s in component:  # breadth first: the component grows while it is read
+        for _, a in component:  # breadth first: the component grows while it is read
             rest = []
             for t in remaining:
-                (component if comparable(s, t) else rest).append(t)
+                (component if a | t[1] in (a, t[1]) else rest).append(t)
             remaining = rest
-        components.append(sorted(component, key=lambda s: s.ends))
+        components.append(sorted((s for s, _ in component), key=lambda s: s.ends))
     return sorted(components, key=lambda comp: comp[0].ends)
 
 
@@ -393,7 +405,8 @@ def closure_check(model: WallModel) -> ClosureReport:
     closed (no strictly smaller class in the image).
     """
     image = rho_image(model)
-    in_image = {e.signature for e in image.entries}
+    masks = [_sign_mask(e.signature) for e in image.entries]
+    ordered = sorted(zip(image.signatures(), masks), key=lambda p: p[0].ends)
     # arc endpoints are critical directions, whose classes the image holds
     point_class = {
         f.direction: e.signature for e in image.entries for f in e.fibers if f.kind == "point"
@@ -401,14 +414,14 @@ def closure_check(model: WallModel) -> ClosureReport:
     entries = []
     first_violation = None
     codim1_closed = True
-    for e in image.entries:
-        below = sorted((s for s in in_image if class_leq(s, e.signature)), key=lambda s: s.ends)
-        closure_classes = {e.signature}
+    for e, mask in zip(image.entries, masks):
+        below = [s for s, m in ordered if m | mask == mask]
+        closure_classes = {e.signature.ends: e.signature}
         for fiber in e.fibers:
             if fiber.kind == "arc":
-                closure_classes.add(point_class[fiber.start])
-                closure_classes.add(point_class[fiber.end])
-        closure_sorted = sorted(closure_classes, key=lambda s: s.ends)
+                for end in (point_class[fiber.start], point_class[fiber.end]):
+                    closure_classes[end.ends] = end
+        closure_sorted = [closure_classes[ends] for ends in sorted(closure_classes)]
         ok = closure_sorted == below
         if not ok and first_violation is None:
             first_violation = e.signature
@@ -526,14 +539,3 @@ def line_end_incomparability(model: WallModel, line: Line) -> bool:
     a = rho(model, line.direction)
     b = rho(model, negate(line.direction))
     return not comparable(a, b)
-
-
-# ---------------------------------------------------------------------------
-# coordinate cubulations of E^d (no planar geometry needed)
-
-
-def zd_image_signatures(d: int) -> list[Signature]:
-    """Classes realized by boundary directions of the standard cubulation of
-    E^d: sign vectors of non-zero directions, i.e. every non-principal
-    signature."""
-    return [s for s in all_signatures(d) if s.codim() > 0]

@@ -34,7 +34,7 @@ from .chains import (
 )
 from .core import Record
 from .errors import ChainCountMismatch, MalformedInput, NotPrincipal, WindowTooSmall
-from .euclid import WallModel, eventual_escapers, rho_image
+from .euclid import WallModel, _escape_verdicts, rho_image
 from .exactnum import ZERO, ExactNumber, sqrt3_floor, sqrt3_sign
 
 Cuts = tuple[int, ...]
@@ -118,11 +118,6 @@ def is_consistent_set(model: WallModel, halfspaces: Iterable[ChainHalfspace]) ->
     set counts as inconsistent by convention."""
     cons = [_closure_constraint(model, h) for h in halfspaces]
     return bool(cons) and _feasible_point(cons) is not None
-
-
-def is_consistent(model: WallModel, u: ChainUltrafilter) -> bool:
-    """Whether a principal ultrafilter is supported by an actual point."""
-    return model.oracle.consistent(u.int_cuts())
 
 
 def _wrong_length(k: int, cuts: Cuts) -> ChainCountMismatch:
@@ -746,7 +741,10 @@ def surjectivity_report(
     covered image.  Growth and ``escapes`` are exact and window-free: max
     delta over [-W, W]^k is sigma*W up to a constant, where sigma > 0 iff
     the rows n_i/s_i have rank < k, and the column is `eventual_escapers`,
-    with `escaping_ray` as its windowed witness.  Windows are built in the
+    with `escaping_ray` as its windowed witness.  Rows are built by index,
+    zipping `all_signatures` with the escape verdicts, which are decided for
+    the classes whose first end is PLUS and mirrored, since D0(-s) = D0(s);
+    ``in_image`` is read off the image's sign tuples.  Windows are built in the
     ascending order they are reported, so the smallest failing window refuses,
     and they may hold together what three windows at the cap hold."""
     windows = sorted(set(windows))  # a repeated window adds no step
@@ -760,11 +758,10 @@ def surjectivity_report(
         max_delta.append(max_delta_over_window(model, w))
     image = rho_image(model)
     linear = min(2, model.distinct_wall_directions()) < model.k  # rank of n_i/s_i
-    in_image = set(image.signatures())
-    escapers = eventual_escapers(model)
+    in_image = {e.signature.ends for e in image.entries}
     rows = [
-        ClassRow(s, codim, s in in_image, None if codim == 0 else s in escapers)
-        for s in all_signatures(model.k)
+        ClassRow(s, codim, s.ends in in_image, None if codim == 0 else escapes)
+        for s, escapes in zip(all_signatures(model.k), _escape_verdicts(model))
         for codim in (s.codim(),)
     ]
     escaping = [r.signature for r in rows if r.escapes]

@@ -119,3 +119,23 @@ def g2_model():
     from pocsets.formats import chain_family_from_document
 
     return chain_family_from_document(G2_DOCUMENT)[1]
+
+
+def zd_image_signatures(d: int):
+    """Classes realized by boundary directions of the standard cubulation of
+    E^d: sign vectors of non-zero directions, i.e. every non-principal
+    signature."""
+    from pocsets.chains import all_signatures
+
+    return [s for s in all_signatures(d) if s.codim() > 0]
+
+
+def is_consistent(model, u) -> bool:
+    """Whether a principal ultrafilter is supported by an actual point: the
+    model's oracle on its cuts, refused for an end state."""
+    return model.oracle.consistent(u.int_cuts())
+
+
+def contains_class(image, s) -> bool:
+    """Whether a `rho_image` report holds the class s among its entries."""
+    return any(e.signature == s for e in image.entries)

@@ -54,14 +54,13 @@ from pocsets.shadows import (
     enumerate_pi0,
     escaping_ray,
     interval_consistent,
-    is_consistent,
     is_consistent_set,
     shadow,
     shadow_report,
     surjectivity_report,
 )
 
-from conftest import brute_force_ultrafilters, random_pocset
+from conftest import brute_force_ultrafilters, is_consistent, random_pocset
 
 SQRT3 = ExactNumber(0, 1)
 

@@ -26,7 +26,6 @@ from pocsets.chains import (
     class_codim,
     class_gcd,
     class_leq,
-    class_lt,
     delta,
     drop_chains,
     flip,
@@ -228,6 +227,11 @@ def test_codim_counts():
             assert sum(1 for s in sigs if s.codim() == c) == comb(k, c) * 2**c
 
 
+def class_lt(s1: Signature, s2: Signature) -> bool:
+    """The strict closure order, as a test oracle."""
+    return s1 != s2 and class_leq(s1, s2)
+
+
 def test_class_codim_witness():
     assert class_codim(principal(3)) == (0, None)
     codim, witness = class_codim(sig(PLUS, MINUS))
@@ -270,6 +274,26 @@ def test_roller_poset_reports():
     pi = format_signature(principal(2))
     atoms = {b for a, b in blob["covers"] if a == pi}
     assert atoms == {"(+,0)", "(-,0)", "(0,+)", "(0,-)"}
+
+
+def _covers_by_pairs(poset):
+    """`RollerPoset.covers` by its definition over all pairs, as a test
+    oracle: a < b with b one codimension above a."""
+    return [
+        (a, b)
+        for a in poset.signatures
+        for b in poset.signatures
+        if class_lt(a, b) and b.codim() == a.codim() + 1
+    ]
+
+
+def test_roller_covers_match_the_pairwise_definition():
+    # the same pairs in the same order, k = 0..5 (243 classes, 59,049 pairs)
+    for k in range(6):
+        poset = RollerPoset.build(k)
+        covers = poset.covers()
+        assert covers == _covers_by_pairs(poset), k
+        assert len(covers) == 2 * k * 3 ** (k - 1) if k else not covers
 
 
 # ---------------------------------------------------------------------------

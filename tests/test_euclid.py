@@ -28,10 +28,11 @@ from pocsets.euclid import (
     rho_image,
     restrict_to_line,
     safe_components,
-    zd_image_signatures,
 )
 from pocsets.exactnum import ExactNumber, parse_exact
 from pocsets.formats import fixture_model
+
+from conftest import contains_class, zd_image_signatures
 
 SQRT3 = ExactNumber(0, 1)
 
@@ -437,7 +438,7 @@ def test_uniform_images_never_contain_principal(z2, hexmodel):
     ):
         report = rho_image(model)
         assert report.uniform
-        assert not report.contains_class(principal(model.k))
+        assert not contains_class(report, principal(model.k))
 
 
 # ---------------------------------------------------------------------------

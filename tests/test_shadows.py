@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -10,7 +11,7 @@ from operator import mul
 
 import pytest
 
-from conftest import g2_model
+from conftest import g2_model, is_consistent, zd_image_signatures
 from pocsets.chains import (
     FIN,
     MINUS,
@@ -31,7 +32,7 @@ from pocsets.errors import (
     PocError,
     WindowTooSmall,
 )
-from pocsets.euclid import WallFamily, WallModel, eventual_escapers, rho_image, zd_image_signatures
+from pocsets.euclid import WallFamily, WallModel, eventual_escapers, rho_image
 from pocsets.exactnum import ExactNumber, integer_pairs, sqrt3_sign
 from pocsets.formats import fixture_model
 from pocsets.shadows import (
@@ -52,7 +53,6 @@ from pocsets.shadows import (
     enumerate_pi0,
     escaping_ray,
     interval_consistent,
-    is_consistent,
     is_consistent_set,
     max_delta_over_window,
     shadow,
@@ -1323,17 +1323,113 @@ def _escapers_by_class(model):
     return escapers
 
 
+def _class_layer_models():
+    """The fixtures with geometry, G~2 and the 200 models above."""
+    models = [fixture_model("FIX-HEX"), fixture_model("FIX-Z2"), fixture_model("FIX-Z1"), g2_model()]
+    return models + [model for _, model in _escaper_test_models()]
+
+
 def test_eventual_escapers_match_per_class_sums():
-    # the chain-by-chain walk against the per-class sums, on the fixtures
-    # and the 200 models above
-    models = [fixture_model("FIX-HEX"), fixture_model("FIX-Z2")]
-    models += [model for _, model in _escaper_test_models()]
+    # the walk over half the classes against the per-class sums, on the
+    # fixtures, G~2 and the 200 models above; a class escapes iff its
+    # negation does
+    models = _class_layer_models()
     sizes = set()
     for model in models:
         escapers = eventual_escapers(model)
         assert escapers == _escapers_by_class(model), model
+        assert escapers == {sig(*(-e for e in s.ends)) for s in escapers}, model
         sizes.add(len(escapers))
     assert len(eventual_escapers(models[0])) == 26 - 12 and len(sizes) > 3
+
+
+def test_report_rows_match_per_class_reads():
+    # every row, in `all_signatures` order, against the class itself, the
+    # image's classes and the per-class escapers (None for the principal);
+    # rows read only normals and spacings, so each model is reported with
+    # its offsets set to 0, where window 0 holds a consistent tuple
+    from pocsets.chains import all_signatures
+
+    for given in _class_layer_models():
+        families = tuple(WallFamily(f.normal, f.spacing) for f in given.families)
+        model = WallModel(given.chains, families)
+        escapers = _escapers_by_class(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # all-parallel models warn
+            image = rho_image(model).signatures()
+            rows = surjectivity_report(model, windows=(0,)).classes
+        assert [r.signature for r in rows] == all_signatures(model.k)
+        for r in rows:
+            s = r.signature
+            escapes = None if s.is_principal() else s in escapers
+            assert (r.codim, r.in_image, r.escapes) == (s.codim(), s in image, escapes), (model, s)
+
+
+def _closure_by_class_leq(model):
+    """`closure_check` by `class_leq` on every pair of image classes, as a
+    test oracle: each fiber's classes below it, sorted, against the sorted
+    classes of its closure."""
+    from pocsets.chains import class_leq
+    from pocsets.euclid import ClosureEntry, ClosureReport
+
+    image = rho_image(model)
+    in_image = {e.signature for e in image.entries}
+    point_class = {
+        f.direction: e.signature for e in image.entries for f in e.fibers if f.kind == "point"
+    }
+    entries = []
+    first_violation = None
+    codim1_closed = True
+    for e in image.entries:
+        below = sorted((s for s in in_image if class_leq(s, e.signature)), key=lambda s: s.ends)
+        closure_classes = {e.signature}
+        for fiber in e.fibers:
+            if fiber.kind == "arc":
+                closure_classes.add(point_class[fiber.start])
+                closure_classes.add(point_class[fiber.end])
+        closure_sorted = sorted(closure_classes, key=lambda s: s.ends)
+        ok = closure_sorted == below
+        if not ok and first_violation is None:
+            first_violation = e.signature
+        if e.signature.codim() == 1 and len(below) != 1:
+            codim1_closed = False
+        entries.append(ClosureEntry(e.signature, below, closure_sorted, ok))
+    return ClosureReport(entries, first_violation is None, codim1_closed, first_violation)
+
+
+def _components_by_comparable(signatures):
+    """`safe_components` by `comparable` on pairs of classes, as a test
+    oracle."""
+    from pocsets.chains import comparable
+
+    remaining = list(signatures)
+    components = []
+    while remaining:
+        component = [remaining.pop()]
+        for s in component:
+            rest = []
+            for t in remaining:
+                (component if comparable(s, t) else rest).append(t)
+            remaining = rest
+        components.append(sorted(component, key=lambda s: s.ends))
+    return sorted(components, key=lambda comp: comp[0].ends)
+
+
+def test_closure_and_safe_components_match_class_leq():
+    # the order read off sign masks against `class_leq`, on the image of
+    # every class-layer model; the 200 models hold failed closures too
+    from pocsets.euclid import closure_check, safe_components
+
+    outcomes = set()
+    for model in _class_layer_models():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # all-parallel models warn
+            report = closure_check(model)
+            assert report == _closure_by_class_leq(model), model
+            image = rho_image(model).signatures()
+        assert safe_components(image) == _components_by_comparable(image), model
+        outcomes.add((report.ok, report.codim1_closed))
+    assert len(outcomes) > 1
 
 
 def test_certified_escapers_rays_strictly_increase():
