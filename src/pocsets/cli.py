@@ -16,10 +16,9 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 from . import __version__
-from .errors import AxiomViolation, MalformedInput, NonUniformModelWarning, PocError
+from .errors import AxiomViolation, MalformedInput, PocError
 
 SCHEMA = "pocsets/1"
 # the most random poc-sets `dual --samples` checks: about 0.23 s at 4000 on
@@ -372,10 +371,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            # a non-uniform model is answered, not refused: no warning on stderr
-            warnings.simplefilter("ignore", NonUniformModelWarning)
-            status = args.handler(args)
+        status = args.handler(args)
         sys.stdout.flush()
         return status
     except PocError as exc:

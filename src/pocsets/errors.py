@@ -137,8 +137,3 @@ class LineInsideWall(PocError):
 
 class WindowTooSmall(PocError):
     code = "window-too-small"
-
-
-class NonUniformModelWarning(UserWarning):
-    """The queried model misses a uniformness requirement; results may
-    include the principal class where a uniform model could not."""

@@ -20,10 +20,9 @@ image's classes is read off sign masks, one bit per chain and end.
 
 from __future__ import annotations
 
-import warnings
 from functools import cached_property
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .chains import (
     FIN,
@@ -36,7 +35,7 @@ from .chains import (
     format_signature,
 )
 from .core import Record
-from .errors import LineInsideWall, MalformedInput, NonUniformModelWarning, ZeroDirection
+from .errors import LineInsideWall, MalformedInput, ZeroDirection
 from .exactnum import ZERO, ExactNumber, Rationalish, integer_pairs, sqrt3_sign
 
 Vec = tuple[ExactNumber, ExactNumber]
@@ -44,10 +43,6 @@ Vec = tuple[ExactNumber, ExactNumber]
 
 def dot(u: Vec, v: Vec) -> ExactNumber:
     return u[0] * v[0] + u[1] * v[1]
-
-
-def cross(u: Vec, v: Vec) -> ExactNumber:
-    return u[0] * v[1] - u[1] * v[0]
 
 
 def perp(v: Vec) -> Vec:
@@ -175,14 +170,6 @@ class WallModel:
         """Parallel classes of the normals: the image's ± pairs of critical directions."""
         return len(self.image.critical_directions) // 2 if self.k else 0
 
-    def is_uniform(self) -> tuple[bool, Optional[str]]:
-        """Structural uniformness: chains are two-way infinite by
-        construction, so the only obstruction is a direction perpendicular
-        to every family, i.e. all normals parallel; read off the image."""
-        if self.k == 0:
-            return False, "no wall families"
-        return self.image.uniform, self.image.warning
-
 
 # ---------------------------------------------------------------------------
 # the decomposition map
@@ -250,15 +237,11 @@ def rho_image(model: WallModel) -> ImageReport:
     some family) and the open arcs between consecutive ones, with the class
     realized on each piece; at most 4d classes for d wall directions.
 
-    Built once per model and kept as `WallModel.image`; a non-uniform model
-    warns on every call."""
-    image = model.image
-    if not image.uniform:
-        warnings.warn(
-            f"model is not uniform ({image.warning}); rho may take the principal class",
-            NonUniformModelWarning,
-        )
-    return image
+    Built once per model and kept as `WallModel.image`.  A non-uniform
+    model (all normals parallel, so rho may take the principal class) is
+    answered, not refused: its report reads `uniform` false and says why in
+    `warning`."""
+    return model.image
 
 
 def _build_image(model: WallModel) -> ImageReport:
@@ -529,13 +512,8 @@ def _integer_multiple(diff: ExactNumber, step: ExactNumber) -> bool:
 
 def line_end_incomparability(model: WallModel, line: Line) -> bool:
     """Whether the classes of the two ends of a line are incomparable; true
-    for every line of a uniform model."""
-    uniform, reason = model.is_uniform()
-    if not uniform:
-        warnings.warn(
-            f"model is not uniform ({reason}); line ends may compare",
-            NonUniformModelWarning,
-        )
+    for every line of a uniform model, while on a non-uniform one (see
+    `ImageReport.uniform`) the ends may compare."""
     a = rho(model, line.direction)
     b = rho(model, negate(line.direction))
     return not comparable(a, b)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .euclid import WallModel, cross
+from .euclid import WallModel
 from .shadows import ShadowReport, _feasible_point, _slab_constraints
 
 
@@ -50,9 +50,10 @@ def _virtual_position(model: WallModel, cuts):
         (nx, ny), level = fam.normal, fam.wall_level(cut) - fam.spacing / 2
         return [(nx, ny, level), (-nx, -ny, -level)]
 
+    cross = model.arrangement.cross  # zero iff i and j are parallel
     for i, j in combinations(range(model.k), 2):
-        f, g = model.families[i], model.families[j]
-        if not cross(f.normal, g.normal).is_zero():
+        if any(cross[i][j]):
+            f, g = model.families[i], model.families[j]
             return _feasible_point(mid_line(f, cuts[i]) + mid_line(g, cuts[j]))
     return None
 

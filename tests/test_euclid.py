@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
 
 from pocsets.chains import FIN, MINUS, PLUS, comparable, class_leq, sig
-from pocsets.errors import LineInsideWall, MalformedInput, NonUniformModelWarning, ZeroDirection
+from pocsets.errors import LineInsideWall, MalformedInput, ZeroDirection
 from pocsets.euclid import (
     ArcFiber,
     ImageEntry,
@@ -18,7 +17,6 @@ from pocsets.euclid import (
     PointFiber,
     WallModel,
     closure_check,
-    cross,
     dot,
     line_end_incomparability,
     negate,
@@ -177,13 +175,11 @@ def test_random_rational_model_image_size():
 
 
 def test_single_family_image_flags_non_uniform(z1):
-    # the image is built once per model, but every call warns
-    for _ in range(2):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = rho_image(z1)
-        assert any(issubclass(w.category, NonUniformModelWarning) for w in caught)
+    # non-uniformness is reported in the image's fields, built once per model
+    report = rho_image(z1)
+    assert rho_image(z1) is report
     assert not report.uniform
+    assert report.warning == "all wall normals are parallel"
     sigs = {tuple(s.ends) for s in report.signatures()}
     assert sigs == {(0,), (1,), (-1,)}  # the principal class appears, honestly
 
@@ -328,11 +324,8 @@ def test_line_end_incomparability_fixtures(z2, hexmodel):
             assert line_end_incomparability(model, Line(vec(x, y)))
 
 
-def test_line_ends_warn_on_non_uniform(z1):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ok = line_end_incomparability(z1, Line(vec(0, 1)))
-    assert any(issubclass(w.category, NonUniformModelWarning) for w in caught)
+def test_line_ends_compare_on_non_uniform(z1):
+    ok = line_end_incomparability(z1, Line(vec(0, 1)))
     assert not ok  # both ends take the principal class
 
 
@@ -446,6 +439,10 @@ def test_uniform_images_never_contain_principal(z2, hexmodel):
 # and the comparator sort they replaced
 
 
+def cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def _angular_cmp(u, v):
     """Counterclockwise order from (1,0) by half circle, then cross product."""
     half = lambda w: 0 if w[1].sign() > 0 or (w[1].is_zero() and w[0].sign() > 0) else 1
@@ -518,10 +515,11 @@ def test_critical_directions_match_the_pairwise_search():
         assert model.image.critical_directions == tuple(_pairwise_criticals(model))
         directions = _pairwise_direction_count(model)
         assert model.distinct_wall_directions() == directions
+        image = model.image
         if directions >= 2:
-            assert model.is_uniform() == (True, None)
+            assert (image.uniform, image.warning) == (True, None)
         else:
-            assert model.is_uniform() == (False, "all wall normals are parallel")
+            assert (image.uniform, image.warning) == (False, "all wall normals are parallel")
         parallel += directions < model.k
     assert parallel > 100
 
@@ -531,7 +529,6 @@ def test_a_model_without_families_has_no_directions():
 
     model = WallModel(ChainFamily(()), ())
     assert model.distinct_wall_directions() == 0
-    assert model.is_uniform() == (False, "no wall families")
     with pytest.raises(MalformedInput, match="a wall model needs at least one family"):
         rho_image(model)
 
@@ -541,7 +538,5 @@ def test_image_and_closure_match_the_pairwise_search():
         reference = _pairwise_image(model)
         twin = WallModel(model.chains, model.families)
         twin.__dict__["image"] = reference  # what `cached_property` would keep
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonUniformModelWarning)
-            assert rho_image(model).to_json() == reference.to_json()
-            assert closure_check(model).to_json() == closure_check(twin).to_json()
+        assert rho_image(model).to_json() == reference.to_json()
+        assert closure_check(model).to_json() == closure_check(twin).to_json()

@@ -89,6 +89,8 @@ CASES = {
 def test_cli_output_matches_golden(name):
     proc = run_cli(*CASES[name])
     assert proc.stdout == (GOLDEN / name).read_text()
+    # an answered command, a non-uniform model's included, writes nothing else
+    assert proc.stderr == ""
 
 
 SHADOWS_W4 = ("shadows", "FIX-HEX", "--window", "4")

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import inspect
 import random
-import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -1185,8 +1184,6 @@ def test_growth_flags_follow_the_rank_of_the_normals():
     # rank M < k: exactly one flag, whatever the windows, also where max
     # delta grows unevenly (e.g. [4, 9, 13] at 3, 6, 9); at k <= 2 the
     # bounded side shows, and parallel normals give rank 1 < k
-    import warnings
-
     rng = random.Random(7)
     answered = Counter()
     for n in range(100):
@@ -1195,9 +1192,7 @@ def test_growth_flags_follow_the_rank_of_the_normals():
         angles = [rng.randrange(12) if n < 60 else rng.choice((0, 3, rng.randrange(12))) for _ in range(k)]
         model = _wall_model(rng, angles)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # all-parallel models warn
-                report = surjectivity_report(model, windows)
+            report = surjectivity_report(model, windows)
         except WindowTooSmall:
             continue
         linear = report.delta_linear_growth
@@ -1354,10 +1349,8 @@ def test_report_rows_match_per_class_reads():
         families = tuple(WallFamily(f.normal, f.spacing) for f in given.families)
         model = WallModel(given.chains, families)
         escapers = _escapers_by_class(model)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # all-parallel models warn
-            image = rho_image(model).signatures()
-            rows = surjectivity_report(model, windows=(0,)).classes
+        image = rho_image(model).signatures()
+        rows = surjectivity_report(model, windows=(0,)).classes
         assert [r.signature for r in rows] == all_signatures(model.k)
         for r in rows:
             s = r.signature
@@ -1422,11 +1415,9 @@ def test_closure_and_safe_components_match_class_leq():
 
     outcomes = set()
     for model in _class_layer_models():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # all-parallel models warn
-            report = closure_check(model)
-            assert report == _closure_by_class_leq(model), model
-            image = rho_image(model).signatures()
+        report = closure_check(model)
+        assert report == _closure_by_class_leq(model), model
+        image = rho_image(model).signatures()
         assert safe_components(image) == _components_by_comparable(image), model
         outcomes.add((report.ok, report.codim1_closed))
     assert len(outcomes) > 1
@@ -1441,7 +1432,7 @@ def test_certified_escapers_rays_strictly_increase():
     models = [fixture_model("FIX-HEX")]
     while len(models) < 9:
         model = _wall_model(rng, [rng.randrange(12) for _ in range(3)])
-        if model.is_uniform()[0]:
+        if model.image.uniform:
             models.append(model)
     checked = 0
     for model in models:
@@ -1478,11 +1469,7 @@ def test_repeated_windows_sweep_once(hexmodel):
 
 
 def test_surjectivity_z1_flags_non_uniform(z1):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = surjectivity_report(z1, windows=(3, 5))
+    report = surjectivity_report(z1, windows=(3, 5))
     assert not report.uniform
     assert report.delta_bounded
     assert report.escaping_classes == []
