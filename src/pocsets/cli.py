@@ -5,9 +5,13 @@ seed produces byte-identical output.  Structured output is versioned JSON on
 stdout; domain errors become one-line JSON diagnostics on stderr with exit
 code 1, usage errors exit 2.
 
-Start-up is most of a fixture-sized run, so this module imports only what
-parsing and error reporting need, and each handler imports the layers it
-calls on first use: `pocsets validate` never loads a planar module.
+The input has one path: `build_parser` names each subcommand's loader,
+`main` loads the document inside its error handling and hands the loaded
+object to the handler, and a handler only computes and prints.
+
+Start-up is most of a fixture-sized run, so importing this module loads no
+layer: the parser imports the loaders, and each handler imports the layers
+it calls on first use, so `pocsets validate` never loads a planar module.
 """
 
 from __future__ import annotations
@@ -42,21 +46,16 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 # subcommand handlers
 
 
-def cmd_validate(args) -> int:
-    from .formats import load_pocset, pocset_to_document
+def cmd_validate(args, p) -> None:
+    from .formats import pocset_to_document
 
-    p = load_pocset(args.input)
     if args.format == "text":
         print(f"valid poc-set: {p.n_pairs} proper pairs")
     else:
         _emit(args, {"valid": True, "pairs": p.n_pairs, "document": pocset_to_document(p)})
-    return 0
 
 
-def cmd_ultrafilters(args) -> int:
-    from .formats import load_pocset
-
-    p = load_pocset(args.input)
+def cmd_ultrafilters(args, p) -> None:
     ufs = p.ultrafilters()
     if args.format == "text":
         for u in ufs:
@@ -64,14 +63,11 @@ def cmd_ultrafilters(args) -> int:
     else:
         ultrafilters = [[p.name(e) for e in u.sorted_members()] for u in ufs]
         _emit(args, {"count": len(ufs), "ultrafilters": ultrafilters})
-    return 0
 
 
-def cmd_cubing(args) -> int:
+def cmd_cubing(args, p) -> None:
     from .cubing import build_cubing
-    from .formats import load_pocset
 
-    p = load_pocset(args.input)
     complex_ = build_cubing(p)
     if args.format == "dot":
         sys.stdout.write(complex_.to_dot())
@@ -83,22 +79,20 @@ def cmd_cubing(args) -> int:
         )
     else:
         _emit(args, {"complex": complex_.to_json()})
-    return 0
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args, p) -> None:
     import random
 
     from .core import FinitePocSet
     from .cubing import duality_roundtrip
-    from .formats import load_pocset, pocset_to_document
+    from .formats import pocset_to_document
 
     if args.samples < 0:
         raise MalformedInput("sample count must be non-negative", args.samples)
     if args.samples > MAX_SAMPLES:
         message = f"sample count {args.samples} is above the cap of {MAX_SAMPLES}"
         raise MalformedInput(message, args.samples)
-    p = load_pocset(args.input)
     report = duality_roundtrip(p)
     rng = random.Random(args.seed)
     sampled = 0
@@ -128,14 +122,13 @@ def cmd_dual(args) -> int:
                 "random_samples_passed": sampled,
             },
         )
-    return 0
 
 
-def cmd_boundary(args) -> int:
+def cmd_boundary(args, loaded) -> None:
     from .chains import RollerPoset, format_signature
-    from .formats import chain_family_to_document, load_chain_family
+    from .formats import chain_family_to_document
 
-    family, model = load_chain_family(args.input)
+    family, model = loaded
     poset = RollerPoset.build(family.k)
     if args.format == "text":
         for s in poset.signatures:
@@ -148,31 +141,25 @@ def cmd_boundary(args) -> int:
                 "poset": poset.to_json(),
             },
         )
-    return 0
 
 
-def cmd_rho(args) -> int:
+def cmd_rho(args, model) -> None:
     from .chains import format_signature
     from .euclid import rho
     from .exactnum import parse_exact_pair
-    from .formats import load_wall_model
 
-    model = load_wall_model(args.input)
     xi = parse_exact_pair(args.direction)
     signature = rho(model, xi)
     if args.format == "text":
         print(format_signature(signature))
     else:
         _emit(args, {"direction": args.direction, "class": format_signature(signature)})
-    return 0
 
 
-def cmd_image(args) -> int:
+def cmd_image(args, model) -> None:
     from .chains import format_signature
     from .euclid import rho_image
-    from .formats import load_wall_model
 
-    model = load_wall_model(args.input)
     report = rho_image(model)
     if args.format == "text":
         for e in report.entries:
@@ -180,15 +167,12 @@ def cmd_image(args) -> int:
             print(f"{format_signature(e.signature)} fibers={kinds}")
     else:
         _emit(args, {"image": report.to_json()})
-    return 0
 
 
-def cmd_safe(args) -> int:
+def cmd_safe(args, model) -> None:
     from .chains import format_signature
     from .euclid import rho_image, safe_components
-    from .formats import load_wall_model
 
-    model = load_wall_model(args.input)
     comps = safe_components(rho_image(model).signatures())
     if args.format == "text":
         for i, comp in enumerate(comps):
@@ -203,28 +187,22 @@ def cmd_safe(args) -> int:
                 ],
             },
         )
-    return 0
 
 
-def cmd_closure(args) -> int:
+def cmd_closure(args, model) -> None:
     from .euclid import closure_check
-    from .formats import load_wall_model
 
-    model = load_wall_model(args.input)
     report = closure_check(model)
     if args.format == "text":
         print(f"closure formula: {'ok' if report.ok else 'violated'}")
     else:
         _emit(args, {"closure": report.to_json()})
-    return 0
 
 
-def cmd_restrict(args) -> int:
+def cmd_restrict(args, model) -> None:
     from .euclid import Line, line_end_incomparability, restrict_to_line
     from .exactnum import parse_exact_pair
-    from .formats import load_wall_model
 
-    model = load_wall_model(args.input)
     direction = parse_exact_pair(args.direction)
     base = parse_exact_pair(args.base)
     line = Line(direction, base)
@@ -243,14 +221,11 @@ def cmd_restrict(args) -> int:
                 "ends_incomparable": incomparable,
             },
         )
-    return 0
 
 
-def cmd_shadows(args) -> int:
-    from .formats import load_wall_model
+def cmd_shadows(args, model) -> None:
     from .shadows import ChainUltrafilter, shadow_report
 
-    model = load_wall_model(args.input)
     u = ChainUltrafilter(_parse_ints(args.cuts, "cut tuple"))
     report = shadow_report(model, u, args.window)
     if args.format == "svg":
@@ -264,15 +239,12 @@ def cmd_shadows(args) -> int:
         )
     else:
         _emit(args, {"report": report.to_json()})
-    return 0
 
 
-def cmd_escape(args) -> int:
+def cmd_escape(args, model) -> None:
     from .chains import format_signature, parse_signature
-    from .formats import load_wall_model
     from .shadows import escaping_ray
 
-    model = load_wall_model(args.input)
     target = parse_signature(args.target)
     report = escaping_ray(model, target, args.length, args.window)
     if args.format == "text":
@@ -280,14 +252,11 @@ def cmd_escape(args) -> int:
         print(f"{format_signature(target)}: {state}")
     else:
         _emit(args, {"ray": report.to_json()})
-    return 0
 
 
-def cmd_report(args) -> int:
-    from .formats import load_wall_model
+def cmd_report(args, model) -> None:
     from .shadows import surjectivity_report
 
-    model = load_wall_model(args.input)
     if args.window is not None:
         # a three-step sweep that never passes the window asked for
         step = max(1, args.window // 3)
@@ -305,13 +274,14 @@ def cmd_report(args) -> int:
         print(f"escaping ray: {'yes' if report.escaping_classes else 'no'}")
     else:
         _emit(args, {"report": report.to_json()})
-    return 0
 
 
 # ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .formats import load_chain_family, load_pocset, load_wall_model
+
     parser = argparse.ArgumentParser(
         prog="pocsets",
         description="poc-sets, dual cubings, Roller boundaries and wall models",
@@ -319,25 +289,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_, fmt=("text", "structured")):
+    def add(name, handler, help_, load=load_wall_model, fmt=("text", "structured")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="input file or fixture name")
         p.add_argument("--format", choices=fmt, default="text")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, load=load)
         return p
 
-    add("validate", cmd_validate, "validate a poc-set file")
-    add("ultrafilters", cmd_ultrafilters, "enumerate the ultrafilters")
+    add("validate", cmd_validate, "validate a poc-set file", load_pocset)
+    add("ultrafilters", cmd_ultrafilters, "enumerate the ultrafilters", load_pocset)
     add(
         "cubing",
         cmd_cubing,
         "build the dual cube complex",
+        load_pocset,
         fmt=("text", "structured", "dot"),
     )
-    dual = add("dual", cmd_dual, "verify the duality round-trip")
+    dual = add("dual", cmd_dual, "verify the duality round-trip", load_pocset)
     dual.add_argument("--samples", type=int, default=0, help="extra random poc-sets")
     dual.add_argument("--seed", type=int, default=0, help="seed for sampling")
-    add("boundary", cmd_boundary, "the Roller boundary poset of a chain family")
+    add("boundary", cmd_boundary, "the Roller boundary poset of a chain family", load_chain_family)
     rho_p = add("rho", cmd_rho, "boundary class of a direction")
     rho_p.add_argument("--direction", required=True, help="exact pair, e.g. 1,0")
     add("image", cmd_image, "the image of rho with its fibers")
@@ -371,9 +342,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.handler(args)
+        args.handler(args, args.load(args.input))
         sys.stdout.flush()
-        return status
+        return 0
     except PocError as exc:
         print(json.dumps(exc.diagnostic(), sort_keys=True), file=sys.stderr)
         return 1

@@ -35,10 +35,6 @@ class Cube(Record):
         self.base = base
         self.pairs = pairs
 
-    @property
-    def dim(self) -> int:
-        return len(self.pairs)
-
 
 class Wall(Record):
     """One wall of the complex: its labelled edges and vertex bipartition."""

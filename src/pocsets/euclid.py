@@ -486,28 +486,18 @@ def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
             origin = (fam.offset - base_level) / speed
             progression[i] = (origin, step)
 
-    # merge families whose crossing sets coincide
-    merged: list[list[int]] = []
-    collapse: dict[int, int] = {}
+    # merge families whose crossing sets coincide: the sets {origin + n*step}
+    # agree exactly when |step| and the fractional part of origin/|step| do
+    chains: dict[tuple[ExactNumber, ExactNumber], list[int]] = {}
     for i, (origin, step) in progression.items():
-        for cid, chain in enumerate(merged):
-            o2, s2 = progression[chain[0]]
-            if abs(step) == abs(s2) and _integer_multiple(origin - o2, abs(step)):
-                chain.append(i)
-                break
-        else:
-            cid = len(merged)
-            merged.append([i])
-        collapse[i] = cid
+        phase = origin / abs(step)
+        chains.setdefault((abs(step), phase - phase.floor()), []).append(i)
+    merged = list(chains.values())
+    collapse = {i: cid for cid, chain in enumerate(merged) for i in chain}
 
     return LineRestrictionReport(
         sorted(progression), trivial_cuts, merged, collapse, rho(model, d), rho(model, negate(d))
     )
-
-
-def _integer_multiple(diff: ExactNumber, step: ExactNumber) -> bool:
-    ratio = diff / step
-    return ratio.q == 0 and ratio.d == 1
 
 
 def line_end_incomparability(model: WallModel, line: Line) -> bool:

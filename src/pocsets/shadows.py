@@ -419,8 +419,9 @@ def window_field(model: WallModel, bound: int) -> WindowField:
     the next one is, and k turns restore its order.  A table with no
     positive entry (Pi0 fills the window) is not swept."""
     fields = model.oracle.fields
-    if bound in fields:
-        return fields[bound]
+    field = fields.get(bound)  # one read: another thread may drop the key
+    if field is not None:
+        return field
     rows = _pi0_rows(model, bound)
     if not any(rows):
         raise WindowTooSmall(f"no consistent tuple inside window {bound}", bound)
@@ -446,9 +447,13 @@ def window_field(model: WallModel, bound: int) -> WindowField:
             for i, x in enumerate(ends):
                 turned[i::n] = table[x : x + m]
             table = turned
-    kept = len(table) + sum(len(f.distance_table) for f in fields.values())
-    while kept > 3 * MAX_WINDOW_TUPLES:  # the oldest field first
-        kept -= len(fields.pop(next(iter(fields))).distance_table)
+    snapshot = list(fields.items())  # other threads may add and drop fields meanwhile
+    kept = len(table) + sum(len(f.distance_table) for _, f in snapshot)
+    for key, old in snapshot:  # the oldest field first
+        if kept <= 3 * MAX_WINDOW_TUPLES:
+            break
+        fields.pop(key, None)
+        kept -= len(old.distance_table)
     field = fields[bound] = WindowField(bound, model.k, table, rows)
     return field
 

@@ -540,3 +540,41 @@ def test_no_module_imports_dataclasses():
             if any(m.partition(".")[0] == "dataclasses" for m in modules):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_handlers_only_compute_and_print():
+    # one input path: `main` is the only function that calls a loader, and a
+    # handler neither imports a loader, reads the input argument nor returns
+    # a value
+    import ast
+
+    from pocsets import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    handlers, loading = [], set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if fn.name.startswith("cmd_"):
+            handlers.append(fn.name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "load" or name.startswith("load_"):
+                    loading.add(fn.name)
+            if not fn.name.startswith("cmd_"):
+                continue
+            if isinstance(node, ast.ImportFrom):
+                assert not [a.name for a in node.names if a.name.startswith("load_")], fn.name
+            assert not (isinstance(node, ast.Return) and node.value is not None), fn.name
+            assert not (isinstance(node, ast.Attribute) and node.attr == "input"), fn.name
+    assert len(handlers) == 13
+    assert loading == {"main"}
+
+
+def test_dual_reads_its_document_before_the_sample_count(capsys):
+    from pocsets.cli import main
+
+    assert main(["dual", "FIX-Z2", "--samples", "-1"]) == 1
+    assert "not a poc-set document" in json.loads(capsys.readouterr().err)["message"]

@@ -306,6 +306,69 @@ def test_restrict_irrational_slope(z2):
     assert rep.commutes
 
 
+def _pairwise_merge(model, line):
+    # the reference: a family joins the first chain whose first family has
+    # the same |step| and crosses the line a whole number of steps away
+    progression = {}
+    for i, fam in enumerate(model.families):
+        speed = dot(fam.normal, line.direction)
+        if not speed.is_zero():
+            origin = (fam.offset - dot(fam.normal, line.basepoint)) / speed
+            progression[i] = (origin, fam.spacing / speed)
+    merged, collapse = [], {}
+    for i, (origin, step) in progression.items():
+        for cid, chain in enumerate(merged):
+            o2, s2 = progression[chain[0]]
+            ratio = (origin - o2) / abs(step)
+            if abs(step) == abs(s2) and ratio.q == 0 and ratio.d == 1:
+                chain.append(i)
+                break
+        else:
+            cid = len(merged)
+            merged.append([i])
+        collapse[i] = cid
+    return merged, collapse
+
+
+def test_restrict_merges_as_the_pairwise_rule():
+    # generated models and lines, √3 normals, directions and irrational
+    # basepoints included, drawn from small sets so that crossing sets often
+    # coincide
+    from pocsets.chains import ChainFamily
+    from pocsets.euclid import WallFamily
+
+    rng = random.Random(33)
+    r3 = SQRT3
+    normals = [vec(1, 0), vec(0, 1), vec(1, 1), vec(-1, 1), vec(2, 0), vec(-1, 0)]
+    normals += [(ex(1), r3), (r3, ex(1)), (r3 / 2, ex(Fraction(1, 2)))]
+    rationals = [0, 1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3)]
+    coords = [ex(0), ex(Fraction(1, 3)), r3 / 2, r3 + 1, ex(Fraction(7, 5))]
+    directions = [vec(1, 0), vec(0, 1), vec(1, 1), vec(2, -1), (ex(1), r3), (r3, ex(1))]
+    lines = merges = 0
+    for _ in range(150):
+        k = rng.randint(2, 5)
+        families = tuple(
+            WallFamily(
+                rng.choice(normals),
+                rng.choice([r for r in rationals if r > 0]),
+                rng.choice(rationals),
+            )
+            for _ in range(k)
+        )
+        model = WallModel(ChainFamily(tuple(f"c{i}" for i in range(k))), families)
+        for _ in range(4):
+            line = Line(rng.choice(directions), (rng.choice(coords), rng.choice(coords)))
+            try:
+                rep = restrict_to_line(model, line)
+            except LineInsideWall:
+                continue
+            merged, collapse = _pairwise_merge(model, line)
+            assert rep.merged_chains == merged and rep.collapse == collapse
+            lines += 1
+            merges += len(collapse) - len(merged)
+    assert lines > 400 and merges > 40
+
+
 def test_restrict_rejects_line_on_wall(z2):
     with pytest.raises(LineInsideWall):
         restrict_to_line(z2, Line(vec(1, 0), basepoint=vec(0, 2)))

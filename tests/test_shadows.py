@@ -1632,6 +1632,59 @@ def test_kept_fields_are_bounded(monkeypatch):
     assert list(model.oracle.fields) == [5, 6, 7, 8, 9]
 
 
+def test_a_kept_field_is_read_once():
+    # a field dropped by another thread between a membership test and a
+    # read is a miss, built again, not a KeyError
+    class Dropping(dict):
+        def __contains__(self, key):
+            found = super().__contains__(key)
+            self.pop(key, None)
+            return found
+
+    model = fixture_model("FIX-Z1")
+    three = window_field(model, 3)
+    model.oracle.fields = Dropping(model.oracle.fields)
+    assert window_field(model, 3) is three
+
+
+def test_threads_share_a_models_fields(monkeypatch):
+    # four threads read, build and evict one model's fields at once: the cap
+    # is FIX-Z1's window 10 (21 tuples), so most new fields evict, and the
+    # threads switch every microsecond; each runs 0.3 s
+    import sys
+    import threading
+    import time
+
+    import pocsets.shadows
+
+    monkeypatch.setattr(pocsets.shadows, "MAX_WINDOW_TUPLES", 21)
+    model = fixture_model("FIX-Z1")
+    errors = []
+    deadline = time.perf_counter() + 0.3
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            while time.perf_counter() < deadline:
+                bound = rng.randint(0, 10)
+                assert window_field(model, bound).bound == bound
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
 def test_canonical_start(z2, hexmodel):
     assert canonical_start(z2, 4).cuts == (0, 0)
     assert canonical_start(hexmodel, 4).cuts == (0, 0, 0)
