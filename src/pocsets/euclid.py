@@ -357,21 +357,24 @@ class ClosureEntry(Record):
 
 
 class ClosureReport(Record):
+    """Every class a report lists, below a fiber, in its closure or as the
+    first violation, is a class of the image, so `to_json` formats each
+    entry's class once and reads the lists off those texts."""
+
     __slots__ = ("entries", "ok", "codim1_closed", "first_violation")
     __hash__ = None
 
     def to_json(self) -> dict:
+        texts = {e.signature.ends: format_signature(e.signature) for e in self.entries}
         return {
             "ok": self.ok,
             "codim1_closed": self.codim1_closed,
-            "first_violation": format_signature(self.first_violation)
-            if self.first_violation
-            else None,
+            "first_violation": texts[self.first_violation.ends] if self.first_violation else None,
             "fibers": [
                 {
-                    "signature": format_signature(e.signature),
-                    "below_in_image": [format_signature(s) for s in e.below_in_image],
-                    "closure_adds": [format_signature(s) for s in e.closure_classes],
+                    "signature": texts[e.signature.ends],
+                    "below_in_image": [texts[s.ends] for s in e.below_in_image],
+                    "closure_adds": [texts[s.ends] for s in e.closure_classes],
                     "ok": e.ok,
                 }
                 for e in self.entries

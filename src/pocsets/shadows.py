@@ -11,9 +11,10 @@ exhaustive inside a window [-W, W]^k with interiority checks on minimizers,
 and every result records the window it was computed in.  Inside a window the
 consistent set is kept by rows, one interval of last cuts per prefix, solved
 level by level under consistent prefixes only, and the distance to it by a
-flat table of separable L1 sweeps, a layer at a time, unless the set fills
-the window.  Members are read off the rows, the nearest ones off the rows that
-the table places on a geodesic from the query, with two flags for its refusal.
+flat table of separable L1 sweeps, a layer of packed lanes at a time, unless
+the set fills the window.  Members are read off the rows, the nearest ones off
+the rows that the table places on a geodesic from the query, and two guard
+bits per tuple, built on a field's first query, decide each refusal.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 from itertools import pairwise, product
 from math import gcd
 from operator import mul
+from sys import byteorder
+from threading import Lock
 from typing import Iterable, Optional, Sequence
 
 from .chains import (
@@ -174,6 +177,7 @@ class ConsistencyOracle:
             j = levels[a, b]
             self.row_bounds[j - 1].append(_row_bound(a[: j + 1], b[: j + 1]))
         self.fields: dict[int, WindowField] = {}
+        self.lock = Lock()
 
     def consistent(self, cuts: Cuts) -> bool:
         """Whether the closed slabs selected by the k cuts share a point."""
@@ -296,6 +300,87 @@ def _members(bound: int, k: int, rows: list[Row]) -> list[Cuts]:
     return [(*head, c) for head, row in zip(heads, rows) if row for c in range(row[0], row[1] + 1)]
 
 
+# ---------------------------------------------------------------------------
+# the sweep kernel: distance tables as packed lanes
+
+
+# bytes per lane of each unsigned format that `_lane` may pick: C gives
+# at least 1, 2 and 4
+_LANE_SIZES = {lane: memoryview(bytes(8)).cast(lane).itemsize for lane in "BHL"}
+
+
+def _lane(n: int, k: int) -> str:
+    """The format of the narrowest unsigned lanes of a table of window n
+    cuts wide and k chains: n*k, which stands for "no member", and one more,
+    which a sweep step adds, stay below their top bit (8 bits for n*k < 127,
+    16 for every k >= 2 under the cap)."""
+    return next(lane for lane, size in _LANE_SIZES.items() if n * k + 1 < 1 << 8 * size - 1)
+
+
+def _pack(values: Iterable[int], lane: str) -> bytes:
+    size = _LANE_SIZES[lane]
+    return b"".join(v.to_bytes(size, byteorder) for v in values)
+
+
+def _row_cells(bound: int, far: int, lane: str):
+    """cells(row): the packed distances from each tuple of one row of the
+    window to the row's run [lo, hi] of last cuts, `far` for None: a slice
+    of n, .., 1, 0, .., 0 up to hi, then 1, .., W - hi."""
+    n, size = 2 * bound + 1, _LANE_SIZES[lane]
+    down, up = _pack([*range(n, 0, -1), *[0] * n], lane), _pack(range(1, n + 1), lane)
+    none = _pack([far], lane) * n
+
+    def cells(row: Row) -> bytes:
+        if row is None:
+            return none
+        lo, hi = row
+        start = (bound + 1 - lo) * size  # where down reads lo + bound
+        return down[start : start + (bound + 1 + hi) * size] + up[: (bound - hi) * size]
+
+    return cells
+
+
+def _sweep(table: bytes, n: int, k: int, lane: str) -> bytes:
+    """The distance table whose rows `table` fills, swept twice along each
+    head axis by g(x) = min(f(x), g(x -+ 1) + 1) (Rosenfeld & Pfaltz 1966)
+    while that axis is outermost, a whole layer at a time, then turned so
+    the next axis is; k turns restore its order, and one chain's fill is
+    already its table.  A layer is one int of `lane` lanes, and min(a, b + 1)
+    over it is exact big-int arithmetic (Lamport 1975): with H the lanes' top
+    bits, a lane of ((a | H) - (b + 1)) & H is set iff a >= b + 1 there, and
+    that lane takes b + 1.  The turns copy strided slices of a bytearray."""
+    if k == 1:
+        return table
+    size = _LANE_SIZES[lane]
+    span, top = len(table) // n, 8 * size - 1  # bytes per layer; the lanes' top bit
+    ones = int.from_bytes(_pack([1], lane) * (span // size), byteorder)
+    high = ones << top
+    steps = [*zip(range(1, n), range(n - 1)), *zip(range(n - 2, -1, -1), range(n - 1, 0, -1))]
+    for axis in range(1, k + 1):
+        if axis < k:  # c_axis is outermost
+            layers = [
+                int.from_bytes(table[x : x + span], byteorder) for x in range(0, len(table), span)
+            ]
+            for i, j in steps:
+                a, b = layers[i], layers[j] + ones
+                t = ((a | high) - b) & high
+                layers[i] = a ^ ((a ^ b) & (t - (t >> top)))
+            table = b"".join(layer.to_bytes(span, byteorder) for layer in layers)
+        turned = bytearray(len(table))  # c_axis innermost, the next axis outermost
+        for i, x in enumerate(range(0, len(table), span)):
+            for o in range(size):
+                turned[i * size + o :: n * size] = table[x + o : x + span : size]
+        table = turned
+    return table
+
+
+# ---------------------------------------------------------------------------
+# the window field
+
+
+INNER, OUTER = 1, 2  # a tuple's guard bits: a nearest member inside the window, one on its boundary
+
+
 class WindowField:
     """The consistent set inside the window [-bound, bound]^k, by rows, and
     the distance to it from every tuple of the window.
@@ -303,21 +388,23 @@ class WindowField:
     ``rows[r]`` holds the last cuts that complete the r-th (k-1)-prefix
     (lexicographic order) to a member.  The table is a flat list indexed by
     the mixed-radix number of (c_1 + bound, .., c_k + bound): each tuple's
-    distance to its own row, then swept twice along every other axis by
-    g(x) = min(f(x), g(x -+ 1) + 1) (Rosenfeld & Pfaltz 1966), one layer at a time.  L1 distance
-    separates by axis (Felzenszwalb & Huttenlocher 2012, section 2), and
-    inside the box it is the lattice distance, so the table is the exact
-    in-window restriction of delta(-, Pi0).  `argmin` reads the table to
-    walk only the prefixes on a geodesic to a nearest member, and the rows
-    to list the members; Pi0 is held by the rows alone, never all None."""
+    distance to its own row, swept by `_sweep`.  L1 distance separates by
+    axis (Felzenszwalb & Huttenlocher 2012, section 2), and inside the box
+    it is the lattice distance, so the table is the exact in-window
+    restriction of delta(-, Pi0).  `argmin` reads the table to walk only the
+    prefixes on a geodesic to a nearest member, and the rows to list the
+    members; Pi0 is held by the rows alone, never all None.  ``guards``
+    holds each tuple's INNER and OUTER bits, the two window guards of the
+    queries, built by `_guards` on the field's first query, None before."""
 
-    __slots__ = ("bound", "k", "distance_table", "rows")
+    __slots__ = ("bound", "k", "distance_table", "rows", "guards")
 
     def __init__(self, bound: int, k: int, distance_table: list[int], rows: list[Row]):
         self.bound = bound
         self.k = k
         self.distance_table = distance_table
         self.rows = rows
+        self.guards: Optional[bytes] = None
 
     @property
     def members(self) -> list[Cuts]:
@@ -359,26 +446,20 @@ class WindowField:
         arithmetic or an abs.  The walk of c_{k-1} reads the row of each
         full prefix it keeps there and then, for the last cuts in its
         interval at the remaining distance."""
-        return self._argmin(cuts, self._index(cuts))[0]  # refuses a wrong length before unpacking
+        return self._argmin(cuts, self._index(cuts))  # refuses a wrong length before unpacking
 
-    def _argmin(self, cuts: Cuts, index: int, settle: bool = False):
-        """`argmin` at a checked flat index, and whether a member lies
-        strictly inside the window (inner) and one on its boundary (outer).
-        With `settle`, the walk stops at the first member that makes both
-        true, so the list may be partial but its flags are the whole list's.
-        A kept prefix carries whether one of its cuts is on the boundary."""
+    def _argmin(self, cuts: Cuts, index: int) -> list[Cuts]:
+        """`argmin` at a checked flat index."""
         bound, n, table, rows = self.bound, 2 * self.bound + 1, self.distance_table, self.rows
         *head, last = cuts
         if not head:  # one chain: the window is one row
             r, (lo, hi) = table[index], rows[0]
-            found = [(c,) for c in ((last,) if r == 0 else (last - r, last + r)) if lo <= c <= hi]
-            inside = [-bound < c < bound for (c,) in found]
-            return found, any(inside), not all(inside)
-        level: list[tuple[Cuts, int, int, bool]] = [((), index, table[index], False)]
-        stride, found, inner, outer = len(table), [], False, False
+            return [(c,) for c in ((last,) if r == 0 else (last - r, last + r)) if lo <= c <= hi]
+        level: list[tuple[Cuts, int, int]] = [((), index, table[index])]
+        stride, found = len(table), []
         for d, q in enumerate(head, 1):
             stride, final, nxt = stride // n, d == len(head), []  # final: walking c_{k-1}
-            for prefix, j, r, edge in level:
+            for prefix, j, r in level:
                 # the steps down and up from q that stay within r and the window
                 down = r if r < q + bound else q + bound
                 up = r if r < bound - q else bound - q
@@ -387,23 +468,54 @@ class WindowField:
                 for c in range(q - down, q + up + 1):
                     if table[j] == s:
                         if not final:
-                            nxt.append(((*prefix, c), j, s, edge or c == bound or c == -bound))
+                            nxt.append(((*prefix, c), j, s))
                         elif row := rows[j // n]:
                             lo, hi = row
-                            rim = edge or c == bound or c == -bound
                             for m in (last - s, last + s) if s else (last,):
                                 if lo <= m <= hi:
                                     found.append((*prefix, c, m))
-                                    if rim or m == bound or m == -bound:
-                                        outer = True
-                                    else:
-                                        inner = True
-                                    if settle and inner and outer:
-                                        return found, True, True
                     j += stride
                     s += 1 if c < q else -1
             level = nxt
-        return found, inner, outer
+        return found
+
+
+def _guards(f: WindowField) -> bytes:
+    """Each tuple's guard bits, one byte per tuple in the table's order.
+
+    Every member lies strictly inside the window or on its boundary, so the
+    distance is the least of Di, to the interior members, and Do, to the
+    boundary ones: INNER holds iff Di <= Do and OUTER iff Do <= Di.  The
+    interior members are the rows of interior heads clipped to [1-W, W-1];
+    the boundary members, the whole row of a head that touches -W or W and
+    the row ends at -W or W of the others.  Both tables are filled and swept
+    as the field's own, and compared a whole table at a time."""
+    bound, k = f.bound, f.k
+    n = 2 * bound + 1
+    lane = _lane(n, k)
+    cells = _row_cells(bound, n * k, lane)
+    ends = _pack([min(c + bound, bound - c) for c in range(-bound, bound + 1)], lane)
+    inner, outer = [], []
+    for head, row in zip(product(range(-bound, bound + 1), repeat=k - 1), f.rows):
+        if row is None or -bound in head or bound in head:
+            inner.append(cells(None))
+            outer.append(cells(row))
+            continue
+        lo, hi = row
+        clipped = (max(lo, 1 - bound), min(hi, bound - 1))
+        inner.append(cells(clipped if clipped[0] <= clipped[1] else None))
+        if lo == -bound:
+            outer.append(ends if hi == bound else cells((lo, lo)))
+        else:
+            outer.append(cells((hi, hi) if hi == bound else None))
+    size, count = _LANE_SIZES[lane], len(f.distance_table)
+    top = 8 * size - 1
+    di = int.from_bytes(_sweep(b"".join(inner), n, k, lane), byteorder)
+    do = int.from_bytes(_sweep(b"".join(outer), n, k, lane), byteorder)
+    high = int.from_bytes(_pack([1 << top], lane) * count, byteorder)
+    bits = ((((do | high) - di) & high) >> top) | ((((di | high) - do) & high) >> (top - 1))
+    packed = bits.to_bytes(count * size, byteorder)
+    return packed[0 if byteorder == "little" else size - 1 :: size]  # each lane's low byte
 
 
 def enumerate_pi0(model: WallModel, bound: int) -> list[ChainUltrafilter]:
@@ -414,48 +526,36 @@ def enumerate_pi0(model: WallModel, bound: int) -> list[ChainUltrafilter]:
 def window_field(model: WallModel, bound: int) -> WindowField:
     """The model's distance field in window `bound`, built once and kept by
     the model's oracle, oldest dropped first past three windows at the cap.
-    Its rows come from `_pi0_rows`; its table is swept along each head axis
-    while that axis is outermost, a whole layer at a time, then turned so
-    the next one is, and k turns restore its order.  A table with no
-    positive entry (Pi0 fills the window) is not swept."""
-    fields = model.oracle.fields
-    field = fields.get(bound)  # one read: another thread may drop the key
+    Its rows come from `_pi0_rows`, and its table is each tuple's distance
+    to its own row, swept by `_sweep` unless it has no positive entry (Pi0
+    fills the window).  A kept field is read without a lock; a miss builds,
+    evicts and inserts under the oracle's lock, so threads sharing a model
+    keep its cap.  The field's guards wait for its first query."""
+    oracle = model.oracle
+    field = oracle.fields.get(bound)  # one read: another thread may drop the key
     if field is not None:
         return field
-    rows = _pi0_rows(model, bound)
-    if not any(rows):
-        raise WindowTooSmall(f"no consistent tuple inside window {bound}", bound)
-    n = 2 * bound + 1
-    far = n * model.k  # beyond every in-window distance
-    table: list[int] = []
-    for row in rows:
-        if row is None:
-            table += [far] * n
-        else:
-            lo, hi = row
-            table += [*range(lo + bound, 0, -1), *[0] * (hi - lo + 1), *range(1, bound - hi + 1)]
-    if any(table):
-        m = len(table) // n
-        ends = range(0, len(table), m)
-        for axis in range(1, model.k + 1):
-            if axis < model.k:  # c_axis is outermost: g(x) = min(f(x), g(x -+ 1) + 1)
-                for x, y in [*zip(ends[1:], ends), *zip(ends[-2::-1], ends[:0:-1])]:
-                    table[x : x + m] = [
-                        a if a <= b else b + 1 for a, b in zip(table[x : x + m], table[y : y + m])
-                    ]
-            turned = [0] * len(table)  # c_axis innermost, the next axis outermost
-            for i, x in enumerate(ends):
-                turned[i::n] = table[x : x + m]
-            table = turned
-    snapshot = list(fields.items())  # other threads may add and drop fields meanwhile
-    kept = len(table) + sum(len(f.distance_table) for _, f in snapshot)
-    for key, old in snapshot:  # the oldest field first
-        if kept <= 3 * MAX_WINDOW_TUPLES:
-            break
-        fields.pop(key, None)
-        kept -= len(old.distance_table)
-    field = fields[bound] = WindowField(bound, model.k, table, rows)
-    return field
+    with oracle.lock:
+        fields = oracle.fields
+        field = fields.get(bound)  # built by another thread meanwhile
+        if field is not None:
+            return field
+        rows = _pi0_rows(model, bound)
+        if not any(rows):
+            raise WindowTooSmall(f"no consistent tuple inside window {bound}", bound)
+        n, k = 2 * bound + 1, model.k
+        lane = _lane(n, k)
+        table = b"".join(map(_row_cells(bound, n * k, lane), rows))
+        if table.count(0) < len(table):  # some tuple is not a member
+            table = _sweep(table, n, k, lane)
+        distances = memoryview(table).cast(lane).tolist()
+        kept = len(distances) + sum(len(f.distance_table) for f in fields.values())
+        for key in list(fields):  # the oldest field first
+            if kept <= 3 * MAX_WINDOW_TUPLES:
+                break
+            kept -= len(fields.pop(key).distance_table)
+        field = fields[bound] = WindowField(bound, k, distances, rows)
+        return field
 
 
 # ---------------------------------------------------------------------------
@@ -464,34 +564,38 @@ def window_field(model: WallModel, bound: int) -> WindowField:
 
 def _nearest(model: WallModel, u: ChainUltrafilter, window: int):
     """The one windowed step behind every query: the field, the cuts of u,
-    their flat index, and the nearest members, inner and outer of one
-    settled `_argmin`.  A negative window is refused first, then a
-    non-principal u, then the field is built, then cuts of the wrong length
-    or outside the window."""
+    their flat index and their guard bits.  A negative window is refused
+    first, then a non-principal u, then the field is built, then cuts of the
+    wrong length or outside the window; the guards are built last, once per
+    field (racing threads each assign an equal table)."""
     _check_window(window)
     cuts = u.int_cuts()
     f = window_field(model, window)
     index = f._index(cuts)
-    return (f, cuts, index, *f._argmin(cuts, index, settle=True))
+    guards = f.guards
+    if guards is None:
+        guards = f.guards = _guards(f)
+    return f, cuts, index, guards[index]
 
 
-def _distance(f: WindowField, cuts: Cuts, index: int, inner: bool) -> int:
-    if not inner:
+def _distance(f: WindowField, cuts: Cuts, index: int, guard: int) -> int:
+    if not guard & INNER:
         raise WindowTooSmall(f"every minimizer for {cuts} touches the window boundary", cuts)
     return f.distance_table[index]
 
 
-def _whole_shadow(cuts: Cuts, nearest: list[Cuts], outer: bool) -> list[Cuts]:
-    if outer:
+def _whole_shadow(f: WindowField, cuts: Cuts, index: int, guard: int) -> list[Cuts]:
+    """The nearest members, walked only once the guard answers."""
+    if guard & OUTER:
         raise WindowTooSmall(f"shadow of {cuts} touches the window boundary", cuts)
-    return nearest
+    return f._argmin(cuts, index)
 
 
 def dist_to_pi0(model: WallModel, u: ChainUltrafilter, window: int) -> int:
     """Exhaustive min over the in-window consistent set, with an interiority
     check: some minimizer must avoid the window boundary."""
-    f, cuts, index, _, inner, _ = _nearest(model, u, window)
-    return _distance(f, cuts, index, inner)
+    f, cuts, index, guard = _nearest(model, u, window)
+    return _distance(f, cuts, index, guard)
 
 
 class MinClassification(Record):
@@ -503,8 +607,8 @@ def classify_min(model: WallModel, u: ChainUltrafilter, window: int) -> MinClass
     """Split min(u) by the effect of each flip on the distance to the
     consistent set; "neutral" collects the distance-preserving moves the
     two signed sets do not cover."""
-    f, cuts, index, _, inner, _ = _nearest(model, u, window)
-    return _classify(f, cuts, index, _distance(f, cuts, index, inner))
+    f, cuts, index, guard = _nearest(model, u, window)
+    return _classify(f, cuts, index, _distance(f, cuts, index, guard))
 
 
 def _classify(f: WindowField, cuts: Cuts, index: int, base: int) -> MinClassification:
@@ -553,13 +657,11 @@ class DualShadow(Record):
 def shadow(model: WallModel, u: ChainUltrafilter, window: int) -> list[ChainUltrafilter]:
     """The nearest consistent ultrafilters; the whole set must sit strictly
     inside the window."""
-    _, cuts, _, nearest, _, outer = _nearest(model, u, window)
-    return [ChainUltrafilter(m) for m in _whole_shadow(cuts, nearest, outer)]
+    return [ChainUltrafilter(m) for m in _whole_shadow(*_nearest(model, u, window))]
 
 
 def dual_shadow(model: WallModel, u: ChainUltrafilter, window: int) -> DualShadow:
-    _, cuts, _, nearest, _, outer = _nearest(model, u, window)
-    return _dual(_whole_shadow(cuts, nearest, outer))
+    return _dual(_whole_shadow(*_nearest(model, u, window)))
 
 
 def _dual(nearest: list[Cuts]) -> DualShadow:
@@ -596,13 +698,13 @@ class ShadowReport(Record):
 
 
 def shadow_report(model: WallModel, u: ChainUltrafilter, window: int) -> ShadowReport:
-    """All four answers from one settled argmin, whose two flags decide
-    both window guards; refused by the first guard that dist_to_pi0,
-    classify_min, shadow and dual_shadow would fire."""
-    f, cuts, index, nearest, inner, outer = _nearest(model, u, window)
-    dist = _distance(f, cuts, index, inner)
+    """All four answers from one read of the guard bits and, once both
+    guards pass, one walk of the nearest set; refused by the first guard
+    that dist_to_pi0, classify_min, shadow and dual_shadow would fire."""
+    f, cuts, index, guard = _nearest(model, u, window)
+    dist = _distance(f, cuts, index, guard)
     mins = _classify(f, cuts, index, dist)
-    members = _whole_shadow(cuts, nearest, outer)
+    members = _whole_shadow(f, cuts, index, guard)
     return ShadowReport(
         cuts, f.bound, dist == 0, dist,
         mins.plus, mins.minus, mins.neutral, members, _dual(members),

@@ -538,17 +538,6 @@ def _argmin_by_rows(f, cuts):
     return found
 
 
-def _settled(members, interior):
-    """The members up to the first that completes a pair of an interior and
-    a boundary member, or all of them when no such pair forms."""
-    kinds = set()
-    for i, m in enumerate(members):
-        kinds.add(interior(m))
-        if len(kinds) == 2:
-            return members[: i + 1]
-    return members
-
-
 def _edge_queries(rng, k, bound, count):
     """Cut tuples in [-bound - 1, bound + 1] with one cut on the window's
     boundary or one step past it, of length k and of lengths k -+ 1."""
@@ -564,8 +553,8 @@ def test_argmin_matches_row_walk():
     # FIX-HEX at window 12, and generated models with k = 1..4 at small
     # windows, on queries inside the window, on its boundary, past it and of
     # the wrong length: the stepped strides of every k and the refusals are
-    # compared too, and the settled walk of the queries with the members up
-    # to its first pair of an interior and a boundary member
+    # compared too, and the guard bits of each answered query with the
+    # interior and boundary flags of its whole list
     rng = random.Random(73)
     hexfield = window_field(fixture_model("FIX-HEX"), 12)
     queries = [
@@ -583,12 +572,12 @@ def test_argmin_matches_row_walk():
     for f, cuts in queries:
         got = _outcome(f.argmin, cuts)
         assert got == _outcome(_argmin_by_rows, f, cuts), cuts
-        if got[0]:  # the queries' walk stops at its first interior-and-boundary pair
+        if got[0]:  # the queries decide their guards by one read of the guard bits
             interior = lambda m: all(abs(c) < f.bound for c in m)
             flags = (any(map(interior, got[0])), not all(map(interior, got[0])))
-            assert f._argmin(cuts, f._index(cuts)) == (got[0], *flags), cuts
-            settled, *settled_flags = f._argmin(cuts, f._index(cuts), settle=True)
-            assert settled == _settled(got[0], interior) and settled_flags == list(flags), cuts
+            index = f._index(cuts)
+            assert f._argmin(cuts, index) == got[0], cuts
+            assert _guard_flags(f, index) == flags, cuts
         kinds.setdefault(f.k, set()).add(got[1][0] if got[1] else len(got[0]) > 1)
     # one chain has one row, so a single nearest member
     every = {True, False, WindowTooSmall, ChainCountMismatch}
@@ -614,11 +603,10 @@ def test_argmin_reads_rows_only_on_geodesics(monkeypatch):
 
 
 def test_refused_queries_stop_their_walk_early(monkeypatch):
-    # the walk stops at the first pair of an interior and a boundary member,
-    # which no answer shows, so only the rows it skips can show its loss:
-    # over FIX-HEX at window 12 on [-10, 10]^3, a refused shadow_report reads
-    # at most a third of the rows the whole argmin reads (28 %, 101,934 of
-    # 360,653), and an answered one reads exactly as many
+    # both guards are read off the field's guard bits, which no answer shows,
+    # so only the rows a query reads can show a walk: over FIX-HEX at window
+    # 12 on [-10, 10]^3, a refused shadow_report reads no row, and an
+    # answered one exactly the rows of argmin
     class CountingRows(list):
         reads = 0
 
@@ -638,8 +626,128 @@ def test_refused_queries_stop_their_walk_early(monkeypatch):
         counts = reads[refusal is not None]
         counts[0] += walked
         counts[1] += CountingRows.reads
+        assert walked == (0 if refusal else CountingRows.reads), cuts
     (refused, whole), (answered, full) = reads[True], reads[False]
-    assert 0 < 3 * refused <= whole and 0 < answered == full, reads
+    assert refused == 0 < whole and 0 < answered == full, reads
+
+
+def _guard_flags(f, index):
+    """(inner, outer) of the field's guard bits at a flat index."""
+    from pocsets.shadows import _guards
+
+    if f.guards is None:
+        f.guards = _guards(f)
+    bits = f.guards[index]
+    return bool(bits & 1), bool(bits & 2)
+
+
+def _check_guards(model, bound):
+    """The guard bits of every tuple of the window against its nearest set
+    by a scan of all members; returns the flags seen."""
+    f = window_field(model, bound)
+    members = f.members
+    seen = set()
+    for index, q in enumerate(product(range(-bound, bound + 1), repeat=model.k)):
+        gaps = [sum(abs(a - b) for a, b in zip(q, m)) for m in members]
+        least = min(gaps)
+        nearest = [m for m, gap in zip(members, gaps) if gap == least]
+        inner = any(all(abs(c) < bound for c in m) for m in nearest)
+        outer = any(any(abs(c) == bound for c in m) for m in nearest)
+        assert _guard_flags(f, index) == (inner, outer), (q, bound)
+        seen.add((inner, outer))
+    return seen
+
+
+def test_guard_bits_match_the_nearest_set():
+    # the fixtures, generated models with k = 1..4 (random directions and
+    # all-parallel families), and a field whose members all lie on its
+    # boundary; window 0 has no interior, so no tuple holds INNER there
+    rng = random.Random(75)
+    seen = set()
+    for name, windows in (("FIX-Z1", (0, 1, 5)), ("FIX-Z2", (0, 1, 3)), ("FIX-HEX", (0, 1, 3, 6))):
+        for w in windows:
+            flags = _check_guards(fixture_model(name), w)
+            assert w or flags == {(False, True)}
+            seen |= flags
+    windows = {1: (0, 1, 6), 2: (1, 4), 3: (1, 3), 4: (1, 2)}
+    for k in range(1, 5):
+        for model in _generated_models(rng, k, 3):
+            for w in windows[k]:
+                if _outcome(window_field, model, w)[0]:
+                    seen |= _check_guards(model, w)
+    # two parallel families whose slabs meet where c_1 - c_2 is 5 to 7
+    normal = (_ONE, _ZERO)
+    edge = WallModel(ChainFamily(("a", "b")), (WallFamily(normal, 1, 0), WallFamily(normal, 1, 6)))
+    assert window_field(edge, 3).members == [(2, -3), (3, -3), (3, -2)]
+    assert _check_guards(edge, 3) == {(False, True)}
+    assert seen == {(True, False), (False, True), (True, True)}
+    # one chain's wide windows take 16-bit and unsigned-long lanes; FIX-Z1's
+    # members fill them, so a tuple's one nearest member is itself
+    from pocsets.shadows import _guards, _lane
+
+    z1 = fixture_model("FIX-Z1")
+    for w, lane in ((100, "H"), (20000, "L")):
+        assert _lane(2 * w + 1, 1) == lane
+        assert _guards(window_field(z1, w)) == b"\2" + b"\1" * (2 * w - 1) + b"\2"
+
+
+def _list_sweep(rows, bound, k):
+    """The distance table of a window's rows by list comprehensions, as a
+    reference for the packed kernel: each tuple's distance to its own row,
+    swept twice along each head axis a layer at a time, then turned."""
+    n = 2 * bound + 1
+    far = n * k
+    table = []
+    for row in rows:
+        if row is None:
+            table += [far] * n
+        else:
+            lo, hi = row
+            table += [*range(lo + bound, 0, -1), *[0] * (hi - lo + 1), *range(1, bound - hi + 1)]
+    m = len(table) // n
+    ends = range(0, len(table), m)
+    for axis in range(1, k + 1):
+        if axis < k:
+            for x, y in [*zip(ends[1:], ends), *zip(ends[-2::-1], ends[:0:-1])]:
+                table[x : x + m] = [
+                    a if a <= b else b + 1 for a, b in zip(table[x : x + m], table[y : y + m])
+                ]
+        turned = [0] * len(table)
+        for i, x in enumerate(ends):
+            turned[i::n] = table[x : x + m]
+        table = turned
+    return table
+
+
+def test_packed_sweep_matches_the_list_sweep():
+    # random rows (runs anywhere in the window, empty heads, a full window)
+    # for k = 1..4 in 8-bit lanes, k = 2 and 3 in 16-bit lanes, and the
+    # FIX-HEX fields of windows 21 and 24, whose n*k passes 126
+    from pocsets.shadows import _lane, _row_cells, _sweep
+
+    rng = random.Random(76)
+    cases = [(2, 31), (2, 40), (3, 21)]
+    for k, windows in ((1, (0, 3, 40)), (2, (0, 1, 5, 20)), (3, (1, 4, 9)), (4, (1, 3, 5))):
+        cases += [(k, w) for w in windows for _ in range(3)]
+    lanes = set()
+    for k, bound in cases:
+        n = 2 * bound + 1
+        rows = []
+        for _ in range(n ** (k - 1)):
+            lo, hi = sorted(rng.randint(-bound, bound) for _ in range(2))
+            rows.append(rng.choice((None, None, (lo, hi), (lo, lo), (-bound, bound))))
+        rows[rng.randrange(len(rows))] = (0, 0)
+        lane = _lane(n, k)
+        table = b"".join(map(_row_cells(bound, n * k, lane), rows))
+        got = memoryview(_sweep(table, n, k, lane)).cast(lane).tolist()
+        assert got == _list_sweep(rows, bound, k), (k, bound)
+        lanes.add(lane)
+    hexmodel = fixture_model("FIX-HEX")
+    for bound in (21, 24):
+        f = window_field(hexmodel, bound)
+        assert _lane(2 * bound + 1, 3) == "H"
+        assert f.distance_table == _list_sweep(f.rows, bound, 3)
+    assert lanes == {"B", "H"}
 
 
 @pytest.mark.parametrize("module", ["shadows", "euclid", "exactnum"])
@@ -1650,7 +1758,8 @@ def test_a_kept_field_is_read_once():
 def test_threads_share_a_models_fields(monkeypatch):
     # four threads read, build and evict one model's fields at once: the cap
     # is FIX-Z1's window 10 (21 tuples), so most new fields evict, and the
-    # threads switch every microsecond; each runs 0.3 s
+    # threads switch every microsecond; each runs 0.3 s.  The kept tuples,
+    # summed after every call, never pass three windows at the cap
     import sys
     import threading
     import time
@@ -1659,17 +1768,21 @@ def test_threads_share_a_models_fields(monkeypatch):
 
     monkeypatch.setattr(pocsets.shadows, "MAX_WINDOW_TUPLES", 21)
     model = fixture_model("FIX-Z1")
-    errors = []
+    errors, peaks = [], []
     deadline = time.perf_counter() + 0.3
 
     def work(seed):
         rng = random.Random(seed)
+        peak = 0
         try:
             while time.perf_counter() < deadline:
                 bound = rng.randint(0, 10)
                 assert window_field(model, bound).bound == bound
+                kept = sum(len(f.distance_table) for f in list(model.oracle.fields.values()))
+                peak = max(peak, kept)
         except Exception as exc:  # reported below, not lost in the thread
             errors.append(exc)
+        peaks.append(peak)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1683,6 +1796,7 @@ def test_threads_share_a_models_fields(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+    assert len(peaks) == 4 and 0 < max(peaks) <= 3 * 21, peaks
 
 
 def test_canonical_start(z2, hexmodel):
