@@ -39,6 +39,7 @@ from .errors import (
 
 PLUS_END = math.inf
 MINUS_END = -math.inf
+_ENDS = (PLUS_END, MINUS_END)
 
 CutValue = float  # int for a cut, +-inf for the ends
 
@@ -85,7 +86,9 @@ class ChainUltrafilter(Record):
         return (h.index >= cut) if h.starred else (h.index < cut)
 
     def is_principal(self) -> bool:
-        return all(not math.isinf(c) for c in self.cuts)
+        # compared, not `math.isinf`: an int compares with inf exactly, and
+        # one past float range cannot be converted
+        return PLUS_END not in self.cuts and MINUS_END not in self.cuts
 
     def int_cuts(self) -> tuple[int, ...]:
         """The cuts as ints; refused for an end state, with the states as
@@ -96,7 +99,7 @@ class ChainUltrafilter(Record):
                 for c in self.cuts
             ]
             raise NotPrincipal("ultrafilter has an end state", states)
-        return tuple(int(c) for c in self.cuts)
+        return tuple(map(int, self.cuts))
 
 
 class Signature(Record):
@@ -154,7 +157,7 @@ def delta(a: ChainUltrafilter, b: ChainUltrafilter):
     for x, y in zip(a.cuts, b.cuts):
         if x == y:
             continue
-        if math.isinf(x) or math.isinf(y):
+        if x in _ENDS or y in _ENDS:
             return math.inf
         total += abs(int(x) - int(y))
     return total

@@ -73,7 +73,7 @@ class Record:
     unless the class sets ``__hash__ = None``) and `__repr__`
     (``Name(field=value, ...)``), all read off its ``__slots__``, and an
     `__init__` of the fields in slot order; a record built per tuple or per
-    vertex writes its own, three to four times as fast."""
+    vertex writes its own, 3.6 to 4.2 times as fast."""
 
     __slots__ = ()
 

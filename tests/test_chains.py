@@ -48,7 +48,7 @@ from pocsets.chains import (
     window_pair,
     window_pocset,
 )
-from pocsets.errors import ChainCountMismatch, NotGeodesic, NotMember, NotMinimal
+from pocsets.errors import ChainCountMismatch, NotGeodesic, NotMember, NotMinimal, NotPrincipal
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,21 @@ def test_delta():
     assert delta(uf(PLUS_END, 2), uf(PLUS_END, 5)) == 3
     with pytest.raises(ChainCountMismatch):
         delta(uf(0), uf(0, 0))
+
+
+def test_cuts_past_float_range_are_compared_exactly():
+    # an int cut compares with the ends exactly, however large: it is never
+    # converted to a float, so 10^400 is a cut and not an overflow
+    big = 10**400
+    assert uf(big, 0).is_principal()
+    assert delta(uf(big, 0), uf(0, 0)) == big
+    assert delta(uf(PLUS_END, big), uf(0, 0)) == math.inf
+    cuts = uf(2.0, -1, 0).int_cuts()
+    assert cuts == (2, -1, 0) and all(type(c) is int for c in cuts)
+    assert uf(big, -big).int_cuts() == (big, -big)
+    with pytest.raises(NotPrincipal) as exc:
+        uf(PLUS_END, big, MINUS_END).int_cuts()
+    assert exc.value.witness == ["+inf", big, "-inf"]
 
 
 def test_delta_metric_on_class():

@@ -235,6 +235,13 @@ def test_window_too_small_is_domain_error():
     assert json.loads(proc.stderr)["code"] == "window-too-small"
 
 
+def test_a_cut_past_float_range_is_refused_in_one_line():
+    # 400 nines compare exactly with the ends and with the window
+    proc = run_cli("shadows", "FIX-HEX", f"--cuts={'9' * 400},0,0", "--window", "4", expect=1)
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["code"] == "window-too-small"
+
+
 def test_chain_count_mismatch_is_domain_error():
     for argv in (
         ("shadows", "FIX-HEX", "--cuts", "1,2", "--window", "3"),

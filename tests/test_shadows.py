@@ -631,6 +631,27 @@ def test_refused_queries_stop_their_walk_early(monkeypatch):
     assert refused == 0 < whole and 0 < answered == full, reads
 
 
+def test_an_answered_report_builds_one_report_record(monkeypatch):
+    # an answered shadow_report builds its report and the dual shadow it
+    # holds, and its flips stay lists: only classify_min builds a
+    # MinClassification
+    import pocsets.shadows as shadows
+
+    built = Counter()
+    for name in ("ShadowReport", "DualShadow", "MinClassification"):
+        def counting(*fields, cls=getattr(shadows, name)):
+            built[cls.__name__] += 1
+            return cls(*fields)
+
+        monkeypatch.setattr(shadows, name, counting)
+    model, u = fixture_model("FIX-HEX"), uf(5, 5, 5)
+    assert isinstance(shadow_report(model, u, 12), ShadowReport)
+    assert built == {"ShadowReport": 1, "DualShadow": 1}
+    built.clear()
+    assert isinstance(classify_min(model, u, 12), MinClassification)
+    assert built == {"MinClassification": 1}
+
+
 def _guard_flags(f, index):
     """(inner, outer) of the field's guard bits at a flat index."""
     from pocsets.shadows import _guards
