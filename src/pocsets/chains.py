@@ -14,9 +14,12 @@ pure.  Records take equality, hash and repr from their ``__slots__``
 through `pocsets.core.Record`, and so does the constructor of those built
 once per call (`ChainFamily`, `RollerPoset`); those built per tuple or per
 vertex (`ChainHalfspace`, `ChainUltrafilter`, `Signature`) and
-`MoveSchedule`, called with keywords, write their own.  They are immutable
-by convention: nothing assigns to a field after construction, and the
-hashed ones (`ChainUltrafilter`, `Signature`, ..) rely on it.
+`MoveSchedule`, called with keywords, write their own; `all_signatures`
+sets its classes' ends directly, skipping `Signature`'s check of ends that
+are valid by construction.  They are immutable by convention: nothing
+assigns to a field after construction, and the hashed ones
+(`ChainUltrafilter`, `Signature`, ..) rely on it.  Listing all 3^k classes
+is refused past `MAX_CLASSES`.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ _ENDS = (PLUS_END, MINUS_END)
 CutValue = float  # int for a cut, +-inf for the ends
 
 FIN, PLUS, MINUS = 0, 1, -1
+# the most classes (3^k for k chains) a report or poset may list: k <= 10
+MAX_CLASSES = 3**10
 _END_SYMBOL = {PLUS: "+", FIN: "0", MINUS: "-"}
 _SYMBOL_END = {"+": PLUS, "0": FIN, "-": MINUS}
 
@@ -277,8 +282,24 @@ def gcd_via_median(a: Signature, b: Signature) -> Signature:
     return cf_class(median(pi, rep(a), rep(b)))
 
 
+def check_classes(k: int) -> None:
+    """Refuse k chains whose 3^k classes pass `MAX_CLASSES`, before any is listed."""
+    if 3**k > MAX_CLASSES:
+        raise MalformedInput(f"{k} chains have 3^{k} classes, more than {MAX_CLASSES}", k)
+
+
 def all_signatures(k: int) -> list[Signature]:
-    return [Signature(ends) for ends in product((MINUS, FIN, PLUS), repeat=k)]
+    """Every class of k chains, in product order of (MINUS, FIN, PLUS);
+    refused past `MAX_CLASSES`.  The ends are valid by construction, so no
+    class is checked again."""
+    check_classes(k)
+    new = object.__new__
+    out = []
+    for ends in product((MINUS, FIN, PLUS), repeat=k):
+        s = new(Signature)
+        s.ends = ends
+        out.append(s)
+    return out
 
 
 class RollerPoset(Record):

@@ -16,8 +16,8 @@ Records are ``__slots__`` classes (dataclasses cost start-up) that derive
 equality, hash and repr from their ``__slots__`` through `Record`; one
 holding a list or a dict sets ``__hash__ = None``.  A record built once or
 a few times per call takes `Record`'s positional constructor; one built per
-tuple or per vertex, one that checks its fields or one called with defaults
-writes its own.  Records are immutable by convention (nothing in the package
+tuple, per vertex or per class of a model's report, one that checks its
+fields or one called with defaults writes its own.  Records are immutable by convention (nothing in the package
 assigns to a field after construction), and every operation is a pure
 function, so concurrent use needs no synchronization.
 """
@@ -72,8 +72,9 @@ class Record:
     (the same class with equal fields), `__hash__` (of the field tuple,
     unless the class sets ``__hash__ = None``) and `__repr__`
     (``Name(field=value, ...)``), all read off its ``__slots__``, and an
-    `__init__` of the fields in slot order; a record built per tuple or per
-    vertex writes its own, 3.6 to 4.2 times as fast."""
+    `__init__` of the fields in slot order; a record built per tuple, per
+    vertex or per class of a model's report writes its own, 2.5 to 4.2
+    times as fast."""
 
     __slots__ = ()
 

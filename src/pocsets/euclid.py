@@ -7,10 +7,11 @@ shrink as the index grows and a boundary direction xi with ``n_i . xi > 0``
 eventually enters every ``h_i(n)``.
 
 All direction tests are exact (the √3 field covers the shipped fixtures).
-A direction is held by its `normalize`d representative, so equal directions
-are equal pairs and sets and sorting need no pairwise search.  The circle
-at infinity is handled symbolically as critical directions plus open arcs,
-never as a metrized object.  An arc takes its class from its end classes;
+A direction is held by its `normalize`d representative; two families give
+the same critical directions iff their cross product is zero, so the image
+keeps the first family of each direction and needs no pairwise search.  The
+circle at infinity is handled symbolically as critical directions plus open
+arcs, never as a metrized object.  An arc takes its class from its end classes;
 uniformness and the count of wall directions are read off the image.  The
 consistency compile, the image and the escapers read `WallModel.arrangement`.
 A class and its negation escape together, so escape is decided for the
@@ -22,15 +23,14 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import lcm
+from operator import add
 from typing import Sequence
 
 from .chains import (
-    FIN,
-    MINUS,
-    PLUS,
     ChainFamily,
     Signature,
     all_signatures,
+    check_classes,
     comparable,
     format_signature,
 )
@@ -193,6 +193,9 @@ class PointFiber(Record):
     __slots__ = ("direction",)
     kind = "point"
 
+    def __init__(self, direction: Vec):
+        self.direction = direction
+
 
 class ArcFiber(Record):
     """Open counterclockwise arc between two critical directions."""
@@ -200,9 +203,17 @@ class ArcFiber(Record):
     __slots__ = ("start", "end")
     kind = "arc"
 
+    def __init__(self, start: Vec, end: Vec):
+        self.start = start
+        self.end = end
+
 
 class ImageEntry(Record):
     __slots__ = ("signature", "fibers")
+
+    def __init__(self, signature: Signature, fibers: tuple):
+        self.signature = signature
+        self.fibers = fibers
 
 
 class ImageReport(Record):
@@ -245,32 +256,36 @@ def rho_image(model: WallModel) -> ImageReport:
 
 
 def _build_image(model: WallModel) -> ImageReport:
-    """Every direction fact from one sorted set of normalized ±perpendiculars:
-    the class of perp(n_j) is the signs of the cross table's row j (n_i .
-    perp(n_j) = n_j x n_i), an open arc's class comes from its end classes,
-    and uniformness and the direction count from how many there are."""
-    ends: dict[Vec, tuple[int, ...]] = {}  # each critical direction's class
-    for fam, row in zip(model.families, model.arrangement.cross):
-        d, signs = normalize(perp(fam.normal)), tuple(sqrt3_sign(a, b) for a, b in row)
-        ends.setdefault(d, signs)
-        ends.setdefault(negate(d), tuple(-e for e in signs))
-    criticals = sorted(ends, key=_ccw_key)
+    """Every direction fact from the normals' ±perpendiculars, one pair per
+    wall direction: a family with a zero in its cross table row before its
+    own place is parallel to an earlier one and adds none, so the first
+    family of a direction sets its classes.  The class of perp(n_j) is the
+    signs of the cross table's row j (n_i . perp(n_j) = n_j x n_i), the 2d
+    directions are sorted once together with their classes, an open arc's
+    class comes from its end classes, and uniformness and the direction count
+    from how many there are.  Fibers are grouped by sign tuple, and each
+    class becomes one `Signature`."""
+    criticals = []  # (direction, the ends of its class)
+    for j, (fam, row) in enumerate(zip(model.families, model.arrangement.cross)):
+        if (0, 0) not in row[:j]:
+            d, signs = normalize(perp(fam.normal)), tuple([sqrt3_sign(a, b) for a, b in row])
+            criticals += [(d, signs), (negate(d), tuple([-e for e in signs]))]
     if not criticals:
         raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
+    criticals.sort(key=lambda c: _ccw_key(c[0]))
     uniform = len(criticals) > 2  # antipodal pairs; only one if every wall is parallel
-    classes = [Signature(ends[c]) for c in criticals]
-    fibers: dict[Signature, list] = {}
-    for i, c in enumerate(criticals):
-        j = (i + 1) % len(criticals)
-        fibers.setdefault(classes[i], []).append(PointFiber(c))
+    fibers: dict[tuple[int, ...], list] = {}
+    for i, (c, ends) in enumerate(criticals):
+        after, after_ends = criticals[(i + 1) % len(criticals)]
+        fibers.setdefault(ends, []).append(PointFiber(c))
         if uniform:  # under a half circle: each chain is FIN at one end at most
-            arc_class = Signature(tuple(a or b for a, b in zip(classes[i].ends, classes[j].ends)))
+            arc_ends = tuple([a or b for a, b in zip(ends, after_ends)])
         else:  # a half circle, FIN at both ends on every chain
-            arc_class = rho(model, perp(c))
-        fibers.setdefault(arc_class, []).append(ArcFiber(c, criticals[j]))
-    entries = tuple(ImageEntry(s, tuple(fs)) for s, fs in fibers.items())
+            arc_ends = rho(model, perp(c)).ends
+        fibers.setdefault(arc_ends, []).append(ArcFiber(c, after))
+    entries = tuple([ImageEntry(Signature(ends), tuple(fs)) for ends, fs in fibers.items()])
     warning = None if uniform else "all wall normals are parallel"
-    return ImageReport(entries, tuple(criticals), uniform, warning)
+    return ImageReport(entries, tuple([c for c, _ in criticals]), uniform, warning)
 
 
 def _escape_verdicts(model: WallModel) -> list[bool]:
@@ -288,36 +303,42 @@ def _escape_verdicts(model: WallModel) -> list[bool]:
     times L/S_i for the lcm L of the spacings.  The test reads |x|, so s and
     -s escape together: classes grow chain by chain over the all-FIN prefix
     and the prefixes whose first end is PLUS, which in `all_signatures` order
-    are the principal class and every class after it, and each prefix carries
-    every row's x and h.  Class i's negation is class 3^k - 1 - i, so the
-    first half of the verdicts is the second half mirrored."""
+    are the principal class and every class after it.  Each PLUS-first
+    prefix carries every row's x and h, flat (row r's pair at offsets 2r and
+    2r + 1), and the offsets of the rows its class checks; the all-FIN
+    prefix carries its h alone, its x being zero, and never escapes.  A
+    class's rows are read until one fails.  Class i's negation is class 3^k
+    - 1 - i, so the first half of the verdicts is the second half mirrored.
+    Refused past `MAX_CLASSES`."""
+    check_classes(model.k)
     kernel = model.arrangement
     steps = [lcm(*kernel.spacings) // s for s in kernel.spacings]
     units = ([n[0] for n in kernel.normals], [n[1] for n in kernel.normals], *kernel.cross)
-    rows = [[(a * t, b * t) for (a, b), t in zip(row, steps)] for row in units]
-
-    def shift(sums, pairs, e):  # sums + e*pairs, row by row
-        return [(x + e * a, y + e * b) for (x, y), (a, b) in zip(sums, pairs)]
-
-    zeros = [(0, 0)] * len(rows)
-    level = [(True, (), zeros, zeros)]  # all FIN so far, free chains, x, h
-    for i, column in enumerate(zip(*rows)):  # chain i's pair in every row
-        size = [(a, b) if sqrt3_sign(a, b) >= 0 else (-a, -b) for a, b in column]
-        level = [
-            (fin, free + (i,), xs, shift(hs, size, 1)) if e == FIN
-            else (False, free, shift(xs, column, e), hs)
-            for fin, free, xs, hs in level
-            for e in ((FIN, PLUS) if fin else (MINUS, FIN, PLUS))
-        ]
-    upper = [
-        not fin and all(
-            sqrt3_sign(g - x, h - y) >= 0 and sqrt3_sign(g + x, h + y) >= 0
-            for (x, y), (g, h) in (
-                (xs[r], hs[r]) for r in (0, 1, *(2 + j for j in free))  # u = e1, e2, perp(m_j)
-            )
-        )
-        for fin, free, xs, hs in level
-    ]
+    free_hs = [0] * (2 * len(units))  # the all-FIN prefix's h
+    level = []  # the PLUS-first prefixes: the offsets of the rows they check, x, h
+    for i, t in enumerate(steps):
+        pairs = [(a * t, b * t) for a, b in (row[i] for row in units)]  # chain i's, by row
+        column = [v for pair in pairs for v in pair]
+        negated = [-v for v in column]
+        size = [v for a, b in pairs for v in ((a, b) if sqrt3_sign(a, b) >= 0 else (-a, -b))]
+        # all FIN but chain i, PLUS: it checks u = e1, e2 and perp(m_j) of
+        # every j < i; then each PLUS-first prefix grows by MINUS, FIN, PLUS
+        grown = [(tuple(range(0, 4 + 2 * i, 2)), column, free_hs)]
+        for checked, xs, hs in level:
+            grown.append((checked, list(map(add, xs, negated)), hs))
+            grown.append(((*checked, 4 + 2 * i), xs, list(map(add, hs, size))))
+            grown.append((checked, list(map(add, xs, column)), hs))
+        level = grown
+        free_hs = list(map(add, free_hs, size))
+    upper = [False]  # the principal class
+    for checked, xs, hs in level:
+        for r in checked:  # |u.x| <= h: both h - x and h + x are >= 0
+            x, y, g, h = xs[r], xs[r + 1], hs[r], hs[r + 1]
+            if sqrt3_sign(g - x, h - y) < 0 or sqrt3_sign(g + x, h + y) < 0:
+                upper.append(False)
+                break
+        else:
+            upper.append(True)
     return upper[:0:-1] + upper
 
 
@@ -354,6 +375,14 @@ def safe_components(signatures: Sequence[Signature]) -> list[list[Signature]]:
 class ClosureEntry(Record):
     __slots__ = ("signature", "below_in_image", "closure_classes", "ok")
     __hash__ = None
+
+    def __init__(
+        self, signature: Signature, below_in_image: list, closure_classes: list, ok: bool
+    ):
+        self.signature = signature
+        self.below_in_image = below_in_image
+        self.closure_classes = closure_classes
+        self.ok = ok
 
 
 class ClosureReport(Record):

@@ -27,10 +27,12 @@ from threading import Lock
 from typing import Iterable, Optional, Sequence
 
 from .chains import (
+    FIN,
     ChainHalfspace,
     ChainUltrafilter,
     Signature,
     all_signatures,
+    check_classes,
     flow_cuts,
     format_signature,
     min_set,
@@ -275,13 +277,17 @@ def _solve_line(bounds: list[tuple], prefix: Cuts, lo: int, hi: int, bound: int)
 def _pi0_rows(model: WallModel, bound: int) -> list[Row]:
     """The row of every (k-1)-prefix of the window, in lexicographic order,
     level by level from c_1's row, the window: each row of level j-1 is one
-    `_solve_line` of level j, and an empty row is never extended."""
+    `_solve_line` of level j, and an empty row is never extended.  The last
+    level's lines are written straight into the table, a slice per line."""
     _window_tuples(model, bound)  # refused before the first row
     if model.k == 0:
         raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
+    if model.k == 1:
+        return [(-bound, bound)]
     n = 2 * bound + 1
     lines = [((), 0, (-bound, bound))]  # a consistent prefix, its flat index and row
-    for bounds in model.oracle.row_bounds[1:]:
+    *middle, last = model.oracle.row_bounds[1:]
+    for bounds in middle:
         lines = [
             ((*prefix, c), index * n + bound + c, row)
             for prefix, index, (lo, hi) in lines
@@ -289,8 +295,9 @@ def _pi0_rows(model: WallModel, bound: int) -> list[Row]:
             if row
         ]
     rows: list[Row] = [None] * n ** (model.k - 1)
-    for _, index, row in lines:
-        rows[index] = row
+    for prefix, index, (lo, hi) in lines:
+        start = index * n + bound
+        rows[start + lo : start + hi + 1] = _solve_line(last, prefix, lo, hi, bound)
     return rows
 
 
@@ -318,8 +325,14 @@ def _lane(n: int, k: int) -> str:
 
 
 def _pack(values: Iterable[int], lane: str) -> bytes:
-    size = _LANE_SIZES[lane]
-    return b"".join(v.to_bytes(size, byteorder) for v in values)
+    """The values in native lanes of `lane`, as `_sweep` reads them: byte
+    lanes are `bytes` itself, and only wider ones load `array`, whose import
+    costs about a quarter of a millisecond."""
+    if lane == "B":
+        return bytes(values)
+    from array import array
+
+    return array(lane, values).tobytes()
 
 
 def _row_cells(bound: int, far: int, lane: str):
@@ -344,11 +357,12 @@ def _sweep(table: bytes, n: int, k: int, lane: str) -> bytes:
     """The distance table whose rows `table` fills, swept twice along each
     head axis by g(x) = min(f(x), g(x -+ 1) + 1) (Rosenfeld & Pfaltz 1966)
     while that axis is outermost, a whole layer at a time, then turned so
-    the next axis is; k turns restore its order, and one chain's fill is
-    already its table.  A layer is one int of `lane` lanes, and min(a, b + 1)
-    over it is exact big-int arithmetic (Lamport 1975): with H the lanes' top
-    bits, a lane of ((a | H) - (b + 1)) & H is set iff a >= b + 1 there, and
-    that lane takes b + 1.  The turns copy strided slices of a bytearray."""
+    the next axis is; k turns restore its order, so two chains' table is
+    not turned, and one chain's fill is already its table.  A layer is one
+    int of `lane` lanes, and min(a, b + 1) over it is exact big-int
+    arithmetic (Lamport 1975): with H the lanes' top bits, a lane of ((a |
+    H) - (b + 1)) & H is set iff a >= b + 1 there, and that lane takes b +
+    1.  The turns copy strided slices of a bytearray."""
     if k == 1:
         return table
     size = _LANE_SIZES[lane]
@@ -366,6 +380,8 @@ def _sweep(table: bytes, n: int, k: int, lane: str) -> bytes:
                 t = ((a | high) - b) & high
                 layers[i] = a ^ ((a ^ b) & (t - (t >> top)))
             table = b"".join(layer.to_bytes(span, byteorder) for layer in layers)
+        if k == 2:  # the two turns cancel
+            return table
         turned = bytearray(len(table))  # c_axis innermost, the next axis outermost
         for i, x in enumerate(range(0, len(table), span)):
             for o in range(size):
@@ -820,6 +836,12 @@ class ClassRow(Record):
     __slots__ = ("signature", "codim", "in_image", "escapes")
     __hash__ = None
 
+    def __init__(self, signature: Signature, codim: int, in_image: bool, escapes: Optional[bool]):
+        self.signature = signature
+        self.codim = codim
+        self.in_image = in_image
+        self.escapes = escapes
+
 
 class SurjectivityReport(Record):
     __slots__ = (
@@ -872,12 +894,15 @@ def surjectivity_report(
     with `escaping_ray` as its windowed witness.  Rows are built by index,
     zipping `all_signatures` with the escape verdicts, which are decided for
     the classes whose first end is PLUS and mirrored, since D0(-s) = D0(s);
-    ``in_image`` is read off the image's sign tuples.  Windows are built in the
-    ascending order they are reported, so the smallest failing window refuses,
-    and they may hold together what three windows at the cap hold."""
+    ``in_image`` is read off the image's sign tuples and each codim off its
+    class's ends.  More than `MAX_CLASSES` classes are refused before any
+    window is built.  Windows are built in the ascending order they are
+    reported, so the smallest failing window refuses, and they may hold
+    together what three windows at the cap hold."""
     windows = sorted(set(windows))  # a repeated window adds no step
     if not windows:
         raise MalformedInput("a report needs at least one window", [])
+    check_classes(model.k)
     max_delta, total, cap = [], 0, 3 * MAX_WINDOW_TUPLES
     for w in windows:
         total += _window_tuples(model, w)
@@ -887,10 +912,11 @@ def surjectivity_report(
     image = rho_image(model)
     linear = min(2, model.distinct_wall_directions()) < model.k  # rank of n_i/s_i
     in_image = {e.signature.ends for e in image.entries}
+    k = model.k
     rows = [
-        ClassRow(s, codim, s.ends in in_image, None if codim == 0 else escapes)
-        for s, escapes in zip(all_signatures(model.k), _escape_verdicts(model))
-        for codim in (s.codim(),)
+        ClassRow(s, codim, s.ends in in_image, escapes if codim else None)
+        for s, escapes in zip(all_signatures(k), _escape_verdicts(model))
+        for codim in (k - s.ends.count(FIN),)
     ]
     escaping = [r.signature for r in rows if r.escapes]
     return SurjectivityReport(

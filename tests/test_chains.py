@@ -311,6 +311,26 @@ def test_roller_covers_match_the_pairwise_definition():
         assert len(covers) == 2 * k * 3 ** (k - 1) if k else not covers
 
 
+def test_class_listings_are_capped():
+    # 3^10 classes are listed, each an equal and equally hashed `Signature`
+    # though none is checked again; 3^11 are refused before the first
+    from pocsets.errors import MalformedInput
+
+    assert chains.MAX_CLASSES == 3**10
+    assert len(all_signatures(10)) == chains.MAX_CLASSES
+    for k in range(4):
+        listed = all_signatures(k)
+        built = [Signature(ends) for ends in product((MINUS, FIN, PLUS), repeat=k)]
+        assert listed == built and list(map(hash, listed)) == list(map(hash, built))
+        assert all(type(s) is Signature for s in listed)
+    for call in (all_signatures, RollerPoset.build):
+        for k in (11, 14, 200):
+            with pytest.raises(MalformedInput) as refusal:
+                call(k)
+            assert str(refusal.value) == f"{k} chains have 3^{k} classes, more than 59049"
+            assert refusal.value.witness == k
+
+
 # ---------------------------------------------------------------------------
 # projection and canonical flow
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from math import isqrt
 from pathlib import Path
 
@@ -269,6 +270,30 @@ def test_unaffordable_window_fails_fast():
         proc = run_cli(*argv, expect=1, timeout=30)
         [line] = proc.stderr.splitlines()
         assert json.loads(line)["code"] == "malformed-input"
+
+
+def test_class_listings_past_the_cap_fail_fast(tmp_path):
+    # 3^14 classes: refused before the first is listed, where `report` and
+    # `boundary` used to end in a MemoryError under tier-1's 4 GiB limit
+    names = [f"c{j}" for j in range(14)]
+    walls, chains = tmp_path / "walls.json", tmp_path / "chains.json"
+    geometry = [{"normal": ["1", str(j)], "spacing": "1", "offset": "0"} for j in range(14)]
+    walls.write_text(json.dumps({"chains": names, "geometry": geometry}))
+    chains.write_text(json.dumps({"chains": names}))
+    for argv in (
+        ("report", str(walls), "--windows", "0"),
+        ("report", str(walls)),  # its windows are past the window cap too
+        ("boundary", str(chains)),
+        ("boundary", str(walls), "--format", "structured"),
+    ):
+        start = time.perf_counter()
+        proc = run_cli(*argv, expect=1, timeout=30)
+        assert time.perf_counter() - start < 1, argv
+        [line] = proc.stderr.splitlines()
+        diagnostic = json.loads(line)
+        assert diagnostic["code"] == "malformed-input"
+        assert diagnostic["message"] == "14 chains have 3^14 classes, more than 59049"
+        assert proc.stdout == ""
 
 
 def test_report_windows_fail_fast_together():

@@ -603,3 +603,90 @@ def test_image_and_closure_match_the_pairwise_search():
         twin.__dict__["image"] = reference  # what `cached_property` would keep
         assert rho_image(model).to_json() == reference.to_json()
         assert closure_check(model).to_json() == closure_check(twin).to_json()
+
+
+# ---------------------------------------------------------------------------
+# the image from the cross table's zeros, against the direction-keyed build
+
+
+def _image_by_directions(model):
+    """The image built from a dict keyed by normalized directions, each
+    direction's class set by its first family (`setdefault`), the keys
+    sorted by `_ccw_key` and the fibers keyed by `Signature`: the build that
+    `_build_image`'s parallel test on the cross table replaced."""
+    from pocsets.chains import Signature
+    from pocsets.euclid import _ccw_key
+    from pocsets.exactnum import sqrt3_sign
+
+    ends = {}
+    for fam, row in zip(model.families, model.arrangement.cross):
+        d, signs = normalize(perp(fam.normal)), tuple(sqrt3_sign(a, b) for a, b in row)
+        ends.setdefault(d, signs)
+        ends.setdefault(negate(d), tuple(-e for e in signs))
+    criticals = sorted(ends, key=_ccw_key)
+    uniform = len(criticals) > 2
+    classes = [Signature(ends[c]) for c in criticals]
+    fibers = {}
+    for i, c in enumerate(criticals):
+        j = (i + 1) % len(criticals)
+        fibers.setdefault(classes[i], []).append(PointFiber(c))
+        if uniform:
+            arc_class = Signature(tuple(a or b for a, b in zip(classes[i].ends, classes[j].ends)))
+        else:
+            arc_class = rho(model, perp(c))
+        fibers.setdefault(arc_class, []).append(ArcFiber(c, criticals[j]))
+    entries = tuple(ImageEntry(s, tuple(fs)) for s, fs in fibers.items())
+    warning = None if uniform else "all wall normals are parallel"
+    return ImageReport(entries, tuple(criticals), uniform, warning)
+
+
+def _parallel_wall_models(seed):
+    """Generated models with a family parallel to an earlier one in the same
+    and in the opposite orientation, and all-parallel models of 1-5 families."""
+    from test_shadows import _wall_model
+
+    rng = random.Random(seed)
+    for _ in range(60):
+        angles = [rng.randrange(12) for _ in range(rng.randint(2, 5))]
+        j = rng.randrange(len(angles))
+        angles.insert(rng.randint(j + 1, len(angles)), (angles[j] + rng.choice((0, 6))) % 12)
+        yield _wall_model(rng, angles)
+    for _ in range(30):
+        a = rng.randrange(12)
+        yield _wall_model(rng, [(a + rng.choice((0, 6))) % 12 for _ in range(rng.randint(1, 5))])
+
+
+def _orientations(model):
+    """For each family parallel to an earlier one: +1 if their normals point
+    the same way, -1 if opposite."""
+    found = set()
+    for j, row in enumerate(model.arrangement.cross):
+        for i in range(j):
+            if row[i] == (0, 0):
+                found.add(dot(model.families[i].normal, model.families[j].normal).sign())
+    return found
+
+
+def test_image_build_matches_the_direction_keyed_build():
+    orientations, non_uniform = set(), 0
+    models = [*_random_wall_models(13, 120, range(1, 7)), *_parallel_wall_models(14)]
+    for model in models:
+        reference = _image_by_directions(model)
+        assert model.image == reference
+        assert model.image.to_json() == reference.to_json()
+        orientations |= _orientations(model)
+        non_uniform += not model.image.uniform
+    assert orientations == {1, -1} and non_uniform >= 30
+
+
+def test_a_parallel_family_keeps_the_first_familys_classes():
+    # a later parallel family's cross-table row, negated off its zeros, is a
+    # table no model has: only the first family of each direction may set the
+    # classes, as `setdefault` did, so the image is the one of the true table
+    for model in _parallel_wall_models(15):
+        twin = WallModel(model.chains, model.families)
+        cross = model.arrangement.cross
+        for j, row in enumerate(cross):
+            if (0, 0) in row[:j]:
+                cross[j] = [(-a, -b) for a, b in row]
+        assert model.image == twin.image == _image_by_directions(model)

@@ -771,6 +771,57 @@ def test_packed_sweep_matches_the_list_sweep():
     assert lanes == {"B", "H"}
 
 
+def test_pack_matches_per_value_bytes():
+    # every lane at 0, 1 and its top bit, and a range as `_row_cells` packs one
+    from sys import byteorder
+
+    from pocsets.shadows import _LANE_SIZES, _pack
+
+    assert set(_LANE_SIZES) == {"B", "H", "L"}
+    for lane, size in _LANE_SIZES.items():
+        top = 1 << 8 * size - 1
+        for values in ([0], [1], [top], [0, 1, top, 1, 0], range(1, 256), []):
+            expect = b"".join(v.to_bytes(size, byteorder) for v in values)
+            assert _pack(values, lane) == expect, (lane, values)
+
+
+def _pi0_rows_by_prefix(model, bound):
+    """`_pi0_rows` with its last level built as the levels before it are, a
+    line per consistent prefix and a row per head, then written into the
+    table one row at a time, as a reference for the sliced writes."""
+    from pocsets.shadows import _solve_line
+
+    n = 2 * bound + 1
+    lines = [((), 0, (-bound, bound))]
+    for bounds in model.oracle.row_bounds[1:]:
+        lines = [
+            ((*prefix, c), index * n + bound + c, row)
+            for prefix, index, (lo, hi) in lines
+            for c, row in zip(range(lo, hi + 1), _solve_line(bounds, prefix, lo, hi, bound))
+            if row
+        ]
+    rows = [None] * n ** (model.k - 1)
+    for _, index, row in lines:
+        rows[index] = row
+    return rows
+
+
+def test_sliced_rows_match_the_rows_by_prefix():
+    # k = 1..4 generated models (two with parallel families each) and G~2
+    from pocsets.shadows import _pi0_rows
+
+    rng = random.Random(36)
+    cases = [(g2_model(), w) for w in (0, 1, 2, 3)]
+    for k in range(1, 5):
+        cases += [(m, w) for m in _generated_models(rng, k, 4) for w in (0, 1, 3 if k < 4 else 2)]
+    partial = set()
+    for model, w in cases:
+        rows = _pi0_rows(model, w)
+        assert rows == _pi0_rows_by_prefix(model, w), (model.k, w)
+        partial.add(not all(rows))
+    assert partial == {True, False}  # some rows are empty, and some tables full
+
+
 @pytest.mark.parametrize("module", ["shadows", "euclid", "exactnum"])
 def test_module_uses_no_float(module):
     # floating point must never enter a predicate, not even to speed up the
@@ -1390,6 +1441,29 @@ def test_surjectivity_g2():
     assert report.image_size == 24 and len(rho_image(model).signatures()) == 24
     members = [c for c in product(range(-2, 3), repeat=6) if model.oracle.consistent(c)]
     assert window_field(model, 2).members == members
+
+
+def test_reports_past_the_class_cap_are_refused():
+    # 14 families (normals (1, j)) have 3^14 classes: the report is refused
+    # before its first window is built, and so are the escapers; G~2's 3^6
+    # classes are listed
+    from pocsets.euclid import _escape_verdicts
+
+    normals = [(ExactNumber.of(1), ExactNumber.of(j)) for j in range(14)]
+    names = tuple(f"c{j}" for j in range(14))
+    model = WallModel(ChainFamily(names), tuple(map(WallFamily, normals)))
+    message = "14 chains have 3^14 classes, more than 59049"
+    for call in (
+        lambda: surjectivity_report(model, windows=(0,)),
+        lambda: surjectivity_report(model, windows=(100,)),  # past the window cap too
+        lambda: eventual_escapers(model),
+        lambda: _escape_verdicts(model),
+    ):
+        with pytest.raises(MalformedInput) as refusal:
+            call()
+        assert str(refusal.value) == message
+    assert "oracle" not in model.__dict__  # no window was built
+    assert len(surjectivity_report(g2_model(), windows=(0,)).classes) == 729
 
 
 def _escaper_test_models():
