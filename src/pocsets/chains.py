@@ -10,16 +10,11 @@ int (a cut) or ``math.inf`` / ``-math.inf`` (the two ends):
 
 Almost-equality classes are signatures with one of Fin(0), Plus(+1),
 Minus(-1) per chain; the principal class is all-Fin.  Every function here is
-pure.  Records take equality, hash and repr from their ``__slots__``
-through `pocsets.core.Record`, and so does the constructor of those built
-once per call (`ChainFamily`, `RollerPoset`); those built per tuple or per
-vertex (`ChainHalfspace`, `ChainUltrafilter`, `Signature`) and
-`MoveSchedule`, called with keywords, write their own; `all_signatures`
-sets its classes' ends directly, skipping `Signature`'s check of ends that
-are valid by construction.  They are immutable by convention: nothing
-assigns to a field after construction, and the hashed ones
-(`ChainUltrafilter`, `Signature`, ..) rely on it.  Listing all 3^k classes
-is refused past `MAX_CLASSES`.
+pure.  Records are `pocsets.core.Record`s; `all_signatures` sets its
+classes' ends directly, skipping `Signature`'s check of ends valid by
+construction.  They are immutable by convention: nothing assigns to a field
+after construction, and the hashed ones (`ChainUltrafilter`, `Signature`,
+..) rely on it.  Listing all 3^k classes is refused past `MAX_CLASSES`.
 """
 
 from __future__ import annotations
@@ -79,9 +74,6 @@ class ChainUltrafilter(Record):
 
     __slots__ = ("cuts",)
 
-    def __init__(self, cuts: tuple[CutValue, ...]):
-        self.cuts = cuts
-
     @property
     def k(self) -> int:
         return len(self.cuts)
@@ -96,15 +88,12 @@ class ChainUltrafilter(Record):
         return PLUS_END not in self.cuts and MINUS_END not in self.cuts
 
     def int_cuts(self) -> tuple[int, ...]:
-        """The cuts as ints; refused for an end state, with the states as
-        document values (``"+inf"``, ``"-inf"`` or the cut) as witness."""
+        """The cuts as ints; an end state or a cut that is not an integer is
+        refused, with the states as document values as witness."""
         if not self.is_principal():
-            states = [
-                "+inf" if c == PLUS_END else "-inf" if c == MINUS_END else int(c)
-                for c in self.cuts
-            ]
-            raise NotPrincipal("ultrafilter has an end state", states)
-        return tuple(map(int, self.cuts))
+            raise NotPrincipal("ultrafilter has an end state", _states(self.cuts))
+        ints = tuple(map(int, self.cuts))
+        return ints if ints == self.cuts else tuple([_integer(c, self) for c in self.cuts])
 
 
 class Signature(Record):
@@ -164,8 +153,21 @@ def delta(a: ChainUltrafilter, b: ChainUltrafilter):
             continue
         if x in _ENDS or y in _ENDS:
             return math.inf
-        total += abs(int(x) - int(y))
+        total += abs(_integer(x, a) - _integer(y, b))
     return total
+
+
+def _integer(c: CutValue, u: ChainUltrafilter) -> int:
+    """A finite cut of u as an int; one that is not an integer is refused,
+    with u's states as document values as witness (``5.0`` reads as 5)."""
+    if int(c) != c:
+        raise MalformedInput("a cut must be an integer", _states(u.cuts))
+    return int(c)
+
+
+def _states(cuts: Sequence[CutValue]) -> list:
+    """The states as document values: ``"+inf"``, ``"-inf"`` or the cut."""
+    return ["+inf" if c == PLUS_END else "-inf" if c == MINUS_END else c for c in cuts]
 
 
 def median(a: ChainUltrafilter, b: ChainUltrafilter, c: ChainUltrafilter) -> ChainUltrafilter:
@@ -523,15 +525,8 @@ _CUT_RE = re.compile(r"^cut\((-?[0-9]+)\)$")
 
 
 def format_ultrafilter(family: ChainFamily, u: ChainUltrafilter) -> str:
-    parts = []
-    for name, c in zip(family.names, u.cuts):
-        if c == PLUS_END:
-            parts.append(f"{name}:+inf")
-        elif c == MINUS_END:
-            parts.append(f"{name}:-inf")
-        else:
-            parts.append(f"{name}:cut({int(c)})")
-    return " ".join(parts)
+    states = [s if s in ("+inf", "-inf") else f"cut({_integer(s, u)})" for s in _states(u.cuts)]
+    return " ".join(f"{name}:{state}" for name, state in zip(family.names, states))
 
 
 def parse_ultrafilter(family: ChainFamily, text: str) -> ChainUltrafilter:

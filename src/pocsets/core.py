@@ -12,22 +12,19 @@ Element indexing convention (used everywhere in this package):
 * the trivial pair sits last: ``0`` at handle ``2n``, ``0*`` at ``2n+1``;
 * ``star(e) = e ^ 1``; canonical element order is handle order.
 
-Records are ``__slots__`` classes (dataclasses cost start-up) that derive
-equality, hash and repr from their ``__slots__`` through `Record`; one
-holding a list or a dict sets ``__hash__ = None``.  A record built once or
-a few times per call takes `Record`'s positional constructor; one built per
-tuple, per vertex or per class of a model's report, one that checks its
-fields or one called with defaults writes its own.  Records are immutable by convention (nothing in the package
-assigns to a field after construction), and every operation is a pure
-function, so concurrent use needs no synchronization.
+Records are ``__slots__`` classes (dataclasses cost start-up) deriving their
+constructor, equality, hash and repr from ``__slots__`` through `Record`;
+one holding a list or a dict sets ``__hash__ = None``, and only one that
+checks, converts or defaults a field writes its own constructor.  Records
+are immutable by convention and every operation is a pure function, so
+concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
 
 import re
-from functools import reduce
-from itertools import combinations, compress
-from operator import attrgetter, or_
+from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -51,7 +48,6 @@ MAX_PAIRS = 512
 MAX_ULTRAFILTERS = 2**14
 
 _NAME_RE = re.compile(r"^(?:h([1-9][0-9]*)|0)(\*)?$")
-_BITS = bytes.maketrans(b"01", b"\0\1")  # a binary numeral's digits as the bytes 0 and 1
 
 
 def star(e: int) -> int:
@@ -67,22 +63,29 @@ def pair_of(e: int) -> int:
     return e >> 1
 
 
+class _InitSignature:
+    """A record class's ``__signature__``: reading it compiles the class's
+    constructor, and None leaves `inspect` to read that constructor."""
+
+    def __get__(self, instance, owner):
+        if owner is not Record and owner.__init__ is Record.__init__:
+            _compile_init(owner)
+
+
 class Record:
-    """Base of the records compared by value: each subclass gets `__eq__`
-    (the same class with equal fields), `__hash__` (of the field tuple,
-    unless the class sets ``__hash__ = None``) and `__repr__`
-    (``Name(field=value, ...)``), all read off its ``__slots__``, and an
-    `__init__` of the fields in slot order; a record built per tuple, per
-    vertex or per class of a model's report writes its own, 2.5 to 4.2
-    times as fast."""
+    """Base of the records compared by value: each subclass gets `__init__`
+    (its fields in slot order, by position or keyword), `__eq__` (the same
+    class with equal fields), `__hash__` (of the field tuple, unless the
+    class sets ``__hash__ = None``) and `__repr__` (``Name(field=value,
+    ...)``), all read off its ``__slots__``.  `__init__` is compiled on first
+    construction or signature read, one ``self.x = x`` per slot: as fast as
+    a written one, at no cost to an import."""
 
     __slots__ = ()
+    __signature__ = _InitSignature()
 
-    def __init__(self, *fields):
-        if len(fields) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
-        for name, value in zip(self.__slots__, fields):
-            setattr(self, name, value)
+    def __init__(self, *fields, **named):
+        _compile_init(type(self))(self, *fields, **named)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -123,9 +126,6 @@ class Ultrafilter(Record):
     """
 
     __slots__ = ("signs",)
-
-    def __init__(self, signs: tuple[int, ...]):
-        self.signs = signs
 
     def __contains__(self, e: int) -> bool:
         k, n = e >> 1, len(self.signs)
@@ -245,7 +245,7 @@ class FinitePocSet:
                 names = f"{_raw_name(a, n_pairs)} <= {_raw_name(b, n_pairs)}"
                 message = f"{names} does not match the dual relation"
                 raise AxiomViolation("involution not order-reversing", message, (a, b))
-        return cls(n_pairs, _closed_rows(n_pairs, up, fold=True), _validated=True)
+        return cls(n_pairs, _closed_rows(n_pairs, up), _validated=True)
 
     def _pair_transversality(self) -> tuple[int, ...]:
         """Bitmask per pair of the pairs transverse to it.
@@ -587,7 +587,7 @@ def _star_mask(elements: Iterable[int]) -> int:
     return mask
 
 
-def _closed_rows(n_pairs: int, up: list[int], fold: bool = False) -> list[int]:
+def _closed_rows(n_pairs: int, up: list[int]) -> list[int]:
     """Close star-symmetric generator rows in place and return them, or
     refuse the first of antisymmetry, minimum and ``h <= h*`` to fail, at
     its least witness.
@@ -599,9 +599,7 @@ def _closed_rows(n_pairs: int, up: list[int], fold: bool = False) -> list[int]:
     a are ``up[a*]`` with each bit pair swapped, and antisymmetry is checked
     as soon as a pair is closed, at its plain handle a only: once every
     earlier pair has passed, an a* equivalent to some b > a* would make a
-    equivalent to b* > a.  With ``fold``, for rows that arrive closed, a row
-    with bits to search that one OR-fold (of the rows its bits select) shows
-    closed is not searched."""
+    equivalent to b* > a."""
     m = len(up)
     even = (4 ** (m // 2) - 1) // 3  # bits 0, 2, 4, ..
     # 0* adds nothing to a row when nothing lies above it, as in a poc-set
@@ -611,8 +609,6 @@ def _closed_rows(n_pairs: int, up: list[int], fold: bool = False) -> list[int]:
             row = up[e]
             seen = top | 1 << e
             todo = row & ~seen
-            if fold and todo and reduce(or_, compress(up, bin(row)[:1:-1].encode().translate(_BITS)), row) == row:
-                continue
             while todo:
                 c = (todo & -todo).bit_length() - 1
                 folded = up[c]
@@ -638,3 +634,14 @@ def _closed_rows(n_pairs: int, up: list[int], fold: bool = False) -> list[int]:
         if up[e] >> (e ^ 1) & 1:
             raise AxiomViolation("h <= h*", f"{_raw_name(e, n_pairs)} lies below its star", e)
     return up
+
+
+def _compile_init(cls: type):
+    """Install and return ``cls.__init__(self, <slots in order>)``, one
+    ``self.x = x`` per slot; racing threads each install an equal one."""
+    names, namespace = cls.__slots__, {"__name__": cls.__module__}
+    body = "".join(f"    self.{n} = {n}\n" for n in names)
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", namespace)
+    init = cls.__init__ = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init

@@ -31,10 +31,6 @@ class Cube(Record):
 
     __slots__ = ("base", "pairs")
 
-    def __init__(self, base: int, pairs: tuple[int, ...]):
-        self.base = base
-        self.pairs = pairs
-
 
 class Wall(Record):
     """One wall of the complex: its labelled edges and vertex bipartition."""

@@ -193,9 +193,6 @@ class PointFiber(Record):
     __slots__ = ("direction",)
     kind = "point"
 
-    def __init__(self, direction: Vec):
-        self.direction = direction
-
 
 class ArcFiber(Record):
     """Open counterclockwise arc between two critical directions."""
@@ -203,17 +200,9 @@ class ArcFiber(Record):
     __slots__ = ("start", "end")
     kind = "arc"
 
-    def __init__(self, start: Vec, end: Vec):
-        self.start = start
-        self.end = end
-
 
 class ImageEntry(Record):
     __slots__ = ("signature", "fibers")
-
-    def __init__(self, signature: Signature, fibers: tuple):
-        self.signature = signature
-        self.fibers = fibers
 
 
 class ImageReport(Record):
@@ -375,14 +364,6 @@ def safe_components(signatures: Sequence[Signature]) -> list[list[Signature]]:
 class ClosureEntry(Record):
     __slots__ = ("signature", "below_in_image", "closure_classes", "ok")
     __hash__ = None
-
-    def __init__(
-        self, signature: Signature, below_in_image: list, closure_classes: list, ok: bool
-    ):
-        self.signature = signature
-        self.below_in_image = below_in_image
-        self.closure_classes = closure_classes
-        self.ok = ok
 
 
 class ClosureReport(Record):

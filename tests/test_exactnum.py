@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import math
 import operator
+import os
 import pkgutil
 import random
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +33,7 @@ from pocsets.exactnum import (
 )
 
 SQRT3 = ExactNumber(0, 1)
+ROOT = Path(__file__).resolve().parents[1]
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -486,8 +494,8 @@ def test_records_have_value_semantics(cls, fields, others):
         assert cls(*changed) != first, (cls.__name__, i)
     twin = type("Twin", (cls,), {})
     assert twin(*fields()) != first and first != twin(*fields())
-    if "__init__" not in vars(cls):  # Record's, which takes every field
-        with pytest.raises(TypeError):
+    if issubclass(cls, Record) and cls.__name__ not in _written_constructors():
+        with pytest.raises(TypeError):  # Record's, which takes every field
             cls(*fields()[1:])
     # a subclass of an unhashable report stays unhashable
     assert (twin.__hash__ is None) == (cls.__hash__ is None)
@@ -502,6 +510,125 @@ def test_records_have_value_semantics(cls, fields, others):
             importlib.import_module(f"pocsets.{module.name}")
     records = {c for c in Record.__subclasses__() if c.__module__.startswith("pocsets.")}
     assert records <= {case[0] for case in _record_cases()}
+
+
+@cache
+def _written_constructors() -> dict[str, ast.FunctionDef]:
+    """The `__init__` of each `Record` subclass of the package that writes
+    one, by class name, read off the source."""
+    inits = {}
+    for path in sorted((ROOT / "src" / "pocsets").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(base).split(".")[-1] == "Record" for base in node.bases
+            ):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef) and f.name == "__init__":
+                        inits[node.name] = f
+    return inits
+
+
+def _only_assigns(init: ast.FunctionDef) -> bool:
+    """Whether a constructor takes its fields without defaults and only
+    assigns each to the slot of its name, as `Record`'s compiled one does."""
+    args = init.args
+    if args.defaults or args.kwonlyargs or args.vararg or args.kwarg:
+        return False
+    params = {a.arg for a in args.args[1:]}
+    for stmt in init.body:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+            continue  # a docstring
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+            return False
+        target, value = stmt.targets[0], stmt.value
+        if not (
+            isinstance(target, ast.Attribute)
+            and ast.unparse(target.value) == "self"
+            and isinstance(value, ast.Name)
+            and value.id == target.attr
+            and value.id in params
+        ):
+            return False
+    return True
+
+
+def test_no_record_writes_a_constructor_that_only_assigns_its_fields():
+    # `Record` compiles that constructor on first use; a record writes its
+    # own only to check, convert or default a field
+    parse = lambda source: ast.parse(source).body[0]
+    assert _only_assigns(parse("def __init__(self, a, b):\n    'A.'\n    self.a = a\n    self.b = b"))
+    assert not _only_assigns(parse("def __init__(self, a, b=0):\n    self.a = a\n    self.b = b"))
+    assert not _only_assigns(parse("def __init__(self, a, b):\n    self.a = b\n    self.b = a"))
+    assert not _only_assigns(parse("def __init__(self, a):\n    self.a = tuple(a)"))
+    inits = _written_constructors()
+    assert {"ChainHalfspace", "Signature", "WallFamily"} <= set(inits)  # the walk sees them
+    assert [name for name, init in inits.items() if _only_assigns(init)] == []
+
+
+def _refused_arity(cls: type, values: tuple) -> bool:
+    """Whether constructing cls from values raises its constructor's TypeError."""
+    try:
+        cls(*values)
+    except TypeError as exc:
+        return f"{cls.__qualname__}.__init__()" in str(exc)
+    return False
+
+
+def test_compiled_constructors_take_the_slots_before_and_after_their_compile():
+    # every record without a written constructor, as before its first
+    # construction (the compiled `__init__` deleted) and once compiled: the
+    # signature lists the slots in order, keywords build the same record, and
+    # one field too few or too many is refused
+    generated = [
+        (cls, fields())
+        for cls, fields, _ in _record_cases()
+        if issubclass(cls, Record) and cls.__name__ not in _written_constructors()
+    ]
+    assert len(generated) >= 20
+    for cls, values in generated:
+        checks = {
+            "signature": lambda: list(inspect.signature(cls).parameters) == list(cls.__slots__),
+            "keywords": lambda: cls(**dict(zip(cls.__slots__, values))) == cls(*values),
+            "one too few": lambda: _refused_arity(cls, values[:-1]),
+            "one too many": lambda: _refused_arity(cls, (*values, None)),
+        }
+        for name, check in checks.items():
+            if "__init__" in vars(cls):
+                del cls.__init__
+            assert cls.__init__ is Record.__init__
+            assert check(), (cls.__name__, name, "first use")
+            assert vars(cls)["__init__"].__qualname__ == f"{cls.__qualname__}.__init__"
+            assert check(), (cls.__name__, name, "compiled")
+
+
+def test_racing_first_constructions_each_build_their_record():
+    # more threads than cores construct a fresh record class at once, with a
+    # short switch interval: each may compile and install the constructor,
+    # and each gets its own fields
+    workers = (os.cpu_count() or 1) + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            fresh = type("Fresh", (Record,), {"__slots__": ("a", "b", "c")})
+            start, built = threading.Barrier(workers), {}
+
+            def build(i):
+                start.wait(timeout=10)
+                built[i] = fresh(i, i + 1, c=i + 2)
+
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert {i: (r.a, r.b, r.c) for i, r in built.items()} == {
+                i: (i, i + 1, i + 2) for i in range(workers)
+            }
+            assert vars(fresh)["__init__"].__qualname__ == "Fresh.__init__"
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_records_are_slotted_and_mutable_reports_unhashable():
