@@ -92,8 +92,8 @@ class ChainUltrafilter(Record):
         refused, with the states as document values as witness."""
         if not self.is_principal():
             raise NotPrincipal("ultrafilter has an end state", _states(self.cuts))
-        ints = tuple(map(int, self.cuts))
-        return ints if ints == self.cuts else tuple([_integer(c, self) for c in self.cuts])
+        cuts = self.cuts
+        return cuts if {*map(type, cuts)} == {int} else tuple([_integer(c, self) for c in cuts])
 
 
 class Signature(Record):
@@ -160,14 +160,18 @@ def delta(a: ChainUltrafilter, b: ChainUltrafilter):
 def _integer(c: CutValue, u: ChainUltrafilter) -> int:
     """A finite cut of u as an int; one that is not an integer is refused,
     with u's states as document values as witness (``5.0`` reads as 5)."""
-    if int(c) != c:
-        raise MalformedInput("a cut must be an integer", _states(u.cuts))
-    return int(c)
+    try:
+        if int(c) == c:
+            return int(c)
+    except (TypeError, ValueError):  # not a number, or NaN
+        pass
+    raise MalformedInput("a cut must be an integer", _states(u.cuts))
 
 
 def _states(cuts: Sequence[CutValue]) -> list:
-    """The states as document values: ``"+inf"``, ``"-inf"`` or the cut."""
-    return ["+inf" if c == PLUS_END else "-inf" if c == MINUS_END else c for c in cuts]
+    """The states as document values: ``"+inf"``, ``"-inf"``, the cut or ``"nan"``."""
+    return ["+inf" if c == PLUS_END else "-inf" if c == MINUS_END else c if c == c else "nan"
+            for c in cuts]
 
 
 def median(a: ChainUltrafilter, b: ChainUltrafilter, c: ChainUltrafilter) -> ChainUltrafilter:
@@ -525,7 +529,8 @@ _CUT_RE = re.compile(r"^cut\((-?[0-9]+)\)$")
 
 
 def format_ultrafilter(family: ChainFamily, u: ChainUltrafilter) -> str:
-    states = [s if s in ("+inf", "-inf") else f"cut({_integer(s, u)})" for s in _states(u.cuts)]
+    states = ["+inf" if c == PLUS_END else "-inf" if c == MINUS_END else f"cut({_integer(c, u)})"
+              for c in u.cuts]
     return " ".join(f"{name}:{state}" for name, state in zip(family.names, states))
 
 

@@ -12,19 +12,18 @@ Element indexing convention (used everywhere in this package):
 * the trivial pair sits last: ``0`` at handle ``2n``, ``0*`` at ``2n+1``;
 * ``star(e) = e ^ 1``; canonical element order is handle order.
 
-Records are ``__slots__`` classes (dataclasses cost start-up) deriving their
-constructor, equality, hash and repr from ``__slots__`` through `Record`;
-one holding a list or a dict sets ``__hash__ = None``, and only one that
-checks, converts or defaults a field writes its own constructor.  Records
-are immutable by convention and every operation is a pure function, so
-concurrent use needs no synchronization.
+Records are ``__slots__`` classes (dataclasses cost start-up) whose
+constructor, equality, hash and repr `Record` compiles from ``__slots__``,
+each on its first call; one holding a list or a dict sets ``__hash__ =
+None``, and only one that checks, converts or defaults a field writes its
+own constructor.  Records are immutable by convention and every operation
+is a pure function, so concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import combinations
-from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -69,49 +68,33 @@ class _InitSignature:
 
     def __get__(self, instance, owner):
         if owner is not Record and owner.__init__ is Record.__init__:
-            _compile_init(owner)
+            _compile(owner, "__init__")
+
+
+def _first_use(name: str):
+    """`Record`'s ``name``: compiles the class's own, then calls it."""
+
+    def method(self, *args, **kwargs):
+        return _compile(type(self), name)(self, *args, **kwargs)
+
+    method.__name__, method.__qualname__ = name, f"Record.{name}"
+    return method
 
 
 class Record:
     """Base of the records compared by value: each subclass gets `__init__`
     (its fields in slot order, by position or keyword), `__eq__` (the same
-    class with equal fields), `__hash__` (of the field tuple, unless the
-    class sets ``__hash__ = None``) and `__repr__` (``Name(field=value,
-    ...)``), all read off its ``__slots__``.  `__init__` is compiled on first
-    construction or signature read, one ``self.x = x`` per slot: as fast as
-    a written one, at no cost to an import."""
+    class with equal fields), `__hash__` (of the field tuple) and `__repr__`
+    (``Name(field=value, ...)``), each written out from its ``__slots__`` on
+    the method's first call (`__init__` also on a signature read): as fast as
+    a written one, at no cost to an import, and never over one the class
+    writes itself, such as ``__hash__ = None``."""
 
     __slots__ = ()
     __signature__ = _InitSignature()
-
-    def __init__(self, *fields, **named):
-        _compile_init(type(self))(self, *fields, **named)
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        names = cls.__slots__
-        get = attrgetter(*names)
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return get(self) == get(other)
-            return NotImplemented
-
-        if len(names) == 1:
-            def __hash__(self):
-                return hash((get(self),))
-        else:
-            def __hash__(self):
-                return hash(get(self))
-
-        def __repr__(self):
-            fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
-            return f"{self.__class__.__name__}({fields})"
-
-        cls.__eq__ = __eq__
-        if cls.__hash__ is not None:
-            cls.__hash__ = __hash__
-        cls.__repr__ = __repr__
+    __init__, __eq__, __hash__, __repr__ = map(
+        _first_use, ("__init__", "__eq__", "__hash__", "__repr__")
+    )
 
 
 class Ultrafilter(Record):
@@ -636,12 +619,24 @@ def _closed_rows(n_pairs: int, up: list[int]) -> list[int]:
     return up
 
 
-def _compile_init(cls: type):
-    """Install and return ``cls.__init__(self, <slots in order>)``, one
-    ``self.x = x`` per slot; racing threads each install an equal one."""
-    names, namespace = cls.__slots__, {"__name__": cls.__module__}
-    body = "".join(f"    self.{n} = {n}\n" for n in names)
-    exec(f"def __init__(self, {', '.join(names)}):\n{body}", namespace)
-    init = cls.__init__ = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+def _compile(cls: type, name: str):
+    """Install and return ``cls.<name>``, one of `Record`'s four methods,
+    written out from ``cls.__slots__`` as by hand; racing threads each
+    install an equal one."""
+    names = cls.__slots__
+    own, their = (", ".join(f"{who}.{n}" for n in names) for who in ("self", "other"))
+    if len(names) > 1:
+        own, their = f"({own})", f"({their})"
+    values = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    params, body = {
+        "__init__": (names, "".join(f"\n    self.{n} = {n}" for n in names)),
+        "__eq__": (("other",), "\n    if other.__class__ is self.__class__:"
+                   f"\n        return {own} == {their}\n    return NotImplemented"),
+        "__hash__": ((), f"\n    return hash({own if len(names) > 1 else f'({own},)'})"),
+        "__repr__": ((), f'\n    return f"{{self.__class__.__name__}}({values})"'),
+    }[name]
+    namespace = {"__name__": cls.__module__}
+    exec(f"def {name}({', '.join(('self', *params))}):{body}", namespace)
+    namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    setattr(cls, name, namespace[name])
+    return namespace[name]

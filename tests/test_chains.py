@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -50,6 +52,7 @@ from pocsets.chains import (
 )
 from pocsets.errors import (
     ChainCountMismatch,
+    EmptySequence,
     MalformedInput,
     NotGeodesic,
     NotMember,
@@ -132,6 +135,115 @@ def test_a_cut_that_is_not_an_integer_is_refused():
     with pytest.raises(NotPrincipal) as exc:
         uf(float("inf"), 0).int_cuts()
     assert exc.value.witness == ["+inf", 0]
+
+
+@pytest.mark.parametrize(
+    "cut, shown", [(float("nan"), "nan"), (None, None), ("a", "a")], ids=["nan", "None", "str"]
+)
+def test_a_cut_that_is_not_a_number_is_refused(cut, shown):
+    # refused as 2.5 is, not with Python's own ValueError or TypeError, and
+    # with a witness that JSON without NaN accepts
+    from pocsets.formats import fixture_model
+    from pocsets.shadows import dist_to_pi0
+
+    hexmodel, fam = fixture_model("FIX-HEX"), ChainFamily(("a", "b"))
+    refused = {
+        "int_cuts": (lambda: uf(cut, 0).int_cuts(), [shown, 0]),
+        "delta": (lambda: delta(uf(cut, 0), uf(0, 0)), [shown, 0]),
+        "delta, second": (lambda: delta(uf(0, 0), uf(0, cut)), [0, shown]),
+        "format_ultrafilter": (lambda: format_ultrafilter(fam, uf(cut, 0)), [shown, 0]),
+        "min_set": (lambda: min_set(uf(cut, 0)), [shown, 0]),
+        "flip": (lambda: flip(uf(cut, 0), ChainHalfspace(1, 0, True)), [shown, 0]),
+        "dist_to_pi0": (lambda: dist_to_pi0(hexmodel, uf(cut, 5, 5), 12), [shown, 5, 5]),
+    }
+    if isinstance(cut, str):  # a string is no end, even one that reads as one
+        end = lambda: format_ultrafilter(fam, uf("+inf", 0))
+        refused["format_ultrafilter, +inf"] = (end, ["+inf", 0])
+    for name, (call, witness) in refused.items():
+        with pytest.raises(MalformedInput, match="a cut must be an integer") as exc:
+            call()
+        assert exc.value.code == "malformed-input" and exc.value.witness == witness, name
+        json.dumps(exc.value.diagnostic(), allow_nan=False)
+    # an integral float still reads as its int, and an infinity as an end
+    assert uf(5.0, 0).int_cuts() == (5, 0)
+    assert format_ultrafilter(fam, uf(5.0, float("-inf"))) == "a:cut(5) b:-inf"
+    assert cf_class(uf(float("inf"), 0)) == sig(PLUS, FIN)
+    with pytest.raises(NotPrincipal):
+        uf(float("inf"), cut).int_cuts()
+
+
+def test_a_signature_entry_that_is_not_an_end_is_refused():
+    with pytest.raises(MalformedInput, match="signature entries must be -1, 0 or 1") as exc:
+        Signature((2, 0))
+    assert exc.value.code == "malformed-input" and exc.value.witness == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: median(uf(0, 0), uf(0, 0), uf(0)),
+        lambda: class_gcd(sig(FIN, PLUS), sig(FIN)),
+        lambda: project_to_class(sig(FIN, PLUS), uf(0)),
+        lambda: flow_step(sig(PLUS), uf(0, 0)),
+    ],
+    ids=["median", "class_gcd", "project_to_class", "flow_step"],
+)
+def test_a_chain_count_mismatch_is_refused(call):
+    with pytest.raises(ChainCountMismatch) as exc:
+        call()
+    assert exc.value.code == "chain-count-mismatch" and exc.value.witness is None
+
+
+def test_averaging_an_empty_sequence_is_refused():
+    with pytest.raises(EmptySequence, match="non-empty prefix") as exc:
+        average_sequence([], uf(0))
+    assert exc.value.code == "empty-sequence" and exc.value.witness is None
+
+
+def test_a_schedule_without_a_cycle_ends_after_its_prefix():
+    schedule = MoveSchedule(((0, 1),))
+    assert schedule.move(0) == (0, 1)
+    with pytest.raises(IndexError, match="schedule exhausted"):
+        schedule.move(1)
+
+
+@pytest.mark.parametrize("index", [-4, 4])
+def test_a_window_pair_outside_its_window_is_refused(index):
+    assert window_pair(2, 3, 1, 3) == 13
+    with pytest.raises(MalformedInput, match=f"index {index} outside window 3") as exc:
+        window_pair(2, 3, 1, index)
+    assert exc.value.code == "malformed-input" and exc.value.witness == index
+
+
+def test_drop_chains_restricts_ultrafilters_and_refuses_anything_else():
+    assert drop_chains(uf(1, PLUS_END, 3), [0, 2]) == uf(1, 3)
+    assert drop_chains(uf(1, PLUS_END, 3), [1]) == uf(PLUS_END)
+    with pytest.raises(MalformedInput, match="cannot restrict str") as exc:
+        drop_chains("(+,0)", [0])
+    assert exc.value.code == "malformed-input" and exc.value.witness == "(+,0)"
+
+
+@pytest.mark.parametrize(
+    "text, message, witness",
+    [
+        ("c:cut(0) b:cut(1)", "bad ultrafilter token 'c:cut(0)'", "c:cut(0)"),
+        ("a b:cut(1)", "bad ultrafilter token 'a'", "a"),
+        ("a:cut(x) b:cut(1)", "bad cut state 'cut(x)'", "a:cut(x)"),
+        ("a:+1 b:cut(1)", "bad cut state '+1'", "a:+1"),
+        ("a:cut(0)", "missing chains ['b']", ["b"]),
+    ],
+    ids=["unknown chain", "no state", "bad cut", "bad state", "missing chain"],
+)
+def test_a_malformed_ultrafilter_literal_is_refused(text, message, witness):
+    with pytest.raises(MalformedInput, match=re.escape(message)) as exc:
+        parse_ultrafilter(ChainFamily(("a", "b")), text)
+    assert exc.value.code == "malformed-input" and exc.value.witness == witness
+
+
+def test_an_ultrafilter_literal_reads_a_minus_end():
+    fam = ChainFamily(("a", "b"))
+    u = parse_ultrafilter(fam, "a:-inf b:cut(2)")
+    assert u == uf(MINUS_END, 2) and format_ultrafilter(fam, u) == "a:-inf b:cut(2)"
 
 
 def test_delta_metric_on_class():

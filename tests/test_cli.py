@@ -358,6 +358,21 @@ def test_zero_denominator_in_a_direction_is_malformed_input():
         assert diag["code"] == "malformed-input" and diag["witness"] == witness
 
 
+@pytest.mark.parametrize("spacing", ["0", "-1/2"])
+def test_a_spacing_that_is_not_positive_is_refused_in_one_line(tmp_path, spacing):
+    family = lambda normal, spacing: {"normal": normal, "spacing": spacing, "offset": "0"}
+    doc = tmp_path / "walls.json"
+    geometry = [family(["1", "0"], spacing), family(["0", "1"], "1")]
+    doc.write_text(json.dumps({"chains": ["a", "b"], "geometry": geometry}))
+    proc = run_cli("image", str(doc), expect=1)
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line) == {
+        "code": "malformed-input",
+        "message": "spacing must be positive",
+        "witness": spacing,
+    }
+
+
 def test_unreadable_documents_are_malformed_input(tmp_path):
     # a file that is not UTF-8, and a directory: one JSON line each
     latin = tmp_path / "latin.json"

@@ -85,6 +85,16 @@ def test_rho_rejects_zero(z2):
         rho(z2, vec(0, 0))
 
 
+@pytest.mark.parametrize("spacing, shown", [(0, "0"), (Fraction(-1, 2), "-1/2")])
+def test_a_wall_family_refuses_a_spacing_that_is_not_positive(spacing, shown):
+    from pocsets.euclid import WallFamily
+
+    with pytest.raises(MalformedInput, match="spacing must be positive") as exc:
+        WallFamily(vec(1, 0), spacing)
+    assert exc.value.code == "malformed-input" and exc.value.witness == ex(spacing)
+    assert exc.value.diagnostic()["witness"] == shown
+
+
 def test_hex_direction_of_first_normal(hexmodel):
     xi = hexmodel.families[0].normal
     ends = rho(hexmodel, xi).ends

@@ -574,48 +574,70 @@ def _refused_arity(cls: type, values: tuple) -> bool:
     return False
 
 
+def _other_class(cls: type) -> type:
+    """A record class of another name with the slots of cls."""
+    return type(f"Other{cls.__name__}", (Record,), {"__slots__": cls.__slots__})
+
+
 def test_compiled_constructors_take_the_slots_before_and_after_their_compile():
-    # every record without a written constructor, as before its first
-    # construction (the compiled `__init__` deleted) and once compiled: the
-    # signature lists the slots in order, keywords build the same record, and
-    # one field too few or too many is refused
-    generated = [
-        (cls, fields())
-        for cls, fields, _ in _record_cases()
-        if issubclass(cls, Record) and cls.__name__ not in _written_constructors()
-    ]
-    assert len(generated) >= 20
-    for cls, values in generated:
+    # every method `Record` compiles, as before its first call (the compiled
+    # method deleted) and once compiled: the constructor's signature lists
+    # the slots in order, keywords build the same record, and one field too
+    # few or too many is refused; `==` holds for equal fields and fails
+    # for another class's record of equal fields, `hash` is the field
+    # tuple's, `repr` reads ``Name(field=value, ...)``, and each installed
+    # method is named ``<Class>.<name>``
+    records = [(cls, fields()) for cls, fields, _ in _record_cases() if issubclass(cls, Record)]
+    assert len(records) >= 25
+    for cls, values in records:
+        other = _other_class(cls)(*values)
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(cls.__slots__, values))
         checks = {
-            "signature": lambda: list(inspect.signature(cls).parameters) == list(cls.__slots__),
-            "keywords": lambda: cls(**dict(zip(cls.__slots__, values))) == cls(*values),
-            "one too few": lambda: _refused_arity(cls, values[:-1]),
-            "one too many": lambda: _refused_arity(cls, (*values, None)),
+            "__eq__": {
+                "equal fields": lambda: cls(*values) == cls(*values),
+                "another class": lambda: cls(*values) != other and not cls(*values) == other,
+            },
+            "__hash__": {"field tuple": lambda: hash(cls(*values)) == hash(values)},
+            "__repr__": {"fields": lambda: repr(cls(*values)) == f"{cls.__name__}({shown})"},
         }
-        for name, check in checks.items():
-            if "__init__" in vars(cls):
-                del cls.__init__
-            assert cls.__init__ is Record.__init__
-            assert check(), (cls.__name__, name, "first use")
-            assert vars(cls)["__init__"].__qualname__ == f"{cls.__qualname__}.__init__"
-            assert check(), (cls.__name__, name, "compiled")
+        if cls.__hash__ is None:
+            del checks["__hash__"]
+        if cls.__name__ not in _written_constructors():
+            checks["__init__"] = {
+                "signature": lambda: list(inspect.signature(cls).parameters) == list(cls.__slots__),
+                "keywords": lambda: cls(**dict(zip(cls.__slots__, values))) == cls(*values),
+                "one too few": lambda: _refused_arity(cls, values[:-1]),
+                "one too many": lambda: _refused_arity(cls, (*values, None)),
+            }
+        for name, named in checks.items():
+            for label, check in named.items():
+                if name in vars(cls):
+                    delattr(cls, name)
+                assert getattr(cls, name) is getattr(Record, name)
+                assert check(), (cls.__name__, name, label, "first use")
+                assert vars(cls)[name].__qualname__ == f"{cls.__qualname__}.{name}"
+                assert check(), (cls.__name__, name, label, "compiled")
 
 
 def test_racing_first_constructions_each_build_their_record():
     # more threads than cores construct a fresh record class at once, with a
-    # short switch interval: each may compile and install the constructor,
-    # and each gets its own fields
+    # short switch interval, and then compare, hash and print its records at
+    # once: each may compile and install a method, and each gets its own
+    # fields and the right answers
     workers = (os.cpu_count() or 1) + 1
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
             fresh = type("Fresh", (Record,), {"__slots__": ("a", "b", "c")})
-            start, built = threading.Barrier(workers), {}
+            start, built, answers = threading.Barrier(workers), {}, {}
 
             def build(i):
                 start.wait(timeout=10)
-                built[i] = fresh(i, i + 1, c=i + 2)
+                r = built[i] = fresh(i, i + 1, c=i + 2)
+                twin, other = fresh(i, i + 1, i + 2), fresh(i, i + 1, i + 3)
+                start.wait(timeout=10)
+                answers[i] = (r == twin, r == other, hash(r), repr(r))
 
             threads = [threading.Thread(target=build, args=(i,)) for i in range(workers)]
             for t in threads:
@@ -626,9 +648,64 @@ def test_racing_first_constructions_each_build_their_record():
             assert {i: (r.a, r.b, r.c) for i, r in built.items()} == {
                 i: (i, i + 1, i + 2) for i in range(workers)
             }
-            assert vars(fresh)["__init__"].__qualname__ == "Fresh.__init__"
+            assert answers == {
+                i: (True, False, hash((i, i + 1, i + 2)), f"Fresh(a={i}, b={i + 1}, c={i + 2})")
+                for i in range(workers)
+            }
+            for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+                assert vars(fresh)[name].__qualname__ == f"Fresh.{name}"
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_records_built_without_a_constructor_compare_and_hash():
+    # `all_signatures` sets each class's ends on `object.__new__(Signature)`:
+    # such a record compares, hashes and prints by its fields, with methods
+    # compiled on its own first call
+    from itertools import product
+
+    from pocsets.chains import Signature, all_signatures
+
+    for name in ("__eq__", "__hash__", "__repr__"):
+        if name in vars(Signature):
+            delattr(Signature, name)
+    classes = all_signatures(2)
+    assert classes == [Signature(ends) for ends in product((-1, 0, 1), repeat=2)]
+    assert [hash(s) for s in classes] == [hash((ends,)) for ends in product((-1, 0, 1), repeat=2)]
+    assert len(set(classes) | set(all_signatures(2))) == 9
+    assert repr(classes[1]) == "Signature(ends=(-1, 0))"
+
+
+def test_records_keep_the_methods_they_write():
+    # `Record` compiles a method only where the class writes none: the three
+    # checking constructors and the twelve ``__hash__ = None`` of the
+    # reports stay each class's own, and no class of the package hooks class
+    # creation; a compiled method comes from a string, a written one from
+    # its module
+    cases = {cls.__name__: (cls, fields) for cls, fields, _ in _record_cases()}
+    hooks, unhashable = [], []
+    for path in sorted((ROOT / "src" / "pocsets").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init_subclass__":
+                        hooks.append(node.name)
+                    if isinstance(stmt, ast.Assign) and ast.unparse(stmt) == "__hash__ = None":
+                        unhashable.append(node.name)
+    assert hooks == [] and "__init_subclass__" not in vars(Record)
+    assert len(unhashable) == 12
+    for name in unhashable:
+        cls, fields = cases[name]
+        with pytest.raises(TypeError):
+            hash(cls(*fields()))
+        assert vars(cls)["__hash__"] is None
+    assert set(_written_constructors()) == {"ChainHalfspace", "Signature", "WallFamily"}
+    for name in _written_constructors():
+        cls, fields = cases[name]
+        first = cls(*fields())
+        assert first == cls(*fields()) and hash(first) == hash(fields()) and repr(first)
+        assert vars(cls)["__init__"].__code__.co_filename == sys.modules[cls.__module__].__file__
+        assert vars(cls)["__eq__"].__code__.co_filename == "<string>"
 
 
 def test_records_are_slotted_and_mutable_reports_unhashable():

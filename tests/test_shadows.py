@@ -370,6 +370,13 @@ def test_non_principal_witness_is_document_values():
 def test_interval_oracle_guard(z2):
     with pytest.raises(MalformedInput):
         interval_consistent(z2, (0, 0))
+    # three normals that do not sum to zero
+    normals = ((1, 0), (0, 1), (1, 1))
+    families = tuple(WallFamily((ExactNumber.of(x), ExactNumber.of(y))) for x, y in normals)
+    model = WallModel(ChainFamily(("a", "b", "c")), families)
+    with pytest.raises(MalformedInput, match="normals summing to zero") as exc:
+        interval_consistent(model, (0, 0, 0))
+    assert exc.value.code == "malformed-input" and exc.value.witness == ["a", "b", "c"]
 
 
 def test_consistent_set_of_halfspaces(hexmodel):
