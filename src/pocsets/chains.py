@@ -169,9 +169,11 @@ def _integer(c: CutValue, u: ChainUltrafilter) -> int:
 
 
 def _states(cuts: Sequence[CutValue]) -> list:
-    """The states as document values: ``"+inf"``, ``"-inf"``, the cut or ``"nan"``."""
-    return ["+inf" if c == PLUS_END else "-inf" if c == MINUS_END else c if c == c else "nan"
-            for c in cuts]
+    """The states as document values: ``"+inf"``, ``"-inf"``, the cut or
+    ``"nan"``, and a cut that is no int or float by its repr, so that the
+    string ``"+inf"`` reads ``"'+inf'"``, not as the end it names."""
+    return [repr(c) if not isinstance(c, (int, float)) else "+inf" if c == PLUS_END
+            else "-inf" if c == MINUS_END else c if c == c else "nan" for c in cuts]
 
 
 def median(a: ChainUltrafilter, b: ChainUltrafilter, c: ChainUltrafilter) -> ChainUltrafilter:
@@ -525,7 +527,8 @@ def drop_chains(obj, keep: Sequence[int]):
 # ---------------------------------------------------------------------------
 # literals
 
-_CUT_RE = re.compile(r"^cut\((-?[0-9]+)\)$")
+# compiled by `re.match` on the first cut state parsed, as `core._NAME_RE` is
+_CUT_RE = r"^cut\((-?[0-9]+)\)$"
 
 
 def format_ultrafilter(family: ChainFamily, u: ChainUltrafilter) -> str:
@@ -545,7 +548,7 @@ def parse_ultrafilter(family: ChainFamily, text: str) -> ChainUltrafilter:
         elif state == "-inf":
             states[name] = MINUS_END
         else:
-            m = _CUT_RE.match(state)
+            m = re.match(_CUT_RE, state)
             if not m:
                 raise MalformedInput(f"bad cut state {state!r}", token)
             states[name] = int(m.group(1))

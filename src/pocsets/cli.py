@@ -12,6 +12,8 @@ object to the handler, and a handler only computes and prints.
 Start-up is most of a fixture-sized run, so importing this module loads no
 layer: the parser imports the loaders, and each handler imports the layers
 it calls on first use, so `pocsets validate` never loads a planar module.
+A run builds the root parser and its own subcommand's parser only; help,
+`--version`, no command and an unknown command build all of them.
 """
 
 from __future__ import annotations
@@ -279,67 +281,94 @@ def cmd_report(args, model) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with the subparser of `command`, or with every
+    subparser when `command` names none (help, `--version`, no or an unknown
+    command); the root usage names every subcommand either way."""
     from .formats import load_chain_family, load_pocset, load_wall_model
 
+    def subcommands(add):
+        # the one table: `add` returns the subcommand's parser when it builds
+        # it, and the subcommand's own options are added to that parser
+        add("validate", cmd_validate, "validate a poc-set file", load_pocset)
+        add("ultrafilters", cmd_ultrafilters, "enumerate the ultrafilters", load_pocset)
+        add(
+            "cubing",
+            cmd_cubing,
+            "build the dual cube complex",
+            load_pocset,
+            fmt=("text", "structured", "dot"),
+        )
+        if dual := add("dual", cmd_dual, "verify the duality round-trip", load_pocset):
+            dual.add_argument("--samples", type=int, default=0, help="extra random poc-sets")
+            dual.add_argument("--seed", type=int, default=0, help="seed for sampling")
+        add(
+            "boundary",
+            cmd_boundary,
+            "the Roller boundary poset of a chain family",
+            load_chain_family,
+        )
+        if rho_p := add("rho", cmd_rho, "boundary class of a direction"):
+            rho_p.add_argument("--direction", required=True, help="exact pair, e.g. 1,0")
+        add("image", cmd_image, "the image of rho with its fibers")
+        add("safe", cmd_safe, "safe components of the image")
+        add("closure", cmd_closure, "check the closure formula on every fiber")
+        if restrict := add("restrict", cmd_restrict, "restrict the system to a line"):
+            restrict.add_argument("--direction", required=True)
+            restrict.add_argument("--base", default="0,0")
+        if shadows_p := add(
+            "shadows",
+            cmd_shadows,
+            "shadow report of a cut tuple",
+            fmt=("text", "structured", "svg"),
+        ):
+            shadows_p.add_argument("--cuts", required=True, help="e.g. 5,5,5")
+            shadows_p.add_argument("--window", type=int, default=12)
+        if escape := add("escape", cmd_escape, "attempt an escaping geodesic ray"):
+            escape.add_argument("--target", required=True, help="signature, e.g. (+,+,+)")
+            escape.add_argument("--length", type=int, default=20)
+            escape.add_argument("--window", type=int, default=13)
+        if report := add(
+            "report", cmd_report, "co-compactness report; escapes are exact, window-free"
+        ):
+            sweep = report.add_mutually_exclusive_group()
+            sweep.add_argument("--windows", default="5,10,15", help="window sweep")
+            sweep.add_argument(
+                "--window", type=int, default=None, help="largest window of a 3-step sweep"
+            )
+
+    names: list[str] = []
+    subcommands(lambda name, *_, **__: names.append(name))
     parser = argparse.ArgumentParser(
         prog="pocsets",
         description="poc-sets, dual cubings, Roller boundaries and wall models",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command not in names:
+        command = None
+    # argparse spells the root usage's subcommands from the parsers built, so
+    # a partial build spells them from the table; a full build sets none,
+    # since argparse would also name a missing command by it
+    metavar = None if command is None else "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def add(name, handler, help_, load=load_wall_model, fmt=("text", "structured")):
+        if command not in (None, name):
+            return None
         p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="input file or fixture name")
         p.add_argument("--format", choices=fmt, default="text")
         p.set_defaults(handler=handler, load=load)
         return p
 
-    add("validate", cmd_validate, "validate a poc-set file", load_pocset)
-    add("ultrafilters", cmd_ultrafilters, "enumerate the ultrafilters", load_pocset)
-    add(
-        "cubing",
-        cmd_cubing,
-        "build the dual cube complex",
-        load_pocset,
-        fmt=("text", "structured", "dot"),
-    )
-    dual = add("dual", cmd_dual, "verify the duality round-trip", load_pocset)
-    dual.add_argument("--samples", type=int, default=0, help="extra random poc-sets")
-    dual.add_argument("--seed", type=int, default=0, help="seed for sampling")
-    add("boundary", cmd_boundary, "the Roller boundary poset of a chain family", load_chain_family)
-    rho_p = add("rho", cmd_rho, "boundary class of a direction")
-    rho_p.add_argument("--direction", required=True, help="exact pair, e.g. 1,0")
-    add("image", cmd_image, "the image of rho with its fibers")
-    add("safe", cmd_safe, "safe components of the image")
-    add("closure", cmd_closure, "check the closure formula on every fiber")
-    restrict = add("restrict", cmd_restrict, "restrict the system to a line")
-    restrict.add_argument("--direction", required=True)
-    restrict.add_argument("--base", default="0,0")
-    shadows_p = add(
-        "shadows",
-        cmd_shadows,
-        "shadow report of a cut tuple",
-        fmt=("text", "structured", "svg"),
-    )
-    shadows_p.add_argument("--cuts", required=True, help="e.g. 5,5,5")
-    shadows_p.add_argument("--window", type=int, default=12)
-    escape = add("escape", cmd_escape, "attempt an escaping geodesic ray")
-    escape.add_argument("--target", required=True, help="signature, e.g. (+,+,+)")
-    escape.add_argument("--length", type=int, default=20)
-    escape.add_argument("--window", type=int, default=13)
-    report = add("report", cmd_report, "co-compactness report; escapes are exact, window-free")
-    sweep = report.add_mutually_exclusive_group()
-    sweep.add_argument("--windows", default="5,10,15", help="window sweep")
-    sweep.add_argument(
-        "--window", type=int, default=None, help="largest window of a 3-step sweep"
-    )
+    subcommands(add)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         args.handler(args, args.load(args.input))

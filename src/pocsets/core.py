@@ -46,7 +46,9 @@ MAX_PAIRS = 512
 # pairs; the enumeration is refused as it grows past this
 MAX_ULTRAFILTERS = 2**14
 
-_NAME_RE = re.compile(r"^(?:h([1-9][0-9]*)|0)(\*)?$")
+# a pattern, not a compiled one: `re.match` compiles it on the first handle
+# parsed and caches it, so a run that parses no handle never compiles it
+_NAME_RE = r"^(?:h([1-9][0-9]*)|0)(\*)?$"
 
 
 def star(e: int) -> int:
@@ -545,7 +547,7 @@ def check_pair_count(n_pairs: int) -> None:
 def parse_handle(name: str, n_pairs: int) -> int:
     """The handle named "hK", "hK*", "0" or "0*" in a poc-set of n_pairs
     pairs; needs only the pair count, not the poc-set."""
-    match = _NAME_RE.match(name.strip())
+    match = re.match(_NAME_RE, name.strip())
     if not match:
         raise MalformedInput(f"bad handle name {name!r}", name)
     if match.group(1) is None:

@@ -620,6 +620,110 @@ def test_handlers_only_compute_and_print():
     assert loading == {"main"}
 
 
+# each subcommand's input and required options, and an int option it takes
+COMMANDS = {
+    "validate": (["FIX-SQ"], None),
+    "ultrafilters": (["FIX-SQ"], None),
+    "cubing": (["FIX-SQ"], None),
+    "dual": (["FIX-SQ"], "--samples"),
+    "boundary": (["FIX-Z3"], None),
+    "rho": (["FIX-Z2", "--direction", "1,0"], None),
+    "image": (["FIX-HEX"], None),
+    "safe": (["FIX-HEX"], None),
+    "closure": (["FIX-HEX"], None),
+    "restrict": (["FIX-HEX", "--direction", "1,0"], None),
+    "shadows": (["FIX-HEX", "--cuts", "5,5,5"], "--window"),
+    "escape": (["FIX-HEX", "--target", "(+,+,+)"], "--length"),
+    "report": (["FIX-HEX"], "--window"),
+}
+
+
+def _parsers_built(monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def _usage_outcome(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_subcommand_parser_prints_what_the_full_build_prints(
+    command, columns, monkeypatch, capsys
+):
+    # `main` builds the root parser and the subparser argv[0] names; its
+    # help and usage errors, root ones included, read as the full build's
+    from pocsets.cli import build_parser, main
+
+    monkeypatch.setenv("COLUMNS", columns)
+    args, int_option = COMMANDS[command]
+    base = [command, *args]
+    runs = [
+        [command, "-h"],
+        [command],
+        [*base, "--bogus"],
+        [*base, "--format", "nope"],
+        [*base, "--version"],
+    ]
+    if len(args) > 1:  # a required option left out
+        runs.append([command, args[0]])
+    if int_option:
+        runs.append([*base, int_option, "x"])
+    if command == "report":
+        runs.append([*base, "--window", "3", "--windows", "1"])
+    built = _parsers_built(monkeypatch)
+    for argv in runs:
+        del built[:]
+        one = _usage_outcome(main, argv, capsys)
+        assert len(built) == 2, argv
+        full = _usage_outcome(lambda argv: build_parser().parse_args(argv), argv, capsys)
+        assert len(built) == 2 + 14, argv
+        assert one == full and one[0] in (0, 2), argv
+        assert (one[0] == 0) == (argv[-1] == "-h"), argv
+    # the root usage of a partial build names every subcommand
+    assert "{" + ",".join(COMMANDS) + "}" in _usage_outcome(main, [*base, "--version"], capsys)[2]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["-h"], 0), (["--help"], 0), (["--version"], 0), ([], 2), (["bogus"], 2), (["-x"], 2)],
+)
+def test_help_version_and_unknown_commands_build_every_parser(argv, code, monkeypatch, capsys):
+    from pocsets import __version__
+    from pocsets.cli import main
+
+    built = _parsers_built(monkeypatch)
+    outcome = _usage_outcome(main, argv, capsys)
+    assert outcome[0] == code and len(built) == 14
+    if argv == ["--version"]:
+        assert outcome[1] == __version__ + "\n"
+    elif code == 0:
+        assert all(f"    {name} " in outcome[1] for name in COMMANDS)
+    else:
+        assert "{" + ",".join(COMMANDS) + "}" in outcome[2]
+
+
+def test_a_run_builds_two_parsers(monkeypatch, capsys):
+    from pocsets.cli import main
+
+    built = _parsers_built(monkeypatch)
+    assert main(["validate", "FIX-SQ"]) == 0
+    assert built == ["pocsets", "pocsets validate"]
+    assert capsys.readouterr().out == "valid poc-set: 2 proper pairs\n"
+
+
 def test_dual_reads_its_document_before_the_sample_count(capsys):
     from pocsets.cli import main
 
