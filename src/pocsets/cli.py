@@ -27,7 +27,7 @@ from . import __version__
 from .errors import AxiomViolation, MalformedInput, PocError
 
 SCHEMA = "pocsets/1"
-# the most random poc-sets `dual --samples` checks: about 0.23 s at 4000 on
+# the most random poc-sets `dual --samples` checks: about 0.18 s at 4000 on
 # a 2-vCPU VM, each one a round trip through its dual cubing
 MAX_SAMPLES = 4000
 

@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     AxiomViolation,
+    BackendMismatch,
     MalformedInput,
     NotAFilterBase,
     NotMaximalTransverse,
@@ -340,7 +341,16 @@ class FinitePocSet:
     # ultrafilters
 
     def ultrafilter_from_signs(self, signs: Sequence[int]) -> Ultrafilter:
-        return Ultrafilter(tuple(signs))
+        """The ultrafilter of these signs, one 0 or 1 per pair; UF2 is not
+        checked.  Another length, or another entry, is malformed input."""
+        signs = tuple(signs)
+        if len(signs) != self.n_pairs:
+            message = f"a sign vector of length {len(signs)} for {self.n_pairs} pairs"
+            raise MalformedInput(message, len(signs))
+        for k, s in enumerate(signs):
+            if type(s) is not int or s not in (0, 1):
+                raise MalformedInput(f"sign {s!r} of h{k + 1} is not 0 or 1", k)
+        return Ultrafilter(signs)
 
     def ultrafilter_from_members(self, members: Iterable[int]) -> Ultrafilter:
         mset = set(members) | {self.zero_star}
@@ -355,7 +365,7 @@ class FinitePocSet:
     def is_ultrafilter(self, members: Iterable[int]) -> UltrafilterCheck:
         """UF1 (one element of every pair, the trivial pair included) and
         then UF2, with the witness of the first axiom that fails."""
-        mset = set(members)
+        mset = self._handle_set(members)
         for k in range(self.n_pairs + 1):
             if (2 * k in mset) == (2 * k + 1 in mset):
                 return UltrafilterCheck(False, "UF1", 2 * k)
@@ -389,13 +399,30 @@ class FinitePocSet:
     def check_filterbase(self, members: Iterable[int]) -> Optional[tuple[int, int]]:
         """None when UF2 holds, else the canonical violating pair: the least
         (x, y) of members with ``x <= y*``, preferring a plain x."""
-        mset = set(members)
+        mset = self._handle_set(members)
         stars = _star_mask(mset)
         for x in sorted(mset, key=lambda e: (is_star(e), e)):
             hits = self._up[x] & stars
             if hits:
                 return x, min(y for y in mset if hits >> star(y) & 1)
         return None
+
+    def _handle_set(self, members: Iterable[int]) -> set[int]:
+        """The members as a set, refusing the least one that is no handle
+        of this poc-set, as a dangling edge is refused."""
+        mset = set(members)
+        dangling = min((e for e in mset if not 0 <= e < 2 * self.n_pairs + 2), default=None)
+        if dangling is not None:
+            raise MalformedInput(f"dangling handle {dangling}", dangling)
+        return mset
+
+    def _check_pairs(self, *ultrafilters: Ultrafilter) -> None:
+        """Refuse an ultrafilter of another pair count, of another poc-set."""
+        for u in ultrafilters:
+            if len(u.signs) != self.n_pairs:
+                k = len(u.signs)
+                message = f"an ultrafilter of another poc-set: {k} signs, not {self.n_pairs}"
+                raise BackendMismatch(message, k)
 
     def filterbase(self, members: Iterable[int]) -> FilterBase:
         """Validate a handle set against UF2."""
@@ -429,6 +456,7 @@ class FinitePocSet:
 
     def median(self, a: Ultrafilter, b: Ultrafilter, c: Ultrafilter) -> Ultrafilter:
         """med(a, b, c) = (a∩b) ∪ (b∩c) ∪ (a∩c); H° is closed under it."""
+        self._check_pairs(a, b, c)
         signs = tuple(
             1 if sa + sb + sc >= 2 else 0
             for sa, sb, sc in zip(a.signs, b.signs, c.signs)
@@ -437,10 +465,12 @@ class FinitePocSet:
 
     def delta(self, a: Ultrafilter, b: Ultrafilter) -> int:
         """Half the symmetric difference; the wall-counting metric."""
+        self._check_pairs(a, b)
         return sum(1 for sa, sb in zip(a.signs, b.signs) if sa != sb)
 
     def min_set(self, u: Ultrafilter) -> list[int]:
         """Minimal proper members; these parametrize the flip moves."""
+        self._check_pairs(u)
         members = u.sorted_members()
         stars = _star_mask(members)
         minimal = self._minimal(stars, stars & ~(1 << self.zero))  # proper members only
@@ -461,6 +491,7 @@ class FinitePocSet:
 
     def flip(self, u: Ultrafilter, a: int) -> Ultrafilter:
         """The elementary move [u]_a = (u \\ {a}) ∪ {a*}; needs a minimal."""
+        self._check_pairs(u)
         if a not in u or a not in self.min_set(u):
             raise NotMinimal(f"{self.name(a)} is not minimal in the ultrafilter", a)
         signs = list(u.signs)
@@ -529,6 +560,7 @@ class FinitePocSet:
     # ------------------------------------------------------------------
 
     def format_ultrafilter(self, u: Ultrafilter) -> str:
+        self._check_pairs(u)
         proper = [self.name(e) for e in u.sorted_members() if self.is_proper(e)]
         return "{" + ", ".join(proper) + "}"
 

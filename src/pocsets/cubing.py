@@ -3,12 +3,16 @@
 Vertices are the ultrafilters, edges the elementary moves, and a d-cube is
 stored implicitly as (base vertex, transverse subset of its minimal set).
 Each edge and each cube is found once, at its least corner: the vertex whose
-signs are 0 on every flipped pair.  Only combinatorics is kept; no geometric
-product is ever built.  The work runs on integer masks: a vertex is keyed by
-its members' stars, pair sets and wall sides (over vertex indices) are masks,
-and orders are compared row by row; the records handed out stay as they are.
-The duality round trip reads the vertices only: it counts the cubes only
-when a bound on them passes the cap, and lists no edge and no cube.
+signs are 0 on every flipped pair.  The elementary move at a plain member a
+is an edge exactly when a is minimal, so one probe of the vertices' index
+per plain member finds the edge and the minimal set together.  Only
+combinatorics is kept; no geometric product is ever built.  The work runs on
+integer masks: a vertex is keyed by its members' stars, pair sets and wall
+sides (over vertex indices) are masks, and orders are compared row by row;
+the records handed out stay as they are.  The duality round trip reads the
+vertices only: it counts the cubes only when a bound on them passes the cap,
+lists no edge and no cube, and reports counts, from which its identity
+bijections are built when read.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from itertools import combinations
 from operator import add
 from typing import Iterator
 
-from .core import FinitePocSet, Record, Ultrafilter, _star_mask
+from .core import FinitePocSet, Record, Ultrafilter, _raw_name, _star_mask
 from .errors import DegenerateWall, MalformedInput, NotIsomorphic
 
 # the most cubes of dimension >= 2 `build_cubing` lists; n pairwise
@@ -136,42 +140,49 @@ def build_cubing(p: FinitePocSet) -> CubeComplex:
 
     Vertices come in lexicographic sign order, so raising an earlier pair
     reaches a later vertex, and taking the pairs last to first lists the
-    edges sorted.  Raising pair k swaps bits 2k, 2k+1 of a vertex's star
-    mask.  Refused once more than `MAX_CUBES` cubes of dimension >= 2 are
-    found.
+    edges sorted.  `_least_corners` finds a vertex's edges with one probe
+    of the walk's index per plain member, and its cubes among them.
+    Refused once more than `MAX_CUBES` cubes of dimension >= 2 are found.
     """
     walk = p._walk_ultrafilters()
-    index = {stars: i for i, (_, stars) in enumerate(walk)}
     edges = []
     cubes: dict[int, list[Cube]] = {}
-    for i, stars, plain, subsets in _least_corners(p, walk):
-        while plain:
-            a = plain.bit_length() - 1
-            plain ^= 1 << a
-            edges.append((i, index[stars ^ 3 << a], a >> 1))
+    for i, moves, subsets in _least_corners(p, walk):
+        edges += moves
         for sub in subsets:
             cubes.setdefault(len(sub), []).append(Cube(i, sub))
     return CubeComplex(p, [Ultrafilter(signs) for signs, _ in walk], edges, cubes)
 
 
-def _least_corners(p: FinitePocSet, walk: list) -> Iterator[tuple[int, int, int, list]]:
-    """``(i, stars, plain, subsets)`` per vertex of the walk: ``plain`` masks
-    its plain minimal elements, the walls whose flip raises its signs, and
-    ``subsets`` lists the tuples of two or more pairwise transverse ones; it
-    is the least corner of the edges across those walls and of the cubes on
-    those subsets.  Refused once more than `MAX_CUBES` subsets are found."""
+def _least_corners(p: FinitePocSet, walk: list) -> Iterator[tuple[int, list, list]]:
+    """``(i, moves, subsets)`` per vertex of the walk: ``moves`` lists the
+    edges ``(i, j, pair)`` that raise its signs, last pair first, and
+    ``subsets`` the tuples of two or more pairwise transverse pairs among
+    them; it is the least corner of those edges and of the cubes on those
+    subsets.  Raising plain member a = 2k swaps bits a, a* of the stars
+    mask, and u - {a} + {a*} is an ultrafilter iff no other member lies
+    below a, that is iff a is minimal: one probe of the walk's stars index
+    per plain member finds both the edge and the minimal set.  Refused once
+    more than `MAX_CUBES` subsets are found."""
     n, found = p.n_pairs, 0
+    index = {stars: i for i, (_, stars) in enumerate(walk)}
     plain_stars = (4 ** n - 1) // 3 << 1  # bits 1, 3, .. below 2n
     for i, (_, stars) in enumerate(walk):
-        plain, subsets = p._minimal(stars, stars & plain_stars), []
-        if plain & (plain - 1):  # two or more walls
-            # the pairs of the plain handles: every second digit after "0b1"
-            pairs = int(bin(plain | 1 << 2 * n)[4::2], 2)
+        moves, pairs, todo = [], 0, stars & plain_stars
+        while todo:
+            a = todo.bit_length() - 2  # the plain member whose star is the top bit
+            todo ^= 2 << a
+            j = index.get(stars ^ 3 << a)
+            if j is not None:
+                moves.append((i, j, a >> 1))
+                pairs |= 1 << (a >> 1)
+        subsets = []
+        if pairs & (pairs - 1):  # two or more walls
             _transverse_subsets(p._transverse_pairs, (), pairs, subsets)
             found += len(subsets)
             if found > MAX_CUBES:
                 raise MalformedInput(f"more than {MAX_CUBES} cubes to build", n)
-        yield i, stars, plain, subsets
+        yield i, moves, subsets
 
 
 def _transverse_subsets(transverse: tuple[int, ...], sub: tuple, later: int, out: list) -> None:
@@ -217,13 +228,24 @@ def _halfspace_rows(n: int, walk: list) -> list[int]:
 
 
 class DualityReport(Record):
-    """A round trip's element and vertex bijections; a failed one raises
-    `NotIsomorphic`, so ``isomorphic`` is always true, ``mismatch`` None."""
+    """A round trip over ``n_pairs`` pairs and ``vertex_count`` vertices;
+    its element and vertex bijections are identities, built on each read.
+    A failed round trip raises `NotIsomorphic`, so ``isomorphic`` is always
+    true and ``mismatch`` None."""
 
-    __slots__ = ("element_bijection", "vertex_bijection")
-    __hash__ = None
+    __slots__ = ("n_pairs", "vertex_count")
     isomorphic = True
     mismatch = None
+
+    @property
+    def element_bijection(self) -> dict[str, str]:
+        names = [_raw_name(e, self.n_pairs) for e in range(2 * self.n_pairs)]
+        return dict(zip(names, names))
+
+    @property
+    def vertex_bijection(self) -> dict[int, int]:
+        vertices = range(self.vertex_count)
+        return dict(zip(vertices, vertices))
 
     def to_json(self) -> dict:
         return {
@@ -246,6 +268,8 @@ def duality_roundtrip(p: FinitePocSet) -> DualityReport:
     others are validated as `extract_halfspaces` does, and `NotIsomorphic`
     is raised at the first order mismatch.  The vertex map v -> (halfspaces
     containing v) is the identity: each wall's sides are read from the signs.
+    The report keeps the two counts, so a caller that reads only the verdict
+    formats no handle name.
     """
     walk, n = p._walk_ultrafilters(), p.n_pairs
     if len(walk) * (2**n - n - 1) > MAX_CUBES:
@@ -258,5 +282,4 @@ def duality_roundtrip(p: FinitePocSet) -> DualityReport:
         diff = p._up[a] ^ q._up[a]
         b = (diff & -diff).bit_length() - 1
         raise NotIsomorphic(f"order mismatch at ({p.name(a)}, {p.name(b)})", (a, b))
-    names, vertices = list(map(p.name, p.proper_elements())), range(len(walk))
-    return DualityReport(dict(zip(names, names)), dict(zip(vertices, vertices)))
+    return DualityReport(n, len(walk))

@@ -859,6 +859,88 @@ def test_top_level_delta_dispatch(fix_square):
         pocsets.delta(a, FinitePocSet.from_order_generators(3).ultrafilters()[0])
 
 
+def test_an_ultrafilter_of_another_pocset_is_refused():
+    # a sign vector of another length belongs to another poc-set: every
+    # operation on ultrafilters refuses it, where `zip` once truncated and
+    # indexing once ran off the end
+    from pocsets.core import Ultrafilter
+    from pocsets.errors import BackendMismatch
+    from pocsets.formats import fixture_pocset
+
+    p, tripod = fixture_pocset("FIX-SQ"), fixture_pocset("FIX-TRIPOD")
+    u, v, w = p.ultrafilters()[0], tripod.ultrafilters()[-1], Ultrafilter((0,))
+    calls = {
+        "delta": lambda x: p.delta(u, x),
+        "delta, first": lambda x: p.delta(x, u),
+        "median": lambda x: p.median(u, u, x),
+        "median, last": lambda x: p.median(x, u, u),
+        "min_set": p.min_set,
+        "flip a member": lambda x: p.flip(x, 1),
+        "flip h2": lambda x: p.flip(x, 2),
+        "format_ultrafilter": p.format_ultrafilter,
+    }
+    for name, call in calls.items():
+        for other in (v, w, Ultrafilter(())):
+            with pytest.raises(BackendMismatch) as exc:
+                call(other)
+            assert exc.value.witness == len(other.signs), name
+            assert exc.value.code == "backend-mismatch"
+            assert str(exc.value) == f"an ultrafilter of another poc-set: {len(other.signs)} signs, not 2"
+    # the poc-set's own ultrafilters are answered as before
+    assert (p.delta(u, p.ultrafilters()[3]), p.min_set(u), p.format_ultrafilter(u)) == (2, [0, 2], "{h1, h2}")
+
+
+def test_a_sign_vector_of_another_length_or_entry_is_refused():
+    from pocsets.errors import MalformedInput
+
+    p = FinitePocSet.from_order_generators(2, [])
+    refused = [
+        ((0,), "a sign vector of length 1 for 2 pairs", 1),
+        ((0, 1, 0), "a sign vector of length 3 for 2 pairs", 3),
+        ((), "a sign vector of length 0 for 2 pairs", 0),
+        ((0, 2), "sign 2 of h2 is not 0 or 1", 1),
+        ((-1, 0), "sign -1 of h1 is not 0 or 1", 0),
+        ((0, True), "sign True of h2 is not 0 or 1", 1),
+        ((1.0, 0), "sign 1.0 of h1 is not 0 or 1", 0),
+        (("1", 0), "sign '1' of h1 is not 0 or 1", 0),
+    ]
+    for signs, message, witness in refused:
+        with pytest.raises(MalformedInput) as exc:
+            p.ultrafilter_from_signs(signs)
+        assert (str(exc.value), exc.value.witness, exc.value.code) == (message, witness, "malformed-input")
+    assert [p.ultrafilter_from_signs(list(s)).signs for s in product((0, 1), repeat=2)] == [
+        u.signs for u in p.ultrafilters()
+    ]
+    assert FinitePocSet.from_order_generators(0, []).ultrafilter_from_signs(()).signs == ()
+
+
+def test_a_dangling_handle_is_refused():
+    # a handle outside 0..2n+1 is malformed input with the least such handle
+    # as witness, before either ultrafilter axiom is checked
+    from pocsets.errors import MalformedInput
+    from pocsets.formats import fixture_pocset
+
+    p = fixture_pocset("FIX-SQ")
+    calls = [
+        (p.ultrafilter_from_members, [0, 2, 99], 99),
+        (p.ultrafilter_from_members, [0, 2, -1], -1),
+        (p.is_ultrafilter, [0, 2, 5, 99], 99),
+        (p.is_ultrafilter, [0, 1, 6], 6),  # UF1 fails too, and is not reached
+        (p.check_filterbase, [0, 77, -3], -3),
+        (p.filterbase, [0, 77], 77),
+        (p.extend_filterbase, [0, 77], 77),
+        (p.extend_filterbase, [6, 7, 8], 6),
+    ]
+    for call, members, witness in calls:
+        with pytest.raises(MalformedInput) as exc:
+            call(members)
+        assert (str(exc.value), exc.value.witness) == (f"dangling handle {witness}", witness)
+    # every handle 0..2n+1 is still read: 0 and 0* included
+    assert p.is_ultrafilter([0, 2, 5]).ok and not p.is_ultrafilter([0, 2, 4, 5]).ok
+    assert p.check_filterbase([0, 5]) is None and p.filterbase([0, 2]).members == {0, 2}
+    assert p.ultrafilter_from_members([1, 2]).signs == (1, 0)
+
+
 def test_membership_is_read_off_the_signs():
     # `e in u`, `members` and `sorted_members` all derive from the signs:
     # 0* is a member, 0, negative and out-of-range handles are not

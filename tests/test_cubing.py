@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import sys
 from collections import Counter
@@ -19,6 +20,7 @@ from pocsets.cubing import (
     duality_roundtrip,
     extract_halfspaces,
 )
+from pocsets.formats import fixture_pocset
 from pocsets.errors import (
     AxiomViolation,
     DegenerateWall,
@@ -318,9 +320,16 @@ def test_duality_random():
 # the round trip against the composition it checks
 
 
-def _composed_roundtrip(p: FinitePocSet) -> DualityReport:
-    """The round trip as the composition it checks: build the complex,
-    extract its halfspace poc-set and compare the two orders."""
+def _report(bijection: dict, vertex_count: int) -> dict:
+    """The round trip's JSON report for these maps: the element bijection
+    and the identity on the vertices."""
+    vertices = {str(i): i for i in range(vertex_count)}
+    return {"isomorphic": True, "elements": bijection, "vertices": vertices, "mismatch": None}
+
+
+def _composed_roundtrip(p: FinitePocSet) -> dict:
+    """The round trip's report as the composition it checks: build the
+    complex, extract its halfspace poc-set and compare the two orders."""
     c = build_cubing(p)
     q = extract_halfspaces(c)
     if q._up != p._up:
@@ -329,13 +338,17 @@ def _composed_roundtrip(p: FinitePocSet) -> DualityReport:
         b = (diff & -diff).bit_length() - 1
         raise NotIsomorphic(f"order mismatch at ({p.name(a)}, {p.name(b)})", (a, b))
     bijection = {p.name(e): q.name(e) for e in p.proper_elements()}
-    return DualityReport(bijection, {i: i for i in range(len(c.vertices))})
+    return _report(bijection, len(c.vertices))
 
 
-def _outcome(roundtrip, p: FinitePocSet):
-    """The report, or the refusal's class, message and witness."""
+def _roundtrip(p: FinitePocSet) -> dict:
+    return duality_roundtrip(p).to_json()
+
+
+def _outcome(run, p: FinitePocSet):
+    """What run(p) returns, or the refusal's class, message and witness."""
     try:
-        return roundtrip(p).to_json()
+        return run(p)
     except PocError as exc:
         return type(exc), str(exc), exc.witness
 
@@ -348,7 +361,7 @@ def test_the_roundtrip_matches_the_composition(monkeypatch, fix_line3, fix_squar
     for cap in (10**5, 7, 3, 1, 0):
         monkeypatch.setattr(cubing, "MAX_CUBES", cap)
         for p in pocsets:
-            new = _outcome(duality_roundtrip, p)
+            new = _outcome(_roundtrip, p)
             assert new == _outcome(_composed_roundtrip, p)
             outcomes[type(new)] += 1
     assert outcomes[dict] and outcomes[tuple], outcomes
@@ -357,7 +370,7 @@ def test_the_roundtrip_matches_the_composition(monkeypatch, fix_line3, fix_squar
     monkeypatch.setattr(cubing, "MAX_CUBES", 7)
     assert duality_roundtrip(free3).isomorphic
     monkeypatch.setattr(cubing, "MAX_CUBES", 6)
-    assert _outcome(duality_roundtrip, free3) == (MalformedInput, "more than 6 cubes to build", 3)
+    assert _outcome(_roundtrip, free3) == (MalformedInput, "more than 6 cubes to build", 3)
 
 
 def test_a_flipped_row_bit_is_refused_as_the_composition_refuses_it(monkeypatch, fix_line3, fix_square, fix_tripod):
@@ -381,7 +394,7 @@ def test_a_flipped_row_bit_is_refused_as_the_composition_refuses_it(monkeypatch,
                 for r, row in enumerate(halfspace_rows(n, signs))
             ]
             monkeypatch.setattr(cubing, "_halfspace_rows", flipped)
-            new = _outcome(duality_roundtrip, p)
+            new = _outcome(_roundtrip, p)
             assert new == _outcome(_composed_roundtrip, p), (p, a, b)
             outcomes[new[0] if isinstance(new, tuple) else dict] += 1
     assert outcomes[AxiomViolation] and outcomes[NotIsomorphic], outcomes
@@ -399,7 +412,7 @@ def test_the_roundtrip_builds_no_cube(monkeypatch, fix_line3, fix_square, fix_tr
     monkeypatch.setattr(cubing, "CubeComplex", no_record)
     for p in (fix_line3, fix_square, fix_tripod):
         assert duality_roundtrip(p).isomorphic
-    assert _outcome(duality_roundtrip, free11) == refused
+    assert _outcome(_roundtrip, free11) == refused
 
 
 def test_the_roundtrip_counts_the_cubes_only_when_their_bound_passes_the_cap(monkeypatch, fix_square):
@@ -424,9 +437,121 @@ def test_the_roundtrip_counts_the_cubes_only_when_their_bound_passes_the_cap(mon
         passes = len(p.ultrafilters()) * (2**n - n - 1) > cap
         assert expected in (None, passes), (p, cap)
         counted.clear()
-        outcome = _outcome(duality_roundtrip, p)
+        outcome = _outcome(_roundtrip, p)
         assert counted == ([p] if passes else []), (p, cap)
         assert outcome == _outcome(_composed_roundtrip, p)
+
+
+# ---------------------------------------------------------------------------
+# one probe per plain member against the minimality test it replaced
+
+
+def _minimal_least_corners(p: FinitePocSet, walk: list):
+    """`cubing._least_corners` with a minimality test: `FinitePocSet._minimal`
+    picks each vertex's plain minimal members, and each edge looks its raised
+    vertex up in the stars index."""
+    n, found = p.n_pairs, 0
+    index = {stars: i for i, (_, stars) in enumerate(walk)}
+    plain_stars = (4**n - 1) // 3 << 1  # bits 1, 3, .. below 2n
+    for i, (_, stars) in enumerate(walk):
+        plain = p._minimal(stars, stars & plain_stars)
+        moves = [(i, index[stars ^ 3 << a], a >> 1) for a in range(2 * n - 2, -1, -2) if plain >> a & 1]
+        subsets = []
+        if plain & (plain - 1):
+            pairs = int(bin(plain | 1 << 2 * n)[4::2], 2)
+            cubing._transverse_subsets(p._transverse_pairs, (), pairs, subsets)
+            found += len(subsets)
+            if found > cubing.MAX_CUBES:
+                raise MalformedInput(f"more than {cubing.MAX_CUBES} cubes to build", n)
+        yield i, moves, subsets
+
+
+def _corners(least_corners, p: FinitePocSet):
+    """The least corners listed before any refusal, and the refusal."""
+    listed = []
+    try:
+        for corner in least_corners(p, p._walk_ultrafilters()):
+            listed.append(corner)
+    except PocError as exc:
+        return listed, (type(exc), str(exc), exc.witness)
+    return listed, None
+
+
+def test_one_probe_finds_what_the_minimality_test_finds(monkeypatch):
+    # per vertex: the plain minimal set, the edges and the cubes; and the
+    # vertex at which MAX_CUBES refuses, in `build_cubing` and in the round
+    # trip's count, against the `_minimal` reference at five caps
+    least_corners = cubing._least_corners
+    seen = []
+
+    def spy(p, walk):
+        for corner in least_corners(p, walk):
+            seen.append(corner[0])
+            yield corner
+
+    monkeypatch.setattr(cubing, "_least_corners", spy)
+    pocsets = [fixture_pocset(name) for name in ("FIX-SQ", "FIX-LINE3", "FIX-TRIPOD")]
+    pocsets += list({(p.n_pairs, p._up): p for p in _sampled_pocsets()}.values())
+    outcomes = Counter()
+    for cap in (10**5, 7, 3, 1, 0):
+        monkeypatch.setattr(cubing, "MAX_CUBES", cap)
+        for p in pocsets:
+            expected, refusal = _corners(_minimal_least_corners, p)
+            assert _corners(least_corners, p) == (expected, refusal)
+            reached = [i for i, _, _ in expected]
+            if refusal is None:
+                for (i, moves, _), u in zip(expected, p.ultrafilters()):
+                    assert [2 * k for _, _, k in reversed(moves)] == [a for a in p.min_set(u) if not a & 1]
+            seen.clear()
+            built = _outcome(build_cubing, p)
+            assert seen == reached
+            if refusal is None:
+                assert built.edges == [edge for _, moves, _ in expected for edge in moves]
+                assert _complex_shape(built)[2] == {
+                    d: [(i, sub) for i, _, subsets in expected for sub in subsets if len(sub) == d]
+                    for d in built.cubes
+                }
+                assert sum(map(len, built.cubes.values())) == sum(len(s) for _, _, s in expected)
+            else:
+                assert built == refusal
+            seen.clear()
+            n = p.n_pairs
+            counted = len(p.ultrafilters()) * (2**n - n - 1) > cap
+            report = _outcome(_roundtrip, p)
+            assert seen == (reached if counted else [])
+            if refusal is None:
+                assert report["isomorphic"]
+            else:  # the bound passes the cap whenever the count does
+                assert counted and report == refusal
+            outcomes[refusal is None, counted] += 1
+    assert set(outcomes) == {(True, False), (True, True), (False, True)}, outcomes
+
+
+def test_the_report_reads_as_the_eager_report_did():
+    # the report keeps the pair and vertex counts; each read of a bijection
+    # builds a fresh identity map, and its JSON is the bytes of the report
+    # that held both maps, for n = 0..8
+    pairs = Counter()
+    for p in [FinitePocSet.from_order_generators(n, []) for n in range(9)] + list(_sampled_pocsets())[:500]:
+        walk = p._walk_ultrafilters()
+        names = [p.name(e) for e in p.proper_elements()]
+        vertices = range(len(walk))
+        eager = {
+            "isomorphic": True,
+            "elements": dict(zip(names, names)),
+            "vertices": {str(k): v for k, v in dict(zip(vertices, vertices)).items()},
+            "mismatch": None,
+        }
+        report = duality_roundtrip(p)
+        assert report == DualityReport(p.n_pairs, len(walk))
+        assert json.dumps(report.to_json()) == json.dumps(eager)
+        assert report.element_bijection == eager["elements"]
+        assert report.vertex_bijection == dict(zip(vertices, vertices))
+        assert report.element_bijection is not report.element_bijection
+        report.vertex_bijection.clear()
+        assert len(report.vertex_bijection) == len(walk)
+        pairs[p.n_pairs] += 1
+    assert set(pairs) == set(range(9)), pairs
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +628,7 @@ def _cell_roundtrip(p: FinitePocSet, q: FinitePocSet, vertex_count: int) -> dict
             if p.leq(a, b) != q.leq(a, b):
                 raise NotIsomorphic(f"order mismatch at ({p.name(a)}, {p.name(b)})", (a, b))
     bijection = {p.name(e): q.name(e) for e in p.proper_elements()}
-    return DualityReport(bijection, {i: i for i in range(vertex_count)}).to_json()
+    return _report(bijection, vertex_count)
 
 
 def _walls(c: CubeComplex) -> list:
