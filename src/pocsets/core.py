@@ -274,9 +274,14 @@ class FinitePocSet:
         return 0 <= e < 2 * self.n_pairs
 
     def leq(self, a: int, b: int) -> bool:
-        return bool(self._up[a] & (1 << b))
+        up = self._up
+        if not (0 <= a < len(up) and 0 <= b < len(up)):
+            self._handle_set((a, b))  # refuses the least dangling one
+        return bool(up[a] & (1 << b))
 
     def name(self, e: int) -> str:
+        if not 0 <= e < len(self._up):
+            self._handle_set((e,))  # refuses it
         return _raw_name(e, self.n_pairs)
 
     def handle(self, name: str) -> int:
@@ -542,6 +547,7 @@ class FinitePocSet:
     def support(self, h: int, among: Optional[Sequence[Ultrafilter]] = None) -> list[int]:
         """Indices (into ``among`` or the canonical enumeration) of the
         ultrafilters containing h; the vertex set S_h."""
+        self._handle_set((h,))  # refuses a dangling h
         pool = list(among) if among is not None else self.ultrafilters()
         return [i for i, u in enumerate(pool) if h in u]
 
@@ -553,7 +559,7 @@ class FinitePocSet:
         """Whether ⋂_a S_a meets the (sub)space; the empty family meets
         everything.  Agreement with the Helly criterion is a tested
         invariant, not assumed here."""
-        els = list(elements)
+        els = self._handle_set(elements)
         pool = list(restrict_to) if restrict_to is not None else self.ultrafilters()
         return any(all(a in u for a in els) for u in pool)
 

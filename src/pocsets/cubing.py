@@ -17,9 +17,8 @@ bijections are built when read.
 
 from __future__ import annotations
 
-from itertools import combinations
 from operator import add
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import FinitePocSet, Record, Ultrafilter, _raw_name, _star_mask
 from .errors import DegenerateWall, MalformedInput, NotIsomorphic
@@ -79,16 +78,23 @@ class CubeComplex(Record):
 
     def cube_vertices(self, cube: Cube) -> list[int]:
         """The 2^d corner indices of a stored cube."""
-        index = {u.signs: i for i, u in enumerate(self.vertices)}
-        base_signs = self.vertices[cube.base].signs
+        return self.corners([cube])[0]
+
+    def corners(self, cubes: Iterable[Cube]) -> list[list[int]]:
+        """The sorted corner indices of each cube, read off one index of the
+        vertices' sign masks that this call builds: a corner flips a subset
+        of the cube's pairs at its base."""
+        masks = _sign_masks(self.vertices)
+        index = dict(zip(masks, range(len(masks))))
         out = []
-        for r in range(len(cube.pairs) + 1):
-            for sub in combinations(cube.pairs, r):
-                signs = list(base_signs)
-                for k in sub:
-                    signs[k] ^= 1
-                out.append(index[tuple(signs)])
-        return sorted(out)
+        for cube in cubes:
+            base, flips = masks[cube.base], sum(1 << k for k in cube.pairs)
+            corners, sub = [cube.base], flips
+            while sub:  # every nonempty subset of the flips, largest first
+                corners.append(index[base ^ sub])
+                sub = (sub - 1) & flips
+            out.append(sorted(corners))
+        return out
 
     def walls(self) -> list[Wall]:
         out = []
@@ -133,6 +139,11 @@ class CubeComplex(Record):
                 for d, cs in sorted(self.cubes.items())
             },
         }
+
+
+def _sign_masks(vertices: list[Ultrafilter]) -> list[int]:
+    """Each vertex's signs as one mask, bit k for the sign of pair k."""
+    return [sum(s << k for k, s in enumerate(u.signs)) for u in vertices]
 
 
 def build_cubing(p: FinitePocSet) -> CubeComplex:

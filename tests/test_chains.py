@@ -761,6 +761,6 @@ def test_local_cubes_match_finite_window_complex():
     vertex = p.ultrafilter_from_signs(restrict_to_window(u, w))
     i = complex_.vertices.index(vertex)
     squares_at_vertex = sum(
-        1 for cube in complex_.cubes.get(2, []) if i in complex_.cube_vertices(cube)
+        1 for vertices in complex_.corners(complex_.cubes.get(2, [])) if i in vertices
     )
     assert squares_at_vertex == len(local_cubes(u, 2)) == 4

@@ -67,7 +67,14 @@ def test_dual_sample_count_is_capped(monkeypatch, capsys):
         assert out == "" and message in json.loads(err)["message"]
 
 
-@pytest.mark.parametrize("argv", [("validate", "FIX-SQ"), ("cubing", "FIX-SQ")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "FIX-SQ"),
+        ("cubing", "FIX-SQ"),
+        ("report", "FIX-HEX", "--window", "12", "--format", "structured"),
+    ],
+)
 def test_closed_stdout_ends_without_a_traceback(argv):
     import os
 
@@ -85,8 +92,7 @@ def test_closed_stdout_ends_without_a_traceback(argv):
     finally:
         os.close(writer)
     assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
-    assert len(proc.stderr.splitlines()) <= 1
+    assert proc.stderr == ""
 
 
 def test_boundary_poset():
@@ -729,3 +735,89 @@ def test_dual_reads_its_document_before_the_sample_count(capsys):
 
     assert main(["dual", "FIX-Z2", "--samples", "-1"]) == 1
     assert "not a poc-set document" in json.loads(capsys.readouterr().err)["message"]
+
+
+def _process_outcome(*argv, entry="pocsets"):
+    proc = subprocess.run(
+        [sys.executable, "-m", entry, *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "COLUMNS": "80"},
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["--version"], 0),
+        (["validate", "FIX-SQ", "--format", "structured"], 0),
+        (["report", "FIX-HEX", "--length", "6"], 2),
+        (["shadows", "FIX-HEX", "--cuts", "1,2", "--window", "4"], 1),
+    ],
+)
+def test_a_process_exits_as_main_returns(argv, code, monkeypatch, capsys):
+    # `run` freezes the heap on the way out and changes nothing else: each
+    # entry prints what in-process `main` prints and exits with its status,
+    # argparse's exits included, and a refusal is one JSON line
+    from pocsets.cli import main
+
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    expected = (status, *capsys.readouterr())
+    assert expected[0] == code
+    assert _process_outcome(*argv) == _process_outcome(*argv, entry="pocsets.cli") == expected
+    if code == 1:
+        assert json.loads(expected[2])["code"] == "chain-count-mismatch"
+        assert len(expected[2].splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, code", [(["validate", "FIX-SQ"], 0), (["rho", "FIX-Z2"], 2)])
+def test_main_never_freezes(argv, code, capsys):
+    # a success and a usage error: only `run` freezes, since in-process
+    # callers would never collect a frozen heap
+    import gc
+
+    from pocsets.cli import main
+
+    frozen = gc.get_freeze_count()
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    capsys.readouterr()
+    assert (status, gc.get_freeze_count()) == (code, frozen)
+
+
+def test_run_freezes_the_heap_before_the_interpreter_exits():
+    script = (
+        "import atexit, gc, sys\n"
+        "from pocsets import cli\n"
+        "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0))\n"
+        "sys.argv[1:] = ['validate', 'FIX-SQ']\n"
+        "cli.run()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "valid poc-set: 2 proper pairs\nfrozen: True\n", ""
+    )
+
+
+def test_both_process_entries_name_run():
+    # read as text: `tomllib` is not in Python 3.10
+    root = Path(SRC).parent
+    scripts = (root / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
+    assert scripts.splitlines()[0] == 'pocsets = "pocsets.cli:run"'
+    main_module = (Path(SRC) / "pocsets" / "__main__.py").read_text()
+    assert main_module == "from .cli import run\n\nrun()\n"

@@ -916,7 +916,9 @@ def test_a_sign_vector_of_another_length_or_entry_is_refused():
 
 def test_a_dangling_handle_is_refused():
     # a handle outside 0..2n+1 is malformed input with the least such handle
-    # as witness, before either ultrafilter axiom is checked
+    # as witness, before either ultrafilter axiom is checked; `leq`, `name`,
+    # `support` and `vset_nonempty` refuse it too, where they used to answer
+    # for it or raise a Python error
     from pocsets.errors import MalformedInput
     from pocsets.formats import fixture_pocset
 
@@ -930,15 +932,29 @@ def test_a_dangling_handle_is_refused():
         (p.filterbase, [0, 77], 77),
         (p.extend_filterbase, [0, 77], 77),
         (p.extend_filterbase, [6, 7, 8], 6),
+        (p.vset_nonempty, [99], 99),
+        (p.vset_nonempty, [0, 2, 7, -2], -2),
+        (lambda handles: p.support(*handles), [99], 99),
+        (lambda handles: p.name(*handles), [99], 99),
+        (lambda handles: p.name(*handles), [-1], -1),
+        (lambda handles: p.leq(*handles), [0, 99], 99),
+        (lambda handles: p.leq(*handles), [99, 0], 99),
+        (lambda handles: p.leq(*handles), [0, -1], -1),
+        (lambda handles: p.leq(*handles), [99, -1], -1),
     ]
     for call, members, witness in calls:
         with pytest.raises(MalformedInput) as exc:
             call(members)
         assert (str(exc.value), exc.value.witness) == (f"dangling handle {witness}", witness)
+        assert exc.value.code == "malformed-input"
     # every handle 0..2n+1 is still read: 0 and 0* included
     assert p.is_ultrafilter([0, 2, 5]).ok and not p.is_ultrafilter([0, 2, 4, 5]).ok
     assert p.check_filterbase([0, 5]) is None and p.filterbase([0, 2]).members == {0, 2}
     assert p.ultrafilter_from_members([1, 2]).signs == (1, 0)
+    assert [p.name(e) for e in range(6)] == ["h1", "h1*", "h2", "h2*", "0", "0*"]
+    assert p.leq(4, 0) and p.leq(0, 5) and not p.leq(5, 4)
+    assert p.support(5) == [0, 1, 2, 3] and p.support(4) == [] and p.support(0) == [0, 1]
+    assert p.vset_nonempty([0, 2]) and not p.vset_nonempty([0, 1])
 
 
 def test_membership_is_read_off_the_signs():

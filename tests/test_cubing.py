@@ -109,6 +109,7 @@ def test_cube_count_equals_transverse_subsets_random():
     for _ in range(25):
         p = random_pocset(rng, max_pairs=5)
         c = build_cubing(p)
+        corners = {d: c.corners(cubes) for d, cubes in c.cubes.items()}
         for i, u in enumerate(c.vertices):
             mins = p.min_set(u)
             for d in range(2, len(mins) + 1):
@@ -117,11 +118,7 @@ def test_cube_count_equals_transverse_subsets_random():
                     for sub in combinations(mins, d)
                     if all(p.transverse(x, y) for x, y in combinations(sub, 2))
                 )
-                got = sum(
-                    1
-                    for cube in c.cubes.get(d, [])
-                    if i in c.cube_vertices(cube)
-                )
+                got = sum(1 for vertices in corners.get(d, []) if i in vertices)
                 assert got == expected
 
 
@@ -178,8 +175,35 @@ def test_cube_base_is_least_corner():
     for _ in range(40):
         c = build_cubing(random_pocset(rng, max_pairs=6))
         for cubes in c.cubes.values():
-            for cube in cubes:
-                assert cube.base == min(c.cube_vertices(cube))
+            for cube, vertices in zip(cubes, c.corners(cubes)):
+                assert cube.base == min(vertices)
+
+
+def test_all_corners_come_from_one_index(monkeypatch):
+    # 10 free pairs: 1,024 vertices and 52,905 cubes of dimension >= 2, whose
+    # corners one call lists with one index; a cube's corners are the
+    # vertices whose signs differ from its base's only on its pairs
+    p = FinitePocSet.from_order_generators(10)
+    c = build_cubing(p)
+    cubes = [cube for d in sorted(c.cubes) for cube in c.cubes[d]]
+    assert len(c.vertices) == 1024 and len(cubes) == 52905
+    builds, sign_masks = [], cubing._sign_masks
+
+    def counting(vertices):
+        builds.append(len(vertices))
+        return sign_masks(vertices)
+
+    monkeypatch.setattr(cubing, "_sign_masks", counting)
+    corners = c.corners(cubes)
+    assert builds == [1024]
+    assert sum(map(len, corners)) == sum(2 ** len(cube.pairs) for cube in cubes)
+    for cube, vertices in zip(cubes[::997], corners[::997]):
+        base = c.vertices[cube.base].signs
+        assert vertices == [
+            i for i, u in enumerate(c.vertices)
+            if all(s == b or k in cube.pairs for k, (s, b) in enumerate(zip(u.signs, base)))
+        ]
+    assert c.cube_vertices(cubes[-1]) == corners[-1] and len(builds) == 2
 
 
 def test_complex_dimension_bounded_by_pocset_dimension():
