@@ -5,9 +5,12 @@ seed produces byte-identical output.  Structured output is versioned JSON on
 stdout; domain errors become one-line JSON diagnostics on stderr with exit
 code 1, usage errors exit 2.
 
-The input has one path: `build_parser` names each subcommand's loader,
-`main` loads the document inside its error handling and hands the loaded
-object to the handler, and a handler only computes and prints.
+The input has one path: `build_parser` names each subcommand's loader in
+its one table, `main` loads the document inside its error handling and
+hands the loaded object to the handler, and a handler only computes and
+prints.  `main` holds what the handler prints and writes it to stdout with
+one write at the end, and a refusal's diagnostic to stderr with one, so a
+reader that closes stdout early ends every run the same way.
 
 Start-up is most of a fixture-sized run, so importing this module loads no
 layer: the parser imports the loaders, and each handler imports the layers
@@ -26,7 +29,9 @@ in-process, many times over.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import sys
@@ -270,9 +275,7 @@ def cmd_report(args, model) -> None:
     if args.window is not None:
         # a three-step sweep that never passes the window asked for
         step = max(1, args.window // 3)
-        windows = tuple(
-            min(args.window, max(1, args.window - j * step)) for j in (2, 1, 0)
-        )
+        windows = tuple(min(args.window, max(1, args.window - j * step)) for j in (2, 1, 0))
     else:
         windows = _parse_ints(args.windows, "window list")
     report = surjectivity_report(model, windows=windows)
@@ -295,81 +298,69 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     command); the root usage names every subcommand either way."""
     from .formats import load_chain_family, load_pocset, load_wall_model
 
-    def subcommands(add):
-        # the one table: `add` returns the subcommand's parser when it builds
-        # it, and the subcommand's own options are added to that parser
-        add("validate", cmd_validate, "validate a poc-set file", load_pocset)
-        add("ultrafilters", cmd_ultrafilters, "enumerate the ultrafilters", load_pocset)
-        add(
-            "cubing",
-            cmd_cubing,
-            "build the dual cube complex",
-            load_pocset,
-            fmt=("text", "structured", "dot"),
-        )
-        if dual := add("dual", cmd_dual, "verify the duality round-trip", load_pocset):
-            dual.add_argument("--samples", type=int, default=0, help="extra random poc-sets")
-            dual.add_argument("--seed", type=int, default=0, help="seed for sampling")
-        add(
-            "boundary",
-            cmd_boundary,
-            "the Roller boundary poset of a chain family",
-            load_chain_family,
-        )
-        if rho_p := add("rho", cmd_rho, "boundary class of a direction"):
-            rho_p.add_argument("--direction", required=True, help="exact pair, e.g. 1,0")
-        add("image", cmd_image, "the image of rho with its fibers")
-        add("safe", cmd_safe, "safe components of the image")
-        add("closure", cmd_closure, "check the closure formula on every fiber")
-        if restrict := add("restrict", cmd_restrict, "restrict the system to a line"):
-            restrict.add_argument("--direction", required=True)
-            restrict.add_argument("--base", default="0,0")
-        if shadows_p := add(
-            "shadows",
-            cmd_shadows,
-            "shadow report of a cut tuple",
-            fmt=("text", "structured", "svg"),
-        ):
-            shadows_p.add_argument("--cuts", required=True, help="e.g. 5,5,5")
-            shadows_p.add_argument("--window", type=int, default=12)
-        if escape := add("escape", cmd_escape, "attempt an escaping geodesic ray"):
-            escape.add_argument("--target", required=True, help="signature, e.g. (+,+,+)")
-            escape.add_argument("--length", type=int, default=20)
-            escape.add_argument("--window", type=int, default=13)
-        if report := add(
-            "report", cmd_report, "co-compactness report; escapes are exact, window-free"
-        ):
-            sweep = report.add_mutually_exclusive_group()
-            sweep.add_argument("--windows", default="5,10,15", help="window sweep")
-            sweep.add_argument(
-                "--window", type=int, default=None, help="largest window of a 3-step sweep"
-            )
-
-    names: list[str] = []
-    subcommands(lambda name, *_, **__: names.append(name))
+    # the one table: each subcommand's handler, help, loader, formats beside
+    # text and structured, and options as (flag, keywords) pairs; a tuple of
+    # pairs in place of one is a mutually exclusive group
+    table = {
+        "validate": (cmd_validate, "validate a poc-set file", load_pocset, (), ()),
+        "ultrafilters": (cmd_ultrafilters, "enumerate the ultrafilters", load_pocset, (), ()),
+        "cubing": (cmd_cubing, "build the dual cube complex", load_pocset, ("dot",), ()),
+        "dual": (cmd_dual, "verify the duality round-trip", load_pocset, (), (
+            ("--samples", dict(type=int, default=0, help="extra random poc-sets")),
+            ("--seed", dict(type=int, default=0, help="seed for sampling")),
+        )),
+        "boundary": (cmd_boundary, "the Roller boundary poset of a chain family",
+                     load_chain_family, (), ()),
+        "rho": (cmd_rho, "boundary class of a direction", load_wall_model, (), (
+            ("--direction", dict(required=True, help="exact pair, e.g. 1,0")),
+        )),
+        "image": (cmd_image, "the image of rho with its fibers", load_wall_model, (), ()),
+        "safe": (cmd_safe, "safe components of the image", load_wall_model, (), ()),
+        "closure": (cmd_closure, "check the closure formula on every fiber", load_wall_model,
+                    (), ()),
+        "restrict": (cmd_restrict, "restrict the system to a line", load_wall_model, (), (
+            ("--direction", dict(required=True)),
+            ("--base", dict(default="0,0")),
+        )),
+        "shadows": (cmd_shadows, "shadow report of a cut tuple", load_wall_model, ("svg",), (
+            ("--cuts", dict(required=True, help="e.g. 5,5,5")),
+            ("--window", dict(type=int, default=12)),
+        )),
+        "escape": (cmd_escape, "attempt an escaping geodesic ray", load_wall_model, (), (
+            ("--target", dict(required=True, help="signature, e.g. (+,+,+)")),
+            ("--length", dict(type=int, default=20)),
+            ("--window", dict(type=int, default=13)),
+        )),
+        "report": (cmd_report, "co-compactness report; escapes are exact, window-free",
+                   load_wall_model, (), ((
+                       ("--windows", dict(default="5,10,15", help="window sweep")),
+                       ("--window", dict(type=int, help="largest window of a 3-step sweep")),
+                   ),)),
+    }
     parser = argparse.ArgumentParser(
         prog="pocsets",
         description="poc-sets, dual cubings, Roller boundaries and wall models",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    if command not in names:
+    if command not in table:
         command = None
     # argparse spells the root usage's subcommands from the parsers built, so
     # a partial build spells them from the table; a full build sets none,
     # since argparse would also name a missing command by it
-    metavar = None if command is None else "{" + ",".join(names) + "}"
+    metavar = None if command is None else "{" + ",".join(table) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def add(name, handler, help_, load=load_wall_model, fmt=("text", "structured")):
+    for name, (handler, help_, load, formats, options) in table.items():
         if command not in (None, name):
-            return None
+            continue
         p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="input file or fixture name")
-        p.add_argument("--format", choices=fmt, default="text")
+        p.add_argument("--format", choices=("text", "structured", *formats), default="text")
         p.set_defaults(handler=handler, load=load)
-        return p
-
-    subcommands(add)
+        for option in options:
+            group = isinstance(option[0], tuple)
+            target = p.add_mutually_exclusive_group() if group else p
+            for flag, keywords in option if group else (option,):
+                target.add_argument(flag, **keywords)
     return parser
 
 
@@ -378,12 +369,15 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
+    out = io.StringIO()
     try:
-        args.handler(args, args.load(args.input))
+        with contextlib.redirect_stdout(out):
+            args.handler(args, args.load(args.input))
+        sys.stdout.write(out.getvalue())
         sys.stdout.flush()
         return 0
     except PocError as exc:
-        print(json.dumps(exc.diagnostic(), sort_keys=True), file=sys.stderr)
+        sys.stderr.write(json.dumps(exc.diagnostic(), sort_keys=True) + "\n")
         return 1
     except BrokenPipeError:
         # the reader of stdout has gone: send what is left to devnull, so

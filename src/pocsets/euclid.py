@@ -106,6 +106,15 @@ class Arrangement:
         self.spacings = [a for a, _ in scaled[3::4]]
         self.cross = [[_cross(u, v) for v in self.normals] for u in self.normals]
 
+    def vertex(self, i: int, j: int, a: int, b: int) -> Vec:
+        """Where wall a of family i meets wall b of family j (i and j not
+        parallel): Cramer's rule on the scaled normals, over cross[i][j]."""
+        ((p, q), (r, s)), ((t, u), (v, w)) = self.normals[i], self.normals[j]
+        li, lj = self.offsets[i] + self.spacings[i] * a, self.offsets[j] + self.spacings[j] * b
+        det = ExactNumber(*self.cross[i][j])
+        x, y = (li * v - lj * r, li * w - lj * s), (lj * p - li * t, lj * q - li * u)
+        return ExactNumber(*x) / det, ExactNumber(*y) / det
+
 
 def _cross(u, v) -> tuple[int, int]:
     """u x v of two vectors of pairs (a, b), each meaning a + b*sqrt3."""

@@ -43,18 +43,14 @@ def _wall_segment(normal, level, half: float):
 
 
 def _virtual_position(model: WallModel, cuts):
-    """Mid-slab intersection of the first two non-parallel families; the
-    stand-in position of an inconsistent cut tuple."""
-
-    def mid_line(fam, cut):  # n.p = level - spacing/2, as two halfplanes
-        (nx, ny), level = fam.normal, fam.wall_level(cut) - fam.spacing / 2
-        return [(nx, ny, level), (-nx, -ny, -level)]
-
-    cross = model.arrangement.cross  # zero iff i and j are parallel
+    """Mid-slab crossing of the first two non-parallel families, the midpoint
+    of two opposite corners of their slabs' parallelogram; the stand-in
+    position of an inconsistent cut tuple."""
+    cross, vertex = model.arrangement.cross, model.arrangement.vertex
     for i, j in combinations(range(model.k), 2):
-        if any(cross[i][j]):
-            f, g = model.families[i], model.families[j]
-            return _feasible_point(mid_line(f, cuts[i]) + mid_line(g, cuts[j]))
+        if any(cross[i][j]):  # zero iff i and j are parallel
+            lo, hi = vertex(i, j, cuts[i] - 1, cuts[j] - 1), vertex(i, j, cuts[i], cuts[j])
+            return (lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2
     return None
 
 

@@ -31,6 +31,7 @@ from pocsets.chains import (
     delta,
     drop_chains,
     flip,
+    flow_cuts,
     flow_flip_sequence,
     flow_step,
     format_signature,
@@ -543,6 +544,8 @@ def test_flow_flip_sequence_is_geodesic_and_fellow_travels():
     s = sig(PLUS, PLUS, FIN)
     pts = flow_flip_sequence(s, uf(0, 0, 0), 12)
     assert len(pts) == 13
+    # the principal class has no move: its flow is its start
+    assert list(flow_cuts(sig(FIN, FIN, FIN), (1, 2, 3), 12)) == [(1, 2, 3)]
     for i, a in enumerate(pts):
         for j, b in enumerate(pts):
             assert delta(a, b) == abs(i - j)

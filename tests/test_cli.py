@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -157,6 +158,20 @@ def test_shadows_text_and_svg():
     )
     assert proc.stdout.startswith("<svg")
     assert "</svg>" in proc.stdout
+    # (2,2,2) is inconsistent, so its marker stands at a mid-slab crossing;
+    # two parallel families never cross, so their inconsistent query gets none
+    assert proc.stdout.count('r="6"') == 1
+    from pocsets.chains import ChainFamily
+    from pocsets.euclid import WallFamily, WallModel
+    from pocsets.exactnum import ExactNumber
+    from pocsets.render import shadow_svg
+    from pocsets.shadows import ChainUltrafilter, shadow_report
+
+    normals = [(ExactNumber(n), ExactNumber(0)) for n in (1, 2)]
+    model = WallModel(ChainFamily(("a", "b")), tuple(WallFamily(n) for n in normals))
+    report = shadow_report(model, ChainUltrafilter((0, 5)), 8)
+    assert report.dist > 0
+    assert shadow_svg(model, report).count("<circle") == len(report.shadow) == 1
 
 
 def test_escape_and_report():
@@ -728,6 +743,43 @@ def test_a_run_builds_two_parsers(monkeypatch, capsys):
     assert main(["validate", "FIX-SQ"]) == 0
     assert built == ["pocsets", "pocsets validate"]
     assert capsys.readouterr().out == "valid poc-set: 2 proper pairs\n"
+
+
+class _CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ultrafilters", "FIX-TRIPOD"], 0),
+        (["boundary", "FIX-Z3"], 0),
+        (["report", "FIX-HEX", "--windows", "3,5,7", "--format", "structured"], 0),
+        (["cubing", "FIX-SQ", "--format", "dot"], 0),
+        (["shadows", "FIX-HEX", "--cuts", "1,2", "--window", "4"], 1),
+    ],
+)
+def test_a_run_reaches_each_stream_in_one_write(argv, code, monkeypatch):
+    # `main` holds the handler's output and writes all of it at once, and a
+    # refusal's diagnostic line too, so a closed pipe ends every run alike
+    from pocsets.cli import main
+
+    out, err = _CountingWriter(), _CountingWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(argv) == code
+    monkeypatch.undo()
+    proc = run_cli(*argv, expect=code)
+    assert (out.getvalue(), err.getvalue()) == (proc.stdout, proc.stderr)
+    assert (out.writes, err.writes) == ((1, 0) if code == 0 else (0, 1))
+    # every output here is several lines, each of which a `print` wrote
+    assert code == 1 or proc.stdout.count("\n") > 2
 
 
 def test_dual_reads_its_document_before_the_sample_count(capsys):

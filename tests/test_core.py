@@ -32,6 +32,9 @@ def test_empty_pocset_is_valid():
     assert p.n_pairs == 0
     assert [u.signs for u in p.ultrafilters()] == [()]
     assert p.ultrafilters()[0].members == frozenset({p.zero_star})
+    # the order is built and checked only by the named constructors
+    with pytest.raises(TypeError, match="from_order_generators"):
+        FinitePocSet(0, [])
 
 
 def test_line3_validates(fix_line3):
@@ -718,6 +721,8 @@ def test_principal_line3(fix_line3):
     assert u.members == frozenset(
         {p.handle("h1"), p.handle("h2"), p.handle("h3"), p.zero_star}
     )
+    # a nested pair is not transverse: its first member is the witness
+    assert p.is_maximal_transverse([p.handle("h3"), p.handle("h1")]) == p.handle("h3")
 
 
 def test_principal_rejects_non_maximal(fix_square):

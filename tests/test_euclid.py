@@ -700,3 +700,25 @@ def test_a_parallel_family_keeps_the_first_familys_classes():
             if (0, 0) in row[:j]:
                 cross[j] = [(-a, -b) for a, b in row]
         assert model.image == twin.image == _image_by_directions(model)
+
+
+def test_a_wall_crossing_lies_on_both_walls():
+    # `Arrangement.vertex` against each wall's own equation n . p = level,
+    # exactly, for every non-parallel pair of the fixtures and of generated
+    # models with parallel, antipodal and rescaled normals
+    rng = random.Random(16)
+    models = [fixture_model("FIX-Z2"), fixture_model("FIX-HEX")]
+    models += [*_random_wall_models(17, 40, range(2, 6)), *_parallel_wall_models(18)]
+    crossings = 0
+    for model in models:
+        arrangement, families = model.arrangement, model.families
+        for i in range(model.k):
+            for j in range(model.k):
+                if not any(arrangement.cross[i][j]):
+                    continue
+                a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+                point = arrangement.vertex(i, j, a, b)
+                assert dot(families[i].normal, point) == families[i].wall_level(a)
+                assert dot(families[j].normal, point) == families[j].wall_level(b)
+                crossings += 1
+    assert crossings > 500
