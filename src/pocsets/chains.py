@@ -3,7 +3,9 @@
 Chain i carries halfspaces ``h_i(n)`` for n in Z, strictly descending in the
 index (``h_i(m) <= h_i(n)`` iff ``m >= n``); elements of distinct chains are
 transverse.  An ultrafilter is one cut-or-end state per chain, encoded as an
-int (a cut) or ``math.inf`` / ``-math.inf`` (the two ends):
+int (a cut) or ``math.inf`` / ``-math.inf`` (the two ends); `ChainUltrafilter`
+refuses any other state when it is built, so every reader takes its cuts as
+they are:
 
 * ``Cut(c)`` contains ``h_i(n)`` for n < c and ``h_i(n)*`` for n >= c;
 * ``PlusEnd`` contains every ``h_i(n)``, ``MinusEnd`` every ``h_i(n)*``.
@@ -74,6 +76,21 @@ class ChainUltrafilter(Record):
 
     __slots__ = ("cuts",)
 
+    def __init__(self, cuts: Sequence[CutValue]):
+        """The cuts as a tuple: an int or an end as it is, an integral number
+        as its int (``5.0`` as 5); anything else is refused, with the states
+        as document values as witness.  All ints pass on one type test."""
+        cuts = tuple(cuts)
+        if {*map(type, cuts)} != {int}:
+            try:
+                ints = tuple([c if c in _ENDS else int(c) for c in cuts])
+            except (TypeError, ValueError):  # not a number, or NaN
+                ints = None
+            if ints != cuts:
+                raise MalformedInput("a cut must be an integer", _states(cuts))
+            cuts = ints
+        self.cuts = cuts
+
     @property
     def k(self) -> int:
         return len(self.cuts)
@@ -88,12 +105,11 @@ class ChainUltrafilter(Record):
         return PLUS_END not in self.cuts and MINUS_END not in self.cuts
 
     def int_cuts(self) -> tuple[int, ...]:
-        """The cuts as ints; an end state or a cut that is not an integer is
-        refused, with the states as document values as witness."""
+        """The cuts, all ints; an end state is refused, with the states as
+        document values as witness."""
         if not self.is_principal():
             raise NotPrincipal("ultrafilter has an end state", _states(self.cuts))
-        cuts = self.cuts
-        return cuts if {*map(type, cuts)} == {int} else tuple([_integer(c, self) for c in cuts])
+        return self.cuts
 
 
 class Signature(Record):
@@ -122,7 +138,7 @@ def principal(k: int) -> Signature:
 
 
 def uf(*cuts: CutValue) -> ChainUltrafilter:
-    return ChainUltrafilter(tuple(cuts))
+    return ChainUltrafilter(cuts)
 
 
 def sig(*ends: int) -> Signature:
@@ -153,19 +169,8 @@ def delta(a: ChainUltrafilter, b: ChainUltrafilter):
             continue
         if x in _ENDS or y in _ENDS:
             return math.inf
-        total += abs(_integer(x, a) - _integer(y, b))
+        total += abs(x - y)
     return total
-
-
-def _integer(c: CutValue, u: ChainUltrafilter) -> int:
-    """A finite cut of u as an int; one that is not an integer is refused,
-    with u's states as document values as witness (``5.0`` reads as 5)."""
-    try:
-        if int(c) == c:
-            return int(c)
-    except (TypeError, ValueError):  # not a number, or NaN
-        pass
-    raise MalformedInput("a cut must be an integer", _states(u.cuts))
 
 
 def _states(cuts: Sequence[CutValue]) -> list:
@@ -434,7 +439,12 @@ class MoveSchedule:
         return self.cycle[(n - len(self.prefix)) % len(self.cycle)]
 
 
-def _check_geodesic(start: ChainUltrafilter, schedule: MoveSchedule) -> None:
+def _check_geodesic(start: ChainUltrafilter, schedule: MoveSchedule, count: int = 0) -> None:
+    """Refuse `count` moves past a schedule without a cycle, a move that is
+    not one step (+1 or -1) on a chain of start, and a wall crossed twice."""
+    if count > len(schedule.prefix) and not schedule.cycle:
+        message = f"{count} moves asked of a schedule of {len(schedule.prefix)} without a cycle"
+        raise MalformedInput(message, count)
     # a wall repeats iff some chain's walk turns around; simulate the prefix
     # plus two cycles to find a concrete repeated wall for the witness
     horizon = len(schedule.prefix) + 2 * len(schedule.cycle)
@@ -442,6 +452,9 @@ def _check_geodesic(start: ChainUltrafilter, schedule: MoveSchedule) -> None:
     seen: dict[tuple[int, int], int] = {}
     for n in range(horizon):
         chain, step = schedule.move(n)
+        if step not in (1, -1) or type(chain) is not int or not 0 <= chain < len(cuts):
+            message = f"move {n}, {(chain, step)}, is not +1 or -1 on one of {len(cuts)} chains"
+            raise MalformedInput(message, (chain, step))
         wall = (chain, cuts[chain] if step > 0 else cuts[chain] - 1)
         if wall in seen:
             raise NotGeodesic(
@@ -457,7 +470,7 @@ def geodesic_points(
 ) -> list[ChainUltrafilter]:
     """The first count+1 points of the scheduled ray, after verifying the
     consecutive-delta-one geodesic property on that prefix."""
-    _check_geodesic(start, schedule)
+    _check_geodesic(start, schedule, count)
     cuts = list(start.int_cuts())
     points = [start]
     for n in range(count):
@@ -532,7 +545,7 @@ _CUT_RE = r"^cut\((-?[0-9]+)\)$"
 
 
 def format_ultrafilter(family: ChainFamily, u: ChainUltrafilter) -> str:
-    states = ["+inf" if c == PLUS_END else "-inf" if c == MINUS_END else f"cut({_integer(c, u)})"
+    states = ["+inf" if c == PLUS_END else "-inf" if c == MINUS_END else f"cut({c})"
               for c in u.cuts]
     return " ".join(f"{name}:{state}" for name, state in zip(family.names, states))
 

@@ -9,8 +9,11 @@ The input has one path: `build_parser` names each subcommand's loader in
 its one table, `main` loads the document inside its error handling and
 hands the loaded object to the handler, and a handler only computes and
 prints.  `main` holds what the handler prints and writes it to stdout with
-one write at the end, and a refusal's diagnostic to stderr with one, so a
-reader that closes stdout early ends every run the same way.
+one write at the end, and a refusal's diagnostic or argparse's usage error
+to stderr with one, so a reader that closes stdout early ends every run the
+same way.  Each write goes on past a short count, which an unbuffered
+stream's text layer would take for the whole, until every byte is written
+or the write fails.
 
 Start-up is most of a fixture-sized run, so importing this module loads no
 layer: the parser imports the loaders, and each handler imports the layers
@@ -364,20 +367,41 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _write(stream, text: str) -> None:
+    """Write all of text to stream: through its binary layer, where a short
+    count (an unbuffered stream's, when the reader leaves) is written on
+    until the reader takes the rest or a write fails; a stream without one
+    takes text as it is.  Then the stream is flushed."""
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(text)
+    else:
+        stream.flush()  # what the text layer holds goes first
+        data = memoryview(text.encode(stream.encoding, stream.errors))
+        while data:
+            data = data[buffer.write(data):]
+    stream.flush()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
+    except SystemExit:
+        if err.getvalue():  # a usage error: argparse's usage and message in one write
+            _write(sys.stderr, err.getvalue())
+        raise
     try:
         with contextlib.redirect_stdout(out):
             args.handler(args, args.load(args.input))
-        sys.stdout.write(out.getvalue())
-        sys.stdout.flush()
+        _write(sys.stdout, out.getvalue())
         return 0
     except PocError as exc:
-        sys.stderr.write(json.dumps(exc.diagnostic(), sort_keys=True) + "\n")
+        _write(sys.stderr, json.dumps(exc.diagnostic(), sort_keys=True) + "\n")
         return 1
     except BrokenPipeError:
         # the reader of stdout has gone: send what is left to devnull, so

@@ -301,9 +301,12 @@ class FinitePocSet:
         return PairClassification("transverse", None)
 
     def transverse(self, h: int, k: int) -> bool:
-        return pair_of(h) != pair_of(k) and bool(
-            self._transverse_pairs[pair_of(h)] & (1 << pair_of(k))
-        )
+        """Whether h and k are transverse: never for the trivial pair, and a
+        handle outside 0..2n+1 is refused."""
+        if not (0 <= h < len(self._up) and 0 <= k < len(self._up)):
+            self._handle_set((h, k))  # refuses the least dangling one
+        i, j = pair_of(h), pair_of(k)
+        return i != j and i < self.n_pairs and bool(self._transverse_pairs[i] >> j & 1)
 
     def interval(self, a: int, b: int) -> list[int]:
         """``{h : a <= h <= b}`` in canonical order; empty when ``a !<= b``."""
@@ -505,8 +508,10 @@ class FinitePocSet:
 
     def is_maximal_transverse(self, elements: Iterable[int]) -> Optional[int]:
         """None when the set is maximal transverse; else an extension or a
-        member of a violating pair as a witness."""
+        member of a violating pair as a witness; an element that is not
+        proper is refused."""
         els = list(elements)
+        self._check_proper(els)
         for x, y in combinations(els, 2):
             if not self.transverse(x, y):
                 return x
@@ -518,14 +523,18 @@ class FinitePocSet:
                 return 2 * k
         return None
 
+    def _check_proper(self, elements: Sequence[int]) -> None:
+        """Refuse the first element of a transverse set that is not proper."""
+        for e in elements:
+            if not self.is_proper(e):
+                raise TrivialElement("transverse sets contain proper elements", e)
+
     def principal_from_transverse(self, elements: Iterable[int]) -> Ultrafilter:
         """π_A = {h : ∃a∈A, a <= h} ∪ {h : ∃a∈A, a* < h} ∪ {0*} for a
         maximal transverse A; every ultrafilter of a finite poc-set arises
         this way."""
         els = sorted(set(elements))
-        for e in els:
-            if not self.is_proper(e):
-                raise TrivialElement("transverse sets contain proper elements", e)
+        self._check_proper(els)
         for x, y in combinations(els, 2):
             if not self.transverse(x, y):
                 raise NotMaximalTransverse(

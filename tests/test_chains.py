@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -98,8 +99,8 @@ def test_cuts_past_float_range_are_compared_exactly():
 
 def test_a_cut_that_is_not_an_integer_is_refused():
     # truncated, (5.5, 5, 5) answered as (5, 5, 5) and (-5.5, 5, 5) as
-    # (-5, 5, 5); now every read of a cut as an int refuses it, with the
-    # states as document values as witness
+    # (-5, 5, 5); now the ultrafilter refuses it when it is built, before
+    # any read, with the states as document values as witness
     from pocsets.formats import fixture_model
     from pocsets.shadows import dist_to_pi0
 
@@ -144,9 +145,10 @@ def test_a_cut_that_is_not_an_integer_is_refused():
     ids=["nan", "None", "str", "str +inf", "str -inf"],
 )
 def test_a_cut_that_is_not_a_number_is_refused(cut, shown):
-    # refused as 2.5 is, not with Python's own ValueError or TypeError, and
-    # with a witness that JSON without NaN accepts; a cut that is no number
-    # is shown by its repr, so a string that names an end is not read as one
+    # refused as 2.5 is, when the ultrafilter is built, not with Python's
+    # own ValueError or TypeError, and with a witness that JSON without NaN
+    # accepts; a cut that is no number is shown by its repr, so a string
+    # that names an end is not read as one
     from pocsets.formats import fixture_model
     from pocsets.shadows import dist_to_pi0
 
@@ -169,9 +171,66 @@ def test_a_cut_that_is_not_a_number_is_refused(cut, shown):
     assert uf(5.0, 0).int_cuts() == (5, 0)
     assert format_ultrafilter(fam, uf(5.0, float("-inf"))) == "a:cut(5) b:-inf"
     assert cf_class(uf(float("inf"), 0)) == sig(PLUS, FIN)
-    with pytest.raises(NotPrincipal) as exc:
-        uf(float("inf"), cut).int_cuts()
+    # refused when built, before `int_cuts` could find the end first
+    with pytest.raises(MalformedInput, match="a cut must be an integer") as exc:
+        uf(float("inf"), cut)
     assert exc.value.witness == ["+inf", shown] and shown not in ("+inf", "-inf")
+
+
+@pytest.mark.parametrize(
+    "cuts, witness",
+    [
+        ((2.5, 0), [2.5, 0]),
+        ((0, -0.5), [0, -0.5]),
+        ((float("nan"), 0), ["nan", 0]),
+        ((None, 0), ["None", 0]),
+        (("+inf", 0), ["'+inf'", 0]),
+        ((float("inf"), 2.5), ["+inf", 2.5]),
+    ],
+    ids=["2.5", "-0.5", "nan", "None", "str +inf", "inf and 2.5"],
+)
+def test_an_ultrafilter_refuses_a_cut_that_is_not_an_integer_when_it_is_built(cuts, witness):
+    for build in (lambda: uf(*cuts), lambda: ChainUltrafilter(list(cuts))):
+        with pytest.raises(MalformedInput, match="a cut must be an integer") as exc:
+            build()
+        assert (exc.value.code, exc.value.witness) == ("malformed-input", witness)
+
+
+def test_an_ultrafilter_keeps_ints_and_ends_and_reads_an_integral_number_as_its_int():
+    big = 10**400
+    assert uf(5.0, -1).cuts == (5, -1) and uf(True, Fraction(-6, 2), big).cuts == (1, -3, big)
+    assert all(type(c) is int for c in uf(5.0, True, Fraction(-6, 2), big).cuts)
+    assert ChainUltrafilter([1, 2]) == uf(1, 2) and hash(ChainUltrafilter([1, 2])) == hash(uf(1, 2))
+    assert ChainUltrafilter(c for c in (1, 2)).cuts == (1, 2) and uf().cuts == ()
+    ends = uf(float("inf"), float("-inf"), 2.0)
+    assert ends == uf(PLUS_END, MINUS_END, 2) and [type(c) for c in ends.cuts] == [float, float, int]
+
+
+def test_no_operation_hands_out_a_cut_that_is_not_an_int():
+    # every operation builds its answer through the constructor: from
+    # integral floats, bools and ends, only ints and ends come out, and the
+    # half steps that used to come out are refused
+    state = lambda c: type(c) is int or c in (PLUS_END, MINUS_END)
+    rng = random.Random(43)
+    pool = [PLUS_END, MINUS_END, float("-inf"), -2.0, 1.0, True, False, *range(-3, 4)]
+    for _ in range(300):
+        a, b, c = (uf(*rng.choices(pool, k=3)) for _ in range(3))
+        s = sig(*rng.choices((MINUS, FIN, PLUS), k=3))
+        h = ChainHalfspace(rng.randrange(3), rng.randint(-4, 4), rng.random() < 0.5)
+        out = [median(a, b, c), project_to_class(s, a), drop_chains(a, [2, 0])]
+        out += [cf_truncate(a, h)] if a.contains(h) else []
+        assert all(state(c) for u in out for c in u.cuts), (a, b, c, s, h)
+    schedule = MoveSchedule(((0, 1.0), (1, True)), ((1, 1), (0, 1.0)))
+    points = geodesic_points(uf(2.0, -1.0), schedule, 8)
+    assert points[-1] == uf(6, 3) and all(state(c) for u in points for c in u.cuts)
+    assert limit_of_geodesic(uf(2.0, -1.0), MoveSchedule(((0, 1.0),), ())).cuts == (3, -1)
+    for call in (
+        lambda: median(uf(2.5, 0), uf(3, 0), uf(0, 0)),
+        lambda: cf_truncate(uf(5, 0), ChainHalfspace(0, 2.5)),
+        lambda: geodesic_points(uf(0, 0), MoveSchedule(((0, 0.5),)), 1),
+    ):
+        with pytest.raises(MalformedInput):
+            call()
 
 
 def test_a_signature_entry_that_is_not_an_end_is_refused():
@@ -207,6 +266,37 @@ def test_a_schedule_without_a_cycle_ends_after_its_prefix():
     assert schedule.move(0) == (0, 1)
     with pytest.raises(IndexError, match="schedule exhausted"):
         schedule.move(1)
+
+
+def test_a_schedule_that_is_no_ray_of_single_moves_is_refused():
+    # a step of 2 gave points 2 apart, a move on a chain the start lacks
+    # raised IndexError (or, at -1, moved the last chain), and a count past
+    # a schedule without a cycle raised IndexError; each is refused now,
+    # by `geodesic_points` and by `limit_of_geodesic`, where it applies
+    start = uf(0, 0)
+    moves = [
+        (((0, 2),), ((1, 1),), (0, 2)),
+        (((0, 1),), ((1, 1), (0, 0.5)), (0, 0.5)),
+        ((), ((1, 0),), (1, 0)),
+        (((2, 1),), (), (2, 1)),
+        (((0, 1), (-1, 1)), (), (-1, 1)),
+        (((0.0, 1),), (), (0.0, 1)),
+    ]
+    for prefix, cycle, move in moves:
+        n = (prefix + cycle).index(move)
+        for call in (geodesic_points, lambda u, s, count: limit_of_geodesic(u, s)):
+            with pytest.raises(MalformedInput) as exc:
+                call(start, MoveSchedule(prefix, cycle), 1)
+            message = f"move {n}, {move}, is not +1 or -1 on one of 2 chains"
+            assert (str(exc.value), exc.value.witness) == (message, move)
+            assert exc.value.code == "malformed-input"
+    with pytest.raises(MalformedInput) as exc:
+        geodesic_points(start, MoveSchedule(((0, 1),)), 2)
+    message = "2 moves asked of a schedule of 1 without a cycle"
+    assert (str(exc.value), exc.value.witness) == (message, 2)
+    # a schedule of single moves answers as before, to the end of its prefix
+    assert geodesic_points(start, MoveSchedule(((0, 1), (1, -1))), 2)[-1] == uf(1, -1)
+    assert geodesic_points(start, MoveSchedule(((0, 1),), ((1, 1),)), 3)[-1] == uf(1, 2)
 
 
 @pytest.mark.parametrize("index", [-4, 4])

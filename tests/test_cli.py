@@ -763,23 +763,87 @@ class _CountingWriter(io.StringIO):
         (["report", "FIX-HEX", "--windows", "3,5,7", "--format", "structured"], 0),
         (["cubing", "FIX-SQ", "--format", "dot"], 0),
         (["shadows", "FIX-HEX", "--cuts", "1,2", "--window", "4"], 1),
+        (["rho", "FIX-Z2"], 2),
     ],
 )
 def test_a_run_reaches_each_stream_in_one_write(argv, code, monkeypatch):
     # `main` holds the handler's output and writes all of it at once, and a
-    # refusal's diagnostic line too, so a closed pipe ends every run alike
+    # refusal's diagnostic line too, and argparse's usage and message of a
+    # usage error, so a closed pipe ends every run alike
     from pocsets.cli import main
 
     out, err = _CountingWriter(), _CountingWriter()
     monkeypatch.setattr(sys, "stdout", out)
     monkeypatch.setattr(sys, "stderr", err)
-    assert main(argv) == code
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    assert status == code
     monkeypatch.undo()
     proc = run_cli(*argv, expect=code)
     assert (out.getvalue(), err.getvalue()) == (proc.stdout, proc.stderr)
     assert (out.writes, err.writes) == ((1, 0) if code == 0 else (0, 1))
-    # every output here is several lines, each of which a `print` wrote
-    assert code == 1 or proc.stdout.count("\n") > 2
+    # every output here is several lines, each of which a `print` wrote; a
+    # usage error is argparse's usage and then its message, written apart
+    if code == 0:
+        assert proc.stdout.count("\n") > 2
+    elif code == 2:
+        assert proc.stderr.startswith("usage:") and "error:" in proc.stderr
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most three bytes per write, as an
+    unbuffered pipe may take fewer than it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.taken, self.calls = bytearray(), 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.calls += 1
+        self.taken += bytes(data[:3])
+        return min(3, len(data))
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["boundary", "FIX-Z3"], 0), (["rho", "FIX-HEX", "--direction", "0,0"], 1)]
+)
+def test_a_stream_that_takes_a_few_bytes_per_write_gets_every_byte(argv, code, monkeypatch):
+    # a text layer over an unbuffered binary one passes each short count on
+    # as if all were written; `main` writes the rest until all is taken
+    from pocsets.cli import main
+
+    out, err = _ShortWrites(), _ShortWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8", write_through=True))
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(err, encoding="utf-8", write_through=True))
+    assert main(argv) == code
+    monkeypatch.undo()
+    proc = run_cli(*argv, expect=code)
+    assert (out.taken.decode(), err.taken.decode()) == (proc.stdout, proc.stderr)
+    written = proc.stdout if code == 0 else proc.stderr
+    assert (out if code == 0 else err).calls == -(-len(written.encode()) // 3) > 10
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_reader_that_leaves_early_ends_a_large_run_with_exit_1(unbuffered, tmp_path):
+    # 0.9 MB of output, more than a pipe holds: the reader takes one byte
+    # and leaves while the one write is under way, and the run ends with
+    # exit 1 and nothing on stderr, unbuffered too, where the text layer
+    # would take the short count for the whole
+    doc = tmp_path / "z7.json"
+    doc.write_text(json.dumps({"chains": [f"c{j}" for j in range(7)]}))
+    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "PYTHONUNBUFFERED": unbuffered}
+    argv = [sys.executable, "-m", "pocsets", "boundary", str(doc), "--format", "structured"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.read(1)
+        proc.stdout.close()
+        status = proc.wait(timeout=60)
+        stderr = proc.stderr.read()
+    assert (first, status, stderr) == (b"{", 1, b"")
 
 
 def test_dual_reads_its_document_before_the_sample_count(capsys):

@@ -922,8 +922,8 @@ def test_a_sign_vector_of_another_length_or_entry_is_refused():
 def test_a_dangling_handle_is_refused():
     # a handle outside 0..2n+1 is malformed input with the least such handle
     # as witness, before either ultrafilter axiom is checked; `leq`, `name`,
-    # `support` and `vset_nonempty` refuse it too, where they used to answer
-    # for it or raise a Python error
+    # `transverse`, `support` and `vset_nonempty` refuse it too, where they
+    # used to answer for it or raise a Python error
     from pocsets.errors import MalformedInput
     from pocsets.formats import fixture_pocset
 
@@ -946,6 +946,9 @@ def test_a_dangling_handle_is_refused():
         (lambda handles: p.leq(*handles), [99, 0], 99),
         (lambda handles: p.leq(*handles), [0, -1], -1),
         (lambda handles: p.leq(*handles), [99, -1], -1),
+        (lambda handles: p.transverse(*handles), [-1, 0], -1),
+        (lambda handles: p.transverse(*handles), [99, 0], 99),
+        (lambda handles: p.transverse(*handles), [0, -2], -2),
     ]
     for call, members, witness in calls:
         with pytest.raises(MalformedInput) as exc:
@@ -958,6 +961,15 @@ def test_a_dangling_handle_is_refused():
     assert p.ultrafilter_from_members([1, 2]).signs == (1, 0)
     assert [p.name(e) for e in range(6)] == ["h1", "h1*", "h2", "h2*", "0", "0*"]
     assert p.leq(4, 0) and p.leq(0, 5) and not p.leq(5, 4)
+    # the trivial pair is transverse to nothing, and no transverse set holds
+    # it: `is_maximal_transverse([4])` answered None, as if {0} were maximal
+    assert not any(p.transverse(a, b) for a in (4, 5) for b in range(6))
+    assert not any(p.transverse(a, b) for a in range(6) for b in (4, 5))
+    assert p.transverse(0, 2) and p.transverse(3, 1) and p.is_maximal_transverse([0, 2]) is None
+    for elements, witness in (([4], 4), ([0, 5], 5), ([0, 99], 99), ([-1], -1)):
+        with pytest.raises(TrivialElement) as exc:
+            p.is_maximal_transverse(elements)
+        assert (exc.value.code, exc.value.witness) == ("trivial-element", witness)
     assert p.support(5) == [0, 1, 2, 3] and p.support(4) == [] and p.support(0) == [0, 1]
     assert p.vset_nonempty([0, 2]) and not p.vset_nonempty([0, 1])
 

@@ -561,7 +561,8 @@ def test_no_record_writes_a_constructor_that_only_assigns_its_fields():
     assert not _only_assigns(parse("def __init__(self, a, b):\n    self.a = b\n    self.b = a"))
     assert not _only_assigns(parse("def __init__(self, a):\n    self.a = tuple(a)"))
     inits = _written_constructors()
-    assert {"ChainHalfspace", "Signature", "WallFamily"} <= set(inits)  # the walk sees them
+    # the walk sees them
+    assert {"ChainHalfspace", "ChainUltrafilter", "Signature", "WallFamily"} <= set(inits)
     assert [name for name, init in inits.items() if _only_assigns(init)] == []
 
 
@@ -677,7 +678,7 @@ def test_records_built_without_a_constructor_compare_and_hash():
 
 
 def test_records_keep_the_methods_they_write():
-    # `Record` compiles a method only where the class writes none: the three
+    # `Record` compiles a method only where the class writes none: the four
     # checking constructors and the eleven ``__hash__ = None`` of the
     # reports stay each class's own, and no class of the package hooks class
     # creation; a compiled method comes from a string, a written one from
@@ -699,7 +700,9 @@ def test_records_keep_the_methods_they_write():
         with pytest.raises(TypeError):
             hash(cls(*fields()))
         assert vars(cls)["__hash__"] is None
-    assert set(_written_constructors()) == {"ChainHalfspace", "Signature", "WallFamily"}
+    assert set(_written_constructors()) == {
+        "ChainHalfspace", "ChainUltrafilter", "Signature", "WallFamily"
+    }
     for name in _written_constructors():
         cls, fields = cases[name]
         first = cls(*fields())
