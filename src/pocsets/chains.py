@@ -3,9 +3,11 @@
 Chain i carries halfspaces ``h_i(n)`` for n in Z, strictly descending in the
 index (``h_i(m) <= h_i(n)`` iff ``m >= n``); elements of distinct chains are
 transverse.  An ultrafilter is one cut-or-end state per chain, encoded as an
-int (a cut) or ``math.inf`` / ``-math.inf`` (the two ends); `ChainUltrafilter`
-refuses any other state when it is built, so every reader takes its cuts as
-they are:
+int (a cut) or `PLUS_END` / `MINUS_END` (``math.inf`` and ``-math.inf``, the
+two ends, which it stores as these two objects whatever equal value it is
+given); `ChainUltrafilter` refuses any other state when it is built, so
+every reader takes its cuts as they are.  A halfspace's chain and index are
+ints, and a reader refuses a chain its ultrafilter does not have:
 
 * ``Cut(c)`` contains ``h_i(n)`` for n < c and ``h_i(n)*`` for n >= c;
 * ``PlusEnd`` contains every ``h_i(n)``, ``MinusEnd`` every ``h_i(n)*``.
@@ -35,6 +37,7 @@ from .errors import (
     NotMember,
     NotMinimal,
     NotPrincipal,
+    brief,
 )
 
 PLUS_END = math.inf
@@ -62,9 +65,17 @@ class ChainFamily(Record):
 
 
 class ChainHalfspace(Record):
+    """``h_i(n)``, or ``h_i(n)*`` when starred, for chain i and index n, both
+    ints and the chain not negative; anything else is refused, with the
+    ``(chain, index)`` as witness."""
+
     __slots__ = ("chain", "index", "starred")
 
     def __init__(self, chain: int, index: int, starred: bool = False):
+        if type(chain) is not int or type(index) is not int or chain < 0:
+            got = brief((chain, index))
+            raise MalformedInput(f"a halfspace needs an int chain >= 0 and an int index, got {got}",
+                                 (chain, index))
         self.chain = chain
         self.index = index
         self.starred = starred
@@ -77,18 +88,17 @@ class ChainUltrafilter(Record):
     __slots__ = ("cuts",)
 
     def __init__(self, cuts: Sequence[CutValue]):
-        """The cuts as a tuple: an int or an end as it is, an integral number
-        as its int (``5.0`` as 5); anything else is refused, with the states
-        as document values as witness.  All ints pass on one type test."""
+        """The cuts as a tuple: an int as it is, an end as `PLUS_END` or
+        `MINUS_END`, an integral number as its int (``5.0`` as 5); anything
+        else is refused, with the states as document values as witness.  All
+        ints pass on one type test."""
         cuts = tuple(cuts)
         if {*map(type, cuts)} != {int}:
-            try:
-                ints = tuple([c if c in _ENDS else int(c) for c in cuts])
-            except (TypeError, ValueError):  # not a number, or NaN
-                ints = None
-            if ints != cuts:
-                raise MalformedInput("a cut must be an integer", _states(cuts))
-            cuts = ints
+            read = tuple(map(_read_cut, cuts))
+            if None in read:
+                states = [c if r is None else r for c, r in zip(cuts, read)]
+                raise MalformedInput("a cut must be an integer", _states(states))
+            cuts = read
         self.cuts = cuts
 
     @property
@@ -96,7 +106,7 @@ class ChainUltrafilter(Record):
         return len(self.cuts)
 
     def contains(self, h: ChainHalfspace) -> bool:
-        cut = self.cuts[h.chain]
+        cut = self.cuts[_chain(h, len(self.cuts))]
         return (h.index >= cut) if h.starred else (h.index < cut)
 
     def is_principal(self) -> bool:
@@ -131,6 +141,14 @@ class Signature(Record):
 
     def is_principal(self) -> bool:
         return self.codim() == 0
+
+
+def _chain(h: ChainHalfspace, k: int) -> int:
+    """The halfspace's chain, refused unless it is one of k chains."""
+    if h.chain >= k:
+        message = f"a halfspace of chain {h.chain} on {k} chains"
+        raise MalformedInput(message, (h.chain, h.index))
+    return h.chain
 
 
 def principal(k: int) -> Signature:
@@ -171,6 +189,19 @@ def delta(a: ChainUltrafilter, b: ChainUltrafilter):
             return math.inf
         total += abs(x - y)
     return total
+
+
+def _read_cut(c) -> Optional[CutValue]:
+    """`PLUS_END` or `MINUS_END` for a value equal to an end, the int of an
+    integral number, and None for anything else."""
+    try:
+        if c == PLUS_END or c == MINUS_END:
+            return PLUS_END if c > 0 else MINUS_END
+        if int(c) == c:
+            return int(c)
+    except (TypeError, ValueError):  # not a number, or NaN
+        pass
+    return None
 
 
 def _states(cuts: Sequence[CutValue]) -> list:
@@ -214,11 +245,12 @@ def local_cubes(u: ChainUltrafilter, dim: int) -> list[tuple[ChainHalfspace, ...
 
 def flip(u: ChainUltrafilter, h: ChainHalfspace) -> ChainUltrafilter:
     cuts = list(u.int_cuts())
-    c = cuts[h.chain]
+    i = _chain(h, len(cuts))
+    c = cuts[i]
     if not h.starred and h.index == c - 1:
-        cuts[h.chain] = c - 1
+        cuts[i] = c - 1
     elif h.starred and h.index == c:
-        cuts[h.chain] = c + 1
+        cuts[i] = c + 1
     else:
         raise NotMinimal(f"{h} is not minimal", h)
     return ChainUltrafilter(tuple(cuts))
@@ -500,9 +532,16 @@ def limit_of_geodesic(
 # finite windows and chain dropping
 
 
+def _check_window(w: int) -> None:
+    """Refuse a negative window, which holds no wall."""
+    if w < 0:
+        raise MalformedInput(f"window {w} must be non-negative", w)
+
+
 def window_pocset(k: int, w: int) -> FinitePocSet:
     """The finite poc-set of all walls with index in [-w, w]: 2w+1 walls per
-    chain, chains mutually transverse."""
+    chain, chains mutually transverse; a negative window is refused."""
+    _check_window(w)
     per = 2 * w + 1
     edges = []
     for i in range(k):
@@ -519,7 +558,9 @@ def window_pair(k: int, w: int, chain: int, index: int) -> int:
 
 
 def restrict_to_window(u: ChainUltrafilter, w: int):
-    """Signs of the window poc-set ultrafilter induced by u."""
+    """Signs of the window poc-set ultrafilter induced by u; a negative
+    window is refused."""
+    _check_window(w)
     signs = []
     for c in u.cuts:
         for n in range(-w, w + 1):
@@ -529,12 +570,18 @@ def restrict_to_window(u: ChainUltrafilter, w: int):
 
 def drop_chains(obj, keep: Sequence[int]):
     """Restriction to the sub-poc-set of whole chains; works on signatures
-    and ultrafilters alike."""
+    and ultrafilters alike.  A kept chain that is no int in 0..k-1 is
+    refused, with the chain as witness."""
     if isinstance(obj, Signature):
-        return Signature(tuple(obj.ends[i] for i in keep))
-    if isinstance(obj, ChainUltrafilter):
-        return ChainUltrafilter(tuple(obj.cuts[i] for i in keep))
-    raise MalformedInput(f"cannot restrict {type(obj).__name__}", obj)
+        build, states = Signature, obj.ends
+    elif isinstance(obj, ChainUltrafilter):
+        build, states = ChainUltrafilter, obj.cuts
+    else:
+        raise MalformedInput(f"cannot restrict {type(obj).__name__}", obj)
+    for i in keep:
+        if type(i) is not int or not 0 <= i < len(states):
+            raise MalformedInput(f"chain {i!r} is not one of {len(states)} chains", i)
+    return build(tuple(states[i] for i in keep))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ constructor, equality, hash and repr `Record` compiles from ``__slots__``,
 each on its first call; one holding a list or a dict sets ``__hash__ =
 None``, and only one that checks, converts or defaults a field writes its
 own constructor.  Records are immutable by convention and every operation
-is a pure function, so concurrent use needs no synchronization.
+is a pure function: its answer depends on its arguments alone.  Besides its
+order, a poc-set holds its ultrafilter walk and the records built from it,
+the vertices of its dual cubing: walked on first use, then read by
+`ultrafilters`, `support`, `vset_nonempty` and `pocsets.cubing`.  The closed
+order fixes the walk, so holding it changes no answer, and threads racing
+on the first use each hold an equal one, so concurrent use needs no
+synchronization.
 """
 
 from __future__ import annotations
@@ -161,7 +167,7 @@ class FinitePocSet:
     indexing, always reflexive-transitively closed and star-symmetric.
     """
 
-    __slots__ = ("n_pairs", "_up", "_transverse_pairs")
+    __slots__ = ("n_pairs", "_up", "_transverse_pairs", "_vertices")
 
     def __init__(self, n_pairs: int, up: Sequence[int], _validated: bool = False):
         if not _validated:
@@ -382,8 +388,21 @@ class FinitePocSet:
 
     def ultrafilters(self) -> list[Ultrafilter]:
         """All ultrafilters in canonical (lexicographic signs) order, from the
-        star-mask walk; the trivial poc-set has the single one {0*}."""
-        return [Ultrafilter(signs) for signs, _ in self._walk_ultrafilters()]
+        star-mask walk; the trivial poc-set has the single one {0*}.  A new
+        list each call, of the records the poc-set holds."""
+        return list(self._vertex_set()[1])
+
+    def _vertex_set(self) -> tuple[list[tuple[tuple[int, ...], int]], tuple[Ultrafilter, ...]]:
+        """The walk of `_walk_ultrafilters` and its records, walked on first
+        use and held for the poc-set's life: its order is closed, so its
+        vertices never change.  A refused walk is not held, so every call
+        refuses it again; racing threads each hold an equal one."""
+        try:
+            return self._vertices
+        except AttributeError:
+            walk = self._walk_ultrafilters()
+            held = self._vertices = walk, tuple([Ultrafilter(signs) for signs, _ in walk])
+            return held
 
     def _walk_ultrafilters(self) -> list[tuple[tuple[int, ...], int]]:
         """``(signs, stars)`` of each ultrafilter in canonical order,
@@ -557,7 +576,7 @@ class FinitePocSet:
         """Indices (into ``among`` or the canonical enumeration) of the
         ultrafilters containing h; the vertex set S_h."""
         self._handle_set((h,))  # refuses a dangling h
-        pool = list(among) if among is not None else self.ultrafilters()
+        pool = list(among) if among is not None else self._vertex_set()[1]
         return [i for i, u in enumerate(pool) if h in u]
 
     def vset_nonempty(
@@ -569,7 +588,7 @@ class FinitePocSet:
         everything.  Agreement with the Helly criterion is a tested
         invariant, not assumed here."""
         els = self._handle_set(elements)
-        pool = list(restrict_to) if restrict_to is not None else self.ultrafilters()
+        pool = list(restrict_to) if restrict_to is not None else self._vertex_set()[1]
         return any(all(a in u for a in els) for u in pool)
 
     # ------------------------------------------------------------------

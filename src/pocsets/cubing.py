@@ -147,7 +147,8 @@ def _sign_masks(vertices: list[Ultrafilter]) -> list[int]:
 
 
 def build_cubing(p: FinitePocSet) -> CubeComplex:
-    """Vertices from enumeration; each edge and cube from its least corner.
+    """Vertices from the poc-set's held walk; each edge and cube from its
+    least corner.
 
     Vertices come in lexicographic sign order, so raising an earlier pair
     reaches a later vertex, and taking the pairs last to first lists the
@@ -155,14 +156,14 @@ def build_cubing(p: FinitePocSet) -> CubeComplex:
     of the walk's index per plain member, and its cubes among them.
     Refused once more than `MAX_CUBES` cubes of dimension >= 2 are found.
     """
-    walk = p._walk_ultrafilters()
+    walk, vertices = p._vertex_set()
     edges = []
     cubes: dict[int, list[Cube]] = {}
     for i, moves, subsets in _least_corners(p, walk):
         edges += moves
         for sub in subsets:
             cubes.setdefault(len(sub), []).append(Cube(i, sub))
-    return CubeComplex(p, [Ultrafilter(signs) for signs, _ in walk], edges, cubes)
+    return CubeComplex(p, list(vertices), edges, cubes)
 
 
 def _least_corners(p: FinitePocSet, walk: list) -> Iterator[tuple[int, list, list]]:
@@ -270,7 +271,7 @@ class DualityReport(Record):
 def duality_roundtrip(p: FinitePocSet) -> DualityReport:
     """Check extract_halfspaces(build_cubing(p)) is poc-isomorphic to p.
 
-    Only the vertices are read, from one ultrafilter walk.  A cube is a
+    Only the vertices are read, from the poc-set's held walk.  A cube is a
     vertex and two or more of its n or fewer plain minimal walls, so cubes
     are counted, to refuse what `build_cubing` refuses, only when
     ``len(walk) * (2^n - n - 1)`` passes `MAX_CUBES`.  The element map is
@@ -282,7 +283,7 @@ def duality_roundtrip(p: FinitePocSet) -> DualityReport:
     The report keeps the two counts, so a caller that reads only the verdict
     formats no handle name.
     """
-    walk, n = p._walk_ultrafilters(), p.n_pairs
+    walk, n = p._vertex_set()[0], p.n_pairs
     if len(walk) * (2**n - n - 1) > MAX_CUBES:
         for _ in _least_corners(p, walk):  # the cubes are counted, not kept
             pass

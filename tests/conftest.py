@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,19 @@ def fix_square():
 @pytest.fixture
 def fix_tripod():
     return tripod()
+
+
+@pytest.fixture
+def walk_counts(monkeypatch) -> Counter:
+    """`_walk_ultrafilters` calls per poc-set, by id (so keep each alive)."""
+    walks, walk = Counter(), FinitePocSet._walk_ultrafilters
+
+    def counted(self):
+        walks[id(self)] += 1
+        return walk(self)
+
+    monkeypatch.setattr(FinitePocSet, "_walk_ultrafilters", counted)
+    return walks
 
 
 def random_pocset(rng: random.Random, max_pairs: int = 6) -> FinitePocSet:

@@ -240,6 +240,75 @@ def test_a_signature_entry_that_is_not_an_end_is_refused():
 
 
 @pytest.mark.parametrize(
+    "chain, index",
+    [(-1, -1), (-1, 0), (0, 2.5), (0, 2.0), (0, None), (1.0, 0), (True, 0), ("0", 0)],
+    ids=["-1, -1", "-1, 0", "2.5", "2.0", "None", "float chain", "bool chain", "str chain"],
+)
+def test_a_halfspace_needs_an_int_chain_and_index(chain, index):
+    # refused when built, so `contains`, `cf_truncate` and `flip` never
+    # read chain -1 as the last chain or a half index as a wall
+    for build in (lambda: ChainHalfspace(chain, index), lambda: ChainHalfspace(chain, index, True)):
+        with pytest.raises(MalformedInput, match="a halfspace needs an int chain") as exc:
+            build()
+        assert (exc.value.code, exc.value.witness) == ("malformed-input", (chain, index))
+        json.dumps(exc.value.diagnostic(), allow_nan=False)
+    assert ChainHalfspace(0, -3) == ChainHalfspace(0, -3, False) and ChainHalfspace(2, 10**400).chain == 2
+
+
+def test_a_halfspace_of_a_chain_the_ultrafilter_lacks_is_refused():
+    calls = {
+        "contains": lambda h: uf(0, 0).contains(h),
+        "cf_truncate": lambda h: cf_truncate(uf(0, 0), h),
+        "flip": lambda h: flip(uf(0, 0), h),
+    }
+    for name, call in calls.items():
+        for h in (ChainHalfspace(2, -1), ChainHalfspace(5, -1, True)):
+            with pytest.raises(MalformedInput, match=f"a halfspace of chain {h.chain} on 2 chains") as exc:
+                call(h)
+            assert exc.value.witness == (h.chain, h.index), name
+    # the last chain is still read
+    assert cf_truncate(uf(0, 0), ChainHalfspace(1, -1)) == uf(0, -1)
+    assert flip(uf(0, 0), ChainHalfspace(1, 0, True)) == uf(0, 1)
+
+
+def test_dropping_a_chain_that_is_not_there_is_refused():
+    for obj in (uf(1, 2), sig(PLUS, MINUS)):
+        for keep, bad in (([-1], -1), ([0, 2], 2), ([1.0], 1.0), ([True], True)):
+            with pytest.raises(MalformedInput, match="is not one of 2 chains") as exc:
+                drop_chains(obj, keep)
+            assert (exc.value.code, exc.value.witness) == ("malformed-input", bad)
+        assert drop_chains(obj, []) == type(obj)(())
+    assert drop_chains(uf(1, 2), [1, 1, 0]) == uf(2, 2, 1)
+    assert drop_chains(sig(PLUS, MINUS), [1]) == sig(MINUS)
+
+
+def test_an_end_is_stored_as_the_end_itself():
+    # every value equal to an infinity is kept as PLUS_END or MINUS_END, so
+    # an end reads "+inf" or "-inf" in every witness, whatever its type
+    from decimal import Decimal
+
+    for plus, minus in ((Decimal("Infinity"), Decimal("-Infinity")), (float("inf"), -float("inf"))):
+        u = uf(plus, minus, 3)
+        assert u.cuts[0] is PLUS_END and u.cuts[1] is MINUS_END and u.cuts[2] == 3
+        assert u == uf(PLUS_END, MINUS_END, 3) and hash(u) == hash(uf(PLUS_END, MINUS_END, 3))
+        with pytest.raises(NotPrincipal) as exc:
+            u.int_cuts()
+        assert exc.value.witness == ["+inf", "-inf", 3]
+        with pytest.raises(MalformedInput, match="a cut must be an integer") as exc:
+            uf(plus, 2.5)
+        assert exc.value.witness == ["+inf", 2.5]
+
+
+def test_a_negative_window_is_refused():
+    for call in (lambda w: restrict_to_window(uf(0, 0), w), lambda w: window_pocset(2, w)):
+        for w in (-1, -7):
+            with pytest.raises(MalformedInput, match=f"window {w} must be non-negative") as exc:
+                call(w)
+            assert (exc.value.code, exc.value.witness) == ("malformed-input", w)
+    assert restrict_to_window(uf(0, PLUS_END), 0) == (1, 0) and window_pocset(2, 0).n_pairs == 2
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: median(uf(0, 0), uf(0, 0), uf(0)),

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from pocsets.core import FinitePocSet, star
 from pocsets.errors import (
     AxiomViolation,
+    MalformedInput,
     NotAFilterBase,
     NotMaximalTransverse,
     NotMinimal,
@@ -1118,3 +1119,54 @@ def test_leq_matches_reachability_over_generators():
                     seen.add(b)
                     todo.append(b)
             assert {b for b in p.elements() if p.leq(a, b)} == seen
+
+
+# ---------------------------------------------------------------------------
+# the held ultrafilter walk
+
+
+def test_support_and_vset_nonempty_read_one_walk(walk_counts, fix_line3, fix_square, fix_tripod):
+    pocsets = [fix_line3, fix_square, fix_tripod, FinitePocSet.from_order_generators(0)]
+    for p in pocsets:
+        supports = [p.support(h) for h in p.elements()]
+        ufs = p.ultrafilters()
+        assert supports == [[i for i, u in enumerate(ufs) if h in u] for h in p.elements()]
+        for family in combinations(p.elements(), 2):
+            assert p.vset_nonempty(family) == any(all(a in u for a in family) for u in ufs)
+        assert p.vset_nonempty([])
+    assert walk_counts == {id(p): 1 for p in pocsets}
+    # a pool passed in is read instead, and walks nothing
+    q = FinitePocSet.from_order_generators(2)
+    assert q.support(2, among=iter(fix_square.ultrafilters()[1:])) == [1]
+    assert not q.vset_nonempty([0], restrict_to=[]) and walk_counts[id(q)] == 0
+
+
+def test_a_mutated_ultrafilter_list_leaves_the_next_answer(fix_tripod):
+    p = fix_tripod
+    ufs = p.ultrafilters()
+    first = list(ufs)
+    ufs.reverse()
+    del ufs[0]
+    ufs.append(ufs[0])
+    again = p.ultrafilters()
+    assert again == first and again is not ufs
+    assert [u.signs for u in again] == brute_force_ultrafilters(p)
+    assert p.support(0) == [i for i, u in enumerate(first) if 0 in u]
+
+
+def test_a_refused_walk_is_not_held(walk_counts):
+    # fifteen free pairs have 2^15 ultrafilters, past MAX_ULTRAFILTERS: every
+    # reader refuses, each time walking again, with one code, message and witness
+    from pocsets.cubing import build_cubing, duality_roundtrip
+
+    p = FinitePocSet.from_order_generators(15)
+    calls = [p.ultrafilters, p.ultrafilters, lambda: p.support(0), lambda: p.vset_nonempty([]),
+             lambda: build_cubing(p), lambda: duality_roundtrip(p)]
+    seen = []
+    for call in calls:
+        with pytest.raises(MalformedInput) as exc:
+            call()
+        seen.append(exc.value.diagnostic())
+    assert seen == [{"code": "malformed-input", "message": "more than 16384 ultrafilters to enumerate",
+                     "witness": 15}] * len(calls)
+    assert walk_counts[id(p)] == len(calls)

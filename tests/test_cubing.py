@@ -4,7 +4,7 @@ import json
 import random
 import sys
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterator
 
 import pytest
@@ -783,3 +783,43 @@ def test_json_export_roundtrip_shape(fix_square):
     assert len(blob["vertices"]) == 4
     assert len(blob["edges"]) == 4
     assert blob["cubes"]["2"][0]["walls"] == ["h1", "h2"]
+
+
+# ---------------------------------------------------------------------------
+# the held ultrafilter walk
+
+
+def _readers(p: FinitePocSet, fresh: bool) -> tuple:
+    """What every reader of the vertex set answers on p, or, when fresh, on
+    a poc-set of p's order built for each call, which holds no walk yet."""
+    new = (lambda: FinitePocSet(p.n_pairs, p._up, _validated=True)) if fresh else (lambda: p)
+    handles = list(p.elements())
+    return (
+        [u.signs for u in new().ultrafilters()],
+        build_cubing(new()).to_json(),
+        duality_roundtrip(new()).to_json(),
+        [new().support(h) for h in handles],
+        [new().vset_nonempty(family) for family in combinations(handles, 2)],
+    )
+
+
+def test_one_walk_serves_every_reader(walk_counts):
+    pocsets = [fixture_pocset(name) for name in ("FIX-SQ", "FIX-LINE3", "FIX-TRIPOD")]
+    pocsets += list(islice(_sampled_pocsets(), 40))
+    for p in pocsets:
+        _readers(p, fresh=False)
+        build_cubing(p).vertices.clear()  # a caller's list, not the held one
+        assert [u.signs for u in p.ultrafilters()] == brute_force_ultrafilters(p)
+    assert walk_counts == {id(p): 1 for p in pocsets}
+
+
+def test_a_held_walk_answers_as_a_fresh_walk():
+    # the first use and a later one on one poc-set answer as the walk made
+    # for each call did, on every FIX-* poc-set and a sample of the pool
+    pocsets = [fixture_pocset(name) for name in ("FIX-SQ", "FIX-LINE3", "FIX-TRIPOD")]
+    pocsets += list({(p.n_pairs, p._up): p for p in islice(_sampled_pocsets(), 200)}.values())
+    for p in pocsets:
+        expected = _readers(p, fresh=True)
+        assert expected[0] == brute_force_ultrafilters(p)
+        assert _readers(p, fresh=False) == expected
+        assert _readers(p, fresh=False) == expected
