@@ -28,11 +28,13 @@ def delta(a, b):
 
     if isinstance(a, FiniteUF) and isinstance(b, FiniteUF):
         if len(a.signs) != len(b.signs):
-            raise BackendMismatch("ultrafilters live over different poc-sets")
+            counts = [len(a.signs), len(b.signs)]
+            raise BackendMismatch("ultrafilters live over different poc-sets", counts)
         return sum(1 for x, y in zip(a.signs, b.signs) if x != y)
     if isinstance(a, chains.ChainUltrafilter) and isinstance(b, chains.ChainUltrafilter):
         try:
             return chains.delta(a, b)
         except ChainCountMismatch as exc:
-            raise BackendMismatch(str(exc)) from exc
-    raise BackendMismatch(f"cannot compare {type(a).__name__} with {type(b).__name__}")
+            raise BackendMismatch(str(exc), exc.witness) from exc
+    kinds = [type(a).__name__, type(b).__name__]
+    raise BackendMismatch(f"cannot compare {kinds[0]} with {kinds[1]}", kinds)

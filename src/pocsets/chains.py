@@ -151,6 +151,14 @@ def _chain(h: ChainHalfspace, k: int) -> int:
     return h.chain
 
 
+def _check_chain_counts(*objects) -> None:
+    """Refuse signatures and ultrafilters on different numbers of chains,
+    with their chain counts, in argument order, as witness."""
+    counts = [o.k for o in objects]
+    if len(set(counts)) > 1:
+        raise ChainCountMismatch(f"chain counts {counts} differ", counts)
+
+
 def principal(k: int) -> Signature:
     return Signature((FIN,) * k)
 
@@ -179,8 +187,7 @@ def cf_class(u: ChainUltrafilter) -> Signature:
 def delta(a: ChainUltrafilter, b: ChainUltrafilter):
     """Wall-counting distance; infinite iff some chain differs in end
     state."""
-    if a.k != b.k:
-        raise ChainCountMismatch(f"{a.k} chains vs {b.k}")
+    _check_chain_counts(a, b)
     total = 0
     for x, y in zip(a.cuts, b.cuts):
         if x == y:
@@ -215,8 +222,7 @@ def _states(cuts: Sequence[CutValue]) -> list:
 def median(a: ChainUltrafilter, b: ChainUltrafilter, c: ChainUltrafilter) -> ChainUltrafilter:
     """Per-chain median of cut positions; membership of each halfspace is a
     monotone threshold, so this is the pairwise-intersection median."""
-    if not (a.k == b.k == c.k):
-        raise ChainCountMismatch(f"{a.k}, {b.k}, {c.k}")
+    _check_chain_counts(a, b, c)
     return ChainUltrafilter(
         tuple(sorted((x, y, z))[1] for x, y, z in zip(a.cuts, b.cuts, c.cuts))
     )
@@ -282,8 +288,7 @@ def class_leq(s1: Signature, s2: Signature) -> bool:
     frees its Fin chains (cut sequences reach either end), giving the
     componentwise rule.  The all-Fin class is the unique minimum.
     """
-    if len(s1.ends) != len(s2.ends):
-        raise ChainCountMismatch(f"{len(s1.ends)} vs {len(s2.ends)}")
+    _check_chain_counts(s1, s2)
     for a, b in zip(s1.ends, s2.ends):
         if a and a != b:  # an end of s1 (FIN is 0) that s2 does not match
             return False
@@ -307,24 +312,10 @@ def class_codim(s: Signature) -> tuple[int, Optional[Signature]]:
 
 def class_gcd(a: Signature, b: Signature) -> Signature:
     """Greatest lower bound: shared ends survive, everything else is Fin."""
-    if a.k != b.k:
-        raise ChainCountMismatch(f"{a.k} vs {b.k}")
+    _check_chain_counts(a, b)
     return Signature(
         tuple(x if x == y else FIN for x, y in zip(a.ends, b.ends))
     )
-
-
-def gcd_via_median(a: Signature, b: Signature) -> Signature:
-    """The same bound computed as the class of med(pi, rep(a), rep(b)) on
-    representative ultrafilters; the dual route for gcd tests."""
-    rep = lambda s: ChainUltrafilter(
-        tuple(
-            PLUS_END if e == PLUS else MINUS_END if e == MINUS else 0
-            for e in s.ends
-        )
-    )
-    pi = ChainUltrafilter((0,) * a.k)
-    return cf_class(median(pi, rep(a), rep(b)))
 
 
 def check_classes(k: int) -> None:
@@ -390,8 +381,7 @@ class RollerPoset(Record):
 def project_to_class(s: Signature, u: ChainUltrafilter) -> ChainUltrafilter:
     """The retraction onto the closure of s: end chains are forced, Fin
     chains keep their state.  Idempotent; pointwise fixes the closure."""
-    if s.k != u.k:
-        raise ChainCountMismatch(f"{s.k} vs {u.k}")
+    _check_chain_counts(s, u)
     return ChainUltrafilter(
         tuple(
             PLUS_END if e == PLUS else MINUS_END if e == MINUS else c
@@ -404,8 +394,7 @@ def flow_step(s: Signature, u: ChainUltrafilter) -> ChainUltrafilter:
     """One step of the canonical flow toward s: flip every minimal element
     opposing s, i.e. move each Plus chain's cut up and each Minus chain's
     cut down; iterates converge pointwise to `project_to_class`."""
-    if s.k != u.k:
-        raise ChainCountMismatch(f"{s.k} vs {u.k}")
+    _check_chain_counts(s, u)
     cuts = list(u.int_cuts())
     for i, e in enumerate(s.ends):
         cuts[i] += 1 if e == PLUS else -1 if e == MINUS else 0
@@ -445,7 +434,7 @@ def average_sequence(
     asserts this), the projected distance to sigma is non-increasing and
     eventually zero."""
     if not seq:
-        raise EmptySequence("average_sequence needs a non-empty prefix")
+        raise EmptySequence("average_sequence needs a non-empty prefix", [])
     out = [seq[0]]
     for nxt in seq[1:]:
         out.append(median(out[-1], nxt, sigma))
@@ -532,16 +521,17 @@ def limit_of_geodesic(
 # finite windows and chain dropping
 
 
-def _check_window(w: int) -> None:
-    """Refuse a negative window, which holds no wall."""
+def check_window(w: int) -> None:
+    """Refuse a negative window, which holds no wall and no tuple, with the
+    window as witness."""
     if w < 0:
-        raise MalformedInput(f"window {w} must be non-negative", w)
+        raise MalformedInput("window bound must be >= 0", w)
 
 
 def window_pocset(k: int, w: int) -> FinitePocSet:
     """The finite poc-set of all walls with index in [-w, w]: 2w+1 walls per
     chain, chains mutually transverse; a negative window is refused."""
-    _check_window(w)
+    check_window(w)
     per = 2 * w + 1
     edges = []
     for i in range(k):
@@ -560,7 +550,7 @@ def window_pair(k: int, w: int, chain: int, index: int) -> int:
 def restrict_to_window(u: ChainUltrafilter, w: int):
     """Signs of the window poc-set ultrafilter induced by u; a negative
     window is refused."""
-    _check_window(w)
+    check_window(w)
     signs = []
     for c in u.cuts:
         for n in range(-w, w + 1):

@@ -572,24 +572,18 @@ class FinitePocSet:
                     break
         return self.ultrafilter_from_members(members)
 
-    def support(self, h: int, among: Optional[Sequence[Ultrafilter]] = None) -> list[int]:
-        """Indices (into ``among`` or the canonical enumeration) of the
-        ultrafilters containing h; the vertex set S_h."""
+    def support(self, h: int) -> list[int]:
+        """Indices (into the canonical enumeration) of the ultrafilters
+        containing h; the vertex set S_h."""
         self._handle_set((h,))  # refuses a dangling h
-        pool = list(among) if among is not None else self._vertex_set()[1]
-        return [i for i, u in enumerate(pool) if h in u]
+        return [i for i, u in enumerate(self._vertex_set()[1]) if h in u]
 
-    def vset_nonempty(
-        self,
-        elements: Iterable[int],
-        restrict_to: Optional[Sequence[Ultrafilter]] = None,
-    ) -> bool:
-        """Whether ⋂_a S_a meets the (sub)space; the empty family meets
-        everything.  Agreement with the Helly criterion is a tested
-        invariant, not assumed here."""
+    def vset_nonempty(self, elements: Iterable[int]) -> bool:
+        """Whether ⋂_a S_a is non-empty; the empty family meets everything.
+        Agreement with the Helly criterion is a tested invariant, not
+        assumed here."""
         els = self._handle_set(elements)
-        pool = list(restrict_to) if restrict_to is not None else self._vertex_set()[1]
-        return any(all(a in u for a in els) for u in pool)
+        return any(all(a in u for a in els) for u in self._vertex_set()[1])
 
     # ------------------------------------------------------------------
 

@@ -48,10 +48,6 @@ class CubeComplex(Record):
     __slots__ = ("pocset", "vertices", "edges", "cubes")
     __hash__ = None
 
-    @property
-    def square_count(self) -> int:
-        return len(self.cubes.get(2, []))
-
     def dimension(self) -> int:
         return max(self.cubes.keys(), default=1 if self.edges else 0)
 
@@ -75,10 +71,6 @@ class CubeComplex(Record):
                         nxt.append(w)
             frontier = nxt
         return dist
-
-    def cube_vertices(self, cube: Cube) -> list[int]:
-        """The 2^d corner indices of a stored cube."""
-        return self.corners([cube])[0]
 
     def corners(self, cubes: Iterable[Cube]) -> list[list[int]]:
         """The sorted corner indices of each cube, read off one index of the

@@ -54,11 +54,17 @@ def negate(v: Vec) -> Vec:
     return (-v[0], -v[1])
 
 
+def _check_direction(v: Vec) -> None:
+    """Refuse the zero vector, which has no direction, with its coordinates
+    as witness."""
+    if v[0].is_zero() and v[1].is_zero():
+        raise ZeroDirection("a direction must be non-zero", [str(x) for x in v])
+
+
 def normalize(v: Vec) -> Vec:
     """Scale so |x|+|y| = 1; canonical representative of the ray through v."""
+    _check_direction(v)
     scale = abs(v[0]) + abs(v[1])
-    if scale.is_zero():
-        raise ZeroDirection("zero vector has no direction")
     return (v[0] / scale, v[1] / scale)
 
 
@@ -180,6 +186,13 @@ class WallModel:
         return len(self.image.critical_directions) // 2 if self.k else 0
 
 
+def check_families(model: WallModel) -> None:
+    """Refuse a model without wall families, which has no direction and no
+    tuple, with its chain names as witness."""
+    if not model.k:
+        raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
+
+
 # ---------------------------------------------------------------------------
 # the decomposition map
 
@@ -189,8 +202,7 @@ def rho(model: WallModel, xi: Vec) -> Signature:
     sign vector of the n_i . xi.  Chain i is FIN (0) when its walls are
     parallel to xi, else PLUS (+1) or MINUS (-1) for the end the ray runs
     into."""
-    if xi[0].is_zero() and xi[1].is_zero():
-        raise ZeroDirection("boundary directions are non-zero")
+    _check_direction(xi)
     return Signature(tuple(dot(fam.normal, xi).sign() for fam in model.families))
 
 
@@ -263,13 +275,12 @@ def _build_image(model: WallModel) -> ImageReport:
     class comes from its end classes, and uniformness and the direction count
     from how many there are.  Fibers are grouped by sign tuple, and each
     class becomes one `Signature`."""
+    check_families(model)
     criticals = []  # (direction, the ends of its class)
     for j, (fam, row) in enumerate(zip(model.families, model.arrangement.cross)):
         if (0, 0) not in row[:j]:
             d, signs = normalize(perp(fam.normal)), tuple([sqrt3_sign(a, b) for a, b in row])
             criticals += [(d, signs), (negate(d), tuple([-e for e in signs]))]
-    if not criticals:
-        raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
     criticals.sort(key=lambda c: _ccw_key(c[0]))
     uniform = len(criticals) > 2  # antipodal pairs; only one if every wall is parallel
     fibers: dict[tuple[int, ...], list] = {}
@@ -488,8 +499,7 @@ def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
     n_i . d < 0, and stays FIN when the walls are parallel to the line.
     """
     d = line.direction
-    if d[0].is_zero() and d[1].is_zero():
-        raise ZeroDirection("line needs a direction")
+    _check_direction(d)
     trivial_cuts: dict[int, int] = {}
     progression: dict[int, tuple[ExactNumber, ExactNumber]] = {}
     for i, fam in enumerate(model.families):

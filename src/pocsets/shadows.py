@@ -33,13 +33,14 @@ from .chains import (
     Signature,
     all_signatures,
     check_classes,
+    check_window,
     flow_cuts,
     format_signature,
     min_set,
 )
 from .core import Record
 from .errors import ChainCountMismatch, MalformedInput, NotPrincipal, WindowTooSmall
-from .euclid import WallModel, _escape_verdicts, rho_image
+from .euclid import WallModel, _escape_verdicts, check_families, rho_image
 from .exactnum import ZERO, ExactNumber, sqrt3_floor, sqrt3_sign
 
 Cuts = tuple[int, ...]
@@ -182,7 +183,9 @@ class ConsistencyOracle:
         self.lock = Lock()
 
     def consistent(self, cuts: Cuts) -> bool:
-        """Whether the closed slabs selected by the k cuts share a point."""
+        """Whether the closed slabs selected by the k cuts share a point: an
+        entry point for tests and `perfbench/baseline.py`, since window fields
+        solve their rows from `row_bounds` and no query calls it."""
         if len(cuts) != self.k:
             raise _wrong_length(self.k, cuts)
         point = (1, *cuts)
@@ -234,14 +237,9 @@ def interval_consistent(model: WallModel, cuts: Cuts) -> bool:
 MAX_WINDOW_TUPLES = 10**6
 
 
-def _check_window(bound: int) -> None:
-    if bound < 0:
-        raise MalformedInput("window bound must be >= 0", bound)
-
-
 def _window_tuples(model: WallModel, bound: int) -> int:
     """(2*bound + 1)^k, refused for a negative bound or past the cap."""
-    _check_window(bound)
+    check_window(bound)
     if (count := (2 * bound + 1) ** model.k) > MAX_WINDOW_TUPLES:
         message = f"window {bound} has {count} tuples, more than {MAX_WINDOW_TUPLES}"
         raise MalformedInput(message, bound)
@@ -280,8 +278,7 @@ def _pi0_rows(model: WallModel, bound: int) -> list[Row]:
     `_solve_line` of level j, and an empty row is never extended.  The last
     level's lines are written straight into the table, a slice per line."""
     _window_tuples(model, bound)  # refused before the first row
-    if model.k == 0:
-        raise MalformedInput("a wall model needs at least one family", list(model.chains.names))
+    check_families(model)
     if model.k == 1:
         return [(-bound, bound)]
     n = 2 * bound + 1
@@ -584,7 +581,7 @@ def _nearest(model: WallModel, u: ChainUltrafilter, window: int):
     first, then a non-principal u, then the field is built, then cuts of the
     wrong length or outside the window; the guards are built last, once per
     field (racing threads each assign an equal table)."""
-    _check_window(window)
+    check_window(window)
     cuts = u.int_cuts()
     f = window_field(model, window)
     index = f._index(cuts)

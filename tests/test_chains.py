@@ -37,7 +37,6 @@ from pocsets.chains import (
     flow_step,
     format_signature,
     format_ultrafilter,
-    gcd_via_median,
     geodesic_points,
     limit_of_geodesic,
     median,
@@ -302,32 +301,34 @@ def test_an_end_is_stored_as_the_end_itself():
 def test_a_negative_window_is_refused():
     for call in (lambda w: restrict_to_window(uf(0, 0), w), lambda w: window_pocset(2, w)):
         for w in (-1, -7):
-            with pytest.raises(MalformedInput, match=f"window {w} must be non-negative") as exc:
+            with pytest.raises(MalformedInput, match="window bound must be >= 0") as exc:
                 call(w)
             assert (exc.value.code, exc.value.witness) == ("malformed-input", w)
     assert restrict_to_window(uf(0, PLUS_END), 0) == (1, 0) and window_pocset(2, 0).n_pairs == 2
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, counts",
     [
-        lambda: median(uf(0, 0), uf(0, 0), uf(0)),
-        lambda: class_gcd(sig(FIN, PLUS), sig(FIN)),
-        lambda: project_to_class(sig(FIN, PLUS), uf(0)),
-        lambda: flow_step(sig(PLUS), uf(0, 0)),
+        (lambda: delta(uf(0), uf(0, 0)), [1, 2]),
+        (lambda: median(uf(0, 0), uf(0, 0), uf(0)), [2, 2, 1]),
+        (lambda: class_leq(sig(FIN), sig(FIN, PLUS)), [1, 2]),
+        (lambda: class_gcd(sig(FIN, PLUS), sig(FIN)), [2, 1]),
+        (lambda: project_to_class(sig(FIN, PLUS), uf(0)), [2, 1]),
+        (lambda: flow_step(sig(PLUS), uf(0, 0)), [1, 2]),
     ],
-    ids=["median", "class_gcd", "project_to_class", "flow_step"],
+    ids=["delta", "median", "class_leq", "class_gcd", "project_to_class", "flow_step"],
 )
-def test_a_chain_count_mismatch_is_refused(call):
-    with pytest.raises(ChainCountMismatch) as exc:
+def test_a_chain_count_mismatch_is_refused(call, counts):
+    with pytest.raises(ChainCountMismatch, match=re.escape(f"chain counts {counts} differ")) as exc:
         call()
-    assert exc.value.code == "chain-count-mismatch" and exc.value.witness is None
+    assert exc.value.code == "chain-count-mismatch" and exc.value.witness == counts
 
 
 def test_averaging_an_empty_sequence_is_refused():
     with pytest.raises(EmptySequence, match="non-empty prefix") as exc:
         average_sequence([], uf(0))
-    assert exc.value.code == "empty-sequence" and exc.value.witness is None
+    assert exc.value.code == "empty-sequence" and exc.value.witness == []
 
 
 def test_a_schedule_without_a_cycle_ends_after_its_prefix():
@@ -535,8 +536,8 @@ def test_class_leq_is_the_componentwise_rule():
     for a, b in ((sig(FIN), sig(FIN, FIN)), (sig(PLUS, MINUS, FIN), sig(PLUS)), (sig(), sig(MINUS))):
         with pytest.raises(ChainCountMismatch) as exc:
             class_leq(a, b)
-        assert str(exc.value) == f"{len(a.ends)} vs {len(b.ends)}"
-        assert exc.value.witness is None
+        counts = [a.k, b.k]
+        assert (str(exc.value), exc.value.witness) == (f"chain counts {counts} differ", counts)
 
 
 def test_partial_order_with_unique_minimum():
@@ -583,6 +584,15 @@ def test_gcd_examples():
     s = sig(MINUS, PLUS, FIN)
     assert class_gcd(s, s) == s
     assert class_gcd(s, principal(3)) == principal(3)
+
+
+def gcd_via_median(a: Signature, b: Signature) -> Signature:
+    """The gcd oracle: the class of med(pi, rep(a), rep(b)) on representative
+    ultrafilters, the dual route to `class_gcd`."""
+    rep = lambda s: ChainUltrafilter(
+        tuple(PLUS_END if e == PLUS else MINUS_END if e == MINUS else 0 for e in s.ends)
+    )
+    return cf_class(median(ChainUltrafilter((0,) * a.k), rep(a), rep(b)))
 
 
 def test_gcd_laws_exhaustive():

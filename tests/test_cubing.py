@@ -41,7 +41,7 @@ def test_ten_free_pairs_fit_the_cube_budget():
 
 def test_cube_budget_is_checked_as_cubes_are_found(monkeypatch):
     monkeypatch.setattr(cubing, "MAX_CUBES", 3)
-    assert build_cubing(FinitePocSet.from_order_generators(2, [])).square_count == 1
+    assert len(build_cubing(FinitePocSet.from_order_generators(2, [])).cubes[2]) == 1
     with pytest.raises(MalformedInput, match="more than 3 cubes"):
         build_cubing(FinitePocSet.from_order_generators(3, []))  # six squares, one 3-cube
 
@@ -50,7 +50,7 @@ def test_line3_is_a_path(fix_line3):
     c = build_cubing(fix_line3)
     assert len(c.vertices) == 4
     assert len(c.edges) == 3
-    assert c.square_count == 0
+    assert len(c.cubes.get(2, [])) == 0
     assert c.dimension() == 1
 
 
@@ -58,16 +58,16 @@ def test_square_complex(fix_square):
     c = build_cubing(fix_square)
     assert len(c.vertices) == 4
     assert len(c.edges) == 4
-    assert c.square_count == 1
+    assert len(c.cubes.get(2, [])) == 1
     sq = c.cubes[2][0]
-    assert c.cube_vertices(sq) == [0, 1, 2, 3]
+    assert c.corners([sq])[0] == [0, 1, 2, 3]
 
 
 def test_tripod_is_a_star(fix_tripod):
     c = build_cubing(fix_tripod)
     assert len(c.vertices) == 4
     assert len(c.edges) == 3
-    assert c.square_count == 0
+    assert len(c.cubes.get(2, [])) == 0
     degrees = [0] * 4
     for i, j, _ in c.edges:
         degrees[i] += 1
@@ -203,7 +203,7 @@ def test_all_corners_come_from_one_index(monkeypatch):
             i for i, u in enumerate(c.vertices)
             if all(s == b or k in cube.pairs for k, (s, b) in enumerate(zip(u.signs, base)))
         ]
-    assert c.cube_vertices(cubes[-1]) == corners[-1] and len(builds) == 2
+    assert c.corners([cubes[-1]])[0] == corners[-1] and len(builds) == 2
 
 
 def test_complex_dimension_bounded_by_pocset_dimension():

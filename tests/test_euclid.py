@@ -81,8 +81,11 @@ def test_rho_z2_examples(z2):
 
 
 def test_rho_rejects_zero(z2):
-    with pytest.raises(ZeroDirection):
-        rho(z2, vec(0, 0))
+    # as normalize and a line do: one check, naming the direction
+    for call in (lambda d: rho(z2, d), normalize, lambda d: restrict_to_line(z2, Line(d))):
+        with pytest.raises(ZeroDirection, match="a direction must be non-zero") as exc:
+            call(vec(0, 0))
+        assert (exc.value.code, exc.value.witness) == ("zero-direction", ["0", "0"])
 
 
 @pytest.mark.parametrize("spacing, shown", [(0, "0"), (Fraction(-1, 2), "-1/2")])
