@@ -522,15 +522,17 @@ def limit_of_geodesic(
 
 
 def check_window(w: int) -> None:
-    """Refuse a negative window, which holds no wall and no tuple, with the
-    window as witness."""
+    """Refuse a window that is not an int (a bool is not one) or is
+    negative, which holds no wall and no tuple, with the window as witness."""
+    if type(w) is not int:
+        raise MalformedInput(f"window bound must be an int, not {brief(w)}", w)
     if w < 0:
         raise MalformedInput("window bound must be >= 0", w)
 
 
 def window_pocset(k: int, w: int) -> FinitePocSet:
     """The finite poc-set of all walls with index in [-w, w]: 2w+1 walls per
-    chain, chains mutually transverse; a negative window is refused."""
+    chain, chains mutually transverse; the window passes `check_window`."""
     check_window(w)
     per = 2 * w + 1
     edges = []
@@ -548,8 +550,8 @@ def window_pair(k: int, w: int, chain: int, index: int) -> int:
 
 
 def restrict_to_window(u: ChainUltrafilter, w: int):
-    """Signs of the window poc-set ultrafilter induced by u; a negative
-    window is refused."""
+    """Signs of the window poc-set ultrafilter induced by u; the window
+    passes `check_window`."""
     check_window(w)
     signs = []
     for c in u.cuts:

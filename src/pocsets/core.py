@@ -299,8 +299,7 @@ class FinitePocSet:
     def classify_pair(self, h: int, k: int) -> PairClassification:
         """Nested (with the witnessing relation, normalized to one of
         ``h<=k``, ``k<=h``, ``h<=k*``, ``k*<=h``) or transverse."""
-        if not self.is_proper(h) or not self.is_proper(k):
-            raise TrivialElement("classify_pair needs proper elements", (h, k))
+        self._check_proper((h, k))
         for lhs, rhs in ((h, k), (k, h), (h, star(k)), (star(k), h)):
             if self.leq(lhs, rhs):
                 return PairClassification("nested", (lhs, rhs))
@@ -316,8 +315,7 @@ class FinitePocSet:
 
     def interval(self, a: int, b: int) -> list[int]:
         """``{h : a <= h <= b}`` in canonical order; empty when ``a !<= b``."""
-        if not self.is_proper(a) or not self.is_proper(b):
-            raise TrivialElement("interval endpoints must be proper", (a, b))
+        self._check_proper((a, b))
         return [e for e in self.elements() if self.leq(a, e) and self.leq(e, b)]
 
     def dimension(self) -> int:
@@ -536,17 +534,15 @@ class FinitePocSet:
                 return x
         used = {pair_of(e) for e in els}
         for k in range(self.n_pairs):
-            if k in used:
-                continue
-            if all(self.transverse(2 * k, e) for e in els):
+            if k not in used and all(self.transverse(2 * k, e) for e in els):
                 return 2 * k
         return None
 
     def _check_proper(self, elements: Sequence[int]) -> None:
-        """Refuse the first element of a transverse set that is not proper."""
+        """Refuse the first of the elements that is not proper."""
         for e in elements:
             if not self.is_proper(e):
-                raise TrivialElement("transverse sets contain proper elements", e)
+                raise TrivialElement(f"handle {e} is not a proper element", e)
 
     def principal_from_transverse(self, elements: Iterable[int]) -> Ultrafilter:
         """π_A = {h : ∃a∈A, a <= h} ∪ {h : ∃a∈A, a* < h} ∪ {0*} for a
@@ -602,6 +598,19 @@ def check_pair_count(n_pairs: int) -> None:
         raise MalformedInput("pair count must be non-negative", n_pairs)
     if n_pairs > MAX_PAIRS:
         raise MalformedInput(f"pair count {n_pairs} is above the cap of {MAX_PAIRS}", n_pairs)
+
+
+def sample_pocset(rng, max_pairs: int) -> tuple[FinitePocSet, list[tuple[int, int]]]:
+    """A random poc-set of at most ``max_pairs`` pairs and its generating edges, drawn
+    from the `random.Random` ``rng`` again, pair count and all, until it passes the axioms."""
+    while True:
+        n = rng.randint(0, max_pairs)
+        count = rng.randint(0, 2 * n) if n else 0
+        edges = [(rng.randrange(2 * n), rng.randrange(2 * n)) for _ in range(count)]
+        try:
+            return FinitePocSet.from_order_generators(n, edges), edges
+        except AxiomViolation:
+            continue
 
 
 def parse_handle(name: str, n_pairs: int) -> int:

@@ -31,7 +31,6 @@ from .chains import (
     Signature,
     all_signatures,
     check_classes,
-    comparable,
     format_signature,
 )
 from .core import Record
@@ -535,7 +534,6 @@ def restrict_to_line(model: WallModel, line: Line) -> LineRestrictionReport:
 def line_end_incomparability(model: WallModel, line: Line) -> bool:
     """Whether the classes of the two ends of a line are incomparable; true
     for every line of a uniform model, while on a non-uniform one (see
-    `ImageReport.uniform`) the ends may compare."""
-    a = rho(model, line.direction)
-    b = rho(model, negate(line.direction))
-    return not comparable(a, b)
+    `ImageReport.uniform`) the ends may compare.  The ends are ρ(d) and
+    ρ(−d) = −ρ(d), and a class compares with its negation iff it is principal."""
+    return not rho(model, line.direction).is_principal()

@@ -544,6 +544,7 @@ def window_field(model: WallModel, bound: int) -> WindowField:
     fills the window).  A kept field is read without a lock; a miss builds,
     evicts and inserts under the oracle's lock, so threads sharing a model
     keep its cap.  The field's guards wait for its first query."""
+    check_window(bound)  # before a held field is read: True would read window 1's
     oracle = model.oracle
     field = oracle.fields.get(bound)  # one read: another thread may drop the key
     if field is not None:
@@ -577,10 +578,10 @@ def window_field(model: WallModel, bound: int) -> WindowField:
 
 def _nearest(model: WallModel, u: ChainUltrafilter, window: int):
     """The one windowed step behind every query: the field, the cuts of u,
-    their flat index and their guard bits.  A negative window is refused
-    first, then a non-principal u, then the field is built, then cuts of the
-    wrong length or outside the window; the guards are built last, once per
-    field (racing threads each assign an equal table)."""
+    their flat index and their guard bits.  A window that is no int, or is
+    negative, is refused first, then a non-principal u, then the field is
+    built, then cuts of the wrong length or outside the window; the guards
+    are built last, once per field (racing threads each assign an equal table)."""
     check_window(window)
     cuts = u.int_cuts()
     f = window_field(model, window)
@@ -872,7 +873,8 @@ def surjectivity_report(
     window is built.  Windows are built in the ascending order they are
     reported, so the smallest failing window refuses, and they may hold
     together what three windows at the cap hold."""
-    windows = sorted(set(windows))  # a repeated window adds no step
+    # one step per window; one that is no int is refused before the set merges True into 1
+    windows = sorted({w if type(w) is int else check_window(w) for w in windows})
     if not windows:
         raise MalformedInput("a report needs at least one window", [])
     check_classes(model.k)

@@ -9,8 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pocsets.core import FinitePocSet
-from pocsets.errors import AxiomViolation
+from pocsets.core import FinitePocSet, sample_pocset
 
 
 def line3() -> FinitePocSet:
@@ -68,27 +67,8 @@ def walk_counts(monkeypatch) -> Counter:
 
 
 def random_pocset(rng: random.Random, max_pairs: int = 6) -> FinitePocSet:
-    """A random valid poc-set: random generating edges, retried until the
-    closure passes the axioms."""
-    return random_generated_pocset(rng, max_pairs)[0]
-
-
-def random_generated_pocset(
-    rng: random.Random, max_pairs: int = 6
-) -> tuple[FinitePocSet, list[tuple[int, int]]]:
-    """`random_pocset` (same draws) together with its generating edges."""
-    while True:
-        n = rng.randint(0, max_pairs)
-        edge_count = rng.randint(0, 2 * n) if n else 0
-        edges = []
-        for _ in range(edge_count):
-            a = rng.randrange(2 * n)
-            b = rng.randrange(2 * n)
-            edges.append((a, b))
-        try:
-            return FinitePocSet.from_order_generators(n, edges), edges
-        except AxiomViolation:
-            continue
+    """A random valid poc-set: `pocsets.core.sample_pocset`'s draw."""
+    return sample_pocset(rng, max_pairs)[0]
 
 
 def brute_force_ultrafilters(p: FinitePocSet):

@@ -56,6 +56,31 @@ def test_dual_with_samples():
     assert "isomorphic: True" in proc.stdout
 
 
+def test_dual_samples_round_trip_the_package_samplers_draws(monkeypatch, capsys):
+    # after the input's own round trip, `dual --samples` round-trips exactly
+    # the poc-sets that `sample_pocset` draws from its seed with 5 pairs
+    import random
+
+    from pocsets import cli, cubing
+    from pocsets.core import sample_pocset
+    from pocsets.formats import fixture_pocset
+
+    seen, roundtrip = [], cubing.duality_roundtrip
+
+    def spy(p):
+        seen.append((p.n_pairs, p._up))
+        return roundtrip(p)
+
+    monkeypatch.setattr(cubing, "duality_roundtrip", spy)
+    assert cli.main(["dual", "FIX-SQ", "--samples", "40", "--seed", "3"]) == 0
+    assert "sampled 40 random poc-sets" in capsys.readouterr().out
+    rng = random.Random(3)
+    drawn = [sample_pocset(rng, 5)[0] for _ in range(40)]
+    square = fixture_pocset("FIX-SQ")
+    assert seen == [(p.n_pairs, p._up) for p in (square, *drawn)]
+    assert len({up for _, up in seen}) > 10  # the draws differ
+
+
 def test_dual_sample_count_is_capped(monkeypatch, capsys):
     from pocsets import cli
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pocsets.core import FinitePocSet, star
+from pocsets.core import FinitePocSet, sample_pocset, star
 from pocsets.errors import (
     AxiomViolation,
     MalformedInput,
@@ -22,7 +22,7 @@ from pocsets.errors import (
     TrivialElement,
 )
 
-from conftest import brute_force_ultrafilters, random_generated_pocset, random_pocset
+from conftest import brute_force_ultrafilters, random_pocset
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +464,13 @@ def test_classify_tripod(fix_tripod):
 
 
 def test_classify_rejects_trivial(fix_square):
+    # as `interval` does: the first element that is not proper is the witness
     p = fix_square
-    with pytest.raises(TrivialElement):
-        p.classify_pair(p.zero, p.handle("h1"))
+    for call in (p.classify_pair, p.interval):
+        for pair, witness in (((p.zero, 0), p.zero), ((0, p.zero_star), p.zero_star), ((5, 4), 5)):
+            with pytest.raises(TrivialElement, match=f"handle {witness} is not a proper") as exc:
+                call(*pair)
+            assert (exc.value.code, exc.value.witness) == ("trivial-element", witness)
 
 
 def test_interval_line3(fix_line3):
@@ -1108,7 +1112,7 @@ def test_extend_filterbase_matches_two_sided_greedy():
 def test_leq_matches_reachability_over_generators():
     rng = random.Random(609)
     for _ in range(150):
-        p, edges = random_generated_pocset(rng, max_pairs=7)
+        p, edges = sample_pocset(rng, max_pairs=7)
         arrows = {a: set() for a in p.elements()}
         for a, b in edges:
             arrows[a].add(b)

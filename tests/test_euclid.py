@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -405,6 +406,23 @@ def test_line_ends_compare_on_non_uniform(z1):
     assert not ok  # both ends take the principal class
 
 
+def test_line_end_incomparability_is_the_order_of_its_two_ends():
+    # the closed form `not rho(d).is_principal()` against the definition, the
+    # closure order of rho(d) and rho(-d), at the twelve 30-degree directions
+    from test_shadows import _COS30
+
+    models = [fixture_model(name) for name in ("FIX-Z1", "FIX-Z2", "FIX-HEX")]
+    models += [*_random_wall_models(19, 60, range(1, 6)), *_parallel_wall_models(20)]
+    directions = [(_COS30[j], _COS30[(j - 3) % 12]) for j in range(12)]
+    verdicts = Counter()
+    for model in models:
+        for d in directions:
+            expected = not comparable(rho(model, d), rho(model, negate(d)))
+            assert line_end_incomparability(model, Line(d)) == expected, (model, d)
+            verdicts[expected] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 50  # the ends do compare
+
+
 # ---------------------------------------------------------------------------
 # coordinate cubulations
 
@@ -725,3 +743,21 @@ def test_a_wall_crossing_lies_on_both_walls():
                 assert dot(families[j].normal, point) == families[j].wall_level(b)
                 crossings += 1
     assert crossings > 500
+
+
+def test_only_chains_reads_the_closure_order_by_class_leq():
+    # the package decides the order by sign masks and by principality;
+    # `class_leq` and `comparable` are the definition, for the tests
+    import ast
+    from pathlib import Path
+
+    names = {"class_leq", "comparable"}
+    src = Path(__file__).resolve().parents[1] / "src" / "pocsets"
+    for path in src.glob("*.py"):
+        if path.name == "chains.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not used & names, path.name

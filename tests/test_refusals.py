@@ -71,6 +71,11 @@ def _homes(error: str, module: str | None = None) -> set[tuple[str, str]]:
 def test_each_refused_fact_has_one_home():
     assert _homes("ChainCountMismatch", "chains.py") == {("chains.py", "_check_chain_counts")}
     assert _homes("ZeroDirection") == {("euclid.py", "_check_direction")}
+    assert _homes("TrivialElement") == {("core.py", "_check_proper")}
     sources = [path.read_text() for path in SRC.glob("*.py")]
-    for message in ("window bound must be >= 0", "a wall model needs at least one family"):
+    for message in (
+        "window bound must be >= 0",
+        "window bound must be an int",
+        "a wall model needs at least one family",
+    ):
         assert sum(source.count(message) for source in sources) == 1, message

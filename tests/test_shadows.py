@@ -1800,6 +1800,35 @@ def test_report_without_windows_is_refused():
     assert "oracle" not in vars(model)
 
 
+@pytest.mark.parametrize("window", [1.5, 2.0, True, "2"], ids=["half", "float", "bool", "str"])
+def test_a_window_that_is_not_an_int_is_refused(window):
+    # by every windowed entry point, with the window as witness, and before
+    # a held field is read: a W = 2 field, equal to 2.0 as a key, changes nothing
+    from pocsets.chains import restrict_to_window, window_pocset
+
+    model = fixture_model("FIX-HEX")
+    u = uf(0, 0, 0)
+    calls = [
+        lambda: restrict_to_window(u, window),
+        lambda: window_pocset(3, window),
+        lambda: window_field(model, window),
+        lambda: dist_to_pi0(model, u, window),
+        lambda: shadow_report(model, u, window),
+        lambda: escaping_ray(model, sig(PLUS, PLUS, MINUS), 3, window),
+        lambda: canonical_start(model, window),
+        lambda: surjectivity_report(model, (window,)),
+        lambda: surjectivity_report(model, (5, window)),
+    ]
+    for held in (False, True):
+        if held:
+            window_field(model, 2)
+        for call in calls:
+            with pytest.raises(MalformedInput, match="window bound must be an int") as exc:
+                call()
+            assert (exc.value.code, exc.value.witness) == ("malformed-input", window)
+    assert sorted(model.oracle.fields) == [2]
+
+
 def test_window_fields_live_on_their_model():
     model = fixture_model("FIX-HEX")
     assert window_field(model, 4) is window_field(model, 4)
